@@ -8,9 +8,8 @@ structures they carry, and the Hermitian geometry (Levi-Civita and first
 canonical connections, curvature, the Kähler splitting) on top.
 """
 from .assoc import (
-    AxiomWitness, CommAssocAlgebra, CompatibilityWitness,
-    FloatCertificationError, GenericityError, IdempotentSet,
-    IrrationalSpectrumError, NilradicalReport, NotSemisimpleError,
+    AxiomWitness, CommAssocAlgebra, CompatibilityWitness, GenericityError,
+    IdempotentSet, IrrationalSpectrumError, NilradicalReport, NotSemisimpleError,
     check_axioms, check_compatibility, is_nilpotent_algebra,
     minimal_polynomial, nilradical, primitive_idempotents, square_span, unit,
 )
@@ -48,8 +47,7 @@ from .lie import (
     is_unimodular, pushforward,
 )
 from .linalg import (
-    DimensionMismatch, Matrix, SingularMatrix, Subspace, rat, rat_from_float,
-    vec,
+    DimensionMismatch, Matrix, SingularMatrix, Subspace, rat, vec,
 )
 from .serialize import (
     InputError, Instance, ValidationFailure, instance_from_dict,

@@ -1,20 +1,19 @@
 """Commutative associative algebras: axioms, compatibility for double
 products, nilradical, and primitive idempotent extraction.
 
-Idempotents run in two deliberately independent modes: "exact" factors the
-minimal polynomial of a generic multiplication operator over Q and reports
-an irrational spectrum instead of guessing; "float" diagonalizes numerically
-and must re-certify every identity exactly after rational rounding.
+Idempotents come from factoring the minimal polynomial of a generic
+multiplication operator over Q.  A rational primitive decomposition exists
+exactly when every factor is linear or an imaginary quadratic; any other
+factor is reported as an irrational spectrum instead of being approximated.
 """
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, ONE, ZERO, basis_vec, is_zero_vec,
-    rat, rat_from_float, vec, vec_add, vec_scale, vec_sub, zero_vec,
+    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _as_vector, basis_vec,
+    is_zero_vec, lin_comb, rat, vec, vec_add, vec_scale, vec_sub, zero_vec,
 )
 from .lie import PreconditionError
 
@@ -36,12 +35,8 @@ class NotSemisimpleError(ValueError):
 
 
 class IrrationalSpectrumError(ValueError):
-    """Exact mode found an irreducible factor that is not linear or an
-    imaginary quadratic; the idempotents have irrational coordinates."""
-
-
-class FloatCertificationError(ValueError):
-    """Float mode produced candidates that fail exact re-certification."""
+    """The minimal polynomial has an irreducible factor that is not linear or
+    an imaginary quadratic; the idempotents have irrational coordinates."""
 
 
 class GenericityError(ValueError):
@@ -102,16 +97,9 @@ class CommAssocAlgebra:
 
     def left_mult(self, x):
         """Matrix of y -> x.y."""
-        cols = []
-        for j in range(self.dim):
-            col = list(zero_vec(self.dim))
-            for i, xi in enumerate(x):
-                if xi != 0:
-                    for k, wk in enumerate(self.m[i][j]):
-                        if wk != 0:
-                            col[k] += xi * wk
-            cols.append(tuple(col))
-        return Matrix.from_columns(cols)
+        n = self.dim
+        return Matrix.from_columns(
+            [lin_comb(x, [self.m[i][j] for i in range(n)], n) for j in range(n)])
 
     def __eq__(self, other):
         return isinstance(other, CommAssocAlgebra) and self.dim == other.dim and self.m == other.m
@@ -121,23 +109,6 @@ class CommAssocAlgebra:
 
     def __repr__(self):
         return "CommAssocAlgebra(dim=%d)" % self.dim
-
-
-def _as_vector(value, dim):
-    if isinstance(value, dict):
-        out = list(zero_vec(dim))
-        for k, s in value.items():
-            out[int(k)] = rat(s)
-        return tuple(out)
-    return vec(value)
-
-
-def multiply(a, x, y):
-    return a.multiply(x, y)
-
-
-def left_mult(a, x):
-    return a.left_mult(x)
 
 
 def check_axioms(a) -> Optional[AxiomWitness]:
@@ -242,7 +213,6 @@ def unit(a):
 class IdempotentSet(NamedTuple):
     idempotents: tuple          # ambient coordinate vectors
     factor_types: tuple         # "R" | "C" per idempotent
-    mode_used: str
 
 
 # ---- polynomial evaluation over Q (ascending coefficients) ----
@@ -332,27 +302,18 @@ def _generic_elements(dim, max_retries, seed):
             yield tuple(rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
 
 
-def primitive_idempotents(a, mode="exact", max_retries=32, seed=0) -> IdempotentSet:
+def primitive_idempotents(a, max_retries=32, seed=0) -> IdempotentSet:
     """Complete primitive orthogonal idempotents of a semisimple algebra.
 
     Factor types: "R" for a 1-dim block, "C" for a 2-dim block on which the
-    minimal polynomial factor is an imaginary quadratic.  Exact mode raises
-    IrrationalSpectrumError when any factor is neither; float mode must
-    re-certify all products exactly after rounding or raises.
+    minimal polynomial factor is an imaginary quadratic.  Raises
+    IrrationalSpectrumError when any factor is neither.
     """
     rep = nilradical(a)
     if not rep.is_semisimple:
         raise NotSemisimpleError("algebra has a nonzero nilradical")
     if a.dim == 0:
-        return IdempotentSet((), (), mode)
-    if mode == "exact":
-        return _idempotents_exact(a, max_retries, seed)
-    if mode == "float":
-        return _idempotents_float(a, max_retries, seed)
-    raise ValueError("mode must be 'exact' or 'float'")
-
-
-def _idempotents_exact(a, max_retries, seed):
+        return IdempotentSet((), ())
     last_error = None
     for x in _generic_elements(a.dim, max_retries, seed):
         lx = a.left_mult(x)
@@ -394,102 +355,6 @@ def _idempotents_exact(a, max_retries, seed):
             assert total == u
         order = sorted(range(len(elements)), key=lambda i: (types[i], elements[i]))
         return IdempotentSet(tuple(elements[i] for i in order),
-                             tuple(types[i] for i in order), "exact")
+                             tuple(types[i] for i in order))
     raise last_error or GenericityError("no generic element found")
 
-
-def _idempotents_float(a, max_retries, seed):
-    import numpy as np
-
-    tol = 1e-9
-    last_error = None
-    for x in _generic_elements(a.dim, max_retries, seed):
-        lx = a.left_mult(x)
-        arr = np.array([[float(Fraction(str(e))) for e in row] for row in lx.rows],
-                       dtype=np.float64)
-        w, v = np.linalg.eig(arr)
-        try:
-            vinv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            last_error = GenericityError("numerically defective operator")
-            continue
-        clusters = _cluster_eigenvalues(w, tol)
-        blocks, ok = _conjugate_blocks(w, clusters, tol)
-        if not ok:
-            last_error = GenericityError("eigenvalue clusters not separated")
-            continue
-        elements = []
-        types = []
-        for kind, idxs in blocks:
-            proj = (v[:, idxs] @ vinv[idxs, :]).real
-            block_space = Subspace(a.dim, [
-                tuple(rat_from_float(proj[r, c]) for r in range(a.dim))
-                for c in range(a.dim)])
-            if block_space.dim != len(idxs):
-                last_error = FloatCertificationError("rounded projection has wrong rank")
-                break
-            e = _block_unit(a, block_space)
-            if e is None:
-                last_error = FloatCertificationError("rounded block is not unital")
-                break
-            elements.append(e)
-            types.append(kind)
-        else:
-            if not _certify_idempotents(a, elements):
-                raise FloatCertificationError(
-                    "candidates fail exact idempotent certification")
-            order = sorted(range(len(elements)), key=lambda i: (types[i], elements[i]))
-            return IdempotentSet(tuple(elements[i] for i in order),
-                                 tuple(types[i] for i in order), "float")
-    if isinstance(last_error, FloatCertificationError):
-        raise last_error
-    raise last_error or GenericityError("no generic element found")
-
-
-def _cluster_eigenvalues(w, tol):
-    n = len(w)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(w[i] - w[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _conjugate_blocks(w, clusters, tol):
-    """Pair complex-conjugate clusters; single real -> R, conjugate pair -> C."""
-    blocks = []
-    used = set()
-    for idx, cluster in enumerate(clusters):
-        if idx in used:
-            continue
-        rep = w[cluster[0]]
-        if abs(rep.imag) <= tol:
-            if len(cluster) != 1:
-                return [], False
-            blocks.append(("R", cluster))
-            used.add(idx)
-            continue
-        mate = None
-        for jdx in range(idx + 1, len(clusters)):
-            if jdx in used:
-                continue
-            if abs(w[clusters[jdx][0]] - rep.conjugate()) <= tol:
-                mate = jdx
-                break
-        if mate is None or len(cluster) != 1 or len(clusters[mate]) != 1:
-            return [], False
-        blocks.append(("C", cluster + clusters[mate]))
-        used.add(idx)
-        used.add(mate)
-    return blocks, True

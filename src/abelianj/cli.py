@@ -28,10 +28,6 @@ _REQUIRABLE = ("solvable", "nilpotent", "2step", "unimodular",
                "integrable", "abelian-j", "hermitian", "kahler")
 
 
-def _fmt_scalar(q) -> str:
-    return serialize.scalar_str(q)
-
-
 def _fmt_vector(v, names) -> str:
     terms = []
     for c, name in zip(v, names):
@@ -43,7 +39,7 @@ def _fmt_vector(v, names) -> str:
             terms.append("- %s" % name)
         else:
             sign = "-" if c < 0 else "+"
-            terms.append("%s %s %s" % (sign, _fmt_scalar(abs(c)), name))
+            terms.append("%s %s %s" % (sign, serialize.scalar_str(abs(c)), name))
     if not terms:
         return "0"
     head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
@@ -67,7 +63,7 @@ def _connection_lines(g, conn, label):
 
 
 def _connection_json(g, conn):
-    return [[[_fmt_scalar(c) for c in conn.gamma[i][jx]]
+    return [[[serialize.scalar_str(c) for c in conn.gamma[i][jx]]
              for jx in range(g.dim)] for i in range(g.dim)]
 
 
@@ -152,22 +148,22 @@ def run_check(args) -> int:
                 "levi_civita": {
                     "tensor": _connection_json(g, lc),
                     "flags": lc_flags._asdict(),
-                    "curvature_norm_sq": _fmt_scalar(lc_norm),
+                    "curvature_norm_sq": serialize.scalar_str(lc_norm),
                 },
                 "first_canonical": {
                     "tensor": _connection_json(g, n1),
                     "flags": n1_flags._asdict(),
-                    "curvature_norm_sq": _fmt_scalar(n1_norm),
+                    "curvature_norm_sq": serialize.scalar_str(n1_norm),
                 },
             }
             lines.extend(_connection_lines(g, lc, "levi-civita"))
             lines.append("    flags: metric %s, complex %s, torsion type (1,1) %s"
                          % tuple(_yesno(f) for f in lc_flags))
-            lines.append("    curvature norm^2: %s" % _fmt_scalar(lc_norm))
+            lines.append("    curvature norm^2: %s" % serialize.scalar_str(lc_norm))
             lines.extend(_connection_lines(g, n1, "first canonical"))
             lines.append("    flags: metric %s, complex %s, torsion type (1,1) %s"
                          % tuple(_yesno(f) for f in n1_flags))
-            lines.append("    curvature norm^2: %s" % _fmt_scalar(n1_norm))
+            lines.append("    curvature norm^2: %s" % serialize.scalar_str(n1_norm))
 
     failed = [p for p in args.require if not props.get(p, False)]
     out["required"] = {p: p not in failed for p in args.require}
@@ -208,12 +204,12 @@ def _decomposition_dict(dec) -> dict:
         "n": dec.n,
         "s": dec.s,
         "factors": [{
-            "idempotent": [_fmt_scalar(c) for c in f.idempotent],
-            "norm_sq": _fmt_scalar(f.norm_sq),
-            "curvature": _fmt_scalar(f.curvature),
+            "idempotent": [serialize.scalar_str(c) for c in f.idempotent],
+            "norm_sq": serialize.scalar_str(f.norm_sq),
+            "curvature": serialize.scalar_str(f.curvature),
         } for f in dec.factors],
-        "center_basis": [[_fmt_scalar(c) for c in b] for b in dec.center.basis],
-        "change_of_basis": [[_fmt_scalar(c) for c in row]
+        "center_basis": [[serialize.scalar_str(c) for c in b] for b in dec.center.basis],
+        "change_of_basis": [[serialize.scalar_str(c) for c in row]
                             for row in dec.change_of_basis.rows],
         "model": serialize.instance_to_dict(
             dec.model.algebra, dec.model.j, dec.model.metric),
@@ -223,20 +219,18 @@ def _decomposition_dict(dec) -> dict:
 def run_decompose(args) -> int:
     inst = serialize.load_instance(args.instance)
     t = inst.triple()
-    mode = "float" if args.float_fallback else "exact"
     try:
-        dec = lab.kahler_decompose(t, idempotent_mode=mode)
+        dec = lab.kahler_decompose(t)
     except IrrationalSpectrumError as exc:
         print("decomposition failed: %s" % exc, file=sys.stderr)
-        print("the spectrum is not rational; --float-fallback may recover "
-              "certified idempotents", file=sys.stderr)
         return FAIL
     g = t.algebra
     print("factors: n = %d, center: dim %d (s = %d)"
           % (dec.n, dec.center.dim, dec.s))
     for ix, f in enumerate(dec.factors):
         print("  %d: r^2 = %s, c = %s, direction = %s"
-              % (ix + 1, _fmt_scalar(f.norm_sq), _fmt_scalar(f.curvature),
+              % (ix + 1, serialize.scalar_str(f.norm_sq),
+                 serialize.scalar_str(f.curvature),
                  _fmt_vector(f.idempotent, g.basis_names)))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -323,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "planes and a flat center")
     p.add_argument("--instance", required=True)
     p.add_argument("--report", help="write the decomposition as JSON")
-    p.add_argument("--float-fallback", action="store_true",
-                   help="allow floating-point spectra, re-certified exactly")
     p.set_defaults(func=run_decompose)
 
     p = sub.add_parser("fuzz", help="run the randomized structure-theorem suite")

@@ -204,7 +204,7 @@ def twisted_cyclic_identity(t: HermitianTriple) -> bool:
     g = t.algebra
     n = g.dim
     gm = t.metric.gram
-    tj = bilinear_table(g, Matrix.identity(n), t.j.matrix)
+    tj = bilinear_table(g.c, Matrix.identity(n), t.j.matrix)
     gtj = [[gm.apply(tj[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -319,41 +319,9 @@ def _is_complex(conn: Connection, j: ComplexStructure) -> bool:
                for i in range(conn.dim))
 
 
-def _transport_bilinear(tensor, a: Matrix, b: Matrix):
-    """t'[i][j] = tensor evaluated on (A e_i, B e_j), by bilinearity."""
-    n = len(tensor)
-    d = []
-    for p in range(n):
-        drow = []
-        for j in range(n):
-            acc = list(zero_vec(n))
-            for q in range(n):
-                bq = b.rows[q][j]
-                if bq != 0:
-                    for k, c in enumerate(tensor[p][q]):
-                        if c != 0:
-                            acc[k] += bq * c
-            drow.append(acc)
-        d.append(drow)
-    out = []
-    for i in range(n):
-        orow = []
-        for j in range(n):
-            acc = list(zero_vec(n))
-            for p in range(n):
-                ap = a.rows[p][i]
-                if ap != 0:
-                    for k, c in enumerate(d[p][j]):
-                        if c != 0:
-                            acc[k] += ap * c
-            orow.append(tuple(acc))
-        out.append(tuple(orow))
-    return tuple(out)
-
-
 def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
     t = torsion(g, conn)
-    return _transport_bilinear(t, j.matrix, j.matrix) == t
+    return bilinear_table(t, j.matrix, j.matrix) == t
 
 
 def connection_flags(g, j, metric, conn) -> ConnectionFlags:
@@ -418,8 +386,8 @@ def first_canonical_pairing(t: HermitianTriple) -> Connection:
     ident = Matrix.identity(n)
     jg = j.matrix.transpose() @ gm          # row k of (jg v): g(v, J e_k)
     gc = [[gm.apply(g.c[i][j2]) for j2 in range(n)] for i in range(n)]
-    tj = bilinear_table(g, ident, j.matrix)  # [e_i, J e_j]
-    jt = bilinear_table(g, j.matrix, ident)  # [J e_i, e_j]
+    tj = bilinear_table(g.c, ident, j.matrix)  # [e_i, J e_j]
+    jt = bilinear_table(g.c, j.matrix, ident)  # [J e_i, e_j]
     gtj = [[jg.apply(tj[i][j2]) for j2 in range(n)] for i in range(n)]
     gjt = [[jg.apply(jt[i][j2]) for j2 in range(n)] for i in range(n)]
     gamma = []

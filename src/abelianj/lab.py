@@ -13,9 +13,8 @@ from typing import NamedTuple, Optional
 
 from . import serialize
 from .assoc import (
-    CommAssocAlgebra, FloatCertificationError, GenericityError,
-    IrrationalSpectrumError, check_axioms, check_compatibility, nilradical,
-    primitive_idempotents,
+    CommAssocAlgebra, GenericityError, IrrationalSpectrumError, check_axioms,
+    check_compatibility, nilradical, primitive_idempotents,
 )
 from .complex_structures import (
     ComplexStructure, abelian_cs_report, is_abelian_cs, j_stable_commutator,
@@ -89,7 +88,7 @@ def _standard_block_j(n_blocks: int) -> Matrix:
     return Matrix(rows)
 
 
-def kahler_decompose(t: HermitianTriple, idempotent_mode="exact") -> KahlerDecomposition:
+def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     """Split a Kähler abelian-J metric Lie algebra into curved planes and a
     flat center.
 
@@ -152,10 +151,7 @@ def kahler_decompose(t: HermitianTriple, idempotent_mode="exact") -> KahlerDecom
         if not nilradical(alg).is_semisimple:
             raise DecomposeError(5, "induced product has a nonzero nilradical")
 
-        try:
-            idem = primitive_idempotents(alg, mode=idempotent_mode)
-        except IrrationalSpectrumError:
-            raise
+        idem = primitive_idempotents(alg)
         if any(kind != "R" for kind in idem.factor_types):
             raise DecomposeError(6, "a two-dimensional complex factor appeared; "
                                     "only split real factors can occur")
@@ -506,7 +502,7 @@ def _run_trial(triple, expected: Optional[KahlerSample], counts, ces):
                 ok = (ok and dec.n == expected.factor_count
                       and tuple(f.norm_sq for f in dec.factors) == expected.norm_squares)
         except (DecomposeError, ConstructionError, IrrationalSpectrumError,
-                FloatCertificationError, GenericityError):
+                GenericityError):
             ok = False
         rec("kahler_decomposition_complete", ok)
         rec("kahler_unimodular_forces_abelian",

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, basis_vec, is_zero_vec, rat,
-    vec, vec_add, vec_scale, vec_sub, zero_vec,
+    DimensionMismatch, Matrix, Subspace, _as_vector, basis_vec, is_zero_vec,
+    lin_comb, rat, vec, vec_add, vec_scale, vec_sub, zero_vec,
 )
 
 
@@ -88,29 +88,15 @@ class LieAlgebra:
 
     def bracket_with_basis(self, i, y):
         """[e_i, y] in O(dim^2)."""
-        out = list(zero_vec(self.dim))
-        ci = self.c[i]
-        for j, yj in enumerate(y):
-            if yj != 0:
-                for k, wk in enumerate(ci[j]):
-                    if wk != 0:
-                        out[k] += yj * wk
-        return tuple(out)
+        return lin_comb(y, self.c[i], self.dim)
 
     def ad(self, x):
         """Matrix of y -> [x, y]."""
         if len(x) != self.dim:
             raise DimensionMismatch("ad argument must have dimension %d" % self.dim)
-        cols = []
-        for j in range(self.dim):
-            col = list(zero_vec(self.dim))
-            for i, xi in enumerate(x):
-                if xi != 0:
-                    for k, wk in enumerate(self.c[i][j]):
-                        if wk != 0:
-                            col[k] += xi * wk
-            cols.append(tuple(col))
-        return Matrix.from_columns(cols)
+        n = self.dim
+        return Matrix.from_columns(
+            [lin_comb(x, [self.c[i][j] for i in range(n)], n) for j in range(n)])
 
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.dim == other.dim and self.c == other.c
@@ -120,23 +106,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
-
-
-def _as_vector(value, dim):
-    if isinstance(value, dict):
-        out = list(zero_vec(dim))
-        for k, s in value.items():
-            out[int(k)] = rat(s)
-        return tuple(out)
-    return vec(value)
-
-
-def bracket(g, x, y):
-    return g.bracket(x, y)
-
-
-def ad(g, x):
-    return g.ad(x)
 
 
 def check_jacobi(g) -> Optional[JacobiWitness]:
@@ -266,25 +235,16 @@ def classify_subspace(g, u: Subspace) -> SubspaceRole:
     )
 
 
-def bilinear_table(g, a: Matrix, b: Matrix):
-    """Table t[i][j] = bracket(A e_i, B e_j), contracted in O(dim^4)."""
-    n = g.dim
-    # first slot: d[p][j] = bracket(e_p, B e_j)
-    d = [[g.bracket_with_basis(p, b.column(j)) for j in range(n)] for p in range(n)]
-    table = []
-    for i in range(n):
-        col_a = a.column(i)
-        row = []
-        for j in range(n):
-            acc = list(zero_vec(n))
-            for p, ap in enumerate(col_a):
-                if ap != 0:
-                    for k, wk in enumerate(d[p][j]):
-                        if wk != 0:
-                            acc[k] += ap * wk
-            row.append(tuple(acc))
-        table.append(tuple(row))
-    return tuple(table)
+def bilinear_table(tensor, a: Matrix, b: Matrix):
+    """t[i][j] = tensor(A e_i, B e_j) by bilinearity, contracted in O(dim^4).
+
+    tensor[p][q] is the vector value on (e_p, e_q): pass g.c for the bracket,
+    or any other rank-3 tensor such as a torsion.
+    """
+    n = len(tensor)
+    # first slot: d[j][p] = tensor(e_p, B e_j)
+    d = [[lin_comb(bj, tensor[p], n) for p in range(n)] for bj in b.columns()]
+    return tuple(tuple(lin_comb(ai, dj, n) for dj in d) for ai in a.columns())
 
 
 def pushforward(g, p: Matrix) -> LieAlgebra:
@@ -292,7 +252,7 @@ def pushforward(g, p: Matrix) -> LieAlgebra:
     if not p.is_square() or p.nrows != g.dim:
         raise DimensionMismatch("pushforward needs a square matrix of size dim")
     pinv = p.inverse()
-    raw = bilinear_table(g, pinv, pinv)
+    raw = bilinear_table(g.c, pinv, pinv)
     tensor = [[p.apply(raw[i][j]) for j in range(g.dim)] for i in range(g.dim)]
     return LieAlgebra.from_tensor(tensor, g.basis_names)
 

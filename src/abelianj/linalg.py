@@ -33,14 +33,9 @@ def rat(value=0, den=None):
     if isinstance(value, str):
         return _RAT(Fraction(value.strip()))
     if isinstance(value, float):
-        raise TypeError("refusing inexact float %r; use rat_from_float" % value)
+        raise TypeError("refusing inexact float %r; give an int, a 'p/q' string "
+                        "or a Fraction" % value)
     return _RAT(value)
-
-
-def rat_from_float(x, max_den=10 ** 6):
-    """Nearest rational with bounded denominator; the only inexact entry point."""
-    f = Fraction(x).limit_denominator(max_den)
-    return _RAT(f.numerator) / _RAT(f.denominator)
 
 
 def vec(entries):
@@ -49,6 +44,16 @@ def vec(entries):
 
 def zero_vec(n):
     return (ZERO,) * n
+
+
+def _as_vector(value, dim):
+    """Dense vector from a sequence or a sparse {index: scalar} dict."""
+    if isinstance(value, dict):
+        out = list(zero_vec(dim))
+        for k, s in value.items():
+            out[int(k)] = rat(s)
+        return tuple(out)
+    return vec(value)
 
 
 def basis_vec(n, i):
@@ -73,6 +78,18 @@ def vec_dot(u, v):
 
 def is_zero_vec(v):
     return all(a == 0 for a in v)
+
+
+def lin_comb(coeffs, vectors, n):
+    """sum_q coeffs[q] * vectors[q] in Q^n, skipping zero coefficients and
+    zero entries."""
+    out = list(zero_vec(n))
+    for cq, v in zip(coeffs, vectors):
+        if cq != 0:
+            for k, vk in enumerate(v):
+                if vk != 0:
+                    out[k] += cq * vk
+    return tuple(out)
 
 
 def _rref(rows, ncols):
@@ -263,15 +280,6 @@ class Subspace:
         self.basis, self.pivots = _rref(clean, ambient)
 
     @classmethod
-    def span(cls, vectors, ambient=None):
-        vectors = list(vectors)
-        if ambient is None:
-            if not vectors:
-                raise DimensionMismatch("ambient dimension required for empty span")
-            ambient = len(vectors[0])
-        return cls(ambient, vectors)
-
-    @classmethod
     def zero(cls, ambient):
         return cls(ambient)
 
@@ -348,12 +356,7 @@ class Subspace:
                     current = Subspace(self.ambient, acc)
             comp = Subspace(self.ambient, added)
         else:
-            gram = metric.gram if hasattr(metric, "gram") else metric
-            constraints = Matrix([gram.apply(u) for u in self.basis]) if self.basis \
-                else Matrix.zeros(0, self.ambient)
-            perp = Subspace(self.ambient, constraints.kernel()) if self.basis \
-                else Subspace.whole(self.ambient)
-            comp = bigger.intersect(perp)
+            comp = bigger.intersect(self.orthogonal_complement(metric))
         assert comp.dim + self.dim == bigger.dim and self.intersect(comp).is_zero()
         return comp
 
@@ -372,15 +375,3 @@ class Subspace:
     def _check(self, other):
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions differ")
-
-
-def span(vectors, ambient=None):
-    return Subspace.span(vectors, ambient)
-
-
-def intersect(u, v):
-    return u.intersect(v)
-
-
-def complement(u, w, metric=None):
-    return u.complement_in(w, metric)

@@ -3,11 +3,9 @@ import random
 import pytest
 
 from abelianj.assoc import (
-    CommAssocAlgebra, FloatCertificationError, GenericityError,
-    IrrationalSpectrumError,
+    CommAssocAlgebra, GenericityError, IrrationalSpectrumError,
     NotSemisimpleError, check_axioms, check_compatibility, is_nilpotent_algebra,
-    left_mult, minimal_polynomial, multiply, nilradical, primitive_idempotents,
-    square_span, unit,
+    minimal_polynomial, nilradical, primitive_idempotents, square_span, unit,
 )
 from abelianj.lie import PreconditionError
 from abelianj.linalg import DimensionMismatch, Matrix, Subspace, rat, vec
@@ -53,8 +51,8 @@ def test_from_tensor_symmetry():
 def test_multiply_and_left_mult():
     a = complex_plane()
     # (1 + 2i)(3 + i) = 1 + 7i
-    assert multiply(a, vec((1, 2)), vec((3, 1))) == vec((1, 7))
-    lm = left_mult(a, vec((0, 1)))
+    assert a.multiply(vec((1, 2)), vec((3, 1))) == vec((1, 7))
+    lm = a.left_mult(vec((0, 1)))
     assert lm == Matrix([[0, -1], [1, 0]])
     with pytest.raises(DimensionMismatch):
         a.multiply(vec((1,)), vec((1, 0)))
@@ -138,7 +136,6 @@ def test_primitive_idempotents_exact():
     one = primitive_idempotents(real_line())
     assert one.idempotents == (vec((1,)),)
     assert one.factor_types == ("R",)
-    assert one.mode_used == "exact"
 
     cx = primitive_idempotents(complex_plane())
     assert cx.idempotents == (vec((1, 0)),)
@@ -158,25 +155,10 @@ def test_primitive_idempotents_reject_nilradical():
 
 def test_primitive_idempotents_irrational():
     # t^2 = 2: minimal polynomial factor t^2 - 2 is a real quadratic, and the
-    # true idempotents live over Q(sqrt 2), so float mode cannot certify either
+    # true idempotents live over Q(sqrt 2), so no rational ones exist
     sqrt2 = CommAssocAlgebra(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: 2}})
     with pytest.raises(IrrationalSpectrumError):
         primitive_idempotents(sqrt2)
-    with pytest.raises(FloatCertificationError):
-        primitive_idempotents(sqrt2, mode="float")
-
-
-def test_float_mode_matches_exact_on_split_algebras():
-    for a in (split_pair(), complex_plane(),
-              CommAssocAlgebra(3, {(0, 0): {0: 1}, (1, 1): {1: 2}, (2, 2): {2: -1}})):
-        exact = primitive_idempotents(a, mode="exact")
-        fl = primitive_idempotents(a, mode="float")
-        assert fl.mode_used == "float"
-        assert set(fl.idempotents) == set(exact.idempotents)
-        for e in fl.idempotents:
-            assert a.multiply(e, e) == e
-    with pytest.raises(ValueError):
-        primitive_idempotents(split_pair(), mode="half")
 
 
 def test_primitive_idempotents_three_blocks():

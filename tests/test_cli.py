@@ -162,9 +162,11 @@ def test_decompose_kahler_failures(fixtures_dir, tmp_path, capsys):
                             InnerProduct.diagonal([1, 2, 1, 2]))
     assert main(["decompose-kahler", "--instance", str(sqrt2)]) == 1
     err = capsys.readouterr().err
-    assert "--float-fallback" in err
-    assert main(["decompose-kahler", "--instance", str(sqrt2),
-                 "--float-fallback"]) == 1
+    assert "irrational spectrum" in err
+    assert "--float-fallback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose-kahler", "--instance", str(sqrt2), "--float-fallback"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
     no_metric = tmp_path / "nometric.json"

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from abelianj.assoc import (
-    CommAssocAlgebra, FloatCertificationError, IrrationalSpectrumError,
+    CommAssocAlgebra, IrrationalSpectrumError,
     check_axioms, check_compatibility,
 )
 from abelianj.complex_structures import is_abelian_cs
@@ -87,8 +87,6 @@ def test_decompose_irrational_spectrum():
     assert is_kahler(t)
     with pytest.raises(IrrationalSpectrumError):
         kahler_decompose(t)
-    with pytest.raises(FloatCertificationError):
-        kahler_decompose(t, idempotent_mode="float")
 
 
 def test_decompose_error_carries_step():

@@ -8,7 +8,9 @@ from abelianj.lie import (
     commutator_ideal, derived_and_central_series, direct_sum, is_homomorphism,
     is_isomorphism, is_unimodular, pushforward,
 )
-from abelianj.linalg import DimensionMismatch, Matrix, Subspace, rat, vec
+from abelianj.constructions import standard_complex_structure
+from abelianj.hermitian import Connection, torsion
+from abelianj.linalg import DimensionMismatch, Matrix, Subspace, rat, vec, vec_sub
 
 
 def aff_line():
@@ -107,8 +109,31 @@ def test_bracket_span_and_bilinear_table():
     g = aff_complex()
     whole = Subspace.whole(4)
     assert bracket_span(g, whole, whole) == commutator_ideal(g)
-    tab = bilinear_table(g, Matrix.identity(4), Matrix.identity(4))
+    tab = bilinear_table(g.c, Matrix.identity(4), Matrix.identity(4))
     assert all(vec(tab[i][j]) == g.c[i][j] for i in range(4) for j in range(4))
+
+    # general A, B that commute neither with each other nor with J
+    a = Matrix([[1, 2, 0, -1], [0, 1, 3, 0], [2, 0, 0, 1], [-1, 1, 1, 2]])
+    b = Matrix([[0, 1, 0, 0], [rat(1, 2), 0, -2, 1], [1, 1, 1, 0], [0, 3, 0, -1]])
+    jm = standard_complex_structure(2).matrix
+    assert a @ b != b @ a and a @ jm != jm @ a and b @ jm != jm @ b
+    tab = bilinear_table(g.c, a, b)
+    for i in range(4):
+        for j in range(4):
+            assert tab[i][j] == g.bracket(a.column(i), b.column(j))
+
+    # any rank-3 tensor: the torsion of a nonzero connection, transported
+    conn = Connection([[[rat(i - j + k, 1 + k) for k in range(4)]
+                        for j in range(4)] for i in range(4)])
+    tor = torsion(g, conn)
+    assert tor != g.c
+    tab = bilinear_table(tor, a, b)
+    for i in range(4):
+        for j in range(4):
+            x, y = a.column(i), b.column(j)
+            by_hand = vec_sub(vec_sub(conn.apply(x, y), conn.apply(y, x)),
+                              g.bracket(x, y))
+            assert tab[i][j] == by_hand
 
 
 def test_pushforward_identity_and_inverse():

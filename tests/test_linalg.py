@@ -4,7 +4,7 @@ import pytest
 
 from abelianj.linalg import (
     DimensionMismatch, Matrix, SingularMatrix, Subspace, basis_vec, rat,
-    rat_from_float, vec, vec_add, vec_scale,
+    vec, vec_add, vec_scale,
 )
 
 
@@ -24,13 +24,6 @@ def test_rat_rejects_floats_and_zero_denominators():
         rat("1/0")
     with pytest.raises(ZeroDivisionError):
         rat(1, 0)
-
-
-def test_rat_from_float():
-    assert rat_from_float(0.5) == rat(1, 2)
-    assert rat_from_float(0.25) == rat(1, 4)
-    # limit_denominator snaps near-rationals
-    assert rat_from_float(1 / 3) == rat(1, 3)
 
 
 def test_matrix_basics():
