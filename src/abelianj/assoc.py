@@ -276,10 +276,7 @@ def _block_unit(a, block: Subspace):
     sol = Matrix(rows).solve(tuple(rhs))
     if sol is None:
         return None
-    out = zero_vec(a.dim)
-    for coef, b in zip(sol, basis):
-        out = vec_add(out, vec_scale(coef, b))
-    return out
+    return lin_comb(sol, basis, a.dim)
 
 
 def _certify_idempotents(a, elements):

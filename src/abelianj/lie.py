@@ -151,13 +151,7 @@ def center_of_subalgebra(g, u: Subspace) -> Subspace:
         for k in range(g.dim):
             rows.append(tuple(tables[a][b][k] for a in range(m)))
     coeff_kernel = Matrix(rows).kernel()
-    ambient_vecs = []
-    for coeffs in coeff_kernel:
-        v = zero_vec(g.dim)
-        for cfa, basis_vec_a in zip(coeffs, u.basis):
-            v = vec_add(v, vec_scale(cfa, basis_vec_a))
-        ambient_vecs.append(v)
-    return Subspace(g.dim, ambient_vecs)
+    return Subspace(g.dim, [lin_comb(coeffs, u.basis, g.dim) for coeffs in coeff_kernel])
 
 
 def bracket_span(g, u: Subspace, v: Subspace) -> Subspace:

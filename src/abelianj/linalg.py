@@ -1,21 +1,23 @@
 """Exact rational linear algebra: scalars, vectors, matrices, subspaces.
 
-Everything downstream computes over Q with zero tolerance.  Scalars are
-gmpy2.mpq when available (much faster), else fractions.Fraction; both
-normalize to lowest terms with positive denominator and print as "p/q".
-Subspaces are kept in reduced row echelon form so equality is syntactic.
+Everything downstream computes over Q with zero tolerance.  The one scalar
+type is fractions.Fraction, always in lowest terms with a positive
+denominator, printing as "p/q".  Products (matrix-matrix, matrix-vector,
+dot, linear combination) run through one integer kernel: inside a product
+each row, column or vector is a list of Python-int numerators over its
+common denominator (the lcm of its entries' denominators), zero entries
+of rows and of combined vectors are skipped, and each output entry is
+normalised once into a Fraction.  Outside a product every entry is a
+normalised Fraction again.  Subspaces are kept in reduced row echelon
+form so equality is syntactic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _RAT = Fraction
-
-ZERO = _RAT(0)
-ONE = _RAT(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -27,15 +29,19 @@ class SingularMatrix(ValueError):
 
 
 def rat(value=0, den=None):
-    """Exact rational from int, 'p/q' string, Fraction, or (num, den)."""
+    """Exact rational from int, 'p/q' string, Fraction, or (num, den).
+
+    A Fraction is already normalised and is returned as it is."""
+    if den is None and type(value) is Fraction:
+        return value
     if den is not None:
-        return _RAT(value) / _RAT(den)
+        return Fraction(value) / Fraction(den)
     if isinstance(value, str):
-        return _RAT(Fraction(value.strip()))
+        return Fraction(value.strip())
     if isinstance(value, float):
         raise TypeError("refusing inexact float %r; give an int, a 'p/q' string "
                         "or a Fraction" % value)
-    return _RAT(value)
+    return Fraction(value)
 
 
 def vec(entries):
@@ -72,8 +78,41 @@ def vec_scale(c, v):
     return tuple(c * a for a in v)
 
 
+def _over_lcm(v):
+    """(d, nums): v as integer numerators over d, the lcm of its denominators."""
+    d = lcm(*[x.denominator for x in v])
+    return d, [x.numerator * (d // x.denominator) for x in v]
+
+
+def _nonzeros(v):
+    """(d, [(index, numerator)]) for the nonzero entries of v over their lcm d."""
+    nz = [(t, x) for t, x in enumerate(v) if x]
+    d = lcm(*[x.denominator for _, x in nz])
+    return d, [(t, x.numerator * (d // x.denominator)) for t, x in nz]
+
+
+def _entry(num, den):
+    return Fraction(num, den) if num else ZERO
+
+
+def _products(rows, vectors):
+    """[[row . v for v in vectors] for row in rows], exactly.
+
+    The integer kernel behind matmul, apply and vec_dot: each vector is
+    split into numerators over its lcm once, each row into its nonzero
+    numerators, and every output entry is normalised once.
+    """
+    splits = [_over_lcm(v) for v in vectors]
+    out = []
+    for row in rows:
+        d, nz = _nonzeros(row)
+        out.append(tuple(_entry(sum(a * nums[t] for t, a in nz), d * dv)
+                         for dv, nums in splits))
+    return out
+
+
 def vec_dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    return _products([u], [v])[0][0]
 
 
 def is_zero_vec(v):
@@ -82,14 +121,21 @@ def is_zero_vec(v):
 
 def lin_comb(coeffs, vectors, n):
     """sum_q coeffs[q] * vectors[q] in Q^n, skipping zero coefficients and
-    zero entries."""
-    out = list(zero_vec(n))
-    for cq, v in zip(coeffs, vectors):
-        if cq != 0:
-            for k, vk in enumerate(v):
-                if vk != 0:
-                    out[k] += cq * vk
-    return tuple(out)
+    zero entries.
+
+    Every term is put over one denominator, dc * big (dc the coefficients'
+    lcm, big the lcm of the vectors' own lcms), so the sum runs over Python
+    ints."""
+    dc, cnums = _over_lcm(coeffs)
+    terms = [(c, _nonzeros(v)) for c, v in zip(cnums, vectors) if c]
+    big = lcm(*[d for _, (d, _) in terms])
+    out = [0] * n
+    for c, (d, nz) in terms:
+        f = c * (big // d)
+        for k, a in nz:
+            out[k] += f * a
+    den = dc * big
+    return tuple(_entry(a, den) for a in out)
 
 
 def _rref(rows, ncols):
@@ -158,14 +204,17 @@ class Matrix:
         """Matrix-vector product."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d, expected %d" % (len(v), self.ncols))
-        return tuple(vec_dot(row, v) for row in self.rows)
+        return tuple(x for (x,) in _products(self.rows, [v]))
 
     def __matmul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DimensionMismatch("shape mismatch in matmul")
-            bt = other.transpose().rows
-            return Matrix([[vec_dot(row, col) for col in bt] for row in self.rows])
+            # the kernel's entries are normalised Fractions: skip __init__
+            m = object.__new__(Matrix)
+            m.rows = tuple(_products(self.rows, zip(*other.rows)))
+            m.nrows, m.ncols = self.nrows, other.ncols
+            return m
         return self.apply(other)
 
     def __add__(self, other):
@@ -310,10 +359,8 @@ class Subspace:
             raise DimensionMismatch("ambient mismatch")
         v = vec(v)
         coeffs = tuple(v[p] for p in self.pivots)
-        resid = v
-        for c, row in zip(coeffs, self.basis):
-            if c != 0:
-                resid = vec_sub(resid, vec_scale(c, row))
+        resid = lin_comb((ONE,) + tuple(-c for c in coeffs), (v,) + self.basis,
+                         self.ambient)
         return coeffs if is_zero_vec(resid) else None
 
     def contains_vector(self, v):

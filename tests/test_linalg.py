@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from abelianj.linalg import (
-    DimensionMismatch, Matrix, SingularMatrix, Subspace, basis_vec, rat,
-    vec, vec_add, vec_scale,
+    DimensionMismatch, Matrix, SingularMatrix, Subspace, basis_vec, lin_comb,
+    rat, vec, vec_add, vec_dot, vec_scale,
 )
 
 
@@ -24,6 +26,78 @@ def test_rat_rejects_floats_and_zero_denominators():
         rat("1/0")
     with pytest.raises(ZeroDivisionError):
         rat(1, 0)
+
+
+def _scalar(rng, ints=False):
+    """Zero half the time; otherwise signed, with denominators up to 10**12
+    (a plain int instead of a Fraction half the time when ints is set)."""
+    if rng.random() < 0.5:
+        return 0 if ints else Fraction(0)
+    num = rng.randint(-10**6, 10**6)
+    if ints and rng.random() < 0.5:
+        return num
+    return Fraction(num, rng.choice((1, 4, rng.randint(1, 10**12))))
+
+
+def _matrix(rng, m, n):
+    rows = [[_scalar(rng) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+    if rng.random() < 0.5:
+        zero_col = rng.randrange(n)
+        for row in rows:
+            row[zero_col] = Fraction(0)
+    return Matrix(rows)
+
+
+def _normalised(entries):
+    return all(type(x) is Fraction and x.denominator > 0
+               and gcd(x.numerator, x.denominator) == 1 for x in entries)
+
+
+def test_products_match_fraction_reference():
+    rng = random.Random(20240823)
+    for _ in range(150):
+        m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = _matrix(rng, m, k), _matrix(rng, k, n)
+        u = [_scalar(rng, ints=True) for _ in range(k)]
+        w = [_scalar(rng, ints=True) for _ in range(k)]
+        coeffs = [_scalar(rng, ints=True) for _ in range(m)]
+
+        prod = a @ b
+        assert (prod.nrows, prod.ncols) == (m, n)
+        assert prod.rows == tuple(
+            tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
+                  for col in zip(*b.rows)) for row in a.rows)
+        image = a.apply(u)
+        assert image == tuple(sum((x * y for x, y in zip(row, u)), Fraction(0))
+                              for row in a.rows)
+        dot = vec_dot(u, w)
+        assert dot == sum((x * y for x, y in zip(u, w)), Fraction(0))
+        comb = lin_comb(coeffs, a.rows, k)
+        assert comb == tuple(
+            sum((c * row[t] for c, row in zip(coeffs, a.rows)), Fraction(0))
+            for t in range(k))
+        for entries in prod.rows + (image, (dot,), comb):
+            assert _normalised(entries)
+
+
+def test_products_edge_cases():
+    x = Fraction(7, 3)
+    assert rat(x) is x
+    one_by_one = Matrix([[Fraction(3, 2)]]) @ Matrix([[Fraction(-2, 9)]])
+    assert one_by_one.rows == ((Fraction(-1, 3),),)
+    # 1/4 * 3 + 1/4 * 3 = 6/4 comes out as 3/2
+    six_fourths = vec_dot((Fraction(1, 4), Fraction(1, 4)), (3, 3))
+    assert (six_fourths.numerator, six_fourths.denominator) == (3, 2)
+    half = Matrix([[Fraction(1, 4), Fraction(1, 4)]]).apply((-1, -1))
+    assert (half[0].numerator, half[0].denominator) == (-1, 2)
+    # all-zero coefficients, all-zero rows and non-square shapes give exact zeros
+    zeros = lin_comb((0, Fraction(0)), ((1, 2, 3), (Fraction(1, 5), 0, 7)), 3)
+    assert zeros == (0, 0, 0) and _normalised(zeros)
+    z = Matrix.zeros(2, 3) @ Matrix([[1], [2], [3]])
+    assert z.rows == ((0,), (0,)) and _normalised(z.rows[0] + z.rows[1])
+    assert vec_dot((), ()) == 0 and type(vec_dot((), ())) is Fraction
 
 
 def test_matrix_basics():

@@ -1,0 +1,81 @@
+"""Print one sha256 over a fixed set of program outputs.
+
+A change that only makes the arithmetic faster must leave this hash alone.
+The hashed outputs, in this order, are:
+
+* stdout and the report of `fuzz --seed 20240823 --trials 40 --max-dim 12`;
+* `check --json` on every bundled instance fixture;
+* stdout and the report of `decompose-kahler` on both `kahler_two_blocks*`
+  fixtures;
+* the load/emit round trip of every bundled fixture.
+
+Each command runs in-process through `abelianj.cli.main`, with its exit code
+and stderr hashed next to its stdout; files are written only under a
+temporary directory.  Run from the repository root:  python3 tools/digest.py
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from abelianj import serialize
+from abelianj.cli import main
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "abelianj", "fixtures")
+
+
+def _run(argv, report=None):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + (["--report", report] if report else []))
+    text = "exit %d\n%s\nstderr\n%s" % (code, out.getvalue(), err.getvalue())
+    if report:
+        with open(report, encoding="utf-8") as fh:
+            text += "report\n" + fh.read()
+    return text
+
+
+def _round_trip(data):
+    if "products" in data:
+        return serialize.emit(serialize.algebra_to_dict(serialize.algebra_from_dict(data)))
+    inst = serialize.instance_from_dict(data)
+    return serialize.emit(serialize.instance_to_dict(inst.algebra, inst.j, inst.metric))
+
+
+def outputs(tmp):
+    """(label, text) for every hashed output, in a fixed order."""
+    paths, fixtures = {}, {}
+    for f in sorted(os.listdir(FIXTURES)):
+        if f.endswith(".json"):
+            paths[f] = os.path.join(FIXTURES, f)
+            with open(paths[f], encoding="utf-8") as fh:
+                fixtures[f] = json.load(fh)
+    yield "fuzz", _run(["fuzz", "--seed", "20240823", "--trials", "40", "--max-dim", "12"],
+                       os.path.join(tmp, "fuzz.json"))
+    for f, data in fixtures.items():
+        if "products" not in data:
+            yield "check " + f, _run(["check", paths[f], "--json"])
+    for f in ("kahler_two_blocks.json", "kahler_two_blocks_scaled.json"):
+        yield "decompose-kahler " + f, _run(["decompose-kahler", "--instance", paths[f]],
+                                            os.path.join(tmp, "decomposition.json"))
+    for f, data in fixtures.items():
+        yield "round trip " + f, _round_trip(data)
+
+
+def digest():
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, text in outputs(tmp):
+            for part in (label, text):
+                data = part.encode("utf-8")
+                h.update(b"%d:" % len(data) + data)
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())
