@@ -12,8 +12,9 @@ import random
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _as_vector, basis_vec,
-    is_zero_vec, lin_comb, rat, vec, vec_add, vec_scale, vec_sub, zero_vec,
+    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _as_vector, bilinear,
+    contract_splits, is_zero_vec, left_map, lin_comb, rat, tensor_split, vec,
+    vec_add, vec_scale, vec_sub, zero_vec,
 )
 from .lie import PreconditionError
 
@@ -44,11 +45,12 @@ class GenericityError(ValueError):
 
 
 class CommAssocAlgebra:
-    __slots__ = ("dim", "m", "basis_names")
+    __slots__ = ("dim", "m", "basis_names", "_split")
 
     def __init__(self, dim, products=None, basis_names=None):
         """products: {(i,j): value} for i<=j; value dense vector or {k: scalar}."""
         self.dim = dim
+        self._split = None
         table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), value in (products or {}).items():
             if not (0 <= i <= j < dim):
@@ -78,28 +80,20 @@ class CommAssocAlgebra:
     def zero(cls, dim):
         return cls(dim, {})
 
+    def split(self):
+        """Split of every product m[i][j], computed on first use."""
+        if self._split is None:
+            self._split = tensor_split(self.m)
+        return self._split
+
     def multiply(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("multiply arguments must have dimension %d" % self.dim)
-        out = list(zero_vec(self.dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            mi = self.m[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                for k, wk in enumerate(mi[j]):
-                    if wk != 0:
-                        out[k] += f * wk
-        return tuple(out)
+        return bilinear(self.split(), x, y)
 
     def left_mult(self, x):
         """Matrix of y -> x.y."""
-        n = self.dim
-        return Matrix.from_columns(
-            [lin_comb(x, [self.m[i][j] for i in range(n)], n) for j in range(n)])
+        return left_map(self.split(), x)
 
     def __eq__(self, other):
         return isinstance(other, CommAssocAlgebra) and self.dim == other.dim and self.m == other.m
@@ -119,15 +113,14 @@ def check_axioms(a) -> Optional[AxiomWitness]:
             if a.m[i][j] != a.m[j][i]:
                 return AxiomWitness("commutativity", (i, j),
                                     vec_sub(a.m[i][j], a.m[j][i]))
+    s = a.split()  # symmetric from here on, so s[k][q] splits e_q e_k
     for i in range(n):
-        ei = basis_vec(n, i)
         for j in range(n):
-            prod_ij = a.m[i][j]
             for k in range(n):
-                lhs = a.multiply(prod_ij, basis_vec(n, k))
-                rhs = a.multiply(ei, a.m[j][k])
-                if lhs != rhs:
-                    return AxiomWitness("associativity", (i, j, k), vec_sub(lhs, rhs))
+                # (e_i e_j) e_k - e_i (e_j e_k)
+                resid = contract_splits([(1, s[i][j], s[k]), (-1, s[j][k], s[i])], n)
+                if not is_zero_vec(resid):
+                    return AxiomWitness("associativity", (i, j, k), resid)
     return None
 
 
@@ -138,19 +131,18 @@ def check_compatibility(adot, astar) -> Optional[CompatibilityWitness]:
     if check_axioms(adot) is not None or check_axioms(astar) is not None:
         raise PreconditionError("compatibility requires both algebras to pass the axioms")
     n = adot.dim
+    dot, star = adot.split(), astar.split()
     for i in range(n):
-        ei = basis_vec(n, i)
         for j in range(n):
-            ej = basis_vec(n, j)
             for k in range(n):
-                lhs = astar.multiply(ei, adot.m[j][k])
-                rhs = astar.multiply(ej, adot.multiply(ei, basis_vec(n, k)))
-                if lhs != rhs:
-                    return CompatibilityWitness(1, (i, j, k), vec_sub(lhs, rhs))
-                lhs = adot.multiply(ei, astar.m[j][k])
-                rhs = adot.multiply(ej, astar.multiply(ei, basis_vec(n, k)))
-                if lhs != rhs:
-                    return CompatibilityWitness(2, (i, j, k), vec_sub(lhs, rhs))
+                # e_i * (e_j . e_k) - e_j * (e_i . e_k)
+                resid = contract_splits([(1, dot[j][k], star[i]), (-1, dot[i][k], star[j])], n)
+                if not is_zero_vec(resid):
+                    return CompatibilityWitness(1, (i, j, k), resid)
+                # e_i . (e_j * e_k) - e_j . (e_i * e_k)
+                resid = contract_splits([(1, star[j][k], dot[i]), (-1, star[i][k], dot[j])], n)
+                if not is_zero_vec(resid):
+                    return CompatibilityWitness(2, (i, j, k), resid)
     return None
 
 

@@ -51,9 +51,9 @@ def nijenhuis(g, j: ComplexStructure, x, y):
 def _nijenhuis_table(g, j):
     jm = j.matrix
     ident = Matrix.identity(g.dim)
-    t_jj = bilinear_table(g.c, jm, jm)
-    t_ji = bilinear_table(g.c, jm, ident)
-    t_ij = bilinear_table(g.c, ident, jm)
+    t_jj = bilinear_table(g, jm, jm)
+    t_ji = bilinear_table(g, jm, ident)
+    t_ij = bilinear_table(g, ident, jm)
     for i in range(g.dim):
         for k in range(i + 1, g.dim):
             n = vec_sub(t_jj[i][k], jm.apply(vec_add(t_ji[i][k], t_ij[i][k])))
@@ -67,7 +67,7 @@ def is_integrable(g, j) -> bool:
 
 def is_abelian_cs(g, j) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs."""
-    return bilinear_table(g.c, j.matrix, j.matrix) == g.c
+    return bilinear_table(g, j.matrix, j.matrix) == g.c
 
 
 def j_stable_commutator(g, j) -> Subspace:

@@ -16,8 +16,8 @@ from .lie import (
     derived_and_central_series,
 )
 from .linalg import (
-    DimensionMismatch, Matrix, rat, vec, vec_dot, vec_sub, is_zero_vec,
-    zero_vec,
+    DimensionMismatch, Matrix, bilinear, norm_sq, rat, tensor_split, vec,
+    vec_dot, vec_sub, is_zero_vec, zero_vec,
 )
 
 
@@ -37,8 +37,8 @@ class InnerProduct:
             raise DimensionMismatch("Gram matrix must be square")
         if gram != gram.transpose():
             raise NotPositiveDefiniteError("Gram matrix must be symmetric")
-        for k in range(1, gram.nrows + 1):
-            if Matrix([row[:k] for row in gram.rows[:k]]).det() <= 0:
+        for k, minor in enumerate(gram.leading_minors(), 1):
+            if minor <= 0:
                 raise NotPositiveDefiniteError(
                     "leading principal minor %d is not positive" % k)
         self.gram = gram
@@ -72,10 +72,11 @@ class InnerProduct:
 class Connection:
     """Rank-3 coefficient tensor: gamma[i][j] is the basis vector expansion
     of the derivative of e_j along e_i."""
-    __slots__ = ("dim", "gamma")
+    __slots__ = ("dim", "gamma", "_split")
 
     def __init__(self, gamma):
         self.dim = len(gamma)
+        self._split = None
         self.gamma = tuple(tuple(vec(v) for v in row) for row in gamma)
         for row in self.gamma:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
@@ -100,20 +101,14 @@ class Connection:
                 out = out + self.operator(i).scale(xi)
         return out
 
+    def split(self):
+        """Split of every slice gamma[i][j], computed on first use."""
+        if self._split is None:
+            self._split = tensor_split(self.gamma)
+        return self._split
+
     def apply(self, x, y):
-        out = list(zero_vec(self.dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.gamma[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                for k, ck in enumerate(row[j]):
-                    if ck != 0:
-                        out[k] += f * ck
-        return tuple(out)
+        return bilinear(self.split(), x, y)
 
     def is_zero(self):
         return all(is_zero_vec(v) for row in self.gamma for v in row)
@@ -204,7 +199,7 @@ def twisted_cyclic_identity(t: HermitianTriple) -> bool:
     g = t.algebra
     n = g.dim
     gm = t.metric.gram
-    tj = bilinear_table(g.c, Matrix.identity(n), t.j.matrix)
+    tj = bilinear_table(g, Matrix.identity(n), t.j.matrix)
     gtj = [[gm.apply(tj[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -277,13 +272,7 @@ def is_flat(g, conn: Connection) -> bool:
 
 def curvature_norm_sq(grid):
     """Sum of squared entries over the whole grid; zero iff flat."""
-    total = rat(0)
-    for row in grid:
-        for block in row:
-            for brow in block.rows:
-                for e in brow:
-                    total += e * e
-    return total
+    return norm_sq([e for row in grid for block in row for brow in block.rows for e in brow])
 
 
 def apply_curvature(grid, x, y):
@@ -386,8 +375,8 @@ def first_canonical_pairing(t: HermitianTriple) -> Connection:
     ident = Matrix.identity(n)
     jg = j.matrix.transpose() @ gm          # row k of (jg v): g(v, J e_k)
     gc = [[gm.apply(g.c[i][j2]) for j2 in range(n)] for i in range(n)]
-    tj = bilinear_table(g.c, ident, j.matrix)  # [e_i, J e_j]
-    jt = bilinear_table(g.c, j.matrix, ident)  # [J e_i, e_j]
+    tj = bilinear_table(g, ident, j.matrix)  # [e_i, J e_j]
+    jt = bilinear_table(g, j.matrix, ident)  # [J e_i, e_j]
     gtj = [[jg.apply(tj[i][j2]) for j2 in range(n)] for i in range(n)]
     gjt = [[jg.apply(jt[i][j2]) for j2 in range(n)] for i in range(n)]
     gamma = []

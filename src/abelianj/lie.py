@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, _as_vector, basis_vec, is_zero_vec,
-    lin_comb, rat, vec, vec_add, vec_scale, vec_sub, zero_vec,
+    DimensionMismatch, Matrix, Subspace, _as_vector, basis_vec, bilinear,
+    contract, contract_splits, is_zero_vec, left_map, lin_comb, rat,
+    tensor_split, vec, vec_scale, vec_sub, zero_vec,
 )
 
 
@@ -30,11 +32,12 @@ class HomWitness(NamedTuple):
 
 
 class LieAlgebra:
-    __slots__ = ("dim", "c", "basis_names")
+    __slots__ = ("dim", "c", "basis_names", "_split")
 
     def __init__(self, dim, brackets=None, basis_names=None):
         """brackets: {(i,j): value} for i<j; value is a dense vector or {k: scalar}."""
         self.dim = dim
+        self._split = None
         table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), value in (brackets or {}).items():
             if not (0 <= i < j < dim):
@@ -67,36 +70,26 @@ class LieAlgebra:
     def abelian(cls, dim, basis_names=None):
         return cls(dim, {}, basis_names)
 
+    def split(self):
+        """Split of every bracket c[i][j], computed on first use."""
+        if self._split is None:
+            self._split = tensor_split(self.c)
+        return self._split
+
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have dimension %d" % self.dim)
-        out = list(zero_vec(self.dim))
-        c = self.c
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            ci = c[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                w = ci[j]
-                f = xi * yj
-                for k, wk in enumerate(w):
-                    if wk != 0:
-                        out[k] += f * wk
-        return tuple(out)
+        return bilinear(self.split(), x, y)
 
     def bracket_with_basis(self, i, y):
         """[e_i, y] in O(dim^2)."""
-        return lin_comb(y, self.c[i], self.dim)
+        return contract(y, self.split()[i], self.dim)
 
     def ad(self, x):
         """Matrix of y -> [x, y]."""
         if len(x) != self.dim:
             raise DimensionMismatch("ad argument must have dimension %d" % self.dim)
-        n = self.dim
-        return Matrix.from_columns(
-            [lin_comb(x, [self.c[i][j] for i in range(n)], n) for j in range(n)])
+        return left_map(self.split(), x)
 
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.dim == other.dim and self.c == other.c
@@ -111,15 +104,13 @@ class LieAlgebra:
 def check_jacobi(g) -> Optional[JacobiWitness]:
     """None on pass, else the first lexicographic violating triple i<j<k."""
     n = g.dim
-    c = g.c
+    s = g.split()
     for i in range(n):
         for j in range(i + 1, n):
-            cij = c[i][j]
             for k in range(j + 1, n):
-                resid = vec_add(
-                    vec_add(g.bracket_with_basis(i, c[j][k]),
-                            g.bracket_with_basis(k, cij)),
-                    vec_scale(rat(-1), g.bracket_with_basis(j, c[i][k])))
+                # [e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] - [e_j, [e_i, e_k]]
+                resid = contract_splits(
+                    [(1, s[j][k], s[i]), (1, s[i][j], s[k]), (-1, s[i][k], s[j])], n)
                 if not is_zero_vec(resid):
                     return JacobiWitness((i, j, k), resid)
     return None
@@ -232,13 +223,12 @@ def classify_subspace(g, u: Subspace) -> SubspaceRole:
 def bilinear_table(tensor, a: Matrix, b: Matrix):
     """t[i][j] = tensor(A e_i, B e_j) by bilinearity, contracted in O(dim^4).
 
-    tensor[p][q] is the vector value on (e_p, e_q): pass g.c for the bracket,
-    or any other rank-3 tensor such as a torsion.
+    tensor is a LieAlgebra, whose bracket and kept split are used, or any
+    rank-3 tensor t with t[p][q] the vector value on (e_p, e_q), such as a
+    torsion.
     """
-    n = len(tensor)
-    # first slot: d[j][p] = tensor(e_p, B e_j)
-    d = [[lin_comb(bj, tensor[p], n) for p in range(n)] for bj in b.columns()]
-    return tuple(tuple(lin_comb(ai, dj, n) for dj in d) for ai in a.columns())
+    split = tensor.split() if isinstance(tensor, LieAlgebra) else tensor_split(tensor)
+    return linalg.bilinear_table(split, a, b)
 
 
 def pushforward(g, p: Matrix) -> LieAlgebra:
@@ -246,7 +236,7 @@ def pushforward(g, p: Matrix) -> LieAlgebra:
     if not p.is_square() or p.nrows != g.dim:
         raise DimensionMismatch("pushforward needs a square matrix of size dim")
     pinv = p.inverse()
-    raw = bilinear_table(g.c, pinv, pinv)
+    raw = bilinear_table(g, pinv, pinv)
     tensor = [[p.apply(raw[i][j]) for j in range(g.dim)] for i in range(g.dim)]
     return LieAlgebra.from_tensor(tensor, g.basis_names)
 

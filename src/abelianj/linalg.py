@@ -2,19 +2,34 @@
 
 Everything downstream computes over Q with zero tolerance.  The one scalar
 type is fractions.Fraction, always in lowest terms with a positive
-denominator, printing as "p/q".  Products (matrix-matrix, matrix-vector,
-dot, linear combination) run through one integer kernel: inside a product
-each row, column or vector is a list of Python-int numerators over its
-common denominator (the lcm of its entries' denominators), zero entries
-of rows and of combined vectors are skipped, and each output entry is
-normalised once into a Fraction.  Outside a product every entry is a
-normalised Fraction again.  Subspaces are kept in reduced row echelon
+denominator, printing as "p/q".  This module is the only place that does
+arithmetic on integer numerators, chiefly in two routines:
+
+* _combine, the one contraction.  A vector's split is (d, [(index,
+  numerator)]): its nonzero entries as Python-int numerators over d, the
+  lcm of their denominators.  _combine sums integer multiples of splits
+  over one common denominator and normalises each output entry once into a
+  Fraction.  Matrix products, matrix-vector products, linear combinations,
+  Jacobi residuals and every bilinear product of a rank-3 tensor (bracket,
+  commutative product, connection, bilinear tables) run through it; a dot
+  product or a sum of squares is one integer sum over the same splits.
+* _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
+  1968) on integer rows, exact divisions only.  Reduced row echelon form,
+  rank, kernel, solve, inverse, det and leading principal minors all read
+  its result.
+
+Split-cache invariant: an immutable operand keeps its split.  A Matrix
+keeps the split of each column (the image of each basis vector), and a
+LieAlgebra, CommAssocAlgebra or Connection the split of each slice of its
+tensor.  Each is computed on first use and stored in a slot on the object,
+so it lives and dies with the object.  Outside the two routines every
+entry is a normalised Fraction.  Subspaces are kept in reduced row echelon
 form so equality is syntactic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,16 +81,26 @@ def basis_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def _same_length(u, v):
+    if len(u) != len(v):
+        raise DimensionMismatch("vector lengths %d and %d differ" % (len(u), len(v)))
+
+
+# Elementwise operations pass an entry through where the other operand's
+# entry is zero, so sparse operands cost no Fraction arithmetic there.
+
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    _same_length(u, v)
+    return tuple(a if not b else b if not a else a + b for a, b in zip(u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    _same_length(u, v)
+    return tuple(a if not b else -b if not a else a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):
-    return tuple(c * a for a in v)
+    return tuple(c * a if a else ZERO for a in v)
 
 
 def _over_lcm(v):
@@ -85,8 +110,11 @@ def _over_lcm(v):
 
 
 def _nonzeros(v):
-    """(d, [(index, numerator)]) for the nonzero entries of v over their lcm d."""
-    nz = [(t, x) for t, x in enumerate(v) if x]
+    """The split of v: (d, [(index, numerator)]) for its nonzero entries over
+    their lcm d."""
+    # most zeros are the ZERO constant, which the identity test skips
+    # without a call to Fraction.__bool__
+    nz = [(t, x) for t, x in enumerate(v) if x is not ZERO and x]
     d = lcm(*[x.denominator for _, x in nz])
     return d, [(t, x.numerator * (d // x.denominator)) for t, x in nz]
 
@@ -95,24 +123,37 @@ def _entry(num, den):
     return Fraction(num, den) if num else ZERO
 
 
-def _products(rows, vectors):
-    """[[row . v for v in vectors] for row in rows], exactly.
+def _combine(den, terms, n, keep_split=False):
+    """sum of (c / den) * vector over terms (c, split of the vector) in Q^n.
 
-    The integer kernel behind matmul, apply and vec_dot: each vector is
-    split into numerators over its lcm once, each row into its nonzero
-    numerators, and every output entry is normalised once.
+    The one contraction kernel: every term is put over den * big, big the
+    lcm of the terms' denominators, and summed over Python ints.  Returns
+    the normalised vector, or with keep_split the unnormalised split of
+    the sum, for a contraction that continues in a second stage.
     """
-    splits = [_over_lcm(v) for v in vectors]
-    out = []
-    for row in rows:
-        d, nz = _nonzeros(row)
-        out.append(tuple(_entry(sum(a * nums[t] for t, a in nz), d * dv)
-                         for dv, nums in splits))
-    return out
+    big = lcm(*[d for _, (d, _) in terms])
+    out = [0] * n
+    for c, (d, nz) in terms:
+        f = c * (big // d)
+        for k, a in nz:
+            out[k] += f * a
+    den *= big
+    if keep_split:
+        return den, [(k, a) for k, a in enumerate(out) if a]
+    return tuple(Fraction(a, den) if a else ZERO for a in out)
 
 
 def vec_dot(u, v):
-    return _products([u], [v])[0][0]
+    _same_length(u, v)
+    du, nz = _nonzeros(u)
+    dv, nums = _over_lcm(v)
+    return _entry(sum(a * nums[t] for t, a in nz), du * dv)
+
+
+def norm_sq(v):
+    """Sum of the squares of the entries of v."""
+    d, nz = _nonzeros(v)
+    return _entry(sum(a * a for _, a in nz), d * d)
 
 
 def is_zero_vec(v):
@@ -120,64 +161,147 @@ def is_zero_vec(v):
 
 
 def lin_comb(coeffs, vectors, n):
-    """sum_q coeffs[q] * vectors[q] in Q^n, skipping zero coefficients and
-    zero entries.
+    """sum_q coeffs[q] * vectors[q] in Q^n; only the vectors with a nonzero
+    coefficient are split."""
+    dc, cs = _nonzeros(coeffs)
+    return _combine(dc, [(c, _nonzeros(vectors[q])) for q, c in cs], n)
 
-    Every term is put over one denominator, dc * big (dc the coefficients'
-    lcm, big the lcm of the vectors' own lcms), so the sum runs over Python
-    ints."""
-    dc, cnums = _over_lcm(coeffs)
-    terms = [(c, _nonzeros(v)) for c, v in zip(cnums, vectors) if c]
-    big = lcm(*[d for _, (d, _) in terms])
-    out = [0] * n
-    for c, (d, nz) in terms:
-        f = c * (big // d)
-        for k, a in nz:
-            out[k] += f * a
-    den = dc * big
-    return tuple(_entry(a, den) for a in out)
+
+def tensor_split(tensor):
+    """Split of every slice tensor[i][j] of a rank-3 tensor."""
+    return [[_nonzeros(v) for v in row] for row in tensor]
+
+
+def contract(coeffs, splits, n):
+    """sum_q coeffs[q] * (vector q) in Q^n, from the vectors' splits."""
+    return contract_splits([(1, _nonzeros(coeffs), splits)], n)
+
+
+def contract_splits(parts, n):
+    """sum over parts (s, coefficient split, vector splits) of
+    s * sum_q coefficient_q * (vector q) in Q^n, s an int, normalised once."""
+    den = lcm(*[d for _, (d, _), _ in parts])
+    return _combine(den, [(s * c * (den // d), splits[q])
+                          for s, (d, cs), splits in parts for q, c in cs], n)
+
+
+def bilinear(split, x, y):
+    """T(x, y) = sum_ij x_i y_j T[i][j] for the tensor T with this split."""
+    dx, xs = _nonzeros(x)
+    dy, ys = _nonzeros(y)
+    return _combine(dx * dy, [(a * b, split[i][j]) for i, a in xs for j, b in ys],
+                    len(split))
+
+
+def left_map(split, x):
+    """Matrix of y -> T(x, y) for the tensor T with this split."""
+    dx, xs = _nonzeros(x)
+    n = len(split)
+    return Matrix.from_columns(
+        [_combine(dx, [(a, split[i][j]) for i, a in xs], n) for j in range(n)])
+
+
+def bilinear_table(split, a, b):
+    """t[i][j] = T(A e_i, B e_j) for the tensor T with this split.
+
+    Two contractions through the columns' splits, O(dim^4): first
+    T(e_p, B e_j) for every p and j, kept as unnormalised splits, then
+    their combinations by the columns of A."""
+    n = len(split)
+    first = [[_combine(d, [(c, split[p][q]) for q, c in nz], n, keep_split=True)
+              for p in range(n)] for d, nz in b.split()]
+    return tuple(tuple(_combine(d, [(c, fj[p]) for p, c in nz], n) for fj in first)
+                 for d, nz in a.split())
+
+
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in
+    place.
+
+    Pivoting is leftmost-nonzero: at each column the first row at or below
+    the cursor with a nonzero entry is swapped up.  Every other row becomes
+    (p * row - e * pivot_row) / prev, with p the pivot, e the row's entry in
+    the pivot column and prev the previous pivot; the division is exact and
+    every entry stays an integer minor of the input.  On return the first
+    len(pivots) rows are den times the reduced row echelon form and the rest
+    are zero.
+
+    Returns (pivots, den, sign, leading): den is the last pivot, sign the
+    parity of the row swaps, so a nonsingular square input has determinant
+    sign * den; leading holds the pivots met before the first swap or
+    skipped column, which are the leading principal minors 1, 2, ... of the
+    input.
+    """
+    m = len(rows)
+    pivots = []
+    leading = []
+    prev = 1
+    sign = 1
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        elif c == r == len(leading):
+            leading.append(rows[r][c])
+        prow = rows[r]
+        piv = prow[c]
+        for i in range(m):
+            if i == r:
+                continue
+            row = rows[i]
+            e = row[c]
+            if e:
+                rows[i] = [(piv * x - e * y) // prev for x, y in zip(row, prow)]
+            elif piv != prev:
+                rows[i] = [x * piv // prev if x else 0 for x in row]
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return pivots, prev, sign, leading
+
+
+def _int_rows(rows):
+    """Each row as integer numerators over its own lcm (scaling a row
+    changes no reduced echelon form)."""
+    return [_over_lcm(row)[1] for row in rows]
 
 
 def _rref(rows, ncols):
     """Reduced row echelon form with leftmost-nonzero pivoting.
 
-    Returns (nonzero rows as tuples, pivot column indices).  Deterministic:
-    the first row at or below the cursor with a nonzero entry is used.
+    Returns (nonzero rows as tuples, pivot column indices).
     """
-    work = [list(r) for r in rows]
-    m = len(work)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                row_r = work[r]
-                work[i] = [a - f * b for a, b in zip(work[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    work = _int_rows(rows)
+    pivots, den, _, _ = _eliminate(work, ncols)
+    return (tuple(tuple(_entry(x, den) for x in row) for row in work[:len(pivots)]),
+            tuple(pivots))
 
 
 class Matrix:
-    """Dense exact matrix over Q."""
+    """Dense exact matrix over Q; keeps the split of its columns once used."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_split")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(rat(e) for e in row) for row in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
+        self._split = None
         if any(len(r) != self.ncols for r in self.rows):
             raise DimensionMismatch("ragged rows")
+
+    @classmethod
+    def _of(cls, rows, nrows, ncols):
+        """Matrix from rows of normalised Fractions, without re-validation."""
+        m = object.__new__(cls)
+        m.rows, m.nrows, m.ncols, m._split = tuple(rows), nrows, ncols, None
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -185,7 +309,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, m, n):
-        return cls([zero_vec(n)] * m) if m else cls([])
+        return cls._of([zero_vec(n)] * m, m, n)
 
     @classmethod
     def from_columns(cls, cols):
@@ -197,38 +321,55 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
+    def split(self):
+        """Split of every column, computed on first use."""
+        if self._split is None:
+            self._split = [_nonzeros(col) for col in self.columns()]
+        return self._split
+
     def transpose(self):
-        return Matrix(list(zip(*self.rows))) if self.rows else Matrix([])
+        rows = zip(*self.rows) if self.nrows else [()] * self.ncols
+        return Matrix._of(rows, self.ncols, self.nrows)
 
     def apply(self, v):
-        """Matrix-vector product."""
+        """Matrix-vector product: the columns combined by v."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d, expected %d" % (len(v), self.ncols))
-        return tuple(x for (x,) in _products(self.rows, [v]))
+        return contract(v, self.split(), self.nrows)
 
     def __matmul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DimensionMismatch("shape mismatch in matmul")
-            # the kernel's entries are normalised Fractions: skip __init__
-            m = object.__new__(Matrix)
-            m.rows = tuple(_products(self.rows, zip(*other.rows)))
-            m.nrows, m.ncols = self.nrows, other.ncols
-            return m
+            cols = self.split()
+            out = [_combine(d, [(c, cols[t]) for t, c in nz], self.nrows)
+                   for d, nz in other.split()]
+            rows = zip(*out) if out else [()] * self.nrows
+            return Matrix._of(rows, self.nrows, other.ncols)
         return self.apply(other)
 
+    def _same_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionMismatch("shapes %dx%d and %dx%d differ" % (
+                self.nrows, self.ncols, other.nrows, other.ncols))
+
     def __add__(self, other):
-        return Matrix([vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        self._same_shape(other)
+        return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)],
+                          self.nrows, self.ncols)
 
     def __sub__(self, other):
-        return Matrix([vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
+        self._same_shape(other)
+        return Matrix._of([vec_sub(a, b) for a, b in zip(self.rows, other.rows)],
+                          self.nrows, self.ncols)
 
     def __neg__(self):
-        return Matrix([vec_scale(-ONE, r) for r in self.rows])
+        return Matrix._of([tuple(-a if a else a for a in r) for r in self.rows],
+                          self.nrows, self.ncols)
 
     def scale(self, c):
         c = rat(c)
-        return Matrix([vec_scale(c, r) for r in self.rows])
+        return Matrix._of([vec_scale(c, r) for r in self.rows], self.nrows, self.ncols)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -247,45 +388,51 @@ class Matrix:
 
     def rref(self):
         rows, pivots = _rref(self.rows, self.ncols)
-        return Matrix(rows) if rows else Matrix.zeros(0, self.ncols), pivots
+        return Matrix._of(rows, len(rows), self.ncols), pivots
 
     def rank(self):
-        return len(_rref(self.rows, self.ncols)[1])
+        return len(_eliminate(_int_rows(self.rows), self.ncols)[0])
+
+    def _square_elimination(self, what):
+        """(row lcms, result of _eliminate) for a square matrix."""
+        if not self.is_square():
+            raise DimensionMismatch("%s of non-square matrix" % what)
+        scaled = [_over_lcm(row) for row in self.rows]
+        return [d for d, _ in scaled], _eliminate([nums for _, nums in scaled], self.ncols)
 
     def det(self):
-        if not self.is_square():
-            raise DimensionMismatch("determinant of non-square matrix")
-        work = [list(r) for r in self.rows]
-        n = self.nrows
-        d = ONE
-        for c in range(n):
-            p = next((i for i in range(c, n) if work[i][c] != 0), None)
-            if p is None:
-                return ZERO
-            if p != c:
-                work[c], work[p] = work[p], work[c]
-                d = -d
-            d = d * work[c][c]
-            inv = ONE / work[c][c]
-            for i in range(c + 1, n):
-                if work[i][c] != 0:
-                    f = work[i][c] * inv
-                    work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-        return d
+        scales, (pivots, den, sign, _) = self._square_elimination("determinant")
+        if len(pivots) < self.nrows:
+            return ZERO
+        return Fraction(sign * den, prod(scales))
+
+    def leading_minors(self):
+        """Leading principal minors of orders 1, 2, ..., exact, from one
+        elimination; the list stops after the first minor that is zero."""
+        scales, (_, _, _, leading) = self._square_elimination("leading minors")
+        out = []
+        scale = 1
+        for k, minor in enumerate(leading):
+            scale *= scales[k]
+            out.append(Fraction(minor, scale))
+        if len(out) < self.nrows:
+            out.append(ZERO)
+        return out
 
     def inverse(self):
         if not self.is_square():
             raise DimensionMismatch("inverse of non-square matrix")
         n = self.nrows
-        aug = [list(self.rows[i]) + list(basis_vec(n, i)) for i in range(n)]
-        rows, pivots = _rref(aug, 2 * n)
-        if pivots != tuple(range(n)):
+        work = _int_rows([row + basis_vec(n, i) for i, row in enumerate(self.rows)])
+        pivots, den, _, _ = _eliminate(work, 2 * n)
+        if pivots != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix([row[n:] for row in rows])
+        return Matrix._of([tuple(_entry(x, den) for x in row[n:]) for row in work], n, n)
 
     def kernel(self):
         """Canonical null-space basis (free variables set to 1, in order)."""
-        rows, pivots = _rref(self.rows, self.ncols)
+        work = _int_rows(self.rows)
+        pivots, den, _, _ = _eliminate(work, self.ncols)
         pivot_set = set(pivots)
         basis = []
         for f in range(self.ncols):
@@ -294,19 +441,21 @@ class Matrix:
             v = [ZERO] * self.ncols
             v[f] = ONE
             for r, p in enumerate(pivots):
-                v[p] = -rows[r][f]
+                v[p] = _entry(-work[r][f], den)
             basis.append(tuple(v))
         return basis
 
     def solve(self, b):
         """One solution of A x = b, or None if inconsistent."""
-        aug = [list(row) + [bi] for row, bi in zip(self.rows, b)]
-        rows, pivots = _rref(aug, self.ncols + 1)
-        if self.ncols in pivots:
+        _same_length(self.rows, b)
+        n = self.ncols
+        work = _int_rows([row + (bi,) for row, bi in zip(self.rows, vec(b))])
+        pivots, den, _, _ = _eliminate(work, n + 1)
+        if n in pivots:
             return None
-        x = [ZERO] * self.ncols
+        x = [ZERO] * n
         for r, p in enumerate(pivots):
-            x[p] = rows[r][self.ncols]
+            x[p] = _entry(work[r][n], den)
         return tuple(x)
 
     def __repr__(self):

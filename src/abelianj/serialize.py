@@ -5,6 +5,10 @@ InputError for malformed files or values (exit 2), ValidationFailure for
 well-formed data whose object fails a mathematical validator such as the
 Jacobi identity or positive definiteness (exit 1).
 
+Loading refuses a 'dim' above MAX_DIM with an InputError before any tensor
+is allocated: tensors are dense dim^3, so an oversized file would otherwise
+exhaust memory and time instead of failing.
+
 Emission is canonical: fixed key order, brackets sorted by index pair,
 sparse values in ascending index order, two-space indent, trailing newline.
 Re-emitting a parsed canonical file is byte-identical.
@@ -30,6 +34,9 @@ class InputError(ValueError):
 class ValidationFailure(ValueError):
     """Well-formed data that fails a mathematical validator."""
 
+
+# largest 'dim' a file may declare
+MAX_DIM = 64
 
 INSTANCE_KEYS = {"dim", "basis", "brackets", "J", "metric"}
 ALGEBRA_KEYS = {"dim", "basis", "products"}
@@ -123,6 +130,8 @@ def _read_header(data, allowed):
     n = data["dim"]
     if n < 0:
         raise InputError("'dim' must be a nonnegative integer")
+    if n > MAX_DIM:
+        raise InputError("'dim' %d is above the limit of %d" % (n, MAX_DIM))
     names = data.get("basis")
     if names is not None:
         if (not isinstance(names, list) or len(names) != n

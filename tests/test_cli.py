@@ -80,6 +80,16 @@ def test_check_bad_files(tmp_path, capsys):
     assert "validation failed" in err
 
 
+def test_check_refuses_oversized_dim(tmp_path, capsys):
+    # a dense dim^3 tensor for this dim would not fit in memory: the file is
+    # refused before anything is allocated
+    for dim in (10**9, serialize.MAX_DIM + 1):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"dim": dim, "brackets": []}), encoding="utf-8")
+        assert main(["check", str(huge)]) == 2
+        assert "above the limit of %d" % serialize.MAX_DIM in capsys.readouterr().err
+
+
 def test_construct_aff_round_trip(fixtures_dir, tmp_path, capsys):
     out_path = tmp_path / "aff.json"
     code = main(["construct", "aff",

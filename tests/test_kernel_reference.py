@@ -1,0 +1,286 @@
+"""The contraction kernel and the fraction-free elimination against plain
+references: bilinear products against Fraction triple sums, elimination
+results against sympy."""
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import sympy
+
+from abelianj.assoc import CommAssocAlgebra, check_axioms, check_compatibility
+from abelianj.hermitian import Connection, InnerProduct, NotPositiveDefiniteError
+from abelianj.lie import LieAlgebra, bilinear_table, check_jacobi
+from abelianj.linalg import Matrix, SingularMatrix, basis_vec, norm_sq
+
+
+def _scalar(rng):
+    """Zero half the time; otherwise signed, with denominators up to 10**12."""
+    if rng.random() < 0.5:
+        return Fraction(0)
+    return Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, rng.randint(1, 10**12))))
+
+
+def _vector(rng, n):
+    return tuple(_scalar(rng) for _ in range(n))
+
+
+def _normalised(entries):
+    return all(type(x) is Fraction and x.denominator > 0
+               and gcd(x.numerator, x.denominator) == 1 for x in entries)
+
+
+def _ref_bilinear(tensor, x, y):
+    n = len(tensor)
+    return tuple(sum((x[i] * y[j] * tensor[i][j][k] for i in range(n) for j in range(n)),
+                     Fraction(0)) for k in range(n))
+
+
+def _random_operands(rng, n):
+    brackets = {(i, j): _vector(rng, n) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < 0.7}
+    products = {(i, j): _vector(rng, n) for i in range(n) for j in range(i, n)
+                if rng.random() < 0.7}
+    gamma = [[_vector(rng, n) for _ in range(n)] for _ in range(n)]
+    return LieAlgebra(n, brackets), CommAssocAlgebra(n, products), Connection(gamma)
+
+
+def _ref_jacobi(g):
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ei, ej, ek = (basis_vec(n, t) for t in (i, j, k))
+                resid = tuple(a + b - c for a, b, c in zip(
+                    _ref_bilinear(g.c, ei, g.c[j][k]), _ref_bilinear(g.c, ek, g.c[i][j]),
+                    _ref_bilinear(g.c, ej, g.c[i][k])))
+                if any(resid):
+                    return (i, j, k), resid
+    return None
+
+
+def test_bilinear_products_match_fraction_reference():
+    rng = random.Random(20240823)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        g, a, conn = _random_operands(rng, n)
+        x, y = _vector(rng, n), _vector(rng, n)
+        mat_a = Matrix([_vector(rng, n) for _ in range(n)])
+        mat_b = Matrix([_vector(rng, n) for _ in range(n)])
+        outputs = []
+        for obj, tensor, product in ((g, g.c, g.bracket), (a, a.m, a.multiply),
+                                     (conn, conn.gamma, conn.apply)):
+            assert product(x, y) == _ref_bilinear(tensor, x, y)
+            outputs.append(product(x, y))
+            assert obj.split() is obj.split()
+        for i in range(n):
+            ei = basis_vec(n, i)
+            assert g.bracket_with_basis(i, y) == _ref_bilinear(g.c, ei, y)
+            outputs.append(g.bracket_with_basis(i, y))
+        for op, tensor in ((g.ad(x), g.c), (a.left_mult(x), a.m)):
+            assert op == Matrix.from_columns(
+                [_ref_bilinear(tensor, x, basis_vec(n, j)) for j in range(n)])
+            outputs.extend(op.rows)
+        expected = tuple(tuple(_ref_bilinear(g.c, mat_a.column(i), mat_b.column(j))
+                               for j in range(n)) for i in range(n))
+        # the algebra's kept split and a raw tensor give the same table
+        table = bilinear_table(g, mat_a, mat_b)
+        assert table == expected and bilinear_table(g.c, mat_a, mat_b) == expected
+        outputs.extend(v for row in table for v in row)
+        # random tensors mostly fail Jacobi: the first witness and its residual
+        witness = check_jacobi(g)
+        assert (witness and tuple(witness)) == _ref_jacobi(g)
+        if witness:
+            outputs.append(witness.residual)
+        assert norm_sq(x) == sum((e * e for e in x), Fraction(0))
+        outputs.append((norm_sq(x),))
+        for entries in outputs:
+            assert _normalised(entries)
+
+
+def _ref_associativity(a):
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = _ref_bilinear(a.m, a.m[i][j], basis_vec(n, k))
+                rhs = _ref_bilinear(a.m, basis_vec(n, i), a.m[j][k])
+                if lhs != rhs:
+                    return "associativity", (i, j, k), tuple(p - q for p, q in zip(lhs, rhs))
+    return None
+
+
+def _ref_compatibility(dot, star):
+    n = dot.dim
+    for i in range(n):
+        ei = basis_vec(n, i)
+        for j in range(n):
+            ej = basis_vec(n, j)
+            for k in range(n):
+                for identity, (p, q) in enumerate(((dot, star), (star, dot)), 1):
+                    lhs = _ref_bilinear(q.m, ei, p.m[j][k])
+                    rhs = _ref_bilinear(q.m, ej, _ref_bilinear(p.m, ei, basis_vec(n, k)))
+                    if lhs != rhs:
+                        return identity, (i, j, k), tuple(x - y for x, y in zip(lhs, rhs))
+    return None
+
+
+def _scaled_models(rng, n):
+    """Associative commutative products on Q^n: a few models times random
+    rationals (scaling keeps associativity), padded with zero directions."""
+    models = [{(0, 0): {0: 1}, (0, 1): {1: 1}},               # dual numbers
+              {(0, 0): {0: 1}, (1, 1): {1: 1}},               # split pair
+              {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: -1}},  # complex plane
+              {(1, 1): {0: 1}}]                               # square-zero
+    out = []
+    for model in models:
+        c = _scalar(rng) or Fraction(1)
+        out.append(CommAssocAlgebra(n, {pair: {k: c * v for k, v in value.items()}
+                                        for pair, value in model.items()}))
+    return out
+
+
+def test_axiom_and_compatibility_witnesses_match_reference():
+    rng = random.Random(4)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        products = {(i, j): _vector(rng, n) for i in range(n) for j in range(i, n)
+                    if rng.random() < 0.5}
+        a = CommAssocAlgebra(n, products)
+        witness = check_axioms(a)
+        assert (witness and tuple(witness)) == _ref_associativity(a)
+    witnesses = 0
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        pool = _scaled_models(rng, n)
+        for dot in pool:
+            for star in pool:
+                witness = check_compatibility(dot, star)
+                assert (witness and tuple(witness)) == _ref_compatibility(dot, star)
+                witnesses += witness is not None
+    assert witnesses
+
+
+def _sympy(mat):
+    return sympy.Matrix(mat.nrows, mat.ncols,
+                        [sympy.Rational(e.numerator, e.denominator) for row in mat.rows
+                         for e in row])
+
+
+def _frac(value):
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+def _random_matrix(rng, m, n):
+    rows = [list(_vector(rng, n)) for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        # a rank-deficient matrix: one row a combination of two others
+        i, j, k = (rng.randrange(m) for _ in range(3))
+        c1, c2 = _scalar(rng), _scalar(rng)
+        rows[k] = [c1 * a + c2 * b for a, b in zip(rows[i], rows[j])]
+    if rng.random() < 0.2:
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+    return Matrix(rows)
+
+
+def _check_against_sympy(mat, rng):
+    ref = _sympy(mat)
+    ref_rref, ref_pivots = ref.rref()
+    rref, pivots = mat.rref()
+    assert pivots == tuple(ref_pivots)
+    assert (rref.nrows, rref.ncols) == (len(ref_pivots), mat.ncols)
+    assert rref.rows == tuple(tuple(_frac(ref_rref[r, c]) for c in range(mat.ncols))
+                              for r in range(len(ref_pivots)))
+    assert mat.rank() == ref.rank()
+    assert mat.kernel() == [tuple(_frac(e) for e in v) for v in ref.nullspace()]
+    b = tuple(_scalar(rng) for _ in range(mat.nrows))
+    x = mat.solve(b)
+    aug = ref.row_join(sympy.Matrix(mat.nrows, 1, [sympy.Rational(e.numerator, e.denominator)
+                                                   for e in b]))
+    aug_rref, aug_pivots = aug.rref()
+    if mat.ncols in aug_pivots:
+        assert x is None
+    else:
+        expected = [Fraction(0)] * mat.ncols
+        for r, p in enumerate(aug_pivots):
+            expected[p] = _frac(aug_rref[r, mat.ncols])
+        assert x == tuple(expected)
+        assert mat.apply(x) == b
+    if mat.is_square():
+        det = _frac(ref.det())
+        assert mat.det() == det
+        if det:
+            inv = mat.inverse()
+            assert inv.rows == tuple(tuple(_frac(e) for e in ref.inv().row(r))
+                                     for r in range(mat.nrows))
+        else:
+            with pytest.raises(SingularMatrix):
+                mat.inverse()
+        minors = mat.leading_minors()
+        for k, minor in enumerate(minors, 1):
+            assert minor == _frac(ref[:k, :k].det())
+        assert all(minors[:-1]) and (len(minors) == mat.nrows or minors[-1] == 0)
+    for row in rref.rows + tuple(mat.kernel()) + ((x,) if x else ()):
+        assert _normalised(row)
+
+
+def test_elimination_matches_sympy():
+    rng = random.Random(20240823)
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.4:
+            n = m
+        _check_against_sympy(_random_matrix(rng, m, n), rng)
+
+
+def test_elimination_edge_cases():
+    rng = random.Random(7)
+    cases = [
+        Matrix([[0, 0, 0], [0, 0, 0]]),                  # all zero
+        Matrix([[0, 1], [1, 0]]),                        # one row swap: det -1
+        Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),       # one swap of rows 1 and 3
+        Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),       # two swaps: det +1
+        Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]]),       # rank 2 with a swap
+        Matrix([[0, 2, 4], [0, 1, 2]]),                  # first column empty
+        Matrix([[Fraction(1, 3), Fraction(-2, 7), 5]]),  # 1 x 3
+        Matrix([[1], [Fraction(-4, 9)], [0]]),           # 3 x 1
+        Matrix([[Fraction(-5, 12)]]),                    # 1 x 1
+        Matrix([[0]]),                                   # singular 1 x 1
+    ]
+    for mat in cases:
+        _check_against_sympy(mat, rng)
+    assert Matrix([[0, 1], [1, 0]]).det() == -1
+    assert Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == 1
+    assert Matrix([[Fraction(-5, 12)]]).inverse().rows == ((Fraction(-12, 5),),)
+    # no columns, and no rows
+    empty_cols = Matrix([(), ()])
+    assert (empty_cols.nrows, empty_cols.ncols) == (2, 0)
+    assert empty_cols.rref()[0].ncols == 0 and empty_cols.rank() == 0
+    assert empty_cols.kernel() == []
+    assert empty_cols.solve((0, 0)) == () and empty_cols.solve((1, 0)) is None
+    no_rows = Matrix.zeros(0, 3)
+    assert no_rows.rank() == 0 and no_rows.kernel() == [basis_vec(3, i) for i in range(3)]
+    assert Matrix([]).det() == 1 and Matrix([]).leading_minors() == []
+
+
+def test_inner_product_minors_match_sympy():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        base = Matrix([_vector(rng, n) for _ in range(n)])
+        gram = base.transpose() @ base
+        if rng.random() < 0.5:
+            # perturb one diagonal entry, often breaking definiteness
+            k = rng.randrange(n)
+            rows = [list(r) for r in gram.rows]
+            rows[k][k] -= abs(_scalar(rng)) * 3
+            gram = Matrix(rows)
+        minors = [_frac(_sympy(gram)[:k, :k].det()) for k in range(1, n + 1)]
+        bad = next((k for k, d in enumerate(minors, 1) if d <= 0), None)
+        if bad is None:
+            assert InnerProduct(gram).gram == gram
+        else:
+            with pytest.raises(NotPositiveDefiniteError,
+                               match="leading principal minor %d is not positive" % bad):
+                InnerProduct(gram)

@@ -6,7 +6,7 @@ import pytest
 
 from abelianj.linalg import (
     DimensionMismatch, Matrix, SingularMatrix, Subspace, basis_vec, lin_comb,
-    rat, vec, vec_add, vec_dot, vec_scale,
+    rat, vec, vec_add, vec_dot, vec_scale, vec_sub,
 )
 
 
@@ -132,6 +132,57 @@ def test_matrix_shape_checks():
         Matrix([[1, 2], [3]])
     with pytest.raises(DimensionMismatch):
         Matrix([[1]]) @ Matrix([[1, 2], [3, 4]])
+
+
+def test_shape_mismatch_raises():
+    square, wide = Matrix([[1, 2], [3, 4]]), Matrix([[1, 2, 3]])
+    for op in (lambda: square + wide, lambda: square - wide,
+               lambda: wide + square, lambda: square - Matrix([[1, 2]])):
+        with pytest.raises(DimensionMismatch):
+            op()
+    for fn in (vec_add, vec_sub, vec_dot, lambda m, b: Matrix([m]).transpose().solve(b)):
+        with pytest.raises(DimensionMismatch):
+            fn((1, 2), (1, 2, 3))
+        with pytest.raises(DimensionMismatch):
+            fn((1, 2, 3), (1, 2))
+
+
+def test_zero_row_matrices_keep_their_columns():
+    assert (Matrix.zeros(0, 3).nrows, Matrix.zeros(0, 3).ncols) == (0, 3)
+    assert Matrix([[0, 0]]).rref()[0].ncols == 2
+    assert Matrix([[1, 2]]).rref()[0].ncols == 2
+    assert Matrix([[0, 0]]).rref() == (Matrix.zeros(0, 2), ())
+    flat = Matrix.zeros(0, 3).transpose()
+    assert (flat.nrows, flat.ncols) == (3, 0) and flat.transpose().ncols == 3
+    assert (Matrix.zeros(2, 0) @ Matrix.zeros(0, 3)) == Matrix.zeros(2, 3)
+    assert (Matrix.zeros(0, 2) @ Matrix.zeros(2, 3)).ncols == 3
+
+
+def test_elementwise_ops_match_reference_and_skip_zeros():
+    rng = random.Random(3)
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _matrix(rng, m, n), _matrix(rng, m, n)
+        c = _scalar(rng)
+        assert (a + b).rows == tuple(tuple(x + y for x, y in zip(r, s))
+                                     for r, s in zip(a.rows, b.rows))
+        assert (a - b).rows == tuple(tuple(x - y for x, y in zip(r, s))
+                                     for r, s in zip(a.rows, b.rows))
+        assert (-a).rows == tuple(tuple(-x for x in r) for r in a.rows)
+        assert a.scale(c).rows == tuple(tuple(c * x for x in r) for r in a.rows)
+        for out in (a + b, a - b, -a, a.scale(c)):
+            assert all(_normalised(r) for r in out.rows)
+        u, w = a.rows[0], b.rows[0]
+        assert vec_add(u, w) == tuple(x + y for x, y in zip(u, w))
+        assert vec_sub(u, w) == tuple(x - y for x, y in zip(u, w))
+        assert vec_scale(c, u) == tuple(c * x for x in u)
+    # where one operand is zero the other entry is passed through as it is
+    u, zero = (Fraction(2, 3), Fraction(0)), (Fraction(0), Fraction(0))
+    assert all(x is y for x, y in zip(vec_add(u, zero), u))
+    assert vec_add(zero, u)[0] is u[0]
+    assert all(x is y for x, y in zip(vec_sub(u, zero), u))
+    assert vec_sub(zero, u) == (Fraction(-2, 3), 0)
+    assert vec_scale(Fraction(5), zero) == zero and _normalised(vec_scale(5, (0, 0)))
 
 
 def test_inverse_roundtrip_random():

@@ -12,6 +12,10 @@ The hashed outputs, in this order, are:
 Each command runs in-process through `abelianj.cli.main`, with its exit code
 and stderr hashed next to its stdout; files are written only under a
 temporary directory.  Run from the repository root:  python3 tools/digest.py
+
+It prints one sha256 per part (fuzz, check, kahler, round trip), so that a
+mismatch names its part, and then the total over all outputs on the last
+line.
 """
 import contextlib
 import hashlib
@@ -48,34 +52,40 @@ def _round_trip(data):
 
 
 def outputs(tmp):
-    """(label, text) for every hashed output, in a fixed order."""
+    """(part, label, text) for every hashed output, in a fixed order."""
     paths, fixtures = {}, {}
     for f in sorted(os.listdir(FIXTURES)):
         if f.endswith(".json"):
             paths[f] = os.path.join(FIXTURES, f)
             with open(paths[f], encoding="utf-8") as fh:
                 fixtures[f] = json.load(fh)
-    yield "fuzz", _run(["fuzz", "--seed", "20240823", "--trials", "40", "--max-dim", "12"],
+    yield "fuzz", "fuzz", _run(["fuzz", "--seed", "20240823", "--trials", "40", "--max-dim", "12"],
                        os.path.join(tmp, "fuzz.json"))
     for f, data in fixtures.items():
         if "products" not in data:
-            yield "check " + f, _run(["check", paths[f], "--json"])
+            yield "check", "check " + f, _run(["check", paths[f], "--json"])
     for f in ("kahler_two_blocks.json", "kahler_two_blocks_scaled.json"):
-        yield "decompose-kahler " + f, _run(["decompose-kahler", "--instance", paths[f]],
+        yield "kahler", "decompose-kahler " + f, _run(["decompose-kahler", "--instance", paths[f]],
                                             os.path.join(tmp, "decomposition.json"))
     for f, data in fixtures.items():
-        yield "round trip " + f, _round_trip(data)
+        yield "round trip", "round trip " + f, _round_trip(data)
 
 
-def digest():
-    h = hashlib.sha256()
+def digests():
+    """({part: sha256 over that part's outputs}, sha256 over all outputs)."""
+    total, parts = hashlib.sha256(), {}
     with tempfile.TemporaryDirectory() as tmp:
-        for label, text in outputs(tmp):
-            for part in (label, text):
-                data = part.encode("utf-8")
+        for part, label, text in outputs(tmp):
+            h = parts.setdefault(part, hashlib.sha256())
+            for piece in (label, text):
+                data = piece.encode("utf-8")
+                total.update(b"%d:" % len(data) + data)
                 h.update(b"%d:" % len(data) + data)
-    return h.hexdigest()
+    return {part: h.hexdigest() for part, h in parts.items()}, total.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
+    parts, total = digests()
+    for part, hexdigest in parts.items():
+        print("%-10s %s" % (part, hexdigest))
+    print(total)
