@@ -14,7 +14,7 @@ from .assoc import IrrationalSpectrumError
 from .complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
 from .constructions import aff_algebra, double_product, semidirect_r2_family
 from .hermitian import (
-    connection_flags, curvature, curvature_norm_sq, first_canonical,
+    complex_projection, connection_flags, curvature, curvature_norm_sq,
     is_kahler, levi_civita,
 )
 from .lie import (
@@ -139,7 +139,7 @@ def run_check(args) -> int:
             out["metric"]["kahler"] = props["kahler"]
             lines.append("  hermitian: yes  kahler: %s" % _yesno(props["kahler"]))
             lc = levi_civita(t)
-            n1 = first_canonical(t)
+            n1 = complex_projection(g, inst.j, lc)    # the first canonical connection
             lc_flags = connection_flags(g, inst.j, inst.metric, lc)
             n1_flags = connection_flags(g, inst.j, inst.metric, n1)
             lc_norm = curvature_norm_sq(curvature(g, lc))

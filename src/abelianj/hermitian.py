@@ -8,16 +8,17 @@ rational tensors; there are no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import NamedTuple
 
-from .complex_structures import ComplexStructure, is_abelian_cs, is_integrable
+from .complex_structures import ComplexStructure, is_abelian_cs
 from .lie import (
     LieAlgebra, PreconditionError, bilinear_table, commutator_ideal,
     derived_and_central_series,
 )
 from .linalg import (
-    DimensionMismatch, Matrix, bilinear, norm_sq, rat, tensor_split, vec,
-    vec_dot, vec_sub, is_zero_vec, zero_vec,
+    DimensionMismatch, Matrix, bilinear, lin_comb, norm_sq, rat, tensor_split,
+    vec, vec_dot, vec_sub, is_zero_vec, zero_vec,
 )
 
 
@@ -95,11 +96,10 @@ class Connection:
         return [self.operator(i) for i in range(self.dim)]
 
     def directional(self, x):
-        out = Matrix.zeros(self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = out + self.operator(i).scale(xi)
-        return out
+        """Matrix of sum_i x_i D_{e_i}: column k combines the gamma[i][k]."""
+        n = self.dim
+        return Matrix.from_columns(
+            [lin_comb(x, [row[k] for row in self.gamma], n) for k in range(n)])
 
     def split(self):
         """Split of every slice gamma[i][j], computed on first use."""
@@ -157,18 +157,19 @@ def d_omega(t: HermitianTriple, x, y, z):
             - kahler_form(t, g.bracket(z, x), y))
 
 
+def _cyclic_sums_vanish(table, triples) -> bool:
+    """table[i][j][k] + table[j][k][i] + table[k][i][j] == 0 on every triple."""
+    return all(table[i][j][k] + table[j][k][i] + table[k][i][j] == 0
+               for i, j, k in triples)
+
+
 def is_kahler(t: HermitianTriple) -> bool:
     g = t.algebra
     n = g.dim
     wt = kahler_form_matrix(t).transpose()
     # wv[i][j][k] = form applied to ([e_i, e_j], e_k)
     wv = [[wt.apply(g.c[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if wv[i][j][k] + wv[j][k][i] + wv[k][i][j] != 0:
-                    return False
-    return True
+    return _cyclic_sums_vanish(wv, combinations(range(n), 3))
 
 
 def cyclic_metric_identity(t: HermitianTriple) -> bool:
@@ -183,12 +184,7 @@ def cyclic_metric_identity(t: HermitianTriple) -> bool:
     n = g.dim
     gm = t.metric.gram
     gc = [[gm.apply(g.c[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if gc[i][j][k] + gc[j][k][i] + gc[k][i][j] != 0:
-                    return False
-    return True
+    return _cyclic_sums_vanish(gc, combinations(range(n), 3))
 
 
 def twisted_cyclic_identity(t: HermitianTriple) -> bool:
@@ -201,12 +197,7 @@ def twisted_cyclic_identity(t: HermitianTriple) -> bool:
     gm = t.metric.gram
     tj = bilinear_table(g, Matrix.identity(n), t.j.matrix)
     gtj = [[gm.apply(tj[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if gtj[i][j][k] + gtj[j][k][i] + gtj[k][i][j] != 0:
-                    return False
-    return True
+    return _cyclic_sums_vanish(gtj, product(range(n), repeat=3))
 
 
 def levi_civita(g, metric=None) -> Connection:
@@ -278,13 +269,11 @@ def curvature_norm_sq(grid):
 def apply_curvature(grid, x, y):
     """Operator R(x, y) for arbitrary vectors, from the basis grid."""
     n = len(grid)
-    out = Matrix.zeros(n, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coef = x[i] * y[j] - x[j] * y[i]
-            if coef != 0:
-                out = out + grid[i][j].scale(coef)
-    return out
+    pairs = list(combinations(range(n), 2))
+    coefs = [x[i] * y[j] - x[j] * y[i] for i, j in pairs]
+    return Matrix.from_columns(
+        [lin_comb(coefs, [grid[i][j].column(k) for i, j in pairs], n)
+         for k in range(n)])
 
 
 class ConnectionFlags(NamedTuple):
@@ -324,8 +313,8 @@ def connection_flags(g, j, metric, conn) -> ConnectionFlags:
 def complex_projection(g, j: ComplexStructure, conn: Connection) -> Connection:
     """Average a connection with its J-conjugate along each direction.
 
-    The output always commutes with J; when the input is torsion-free and J
-    is integrable the output torsion is of type (1,1), re-asserted here.
+    The output commutes with J; when the input is torsion-free and J is
+    integrable its torsion is of type (1,1).
     """
     jm = j.matrix
     half = rat(1, 2)
@@ -334,27 +323,14 @@ def complex_projection(g, j: ComplexStructure, conn: Connection) -> Connection:
         op = conn.operator(i)
         bar = (op - (jm @ op @ jm)).scale(half)
         gamma.append(tuple(bar.column(c) for c in range(conn.dim)))
-    out = Connection(gamma)
-    assert _is_complex(out, j)
-    if is_torsion_free(g, conn) and is_integrable(g, j):
-        assert _torsion_type_11(g, j, out)
-    return out
+    return Connection(gamma)
 
 
 def first_canonical(t: HermitianTriple) -> Connection:
-    """Complex projection of the Levi-Civita connection.
-
-    Always metric and complex with type (1,1) torsion (asserted); for
-    abelian J the result is re-derived from pure metric pairings and both
-    routes must agree entry-wise.
-    """
-    lc = levi_civita(t.algebra, t.metric)
-    out = complex_projection(t.algebra, t.j, lc)
-    flags = connection_flags(t.algebra, t.j, t.metric, out)
-    assert flags.is_metric and flags.is_complex and flags.torsion_type_11
-    if is_abelian_cs(t.algebra, t.j):
-        assert out == first_canonical_pairing(t)
-    return out
+    """Complex projection of the Levi-Civita connection: metric and complex,
+    with torsion of type (1,1) when J is integrable.  For abelian J it equals
+    first_canonical_pairing(t)."""
+    return complex_projection(t.algebra, t.j, levi_civita(t.algebra, t.metric))
 
 
 def first_canonical_pairing(t: HermitianTriple) -> Connection:

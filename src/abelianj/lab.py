@@ -456,7 +456,7 @@ def _run_trial(triple, expected: Optional[KahlerSample], counts, ces):
 
     rec("abelian_structure_report", abelian_cs_report(g, j).all_hold)
 
-    nabla1 = first_canonical(triple)            # asserts its own identities
+    nabla1 = first_canonical(triple)
     flags = connection_flags(g, j, metric, nabla1)
     rec("hermitian_connection_identities",
         flags.is_metric and flags.is_complex and flags.torsion_type_11)

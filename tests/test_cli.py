@@ -4,8 +4,9 @@ import pytest
 
 from abelianj import serialize
 from abelianj.cli import main
+from abelianj.complex_structures import is_abelian_cs
 from abelianj.constructions import standard_complex_structure
-from abelianj.hermitian import InnerProduct
+from abelianj.hermitian import InnerProduct, first_canonical_pairing
 from abelianj.lie import LieAlgebra
 
 
@@ -36,6 +37,25 @@ def test_check_json_output(fixtures_dir, capsys):
     assert data["metric"]["kahler"] is False
     assert data["connections"]["first_canonical"]["curvature_norm_sq"] == "6"
     assert data["connections"]["levi_civita"]["flags"]["is_metric"] is True
+
+
+def test_check_first_canonical_matches_pairing(fixtures_dir, capsys):
+    checked = 0
+    for path in sorted(fixtures_dir.glob("*.json")):
+        if "products" in json.loads(path.read_text(encoding="utf-8")):
+            continue
+        inst = serialize.load_instance(str(path))
+        if (inst.j is None or inst.metric is None
+                or not is_abelian_cs(inst.algebra, inst.j)):
+            continue
+        assert main(["check", "--json", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        pairing = first_canonical_pairing(inst.triple())
+        assert data["connections"]["first_canonical"]["tensor"] == [
+            [[serialize.scalar_str(c) for c in v] for v in row]
+            for row in pairing.gamma]
+        checked += 1
+    assert checked == 6
 
 
 def test_check_require_pass_and_fail(fixtures_dir, capsys):

@@ -13,7 +13,7 @@ from abelianj.hermitian import (
     kahler_form_matrix, levi_civita, sectional_curvature, torsion,
     twisted_cyclic_identity,
 )
-from abelianj.lab import FAMILIES, random_instance
+from abelianj.lab import FAMILIES, random_instance, random_kahler_instance
 from abelianj.lie import LieAlgebra, PreconditionError
 from abelianj.linalg import DimensionMismatch, Matrix, rat, vec
 from abelianj import serialize
@@ -201,10 +201,13 @@ def test_flat_metric_report_paths():
 
 def test_levi_civita_randomized_uniqueness():
     rng = random.Random(440)
-    for trial in range(10):
-        t = random_instance(rng.randrange(2 ** 32), 1 + rng.randrange(3),
-                            FAMILIES[trial % 3], disguise=bool(trial % 2),
-                            metric=True)
+    triples = [random_instance(rng.randrange(2 ** 32), 1 + rng.randrange(3),
+                               family, disguise=disguise, metric=True)
+               for family in FAMILIES for disguise in (False, True)
+               for _ in range(2)]
+    triples += [random_kahler_instance(rng.randrange(2 ** 32), 8).triple
+                for _ in range(3)]
+    for t in triples:
         lc = levi_civita(t)
         assert is_torsion_free(t.algebra, lc)
         flags = connection_flags(t.algebra, t.j, t.metric, lc)
@@ -212,3 +215,5 @@ def test_levi_civita_randomized_uniqueness():
         fc = first_canonical(t)
         fflags = connection_flags(t.algebra, t.j, t.metric, fc)
         assert fflags.is_metric and fflags.is_complex and fflags.torsion_type_11
+        # the projection route and the pairing formula give one connection
+        assert fc == first_canonical_pairing(t)

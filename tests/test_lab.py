@@ -20,7 +20,7 @@ from abelianj.lab import (
 )
 from abelianj.lie import LieAlgebra, PreconditionError, check_jacobi
 from abelianj.linalg import Matrix, Subspace, rat, vec
-from abelianj import serialize
+from abelianj import hermitian, serialize
 
 
 def load_triple(fixtures_dir, name):
@@ -174,6 +174,17 @@ def test_theorem_suite_small_run():
     out = report_to_dict(rep)
     text = json.dumps(out)
     assert json.loads(text)["trials"] == 25
+
+
+def test_theorem_suite_records_failing_first_connection(monkeypatch):
+    # with the projection skipped, the first canonical connection is
+    # Levi-Civita, which is not complex unless the metric is Kahler: the
+    # flag check must report it as a counterexample, not abort the suite
+    monkeypatch.setattr(hermitian, "complex_projection", lambda g, j, conn: conn)
+    rep = theorem_suite(20240823, 10, max_dim=8)
+    assert rep.theorems["hermitian_connection_identities"]["fail"] >= 1
+    assert any(ce["violated"] == "hermitian_connection_identities"
+               for ce in rep.counterexamples)
 
 
 def test_theorem_suite_deterministic():
