@@ -139,31 +139,20 @@ def run_check(args) -> int:
             out["metric"]["kahler"] = props["kahler"]
             lines.append("  hermitian: yes  kahler: %s" % _yesno(props["kahler"]))
             lc = levi_civita(t)
-            n1 = complex_projection(g, inst.j, lc)    # the first canonical connection
-            lc_flags = connection_flags(g, inst.j, inst.metric, lc)
-            n1_flags = connection_flags(g, inst.j, inst.metric, n1)
-            lc_norm = curvature_norm_sq(curvature(g, lc))
-            n1_norm = curvature_norm_sq(curvature(g, n1))
-            out["connections"] = {
-                "levi_civita": {
-                    "tensor": _connection_json(g, lc),
-                    "flags": lc_flags._asdict(),
-                    "curvature_norm_sq": serialize.scalar_str(lc_norm),
-                },
-                "first_canonical": {
-                    "tensor": _connection_json(g, n1),
-                    "flags": n1_flags._asdict(),
-                    "curvature_norm_sq": serialize.scalar_str(n1_norm),
-                },
-            }
-            lines.extend(_connection_lines(g, lc, "levi-civita"))
-            lines.append("    flags: metric %s, complex %s, torsion type (1,1) %s"
-                         % tuple(_yesno(f) for f in lc_flags))
-            lines.append("    curvature norm^2: %s" % serialize.scalar_str(lc_norm))
-            lines.extend(_connection_lines(g, n1, "first canonical"))
-            lines.append("    flags: metric %s, complex %s, torsion type (1,1) %s"
-                         % tuple(_yesno(f) for f in n1_flags))
-            lines.append("    curvature norm^2: %s" % serialize.scalar_str(n1_norm))
+            out["connections"] = {}
+            # the first canonical connection is the complex projection of lc
+            for key, label, conn in (("levi_civita", "levi-civita", lc),
+                                     ("first_canonical", "first canonical",
+                                      complex_projection(g, inst.j, lc))):
+                flags = connection_flags(g, inst.j, inst.metric, conn)
+                norm = serialize.scalar_str(curvature_norm_sq(curvature(g, conn)))
+                out["connections"][key] = {"tensor": _connection_json(g, conn),
+                                           "flags": flags._asdict(),
+                                           "curvature_norm_sq": norm}
+                lines.extend(_connection_lines(g, conn, label))
+                lines.append("    flags: metric %s, complex %s, torsion type (1,1) %s"
+                             % tuple(_yesno(f) for f in flags))
+                lines.append("    curvature norm^2: %s" % norm)
 
     failed = [p for p in args.require if not props.get(p, False)]
     out["required"] = {p: p not in failed for p in args.require}

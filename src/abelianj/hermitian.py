@@ -4,6 +4,12 @@ complex connections, and torsion/curvature flags.
 
 Every flatness, compatibility, and type check here is an exact zero test on
 rational tensors; there are no tolerances anywhere.
+
+Curvature, the Koszul solve, torsion, the flag residuals and the complex
+projection are contractions over kept splits (linalg.contract_splits and
+linalg._combine).  A curvature pair whose operators and bracket are all
+zero, and a direction whose operator is zero, are skipped without a
+contraction; is_flat stops at the first nonzero curvature column.
 """
 from __future__ import annotations
 
@@ -17,8 +23,8 @@ from .lie import (
     derived_and_central_series,
 )
 from .linalg import (
-    DimensionMismatch, Matrix, bilinear, lin_comb, norm_sq, rat, tensor_split,
-    vec, vec_dot, vec_sub, is_zero_vec, zero_vec,
+    DimensionMismatch, Matrix, _combine, bilinear, contract_splits, lin_comb,
+    norm_sq, rat, tensor_split, vec, vec_dot, is_zero_vec, zero_vec,
 )
 
 
@@ -88,19 +94,6 @@ class Connection:
         z = zero_vec(n)
         return cls(tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
-    def operator(self, i):
-        """Matrix of y -> derivative of y along e_i."""
-        return Matrix.from_columns(self.gamma[i])
-
-    def operators(self):
-        return [self.operator(i) for i in range(self.dim)]
-
-    def directional(self, x):
-        """Matrix of sum_i x_i D_{e_i}: column k combines the gamma[i][k]."""
-        n = self.dim
-        return Matrix.from_columns(
-            [lin_comb(x, [row[k] for row in self.gamma], n) for k in range(n)])
-
     def split(self):
         """Split of every slice gamma[i][j], computed on first use."""
         if self._split is None:
@@ -157,19 +150,18 @@ def d_omega(t: HermitianTriple, x, y, z):
             - kahler_form(t, g.bracket(z, x), y))
 
 
-def _cyclic_sums_vanish(table, triples) -> bool:
-    """table[i][j][k] + table[j][k][i] + table[k][i][j] == 0 on every triple."""
-    return all(table[i][j][k] + table[j][k][i] + table[k][i][j] == 0
-               for i, j, k in triples)
+def _cyclic_sums_vanish(form, tensor, triples) -> bool:
+    """With w[i][j][k] the k-th entry of form applied to tensor[i][j]:
+    w[i][j][k] + w[j][k][i] + w[k][i][j] == 0 on every triple."""
+    w = [[form.apply(v) for v in row] for row in tensor]
+    return all(w[i][j][k] + w[j][k][i] + w[k][i][j] == 0 for i, j, k in triples)
 
 
 def is_kahler(t: HermitianTriple) -> bool:
-    g = t.algebra
-    n = g.dim
-    wt = kahler_form_matrix(t).transpose()
-    # wv[i][j][k] = form applied to ([e_i, e_j], e_k)
-    wv = [[wt.apply(g.c[i][j]) for j in range(n)] for i in range(n)]
-    return _cyclic_sums_vanish(wv, combinations(range(n), 3))
+    """The Kahler form is closed: its cyclic sums over brackets vanish."""
+    n = t.algebra.dim
+    return _cyclic_sums_vanish(kahler_form_matrix(t).transpose(), t.algebra.c,
+                               combinations(range(n), 3))
 
 
 def cyclic_metric_identity(t: HermitianTriple) -> bool:
@@ -181,10 +173,7 @@ def cyclic_metric_identity(t: HermitianTriple) -> bool:
     g = t.algebra
     if not is_abelian_cs(g, t.j):
         raise PreconditionError("identity requires an abelian complex structure")
-    n = g.dim
-    gm = t.metric.gram
-    gc = [[gm.apply(g.c[i][j]) for j in range(n)] for i in range(n)]
-    return _cyclic_sums_vanish(gc, combinations(range(n), 3))
+    return _cyclic_sums_vanish(t.metric.gram, g.c, combinations(range(g.dim), 3))
 
 
 def twisted_cyclic_identity(t: HermitianTriple) -> bool:
@@ -192,78 +181,99 @@ def twisted_cyclic_identity(t: HermitianTriple) -> bool:
 
     Cyclic-invariant but not alternating, so all ordered triples are tested.
     """
-    g = t.algebra
-    n = g.dim
-    gm = t.metric.gram
-    tj = bilinear_table(g, Matrix.identity(n), t.j.matrix)
-    gtj = [[gm.apply(tj[i][j]) for j in range(n)] for i in range(n)]
-    return _cyclic_sums_vanish(gtj, product(range(n), repeat=3))
+    n = t.algebra.dim
+    tj = bilinear_table(t.algebra, Matrix.identity(n), t.j.matrix)
+    return _cyclic_sums_vanish(t.metric.gram, tj, product(range(n), repeat=3))
+
+
+def _live(splits):
+    """Whether any of these splits has a nonzero entry."""
+    return any(nz for _, nz in splits)
+
+
+def _adjoints(g, metric):
+    """Column splits of each metric adjoint ad_j* = G^-1 ad_j^T G (ad_j^T has
+    the brackets [e_j, e_q] as rows); a zero ad_j keeps its empty splits."""
+    gm, gs = metric.gram, g.split()
+    ginv = gm.inverse()
+    return [(ginv @ (Matrix(g.c[j]) @ gm)).split() if _live(gs[j]) else gs[j]
+            for j in range(g.dim)]
 
 
 def levi_civita(g, metric=None) -> Connection:
-    """Unique torsion-free metric connection, solved from the Koszul
-    pairing 2 g(D_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y)."""
+    """Unique torsion-free metric connection.  The Koszul pairing
+    2 g(D_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y) solves to
+    D_{e_i} e_j = (c_ij - ad_j* e_i - ad_i* e_j) / 2, one contraction per
+    (i, j)."""
     if metric is None:
         g, metric = g.algebra, g.metric
-    n = g.dim
-    gm = metric.gram
-    ginv = gm.inverse()
-    half = rat(1, 2)
-    gc = [[gm.apply(g.c[i][j]) for j in range(n)] for i in range(n)]
-    gamma = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rhs = tuple(half * (gc[i][j][k] - gc[j][k][i] + gc[k][i][j])
-                        for k in range(n))
-            row.append(ginv.apply(rhs))
-        gamma.append(tuple(row))
-    conn = Connection(gamma)
+    n, gs, adj = g.dim, g.split(), _adjoints(g, metric)
+    conn = Connection([[_combine(2, ((1, gs[i][j]), (-1, adj[j][i]), (-1, adj[i][j])), n)
+                        for j in range(n)] for i in range(n)])
     assert is_torsion_free(g, conn)
     assert _is_metric(conn, metric)
     return conn
 
 
 def torsion(g, conn: Connection):
-    n = g.dim
-    return tuple(tuple(
-        vec_sub(vec_sub(conn.gamma[i][j], conn.gamma[j][i]), g.c[i][j])
-        for j in range(n)) for i in range(n))
+    """T(e_i, e_j) = D_{e_i} e_j - D_{e_j} e_i - [e_i, e_j], one contraction
+    per pair i != j."""
+    n, gs, cs = g.dim, g.split(), conn.split()
+    return tuple(tuple(_combine(1, ((1, cs[i][j]), (-1, cs[j][i]), (-1, gs[i][j])), n)
+                       if i != j else zero_vec(n) for j in range(n)) for i in range(n))
 
 
 def is_torsion_free(g, conn: Connection) -> bool:
     t = torsion(g, conn)
-    return all(is_zero_vec(t[i][j])
-               for i in range(g.dim) for j in range(i + 1, g.dim))
+    return all(is_zero_vec(t[i][j]) for i, j in combinations(range(g.dim), 2))
+
+
+def _curvature_pairs(g, conn: Connection):
+    """Yield (i, j, columns of R(e_i, e_j)) for i < j, the columns lazily.
+
+    Column k is one contraction of three parts: D_j e_k through D_i, minus
+    D_i e_k through D_j, minus the bracket c_ij through the vectors D_p e_k.
+    A part whose operator or coefficients are zero is dropped, and a pair
+    whose two operators and bracket are all zero is not yielded: its
+    R(e_i, e_j) is zero."""
+    n, gs, cs = g.dim, g.split(), conn.split()
+    live = [_live(row) for row in cs]
+    along = [[row[k] for row in cs] for k in range(n)]    # D_p e_k over p
+
+    def column(i, j, k):
+        parts = [(s, cs[b][k], cs[a]) for s, a, b in ((1, i, j), (-1, j, i))
+                 if live[a] and cs[b][k][1]]
+        if gs[i][j][1]:
+            parts.append((-1, gs[i][j], along[k]))
+        return contract_splits(parts, n) if parts else zero_vec(n)
+
+    for i, j in combinations(range(n), 2):
+        if live[i] or live[j] or gs[i][j][1]:
+            yield i, j, (column(i, j, k) for k in range(n))
 
 
 def curvature(g, conn: Connection):
-    """Antisymmetric grid of operators r[i][j] = commutator of the two
-    directional derivatives minus the derivative along the bracket."""
+    """Antisymmetric grid of operators r[i][j] = [D_i, D_j] - D_{[e_i, e_j]};
+    the pairs _curvature_pairs skips share one zero matrix."""
     n = g.dim
-    ops = conn.operators()
     zero = Matrix.zeros(n, n)
-    grid = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = (ops[i] @ ops[j]) - (ops[j] @ ops[i])
-            for p, cp in enumerate(g.c[i][j]):
-                if cp != 0:
-                    r = r - ops[p].scale(cp)
-            grid[i][j] = r
-            grid[j][i] = -r
+    grid = [[zero] * n for _ in range(n)]
+    for i, j, cols in _curvature_pairs(g, conn):
+        r = Matrix.from_columns(list(cols))
+        grid[i][j], grid[j][i] = r, -r
     return tuple(tuple(row) for row in grid)
 
 
 def is_flat(g, conn: Connection) -> bool:
-    grid = curvature(g, conn)
-    return all(grid[i][j].is_zero()
-               for i in range(g.dim) for j in range(i + 1, g.dim))
+    """Whether every R(e_i, e_j) vanishes; stops at the first nonzero column."""
+    return not any(any(col) for _, _, cols in _curvature_pairs(g, conn) for col in cols)
 
 
 def curvature_norm_sq(grid):
-    """Sum of squared entries over the whole grid; zero iff flat."""
-    return norm_sq([e for row in grid for block in row for brow in block.rows for e in brow])
+    """Sum of squared entries over the whole grid; zero iff flat.  Blocks with
+    an empty kept split, such as curvature's shared zero block, are skipped."""
+    return norm_sq([e for row in grid for block in row if _live(block.split())
+                    for brow in block.rows for e in brow])
 
 
 def apply_curvature(grid, x, y):
@@ -283,18 +293,27 @@ class ConnectionFlags(NamedTuple):
 
 
 def _is_metric(conn: Connection, metric: InnerProduct) -> bool:
-    gm = metric.gram
-    for i in range(conn.dim):
-        op = conn.operator(i)
-        if not ((op.transpose() @ gm) + (gm @ op)).is_zero():
+    """Each D_i is skew for the metric: the residual G D_i + D_i^T G
+    vanishes, one contraction per column; zero operators are skipped."""
+    n = conn.dim
+    gs = metric.gram.split()
+    for i, row in enumerate(conn.split()):
+        if not _live(row):
+            continue
+        ts = Matrix(conn.gamma[i]).split()      # the columns of D_i^T
+        if any(any(contract_splits([(1, row[k], gs), (1, gs[k], ts)], n))
+               for k in range(n)):
             return False
     return True
 
 
 def _is_complex(conn: Connection, j: ComplexStructure) -> bool:
-    jm = j.matrix
-    return all((conn.operator(i) @ jm) == (jm @ conn.operator(i))
-               for i in range(conn.dim))
+    """Each D_i commutes with J: the residual D_i J - J D_i vanishes, one
+    contraction per column; zero operators are skipped."""
+    n = conn.dim
+    js = j.matrix.split()
+    return not any(any(contract_splits([(1, js[k], row), (-1, row[k], js)], n))
+                   for row in conn.split() if _live(row) for k in range(n))
 
 
 def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
@@ -311,18 +330,25 @@ def connection_flags(g, j, metric, conn) -> ConnectionFlags:
 
 
 def complex_projection(g, j: ComplexStructure, conn: Connection) -> Connection:
-    """Average a connection with its J-conjugate along each direction.
+    """Average a connection with its J-conjugate along each direction:
+    D_i -> (D_i - J D_i J) / 2.
 
-    The output commutes with J; when the input is torsion-free and J is
-    integrable its torsion is of type (1,1).
+    Column k of the average is one contraction of D_i e_k and the columns
+    of J D_i weighted by J e_k; zero operators are skipped.  The output
+    commutes with J; when the input is torsion-free and J is integrable its
+    torsion is of type (1,1).
     """
-    jm = j.matrix
-    half = rat(1, 2)
+    n = conn.dim
+    js = j.matrix.split()
     gamma = []
-    for i in range(conn.dim):
-        op = conn.operator(i)
-        bar = (op - (jm @ op @ jm)).scale(half)
-        gamma.append(tuple(bar.column(c) for c in range(conn.dim)))
+    for row in conn.split():
+        if not _live(row):
+            gamma.append([zero_vec(n)] * n)
+            continue
+        jd = [_combine(d, [(c, js[q]) for q, c in nz], n, keep_split=True)
+              for d, nz in row]
+        gamma.append([_combine(2 * d, [(d, row[k])] + [(-c, jd[q]) for q, c in nz], n)
+                      for k, (d, nz) in enumerate(js)])
     return Connection(gamma)
 
 
@@ -338,34 +364,19 @@ def first_canonical_pairing(t: HermitianTriple) -> Connection:
     expanded pairing
 
         4 g(D_x y, z) = g([x,y],z) + g([z,x],y) + g([x,Jy],Jz)
-                        + g([Jz,x],Jy) - 2 g([y,z],x)
+                        + g([Jz,x],Jy) - 2 g([y,z],x).
 
-    solved exactly against the Gram matrix."""
-    g, j, metric = t.algebra, t.j, t.metric
+    As g(u, Jv) = -g(Ju, v), it solves to D_{e_i} e_j = (P_i e_j - ad_j* e_i)
+    / 2, where P_i = (K_i - J K_i J) / 2 for K_i = ad_i - ad_i*."""
+    g, j = t.algebra, t.j
     if not is_abelian_cs(g, j):
         raise PreconditionError("pairing formula requires an abelian complex structure")
-    n = g.dim
-    gm = metric.gram
-    ginv = gm.inverse()
-    quarter = rat(1, 4)
-    ident = Matrix.identity(n)
-    jg = j.matrix.transpose() @ gm          # row k of (jg v): g(v, J e_k)
-    gc = [[gm.apply(g.c[i][j2]) for j2 in range(n)] for i in range(n)]
-    tj = bilinear_table(g, ident, j.matrix)  # [e_i, J e_j]
-    jt = bilinear_table(g, j.matrix, ident)  # [J e_i, e_j]
-    gtj = [[jg.apply(tj[i][j2]) for j2 in range(n)] for i in range(n)]
-    gjt = [[jg.apply(jt[i][j2]) for j2 in range(n)] for i in range(n)]
-    gamma = []
-    for i in range(n):
-        row = []
-        for j2 in range(n):
-            rhs = tuple(quarter * (gc[i][j2][k] + gc[k][i][j2]
-                                   + gtj[i][j2][k] + gjt[k][i][j2]
-                                   - 2 * gc[j2][k][i])
-                        for k in range(n))
-            row.append(ginv.apply(rhs))
-        gamma.append(tuple(row))
-    return Connection(gamma)
+    n, gs, adj = g.dim, g.split(), _adjoints(g, t.metric)
+    k = Connection([[_combine(1, ((1, gs[i][q]), (-1, adj[i][q])), n) for q in range(n)]
+                    for i in range(n)])
+    p = complex_projection(g, j, k).split()
+    return Connection([[_combine(2, ((1, p[i][q]), (-1, adj[q][i])), n) for q in range(n)]
+                       for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -387,16 +398,16 @@ def flat_metric_report(g, metric: InnerProduct, conn: Connection) -> FlatMetricR
         raise PreconditionError("connection must be metric")
     if not is_flat(g, conn):
         raise PreconditionError("connection must be flat")
-    ops = conn.operators()
-    commuting = all((ops[i] @ ops[j]) == (ops[j] @ ops[i])
-                    for i in range(g.dim) for j in range(i + 1, g.dim))
-    vanishes = all(conn.directional(v).is_zero()
-                   for v in commutator_ideal(g).basis)
+    # over the zero bracket, R(e_i, e_j) is the commutator of D_i and D_j
+    commuting = is_flat(LieAlgebra.abelian(g.dim), conn)
+    vanishes = not any(any(conn.apply(v, e)) for v in commutator_ideal(g).basis
+                       for e in Matrix.identity(g.dim).rows)
     return FlatMetricReport(commuting, vanishes)
 
 
 def sectional_curvature(g, metric: InnerProduct, x, y):
-    """Riemannian sectional curvature of the plane spanned by x, y."""
+    """Riemannian sectional curvature of the plane spanned by x, y, from
+    R(x, y) y = D_x D_y y - D_y D_x y - D_[x,y] y."""
     x, y = vec(x), vec(y)
     gxx = metric.eval(x, x)
     gyy = metric.eval(y, y)
@@ -404,6 +415,7 @@ def sectional_curvature(g, metric: InnerProduct, x, y):
     denom = gxx * gyy - gxy * gxy
     if denom == 0:
         raise PreconditionError("plane vectors must be linearly independent")
-    grid = curvature(g, levi_civita(g, metric))
-    num = metric.eval(apply_curvature(grid, x, y).apply(y), x)
-    return num / denom
+    d = levi_civita(g, metric).apply
+    ryy = lin_comb((1, -1, -1), (d(x, d(y, y)), d(y, d(x, y)), d(g.bracket(x, y), y)),
+                   g.dim)
+    return metric.eval(ryy, x) / denom

@@ -20,9 +20,9 @@ from .complex_structures import (
     ComplexStructure, abelian_cs_report, is_abelian_cs, j_stable_commutator,
 )
 from .constructions import ConstructionError, _greedy_j_half, double_product
-from .hermitian import (
+from .hermitian import (  # curvature: bench/test_bench.py reads lab.curvature
     HermitianTriple, InnerProduct, connection_flags, curvature,
-    cyclic_metric_identity, first_canonical, is_kahler,
+    cyclic_metric_identity, first_canonical, is_flat, is_kahler,
     twisted_cyclic_identity,
 )
 from .lie import (
@@ -435,10 +435,6 @@ def report_to_dict(rep: TrialReport) -> dict:
             "counterexamples": list(rep.counterexamples)}
 
 
-def _grid_is_zero(grid) -> bool:
-    return all(cell.is_zero() for row in grid for cell in row)
-
-
 def _record(counts, ces, name, ok, triple):
     bucket = counts[name]
     if ok:
@@ -474,7 +470,7 @@ def _run_trial(triple, expected: Optional[KahlerSample], counts, ces):
         rec("zero_first_connection_forces_abelian", True)
         rec("twisted_cyclic_under_zero_first_connection", True)
 
-    flat1 = _grid_is_zero(curvature(g, nabla1))
+    flat1 = is_flat(g, nabla1)
     if flat1:
         z = center(g)
         gpj = j_stable_commutator(g, j)

@@ -10,9 +10,11 @@ arithmetic on integer numerators, chiefly in two routines:
   lcm of their denominators.  _combine sums integer multiples of splits
   over one common denominator and normalises each output entry once into a
   Fraction.  Matrix products, matrix-vector products, linear combinations,
-  Jacobi residuals and every bilinear product of a rank-3 tensor (bracket,
-  commutative product, connection, bilinear tables) run through it; a dot
-  product or a sum of squares is one integer sum over the same splits.
+  Jacobi residuals, every bilinear product of a rank-3 tensor (bracket,
+  commutative product, connection, bilinear tables) and the Hermitian
+  layer (curvature, the Koszul solve, torsion, the metric and complex flag
+  residuals, the complex projection) run through it; a dot product or a
+  sum of squares is one integer sum over the same splits.
 * _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
   1968) on integer rows, exact divisions only.  Reduced row echelon form,
   rank, kernel, solve, inverse, det and leading principal minors all read

@@ -1,6 +1,7 @@
 """The contraction kernel and the fraction-free elimination against plain
-references: bilinear products against Fraction triple sums, elimination
-results against sympy."""
+references: bilinear products and the Hermitian layer (curvature, Koszul,
+torsion, flag residuals, complex projection) against dense Fraction
+formulas, elimination results against sympy."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,14 @@ import pytest
 import sympy
 
 from abelianj.assoc import CommAssocAlgebra, check_axioms, check_compatibility
-from abelianj.hermitian import Connection, InnerProduct, NotPositiveDefiniteError
+from abelianj import hermitian
+from abelianj.constructions import standard_complex_structure
+from abelianj.hermitian import (
+    Connection, HermitianTriple, InnerProduct, NotPositiveDefiniteError,
+    complex_projection, curvature, first_canonical, first_canonical_pairing,
+    is_flat, levi_civita, torsion,
+)
+from abelianj.lab import FAMILIES, random_instance, random_kahler_instance
 from abelianj.lie import LieAlgebra, bilinear_table, check_jacobi
 from abelianj.linalg import Matrix, SingularMatrix, basis_vec, norm_sq
 
@@ -284,3 +292,208 @@ def test_inner_product_minors_match_sympy():
             with pytest.raises(NotPositiveDefiniteError,
                                match="leading principal minor %d is not positive" % bad):
                 InnerProduct(gram)
+
+
+# ---- the Hermitian layer against its dense Fraction formulas ----
+
+def _mm(a, b):
+    return [[sum((a[r][t] * b[t][c] for t in range(len(b))), Fraction(0))
+             for c in range(len(b[0]))] for r in range(len(a))]
+
+
+def _rows(m):
+    return [list(r) for r in m.rows]
+
+
+def _op(conn, i):
+    """Rows of the operator D_i, whose column k is gamma[i][k]."""
+    n = conn.dim
+    return [[conn.gamma[i][k][r] for k in range(n)] for r in range(n)]
+
+
+def _ref_curvature(g, conn):
+    """R(e_i, e_j) = D_i D_j - D_j D_i - sum_p c_ij^p D_p for i < j, filled
+    in antisymmetrically."""
+    n = g.dim
+    ops = [_op(conn, i) for i in range(n)]
+    zero = tuple((Fraction(0),) * n for _ in range(n))
+    grid = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ab, ba = _mm(ops[i], ops[j]), _mm(ops[j], ops[i])
+            cs = [(p, c) for p, c in enumerate(g.c[i][j]) if c]
+            r = tuple(tuple(ab[a][k] - ba[a][k] - sum((c * ops[p][a][k] for p, c in cs),
+                                                      Fraction(0))
+                            for k in range(n)) for a in range(n))
+            grid[i][j], grid[j][i] = r, tuple(tuple(-x for x in row) for row in r)
+    return grid
+
+
+def _solve(ginv, rhs):
+    return tuple(_mm(ginv, [[x] for x in rhs])[r][0] for r in range(len(rhs)))
+
+
+def _gram_times(metric, v):
+    return [sum((metric.gram.rows[k][t] * v[t] for t in range(len(v))), Fraction(0))
+            for k in range(len(v))]
+
+
+def _ref_levi_civita(g, metric):
+    """Koszul right-hand sides solved one (i, j) at a time."""
+    n = g.dim
+    gc = [[_gram_times(metric, g.c[i][j]) for j in range(n)] for i in range(n)]
+    ginv = _rows(metric.gram.inverse())
+    half = Fraction(1, 2)
+    return tuple(tuple(_solve(ginv, [
+        half * (gc[i][j][k] - gc[j][k][i] + gc[k][i][j]) for k in range(n)])
+        for j in range(n)) for i in range(n))
+
+
+def _ref_pairing(g, jm, metric):
+    """The expanded pairing right-hand sides solved one (i, j) at a time."""
+    n = g.dim
+    jmat = _rows(jm)
+    gc = [[_gram_times(metric, g.c[i][j]) for j in range(n)] for i in range(n)]
+    jg = _mm([list(r) for r in zip(*jmat)], _rows(metric.gram))   # J^T G
+    jcol = [[jmat[r][c] for r in range(n)] for c in range(n)]      # J e_c
+    tj = [[_ref_bilinear(g.c, basis_vec(n, i), jcol[q]) for q in range(n)] for i in range(n)]
+    jt = [[_ref_bilinear(g.c, jcol[i], basis_vec(n, q)) for q in range(n)] for i in range(n)]
+    gtj = [[[sum((jg[k][t] * tj[i][q][t] for t in range(n)), Fraction(0))
+             for k in range(n)] for q in range(n)] for i in range(n)]
+    gjt = [[[sum((jg[k][t] * jt[i][q][t] for t in range(n)), Fraction(0))
+             for k in range(n)] for q in range(n)] for i in range(n)]
+    ginv = _rows(metric.gram.inverse())
+    quarter = Fraction(1, 4)
+    return tuple(tuple(_solve(ginv, [
+        quarter * (gc[i][q][k] + gc[k][i][q] + gtj[i][q][k] + gjt[k][i][q]
+                   - 2 * gc[q][k][i]) for k in range(n)])
+        for q in range(n)) for i in range(n))
+
+
+def _ref_torsion(g, conn):
+    n = g.dim
+    return tuple(tuple(tuple(conn.gamma[i][j][k] - conn.gamma[j][i][k] - g.c[i][j][k]
+                             for k in range(n)) for j in range(n)) for i in range(n))
+
+
+def _ref_is_metric(conn, metric):
+    gm = _rows(metric.gram)
+    for i in range(conn.dim):
+        op = _op(conn, i)
+        a, b = _mm([list(r) for r in zip(*op)], gm), _mm(gm, op)
+        if any(x + y for ra, rb in zip(a, b) for x, y in zip(ra, rb)):
+            return False
+    return True
+
+
+def _ref_is_complex(conn, jm):
+    jr = _rows(jm)
+    return all(_mm(_op(conn, i), jr) == _mm(jr, _op(conn, i)) for i in range(conn.dim))
+
+
+def _ref_projection(conn, jm):
+    """Column k of (D_i - J D_i J) / 2."""
+    jr = _rows(jm)
+    n = conn.dim
+    out = []
+    for i in range(n):
+        op = _op(conn, i)
+        jdj = _mm(_mm(jr, op), jr)
+        out.append(tuple(tuple(Fraction(1, 2) * (op[r][k] - jdj[r][k]) for r in range(n))
+                         for k in range(n)))
+    return tuple(out)
+
+
+def _random_connection(rng, n):
+    """Random slices with half-zero entries; about a third of the directions
+    are zero operators."""
+    z = (Fraction(0),) * n
+    return Connection([[z] * n if rng.random() < 0.35 else [_vector(rng, n) for _ in range(n)]
+                       for _ in range(n)])
+
+
+def _hermitian_cases():
+    """(algebra, J, metric) triples: every family with and without disguise,
+    Kahler samples, a bracket-free instance and Heisenberg-type brackets."""
+    rng = random.Random(315)
+    triples = [random_instance(rng.randrange(2 ** 32), 1 + rng.randrange(3), family,
+                               disguise=disguise, metric=True)
+               for family in FAMILIES for disguise in (False, True) for _ in range(2)]
+    triples += [random_kahler_instance(rng.randrange(2 ** 32), 8).triple for _ in range(3)]
+    j4 = standard_complex_structure(2)
+    triples.append(HermitianTriple(LieAlgebra.abelian(4), j4, InnerProduct.diagonal([2, 3, 2, 3])))
+    # [e1, e2] = e3 and [e1, e4] = e2 / 3: J is not abelian here, the
+    # references do not need it to be
+    heis = LieAlgebra(4, {(0, 1): {2: 1}, (0, 3): {1: Fraction(1, 3)}})
+    triples.append(HermitianTriple(heis, j4, InnerProduct.identity(4)))
+    return triples
+
+
+def test_hermitian_layer_matches_fraction_reference():
+    rng = random.Random(8)
+    flags_seen = set()
+    for t in _hermitian_cases():
+        g, jm, metric = t.algebra, t.j.matrix, t.metric
+        n = g.dim
+        lc = levi_civita(g, metric)
+        assert lc.gamma == _ref_levi_civita(g, metric)
+        fc = first_canonical(t)
+        assert fc.gamma == _ref_projection(lc, jm)
+        if hermitian.is_abelian_cs(g, t.j):
+            assert first_canonical_pairing(t).gamma == _ref_pairing(g, jm, metric)
+        conns = [lc, fc, _random_connection(rng, n), Connection.zero(n)]
+        # zero operators along e_1 and e_2, whose bracket need not be zero
+        some = _random_connection(rng, n)
+        conns.append(Connection([[(Fraction(0),) * n] * n if i < 2 else some.gamma[i]
+                                 for i in range(n)]))
+        for conn in conns:
+            grid = curvature(g, conn)
+            ref = _ref_curvature(g, conn)
+            assert [[cell.rows for cell in row] for row in grid] == \
+                [list(row) for row in ref]
+            assert is_flat(g, conn) == all(not any(map(any, cell)) for row in ref
+                                           for cell in row)
+            assert torsion(g, conn) == _ref_torsion(g, conn)
+            flags = (hermitian._is_metric(conn, metric), hermitian._is_complex(conn, t.j))
+            assert flags == (_ref_is_metric(conn, metric), _ref_is_complex(conn, jm))
+            flags_seen.add(flags)
+            assert complex_projection(g, t.j, conn).gamma == _ref_projection(conn, jm)
+            for block in (cell for row in grid for cell in row):
+                for r in block.rows:
+                    assert _normalised(r)
+    # both outcomes of both flags occur
+    assert {f[0] for f in flags_seen} == {f[1] for f in flags_seen} == {True, False}
+
+
+def test_heisenberg_pair_with_zero_operators_is_curved():
+    # D_1 = D_2 = 0 but [e_1, e_2] = e_3 and D_3 != 0, so R(e_1, e_2) = -D_3
+    g = LieAlgebra(3, {(0, 1): {2: 1}})
+    z = (Fraction(0),) * 3
+    d3 = [(Fraction(1), Fraction(0), Fraction(0)), z, (Fraction(0), Fraction(2, 3), Fraction(0))]
+    conn = Connection([[z] * 3, [z] * 3, d3])
+    grid = curvature(g, conn)
+    assert grid[0][1].rows == tuple(tuple(-x for x in r) for r in Matrix.from_columns(d3).rows)
+    assert not is_flat(g, conn)
+
+
+def test_zero_operators_cost_no_contraction(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("contract_splits", "_combine"):
+        monkeypatch.setattr(hermitian, name, counted(getattr(hermitian, name)))
+    g = LieAlgebra.abelian(12)
+    zero = Connection.zero(12)
+    grid = curvature(g, zero)
+    assert is_flat(g, zero)
+    assert calls == []
+    assert all(cell.is_zero() for row in grid for cell in row)
+    # the counter does see the contractions of a curved pair
+    aff = LieAlgebra(2, {(0, 1): {1: 1}})
+    assert not is_flat(aff, levi_civita(aff, InnerProduct.identity(2)))
+    assert "contract_splits" in calls
