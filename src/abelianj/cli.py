@@ -14,8 +14,8 @@ from .assoc import IrrationalSpectrumError
 from .complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
 from .constructions import aff_algebra, double_product, semidirect_r2_family
 from .hermitian import (
-    complex_projection, connection_flags, curvature, curvature_norm_sq,
-    is_kahler, levi_civita,
+    complex_projection, connection_flags, curvature_norm_sq, is_kahler,
+    levi_civita,
 )
 from .lie import (
     PreconditionError, center, commutator_ideal, derived_and_central_series,
@@ -145,7 +145,7 @@ def run_check(args) -> int:
                                      ("first_canonical", "first canonical",
                                       complex_projection(g, inst.j, lc))):
                 flags = connection_flags(g, inst.j, inst.metric, conn)
-                norm = serialize.scalar_str(curvature_norm_sq(curvature(g, conn)))
+                norm = serialize.scalar_str(curvature_norm_sq(g, conn))
                 out["connections"][key] = {"tensor": _connection_json(g, conn),
                                            "flags": flags._asdict(),
                                            "curvature_norm_sq": norm}

@@ -1,11 +1,20 @@
 """Complex structures on Lie algebras: integrability, the abelian condition,
 holomorphic isomorphisms, and the five-way structural report for abelian J.
+
+The Nijenhuis table and the report's ad-twist [Je_i, e_k] + [e_i, Je_k] are
+contractions over the kept splits of the brackets and of J
+(linalg._combine) that read only nonzero bracket slices; a pair whose
+brackets are all zero costs none.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .linalg import DimensionMismatch, Matrix, Subspace, is_zero_vec, vec_add, vec_sub, rat
+from .linalg import (
+    DimensionMismatch, Matrix, Subspace, _combine_nonzero, _nonzeros, is_zero_vec,
+    vec_sub, rat,
+)
 from .lie import (
     LieAlgebra, PreconditionError, bilinear_table, center, center_of_subalgebra,
     classify_subspace, commutator_ideal, derived_and_central_series,
@@ -48,17 +57,25 @@ def nijenhuis(g, j: ComplexStructure, x, y):
     return vec_sub(out, g.bracket(x, y))
 
 
+def _twist(gs, js, i, k):
+    """Split of [Je_i, e_k] + [e_i, Je_k], unnormalised, from the bracket
+    split gs and the column split js of J; empty, with no contraction, when
+    every bracket slice it reads is zero."""
+    (di, ji), (dk, jk) = js[i], js[k]
+    terms = [(c * dk, gs[p][k]) for p, c in ji] + [(c * di, gs[i][q]) for q, c in jk]
+    return _combine_nonzero(di * dk, terms, len(gs), keep_split=True)
+
+
 def _nijenhuis_table(g, j):
-    jm = j.matrix
-    ident = Matrix.identity(g.dim)
-    t_jj = bilinear_table(g, jm, jm)
-    t_ji = bilinear_table(g, jm, ident)
-    t_ij = bilinear_table(g, ident, jm)
-    for i in range(g.dim):
-        for k in range(i + 1, g.dim):
-            n = vec_sub(t_jj[i][k], jm.apply(vec_add(t_ji[i][k], t_ij[i][k])))
-            n = vec_sub(n, g.c[i][k])
-            yield (i, k), n
+    """N(e_i, e_k) = [Je_i, Je_k] - [e_i, e_k] - J([Je_i, e_k] + [e_i, Je_k])
+    for i < k, one contraction per pair, none for a pair whose brackets are
+    all zero."""
+    n, gs, js = g.dim, g.split(), j.matrix.split()
+    t_jj = bilinear_table(g, j.matrix, j.matrix)
+    for i, k in combinations(range(n), 2):
+        dt, tw = _twist(gs, js, i, k)
+        yield (i, k), _combine_nonzero(dt, [(dt, _nonzeros(t_jj[i][k])), (-dt, gs[i][k])]
+                                       + [(-c, js[t]) for t, c in tw], n)
 
 
 def is_integrable(g, j) -> bool:
@@ -105,15 +122,13 @@ def abelian_cs_report(g, j) -> AbelianReport:
     jgp = gp.image(j.matrix)
     gpj = gp.sum(jgp)
 
-    center_j_stable = z.image(j.matrix) == z
+    # the whole algebra is J-stable with no image to compute
+    center_j_stable = z.dim == g.dim or z.image(j.matrix) == z
 
-    ad_twist = True
-    for i in range(g.dim):
-        jei = j.matrix.column(i)
-        ei = tuple(rat(1) if k == i else rat(0) for k in range(g.dim))
-        if g.ad(jei) != -(g.ad(ei) @ j.matrix):
-            ad_twist = False
-            break
+    # ad_{Je_i} e_k + ad_{e_i} J e_k is antisymmetric in (i, k), so the
+    # pairs i < k decide it
+    gs, js = g.split(), j.matrix.split()
+    ad_twist = not any(_twist(gs, js, i, k)[1] for i, k in combinations(range(g.dim), 2))
 
     series = derived_and_central_series(g)
     gp_abelian = classify_subspace(g, gp).is_abelian_subspace

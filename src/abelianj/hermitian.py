@@ -269,11 +269,12 @@ def is_flat(g, conn: Connection) -> bool:
     return not any(any(col) for _, _, cols in _curvature_pairs(g, conn) for col in cols)
 
 
-def curvature_norm_sq(grid):
-    """Sum of squared entries over the whole grid; zero iff flat.  Blocks with
-    an empty kept split, such as curvature's shared zero block, are skipped."""
-    return norm_sq([e for row in grid for block in row if _live(block.split())
-                    for brow in block.rows for e in brow])
+def curvature_norm_sq(g, conn: Connection):
+    """Sum of squared entries of every R(e_i, e_j); zero iff flat.  Summed
+    straight from the columns of the pairs i < j and doubled, as
+    R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0."""
+    return 2 * norm_sq([e for _, _, cols in _curvature_pairs(g, conn)
+                        for col in cols for e in col])
 
 
 def apply_curvature(grid, x, y):
@@ -317,8 +318,11 @@ def _is_complex(conn: Connection, j: ComplexStructure) -> bool:
 
 
 def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
+    """T(Jx, Jy) = T(x, y); a zero torsion, as Levi-Civita's, is of type
+    (1,1) with no contraction."""
     t = torsion(g, conn)
-    return bilinear_table(t, j.matrix, j.matrix) == t
+    return all(is_zero_vec(v) for row in t for v in row) or \
+        bilinear_table(t, j.matrix, j.matrix) == t
 
 
 def connection_flags(g, j, metric, conn) -> ConnectionFlags:

@@ -4,16 +4,24 @@ c[i][j] is the coordinate vector of [e_i, e_j]; antisymmetry is enforced at
 construction (only i < j is taken as input, the rest is reflected).  Jacobi
 is NOT enforced at construction; check_jacobi reports the first violating
 triple, since several callers deliberately build non-Lie tensors to test it.
+
+The structure checks are contractions over the kept bracket split
+(linalg._combine), and a zero bracket costs none: bracket_span contracts
+only nonzero bracket slices, check_jacobi skips a triple whose three
+brackets are zero, center reads only the nonzero bracket rows and
+commutator_ideal only the nonzero brackets.  An algebra keeps its derived
+and lower central series once computed, as it keeps its split.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, _as_vector, basis_vec, bilinear,
-    contract, contract_splits, is_zero_vec, left_map, lin_comb, rat,
-    tensor_split, vec, vec_scale, vec_sub, zero_vec,
+    DimensionMismatch, Matrix, Subspace, _as_vector, _combine, _nonzeros,
+    basis_vec, bilinear, contract, contract_splits, is_zero_vec, left_map,
+    lin_comb, rat, tensor_split, vec, vec_scale, vec_sub, zero_vec,
 )
 
 
@@ -32,12 +40,13 @@ class HomWitness(NamedTuple):
 
 
 class LieAlgebra:
-    __slots__ = ("dim", "c", "basis_names", "_split")
+    __slots__ = ("dim", "c", "basis_names", "_split", "_series")
 
     def __init__(self, dim, brackets=None, basis_names=None):
         """brackets: {(i,j): value} for i<j; value is a dense vector or {k: scalar}."""
         self.dim = dim
         self._split = None
+        self._series = None
         table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), value in (brackets or {}).items():
             if not (0 <= i < j < dim):
@@ -102,32 +111,34 @@ class LieAlgebra:
 
 
 def check_jacobi(g) -> Optional[JacobiWitness]:
-    """None on pass, else the first lexicographic violating triple i<j<k."""
+    """None on pass, else the first lexicographic violating triple i<j<k.
+    A triple whose three brackets are zero has a zero residual and is
+    skipped without a contraction."""
     n = g.dim
     s = g.split()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                # [e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] - [e_j, [e_i, e_k]]
-                resid = contract_splits(
-                    [(1, s[j][k], s[i]), (1, s[i][j], s[k]), (-1, s[i][k], s[j])], n)
-                if not is_zero_vec(resid):
-                    return JacobiWitness((i, j, k), resid)
+    for i, j, k in combinations(range(n), 3):
+        if s[j][k][1] or s[i][j][1] or s[i][k][1]:
+            # [e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] - [e_j, [e_i, e_k]]
+            resid = contract_splits(
+                [(1, s[j][k], s[i]), (1, s[i][j], s[k]), (-1, s[i][k], s[j])], n)
+            if not is_zero_vec(resid):
+                return JacobiWitness((i, j, k), resid)
     return None
 
 
 def commutator_ideal(g) -> Subspace:
-    vecs = [g.c[i][j] for i in range(g.dim) for j in range(i + 1, g.dim)]
-    return Subspace(g.dim, vecs)
+    s = g.split()
+    return Subspace(g.dim, [g.c[i][j] for i, j in combinations(range(g.dim), 2)
+                            if s[i][j][1]])
 
 
 def center(g) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}, as a joint kernel."""
-    rows = []
-    for j in range(g.dim):
-        for k in range(g.dim):
-            rows.append(tuple(g.c[i][j][k] for i in range(g.dim)))
-    return Subspace(g.dim, Matrix(rows).kernel()) if rows else Subspace.whole(g.dim)
+    """{x : [x, e_j] = 0 for all j}, as the joint kernel of the rows
+    x -> [x, e_j]_k that are not zero."""
+    n, s = g.dim, g.split()
+    rows = [tuple(g.c[i][j][k] for i in range(n)) for j in range(n)
+            for k in sorted({k for row in s for k, _ in row[j][1]})]
+    return Subspace(n, Matrix(rows).kernel()) if rows else Subspace.whole(n)
 
 
 def center_of_subalgebra(g, u: Subspace) -> Subspace:
@@ -135,19 +146,37 @@ def center_of_subalgebra(g, u: Subspace) -> Subspace:
         raise PreconditionError("subspace is not closed under the bracket")
     if u.is_zero():
         return u
-    m = len(u.basis)
-    rows = []
-    tables = [[g.bracket(u.basis[a], u.basis[b]) for b in range(m)] for a in range(m)]
-    for b in range(m):
-        for k in range(g.dim):
-            rows.append(tuple(tables[a][b][k] for a in range(m)))
+    table = _brackets(g, u, u)
+    live = [b for b in range(len(table)) if any(row[b] for row in table)]
+    if not live:
+        return u        # every bracket reads only zero slices: u is abelian
+    # sum_a x_a u_a is central iff sum_a x_a [u_a, u_b] = 0 for every b
+    z = zero_vec(g.dim)
+    rows = [tuple((row[b] or z)[k] for row in table) for b in live for k in range(g.dim)]
     coeff_kernel = Matrix(rows).kernel()
     return Subspace(g.dim, [lin_comb(coeffs, u.basis, g.dim) for coeffs in coeff_kernel])
 
 
+def _brackets(g, u: Subspace, v: Subspace):
+    """[a, b] for the basis vectors a of u (rows) and b of v (columns).  Each
+    basis vector is split once, and a bracket contracts only the nonzero
+    bracket slices it reads; one that reads none is zero, given as None."""
+    n, s = g.dim, g.split()
+    vs = [_nonzeros(b) for b in v.basis]
+    table = []
+    for da, xs in map(_nonzeros, u.basis):
+        row = []
+        for db, ys in vs:
+            terms = [(x * y, s[p][q]) for p, x in xs for q, y in ys if s[p][q][1]]
+            row.append(_combine(da * db, terms, n) if terms else None)
+        table.append(row)
+    return table
+
+
 def bracket_span(g, u: Subspace, v: Subspace) -> Subspace:
-    vecs = [g.bracket(a, b) for a in u.basis for b in v.basis]
-    return Subspace(g.dim, vecs)
+    """Span of the brackets [a, b] of the two bases, from _brackets: a
+    bracket that reads only zero slices adds nothing."""
+    return Subspace(g.dim, [w for row in _brackets(g, u, v) for w in row if w is not None])
 
 
 def centralizer(g, u: Subspace) -> Subspace:
@@ -173,6 +202,13 @@ class SeriesReport(NamedTuple):
 
 
 def derived_and_central_series(g) -> SeriesReport:
+    """Both series, computed on first use and kept on the algebra."""
+    if g._series is None:
+        g._series = _series(g)
+    return g._series
+
+
+def _series(g) -> SeriesReport:
     whole = Subspace.whole(g.dim)
     derived = [whole]
     while True:

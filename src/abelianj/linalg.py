@@ -11,10 +11,12 @@ arithmetic on integer numerators, chiefly in two routines:
   over one common denominator and normalises each output entry once into a
   Fraction.  Matrix products, matrix-vector products, linear combinations,
   Jacobi residuals, every bilinear product of a rank-3 tensor (bracket,
-  commutative product, connection, bilinear tables) and the Hermitian
+  commutative product, connection, bilinear tables), the structure layer
+  (bracket spans, the ad-twist and Nijenhuis residuals) and the Hermitian
   layer (curvature, the Koszul solve, torsion, the metric and complex flag
   residuals, the complex projection) run through it; a dot product or a
-  sum of squares is one integer sum over the same splits.
+  sum of squares is one integer sum over the same splits.  A contraction
+  with only zero splits to read is not made (_combine_nonzero).
 * _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
   1968) on integer rows, exact divisions only.  Reduced row echelon form,
   rank, kernel, solve, inverse, det and leading principal minors all read
@@ -23,8 +25,9 @@ arithmetic on integer numerators, chiefly in two routines:
 Split-cache invariant: an immutable operand keeps its split.  A Matrix
 keeps the split of each column (the image of each basis vector), and a
 LieAlgebra, CommAssocAlgebra or Connection the split of each slice of its
-tensor.  Each is computed on first use and stored in a slot on the object,
-so it lives and dies with the object.  Outside the two routines every
+tensor (a LieAlgebra also keeps its derived and lower central series).
+Each is computed on first use and stored in a slot on the object, so it
+lives and dies with the object.  Outside the two routines every
 entry is a normalised Fraction.  Subspaces are kept in reduced row echelon
 form so equality is syntactic.
 """
@@ -145,6 +148,15 @@ def _combine(den, terms, n, keep_split=False):
     return tuple(Fraction(a, den) if a else ZERO for a in out)
 
 
+def _combine_nonzero(den, terms, n, keep_split=False):
+    """_combine over the terms whose split is nonempty, with no call when
+    there is none: then the zero vector, or with keep_split the empty split."""
+    terms = [t for t in terms if t[1][1]]
+    if terms:
+        return _combine(den, terms, n, keep_split)
+    return (1, []) if keep_split else zero_vec(n)
+
+
 def vec_dot(u, v):
     _same_length(u, v)
     du, nz = _nonzeros(u)
@@ -159,7 +171,7 @@ def norm_sq(v):
 
 
 def is_zero_vec(v):
-    return all(a == 0 for a in v)
+    return not any(a is not ZERO and a for a in v)
 
 
 def lin_comb(coeffs, vectors, n):
@@ -208,11 +220,12 @@ def bilinear_table(split, a, b):
 
     Two contractions through the columns' splits, O(dim^4): first
     T(e_p, B e_j) for every p and j, kept as unnormalised splits, then
-    their combinations by the columns of A."""
+    their combinations by the columns of A.  Zero slices and zero
+    first-stage values take no part, so a zero tensor costs no contraction."""
     n = len(split)
-    first = [[_combine(d, [(c, split[p][q]) for q, c in nz], n, keep_split=True)
+    first = [[_combine_nonzero(d, [(c, split[p][q]) for q, c in nz], n, keep_split=True)
               for p in range(n)] for d, nz in b.split()]
-    return tuple(tuple(_combine(d, [(c, fj[p]) for p, c in nz], n) for fj in first)
+    return tuple(tuple(_combine_nonzero(d, [(c, fj[p]) for p, c in nz], n) for fj in first)
                  for d, nz in a.split())
 
 
@@ -269,9 +282,9 @@ def _eliminate(rows, ncols):
 
 
 def _int_rows(rows):
-    """Each row as integer numerators over its own lcm (scaling a row
-    changes no reduced echelon form)."""
-    return [_over_lcm(row)[1] for row in rows]
+    """Each nonzero row as integer numerators over its own lcm: scaling a
+    row changes no reduced echelon form, and a zero row adds nothing to it."""
+    return [_over_lcm(row)[1] for row in rows if not is_zero_vec(row)]
 
 
 def _rref(rows, ncols):

@@ -18,8 +18,7 @@ from abelianj.constructions import (
     witness_check,
 )
 from abelianj.hermitian import (
-    curvature, curvature_norm_sq, d_omega, first_canonical, is_kahler,
-    sectional_curvature,
+    curvature_norm_sq, d_omega, first_canonical, is_kahler, sectional_curvature,
 )
 from abelianj.lab import (
     THEOREM_NAMES, kahler_decompose, random_kahler_instance, random_pair,
@@ -168,10 +167,9 @@ def test_criterion_6_rigidity(fixtures_dir, suite_report):
         assert suite_report.counterexamples == []
         # non-flat witnesses: both fixtures carry nonzero exact curvature
         t = load_triple(fixtures_dir, "aff_c_j1.json")
-        assert curvature_norm_sq(curvature(t.algebra, first_canonical(t))) == 6
+        assert curvature_norm_sq(t.algebra, first_canonical(t)) == 6
         nil = load_triple(fixtures_dir, "nilpotent_step3.json")
-        assert curvature_norm_sq(
-            curvature(nil.algebra, first_canonical(nil))) == rat(67, 8)
+        assert curvature_norm_sq(nil.algebra, first_canonical(nil)) == rat(67, 8)
 
 
 def test_criterion_7_kahler_decomposition(suite_report):

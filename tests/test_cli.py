@@ -73,6 +73,25 @@ def test_check_require_pass_and_fail(fixtures_dir, capsys):
                  "--require", "nilpotent"]) == 1
 
 
+def test_check_bracket_free_instance(tmp_path, capsys):
+    path = tmp_path / "flat16.json"
+    serialize.save_instance(str(path), LieAlgebra.abelian(16),
+                            standard_complex_structure(8), InnerProduct.identity(16))
+    assert main(["check", "--json", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["center_dim"], data["commutator_dim"]) == (16, 0)
+    assert all(data["series"].values()) and data["unimodular"]
+    assert data["J"]["integrable"] and data["J"]["abelian"]
+    assert all(data["J"]["report"].values()) and len(data["J"]["report"]) == 5
+    assert data["metric"] == {"hermitian": True, "kahler": True}
+    zero = [[["0"] * 16] * 16] * 16
+    for conn in data["connections"].values():
+        assert conn["tensor"] == zero
+        assert conn["curvature_norm_sq"] == "0"
+        assert all(conn["flags"].values()) and len(conn["flags"]) == 3
+    assert set(data["connections"]) == {"levi_civita", "first_canonical"}
+
+
 def test_check_missing_parts(tmp_path, capsys):
     bare = tmp_path / "bare.json"
     serialize.save_instance(str(bare), LieAlgebra(2, {(0, 1): {1: 1}}))

@@ -1,7 +1,8 @@
 """The contraction kernel and the fraction-free elimination against plain
-references: bilinear products and the Hermitian layer (curvature, Koszul,
-torsion, flag residuals, complex projection) against dense Fraction
-formulas, elimination results against sympy."""
+references: bilinear products, the structure layer (bracket spans, center,
+series, Jacobi, the ad-twist and Nijenhuis tensor) and the Hermitian layer
+(curvature, Koszul, torsion, flag residuals, complex projection) against
+dense Fraction formulas, elimination results against sympy."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,16 +11,20 @@ import pytest
 import sympy
 
 from abelianj.assoc import CommAssocAlgebra, check_axioms, check_compatibility
-from abelianj import hermitian
+from abelianj import complex_structures, hermitian, lie, linalg
+from abelianj.complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import (
     Connection, HermitianTriple, InnerProduct, NotPositiveDefiniteError,
-    complex_projection, curvature, first_canonical, first_canonical_pairing,
-    is_flat, levi_civita, torsion,
+    complex_projection, curvature, curvature_norm_sq, first_canonical,
+    first_canonical_pairing, is_flat, levi_civita, torsion,
 )
 from abelianj.lab import FAMILIES, random_instance, random_kahler_instance
-from abelianj.lie import LieAlgebra, bilinear_table, check_jacobi
-from abelianj.linalg import Matrix, SingularMatrix, basis_vec, norm_sq
+from abelianj.lie import (
+    LieAlgebra, bilinear_table, bracket_span, center, center_of_subalgebra,
+    check_jacobi, commutator_ideal, derived_and_central_series,
+)
+from abelianj.linalg import Matrix, SingularMatrix, Subspace, basis_vec, norm_sq
 
 
 def _scalar(rng):
@@ -453,6 +458,9 @@ def test_hermitian_layer_matches_fraction_reference():
                 [list(row) for row in ref]
             assert is_flat(g, conn) == all(not any(map(any, cell)) for row in ref
                                            for cell in row)
+            assert curvature_norm_sq(g, conn) == sum(
+                (x * x for row in grid for cell in row for r in cell.rows for x in r),
+                Fraction(0))
             assert torsion(g, conn) == _ref_torsion(g, conn)
             flags = (hermitian._is_metric(conn, metric), hermitian._is_complex(conn, t.j))
             assert flags == (_ref_is_metric(conn, metric), _ref_is_complex(conn, jm))
@@ -476,7 +484,9 @@ def test_heisenberg_pair_with_zero_operators_is_curved():
     assert not is_flat(g, conn)
 
 
-def test_zero_operators_cost_no_contraction(monkeypatch):
+def _count_contractions(monkeypatch):
+    """Names of the contract_splits and _combine calls made from now on,
+    through linalg or any layer that imported them."""
     calls = []
 
     def counted(fn):
@@ -485,8 +495,15 @@ def test_zero_operators_cost_no_contraction(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("contract_splits", "_combine"):
-        monkeypatch.setattr(hermitian, name, counted(getattr(hermitian, name)))
+    for mod in (linalg, lie, complex_structures, hermitian):
+        for name in ("contract_splits", "_combine"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    return calls
+
+
+def test_zero_operators_cost_no_contraction(monkeypatch):
+    calls = _count_contractions(monkeypatch)
     g = LieAlgebra.abelian(12)
     zero = Connection.zero(12)
     grid = curvature(g, zero)
@@ -497,3 +514,144 @@ def test_zero_operators_cost_no_contraction(monkeypatch):
     aff = LieAlgebra(2, {(0, 1): {1: 1}})
     assert not is_flat(aff, levi_civita(aff, InnerProduct.identity(2)))
     assert "contract_splits" in calls
+
+
+def test_zero_brackets_cost_no_contraction(monkeypatch):
+    calls = _count_contractions(monkeypatch)
+
+    def structure(g, j):
+        whole = Subspace.whole(g.dim)
+        lc = levi_civita(g, InnerProduct.identity(g.dim))
+        calls.clear()
+        return (check_jacobi(g), bracket_span(g, whole, whole), center(g),
+                commutator_ideal(g), abelian_cs_report(g, j).all_hold,
+                curvature_norm_sq(g, lc), curvature_norm_sq(g, Connection.zero(g.dim)))
+
+    g, j = LieAlgebra.abelian(12), standard_complex_structure(6)
+    assert structure(g, j) == (None, Subspace.zero(12), Subspace.whole(12),
+                               Subspace.zero(12), True, 0, 0)
+    assert calls == []
+    # h3 + R with [e1, e3] = e2, on which the standard J is abelian
+    assert structure(LieAlgebra(4, {(0, 2): {1: 1}}), standard_complex_structure(2))[4]
+    assert "contract_splits" in calls and "_combine" in calls
+
+
+# ---- the structure layer against its dense Fraction formulas ----
+
+def _ref_span(n, vectors):
+    """Reduced echelon basis of the span, from sympy."""
+    rows = [v for v in vectors if any(v)]
+    if not rows:
+        return ()
+    ref, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
+                                for v in rows]).rref()
+    return tuple(tuple(_frac(ref[r, c]) for c in range(n)) for r in range(len(pivots)))
+
+
+def _ref_bracket_span(g, u, v):
+    return _ref_span(g.dim, [_ref_bilinear(g.c, a, b) for a in u for b in v])
+
+
+def _ref_center(g):
+    """Joint kernel of the rows x -> [x, e_j]_k, from sympy."""
+    n = g.dim
+    rows = [[g.c[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+    kernel = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                           for r in rows]).nullspace()
+    return _ref_span(n, [tuple(_frac(x) for x in v) for v in kernel])
+
+
+def _ref_center_of(g, basis):
+    """{sum_a x_a u_a : sum_a x_a [u_a, u_b] = 0 for every b}, from sympy."""
+    n, m = g.dim, len(basis)
+    table = [[_ref_bilinear(g.c, a, b) for b in basis] for a in basis]
+    rows = [[table[a][b][k] for a in range(m)] for b in range(m) for k in range(n)]
+    kernel = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                           for r in rows]).nullspace()
+    return _ref_span(n, [tuple(sum((_frac(c) * u[k] for c, u in zip(v, basis)), Fraction(0))
+                               for k in range(n)) for v in kernel])
+
+
+def _ref_series(g, first):
+    """[whole, ...] with next = span [first(previous), previous], stopping
+    when a term repeats or reaches zero."""
+    n = g.dim
+    out = [tuple(basis_vec(n, i) for i in range(n))]
+    while True:
+        nxt = _ref_bracket_span(g, first(out[-1]), out[-1])
+        if nxt == out[-1]:
+            return out
+        out.append(nxt)
+        if not nxt:
+            return out
+
+
+def _ref_ad(g, x):
+    """Rows of the matrix y -> [x, y]."""
+    n = g.dim
+    cols = [_ref_bilinear(g.c, x, basis_vec(n, k)) for k in range(n)]
+    return [[cols[k][r] for k in range(n)] for r in range(n)]
+
+
+def _ref_ad_twist(g, jm):
+    """ad_{Je_i} = -ad_{e_i} J for every i."""
+    n, jr = g.dim, _rows(jm)
+    return all(_ref_ad(g, jm.column(i)) ==
+               [[-x for x in row] for row in _mm(_ref_ad(g, basis_vec(n, i)), jr)]
+               for i in range(n))
+
+
+def _ref_nijenhuis(g, jm, i, k):
+    """[Je_i, Je_k] - J[Je_i, e_k] - J[e_i, Je_k] - [e_i, e_k]."""
+    n, jr = g.dim, _rows(jm)
+    ei, ek, ji, jk = basis_vec(n, i), basis_vec(n, k), jm.column(i), jm.column(k)
+    twist = [a + b for a, b in zip(_ref_bilinear(g.c, ji, ek), _ref_bilinear(g.c, ei, jk))]
+    jt = _mm(jr, [[x] for x in twist])
+    return tuple(a - b[0] - c for a, b, c in zip(_ref_bilinear(g.c, ji, jk), jt, g.c[i][k]))
+
+
+def test_structure_layer_matches_fraction_reference():
+    cases = [(t.algebra, t.j) for t in _hermitian_cases()]
+    # not Jacobi: the triples before (1, 2, 3) are zero or read zero brackets
+    cases.append((LieAlgebra(6, {(2, 3): {4: 1}, (1, 4): {5: Fraction(2, 3)}}),
+                  standard_complex_structure(3)))
+    twists = set()
+    for g, j in cases:
+        n, jm = g.dim, j.matrix
+        whole = Subspace.whole(n)
+        witness = check_jacobi(g)
+        assert (witness and tuple(witness)) == _ref_jacobi(g)
+        if witness:
+            assert witness.triple == (1, 2, 3)
+            continue
+        assert bracket_span(g, whole, whole).basis == _ref_bracket_span(g, whole.basis, whole.basis)
+        gp = commutator_ideal(g)
+        assert gp.basis == _ref_span(n, [g.c[i][k] for i in range(n) for k in range(n)])
+        assert bracket_span(g, gp, gp).basis == _ref_bracket_span(g, gp.basis, gp.basis)
+        assert bracket_span(g, whole, gp).basis == _ref_bracket_span(g, whole.basis, gp.basis)
+        assert center(g).basis == _ref_center(g)
+        for sub in (whole, gp, complex_structures.j_stable_commutator(g, j)):
+            assert center_of_subalgebra(g, sub).basis == _ref_center_of(g, sub.basis)
+        series = derived_and_central_series(g)
+        assert series is derived_and_central_series(g)
+        assert [s.basis for s in series.derived] == _ref_series(g, lambda prev: prev)
+        assert [s.basis for s in series.lower_central] == \
+            _ref_series(g, lambda prev: whole.basis)
+        gs, js = g.split(), jm.split()
+        for i in range(n):
+            for k in range(n):
+                d, nz = complex_structures._twist(gs, js, i, k)
+                twist = tuple(a + b for a, b in zip(_ref_bilinear(g.c, jm.column(i), basis_vec(n, k)),
+                                                    _ref_bilinear(g.c, basis_vec(n, i), jm.column(k))))
+                assert [(t, Fraction(a, d)) for t, a in nz] == \
+                    [(t, x) for t, x in enumerate(twist) if x]
+                twists.add(any(twist))
+        table = dict(complex_structures._nijenhuis_table(g, j))
+        assert table == {(i, k): _ref_nijenhuis(g, jm, i, k)
+                         for i in range(n) for k in range(i + 1, n)}
+        assert all(_normalised(v) for v in table.values())
+        assert is_integrable(g, j) == all(not any(v) for v in table.values())
+        if is_abelian_cs(g, j):
+            assert abelian_cs_report(g, j).ad_twist == _ref_ad_twist(g, jm) is True
+    # zero and nonzero twists both occur
+    assert twists == {True, False}
