@@ -6,6 +6,7 @@ or validation failed, 2 the input was malformed or missing a needed field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -263,7 +264,9 @@ def run_report(args) -> int:
     return PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every main call."""
     ap = argparse.ArgumentParser(
         prog="abelianj",
         description="Exact computations on Lie algebras with abelian complex "

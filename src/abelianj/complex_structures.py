@@ -18,7 +18,7 @@ from .linalg import (
 from .lie import (
     LieAlgebra, PreconditionError, bilinear_table, center, center_of_subalgebra,
     classify_subspace, commutator_ideal, derived_and_central_series,
-    is_homomorphism,
+    is_isomorphism,
 )
 
 
@@ -155,16 +155,10 @@ class HolomorphicPair:
 
 
 def is_holomorphic_iso(pair: HolomorphicPair) -> bool:
-    """Invertible + Lie homomorphism + J-equivariant, all exact."""
+    """J-equivariant Lie isomorphism, all exact."""
     m = pair.map
     if m.nrows != pair.target.dim or m.ncols != pair.source.dim:
         raise DimensionMismatch("map shape does not match source/target")
-    if pair.source.dim != pair.target.dim:
-        return False
-    try:
-        m.inverse()
-    except Exception:
-        return False
     if (m @ pair.source_j.matrix) != (pair.target_j.matrix @ m):
         return False
-    return is_homomorphism(m, pair.source, pair.target)
+    return is_isomorphism(m, pair.source, pair.target)

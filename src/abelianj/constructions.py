@@ -20,8 +20,9 @@ from .complex_structures import (
     ComplexStructure, HolomorphicPair, is_abelian_cs, is_holomorphic_iso,
 )
 from .lie import (
-    LieAlgebra, PreconditionError, center, centralizer, check_jacobi,
-    classify_subspace, commutator_ideal, derived_and_central_series,
+    LieAlgebra, PreconditionError, bracket_span, center, centralizer,
+    check_jacobi, classify_subspace, commutator_ideal,
+    derived_and_central_series,
 )
 from .linalg import (
     Matrix, SingularMatrix, Subspace, basis_vec, is_zero_vec, rat, vec_add,
@@ -137,13 +138,17 @@ def witness_check(g, j, u: Subspace) -> bool:
     ju = u.image(j.matrix)
     if not u.intersect(ju).is_zero() or u.dim + ju.dim != g.dim:
         return False
-    for half in (u, ju):
-        basis = half.basis
-        for p in range(len(basis)):
-            for q in range(p + 1, len(basis)):
-                if not is_zero_vec(g.bracket(basis[p], basis[q])):
-                    return False
-    return True
+    return all(bracket_span(g, half, half).is_zero() for half in (u, ju))
+
+
+def _half_coordinates(g, j, v: Subspace):
+    """(P, {(i, k): coordinates of [J v_i, v_k] in the columns of P}) for
+    i <= k, P the basis [v | Jv] of g."""
+    jv = [j.apply(b) for b in v.basis]
+    p = Matrix.from_columns(list(v.basis) + jv)
+    pinv = p.inverse()
+    return p, {(i, k): pinv.apply(g.bracket(jv[i], v.basis[k]))
+               for i in range(v.dim) for k in range(i, v.dim)}
 
 
 class ExtractedProducts(NamedTuple):
@@ -165,22 +170,9 @@ def extract_products(g, j, u: Subspace) -> ExtractedProducts:
     if not witness_check(g, j, u):
         raise PreconditionError("need g = u (+) Ju with both halves abelian subalgebras")
     m = u.dim
-    p = Matrix.from_columns(list(u.basis) + [j.apply(b) for b in u.basis])
-    pinv = p.inverse()
-    dot_products = {}
-    star_products = {}
-    for i in range(m):
-        jui = j.apply(u.basis[i])
-        for k in range(i, m):
-            w = pinv.apply(g.bracket(jui, u.basis[k]))
-            star_c = {idx: c for idx, c in enumerate(w[:m]) if c != 0}
-            dot_c = {idx: -c for idx, c in enumerate(w[m:]) if c != 0}
-            if star_c:
-                star_products[(i, k)] = star_c
-            if dot_c:
-                dot_products[(i, k)] = dot_c
-    dot = CommAssocAlgebra(m, dot_products)
-    star = CommAssocAlgebra(m, star_products)
+    p, coords = _half_coordinates(g, j, u)
+    dot = CommAssocAlgebra(m, {ik: vec_scale(rat(-1), w[m:]) for ik, w in coords.items()})
+    star = CommAssocAlgebra(m, {ik: w[:m] for ik, w in coords.items()})
     assert check_axioms(dot) is None and check_axioms(star) is None
     assert check_compatibility(dot, star) is None
     model = double_product(dot, star)
@@ -199,21 +191,13 @@ class AffModel(NamedTuple):
 def _aff_model(g, j, v: Subspace) -> AffModel:
     """Build the affine model over the half v; requires [Jv, v] inside v."""
     m = v.dim
-    p = Matrix.from_columns(list(v.basis) + [j.apply(b) for b in v.basis])
-    pinv = p.inverse()
-    products = {}
-    for i in range(m):
-        jvi = j.apply(v.basis[i])
-        for k in range(i, m):
-            w = pinv.apply(g.bracket(jvi, v.basis[k]))
-            if any(c != 0 for c in w[m:]):
-                raise ConstructionError(
-                    "product leaves the abelian half",
-                    "bracket [J v_%d, v_%d] has a J-half component" % (i + 1, k + 1))
-            coeffs = {idx: c for idx, c in enumerate(w[:m]) if c != 0}
-            if coeffs:
-                products[(i, k)] = coeffs
-    alg = CommAssocAlgebra(m, products)
+    coords = _half_coordinates(g, j, v)[1]
+    for (i, k), w in coords.items():
+        if not is_zero_vec(w[m:]):
+            raise ConstructionError(
+                "product leaves the abelian half",
+                "bracket [J v_%d, v_%d] has a J-half component" % (i + 1, k + 1))
+    alg = CommAssocAlgebra(m, {ik: w[:m] for ik, w in coords.items()})
     wit = check_axioms(alg)
     if wit is not None:
         raise ConstructionError("recovered product fails " + wit.kind)

@@ -29,7 +29,7 @@ from .lie import (
     LieAlgebra, PreconditionError, center, check_jacobi, classify_subspace,
     commutator_ideal, derived_and_central_series, is_unimodular, pushforward,
 )
-from .linalg import Matrix, Subspace, basis_vec, rat, vec
+from .linalg import Matrix, Subspace, basis_vec, bilinear_table, lin_comb, rat, vec
 
 FAMILIES = ("trivial-star", "equal-products", "diagonal-pair")
 
@@ -158,11 +158,7 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
         if len(idem.idempotents) != n:
             raise DecomposeError(6, "idempotent count differs from the commutator dimension")
 
-        raw = []
-        for e in idem.idempotents:
-            raw.append(vec(tuple(
-                sum((ca * basis[a][r] for a, ca in enumerate(e)), rat(0))
-                for r in range(g.dim))))
+        raw = [lin_comb(e, basis, g.dim) for e in idem.idempotents]
         # deterministic order: descending norm, then coordinates
         raw.sort(key=lambda v: (-metric.eval(v, v), v))
 
@@ -252,12 +248,9 @@ def random_unimodular(rng, n, steps=None) -> Matrix:
 def conjugate_product(alg: CommAssocAlgebra, q: Matrix) -> CommAssocAlgebra:
     """Same product in the basis given by the columns of q."""
     qinv = q.inverse()
-    tab = {}
-    for i in range(alg.dim):
-        xi = qinv.column(i)
-        for k in range(i, alg.dim):
-            tab[(i, k)] = vec(q.apply(alg.multiply(xi, qinv.column(k))))
-    return CommAssocAlgebra(alg.dim, tab)
+    raw = bilinear_table(alg.split(), qinv, qinv)
+    return CommAssocAlgebra(alg.dim, {(i, k): q.apply(raw[i][k]) for i in range(alg.dim)
+                                      for k in range(i, alg.dim)})
 
 
 def _random_block_algebra(rng, dim) -> CommAssocAlgebra:
@@ -387,13 +380,7 @@ def random_kahler_instance(seed, max_dim=12) -> KahlerSample:
         rows[2 * i][2 * i] = r2
         rows[2 * i + 1][2 * i + 1] = r2
     if s:
-        zj = _standard_block_j(s)
-        a = Matrix([[rat(rng.randint(-2, 2)) for _ in range(2 * s)]
-                    for _ in range(2 * s)])
-        h0 = (a.transpose() @ a) + Matrix(
-            [[rat(rng.randint(1, 4)) if r == c else rat(0) for c in range(2 * s)]
-             for r in range(2 * s)])
-        h = (h0 + (zj.transpose() @ h0) @ zj).scale(rat(1, 2))
+        h = random_hermitian_metric(rng, ComplexStructure(_standard_block_j(s))).gram
         for r in range(2 * s):
             for c in range(2 * s):
                 rows[2 * n + r][2 * n + c] = h.rows[r][c]

@@ -8,9 +8,12 @@ triple, since several callers deliberately build non-Lie tensors to test it.
 The structure checks are contractions over the kept bracket split
 (linalg._combine), and a zero bracket costs none: bracket_span contracts
 only nonzero bracket slices, check_jacobi skips a triple whose three
-brackets are zero, center reads only the nonzero bracket rows and
-commutator_ideal only the nonzero brackets.  An algebra keeps its derived
-and lower central series once computed, as it keeps its split.
+brackets are zero and commutator_ideal reads only the nonzero brackets.
+center, centralizer and center_of_subalgebra are one centralizer kernel
+(_annihilator) of a bracket table that holds only the nonzero brackets:
+the kept slices c[i][j] for center, _brackets for the other two.  An
+algebra keeps its derived and lower central series once computed, as it
+keeps its split.
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, _as_vector, _combine, _nonzeros,
-    basis_vec, bilinear, contract, contract_splits, is_zero_vec, left_map,
+    DimensionMismatch, Matrix, SingularMatrix, Subspace, _as_vector, _combine,
+    _nonzeros, bilinear, contract, contract_splits, is_zero_vec, left_map,
     lin_comb, rat, tensor_split, vec, vec_scale, vec_sub, zero_vec,
 )
 
@@ -133,28 +136,35 @@ def commutator_ideal(g) -> Subspace:
 
 
 def center(g) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}, as the joint kernel of the rows
-    x -> [x, e_j]_k that are not zero."""
-    n, s = g.dim, g.split()
-    rows = [tuple(g.c[i][j][k] for i in range(n)) for j in range(n)
-            for k in sorted({k for row in s for k, _ in row[j][1]})]
-    return Subspace(n, Matrix(rows).kernel()) if rows else Subspace.whole(n)
+    """{x : [x, e_j] = 0 for all j}, from the kept bracket slices."""
+    s = g.split()
+    table = [[v if sv[1] else None for v, sv in zip(row, srow)] for row, srow in zip(g.c, s)]
+    return _annihilator(g, Subspace.whole(g.dim), table)
+
+
+def centralizer(g, u: Subspace) -> Subspace:
+    """{x : [x, u] = 0 for all u in the subspace}."""
+    whole = Subspace.whole(g.dim)
+    return _annihilator(g, whole, _brackets(g, whole, u))
 
 
 def center_of_subalgebra(g, u: Subspace) -> Subspace:
     if not classify_subspace(g, u).is_subalgebra:
         raise PreconditionError("subspace is not closed under the bracket")
-    if u.is_zero():
-        return u
-    table = _brackets(g, u, u)
-    live = [b for b in range(len(table)) if any(row[b] for row in table)]
+    return _annihilator(g, u, _brackets(g, u, u))
+
+
+def _annihilator(g, u: Subspace, table):
+    """The one centralizer kernel: {sum_a x_a u_a : sum_a x_a table[a][b] = 0
+    for every column b}, where table[a][b] is a bracket of the basis vector
+    u_a, or None when it reads only zero slices.  u itself when no column
+    holds a bracket, the table having no row included."""
+    live = [col for col in zip(*table) if any(w is not None for w in col)]
     if not live:
-        return u        # every bracket reads only zero slices: u is abelian
-    # sum_a x_a u_a is central iff sum_a x_a [u_a, u_b] = 0 for every b
+        return u
     z = zero_vec(g.dim)
-    rows = [tuple((row[b] or z)[k] for row in table) for b in live for k in range(g.dim)]
-    coeff_kernel = Matrix(rows).kernel()
-    return Subspace(g.dim, [lin_comb(coeffs, u.basis, g.dim) for coeffs in coeff_kernel])
+    rows = [r for col in live for r in zip(*[w or z for w in col])]
+    return Subspace(g.dim, [lin_comb(c, u.basis, g.dim) for c in Matrix(rows).kernel()])
 
 
 def _brackets(g, u: Subspace, v: Subspace):
@@ -177,19 +187,6 @@ def bracket_span(g, u: Subspace, v: Subspace) -> Subspace:
     """Span of the brackets [a, b] of the two bases, from _brackets: a
     bracket that reads only zero slices adds nothing."""
     return Subspace(g.dim, [w for row in _brackets(g, u, v) for w in row if w is not None])
-
-
-def centralizer(g, u: Subspace) -> Subspace:
-    """{x : [x, u] = 0 for all u in the subspace}."""
-    if u.is_zero():
-        return Subspace.whole(g.dim)
-    rows = []
-    for b in u.basis:
-        adb = g.ad(b)
-        for k in range(g.dim):
-            # [x, b]_k = -[b, x]_k
-            rows.append(adb.rows[k])
-    return Subspace(g.dim, Matrix(rows).kernel())
 
 
 class SeriesReport(NamedTuple):
@@ -237,7 +234,8 @@ def _series(g) -> SeriesReport:
 
 
 def is_unimodular(g) -> bool:
-    return all(g.ad(basis_vec(g.dim, i)).trace() == 0 for i in range(g.dim))
+    """tr ad_{e_i} = sum_k c[i][k][k] vanishes for every i."""
+    return all(sum(row[k][k] for k in range(g.dim)) == 0 for row in g.c)
 
 
 class SubspaceRole(NamedTuple):
@@ -278,22 +276,16 @@ def pushforward(g, p: Matrix) -> LieAlgebra:
 
 
 def direct_sum(g1, g2) -> LieAlgebra:
-    n1, n2 = g1.dim, g2.dim
     brackets = {}
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            v = g1.c[i][j]
-            if not is_zero_vec(v):
-                brackets[(i, j)] = tuple(v) + zero_vec(n2)
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            v = g2.c[i][j]
-            if not is_zero_vec(v):
-                brackets[(n1 + i, n1 + j)] = zero_vec(n1) + tuple(v)
+    for off, h in ((0, g1), (g1.dim, g2)):
+        for i, j in combinations(range(h.dim), 2):
+            value = {off + k: c for k, c in enumerate(h.c[i][j]) if c}
+            if value:
+                brackets[(off + i, off + j)] = value
     names = tuple(g1.basis_names) + tuple(g2.basis_names)
     if len(set(names)) != len(names):
         names = None
-    return LieAlgebra(n1 + n2, brackets, names)
+    return LieAlgebra(g1.dim + g2.dim, brackets, names)
 
 
 def is_homomorphism(phi: Matrix, g1, g2, witness=False):
@@ -314,6 +306,6 @@ def is_isomorphism(phi: Matrix, g1, g2) -> bool:
         return False
     try:
         phi.inverse()
-    except Exception:
+    except (SingularMatrix, DimensionMismatch):
         return False
     return is_homomorphism(phi, g1, g2)

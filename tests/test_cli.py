@@ -73,6 +73,15 @@ def test_check_require_pass_and_fail(fixtures_dir, capsys):
                  "--require", "nilpotent"]) == 1
 
 
+def test_check_require_does_not_leak_between_calls(fixtures_dir, capsys):
+    # the parser is built once per process; the --require default stays empty
+    path = fx(fixtures_dir, "aff_c_j1.json")
+    assert main(["check", "--json", path, "--require", "kahler"]) == 1
+    assert json.loads(capsys.readouterr().out)["required"] == {"kahler": False}
+    assert main(["check", "--json", path]) == 0
+    assert json.loads(capsys.readouterr().out)["required"] == {}
+
+
 def test_check_bracket_free_instance(tmp_path, capsys):
     path = tmp_path / "flat16.json"
     serialize.save_instance(str(path), LieAlgebra.abelian(16),

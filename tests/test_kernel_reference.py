@@ -1,6 +1,7 @@
 """The contraction kernel and the fraction-free elimination against plain
 references: bilinear products, the structure layer (bracket spans, center,
-series, Jacobi, the ad-twist and Nijenhuis tensor) and the Hermitian layer
+centralizers, series, Jacobi, unimodularity, the ad-twist and Nijenhuis
+tensor) and the Hermitian layer
 (curvature, Koszul, torsion, flag residuals, complex projection) against
 dense Fraction formulas, elimination results against sympy."""
 import random
@@ -22,7 +23,8 @@ from abelianj.hermitian import (
 from abelianj.lab import FAMILIES, random_instance, random_kahler_instance
 from abelianj.lie import (
     LieAlgebra, bilinear_table, bracket_span, center, center_of_subalgebra,
-    check_jacobi, commutator_ideal, derived_and_central_series,
+    centralizer, check_jacobi, commutator_ideal, derived_and_central_series,
+    is_unimodular,
 )
 from abelianj.linalg import Matrix, SingularMatrix, Subspace, basis_vec, norm_sq
 
@@ -593,6 +595,22 @@ def _ref_ad(g, x):
     return [[cols[k][r] for k in range(n)] for r in range(n)]
 
 
+def _ref_centralizer(g, basis):
+    """Joint kernel of the rows of ad_b for b in the basis, from sympy."""
+    n = g.dim
+    rows = [r for b in basis for r in _ref_ad(g, b)]
+    kernel = sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator)
+                                         for r in rows for x in r]).nullspace()
+    return _ref_span(n, [tuple(_frac(x) for x in v) for v in kernel])
+
+
+def _ref_unimodular(g):
+    """tr ad_{e_i} = 0 for every i, from the dense ad matrices."""
+    n = g.dim
+    return all(sum(ad[r][r] for r in range(n)) == 0
+               for ad in (_ref_ad(g, basis_vec(n, i)) for i in range(n)))
+
+
 def _ref_ad_twist(g, jm):
     """ad_{Je_i} = -ad_{e_i} J for every i."""
     n, jr = g.dim, _rows(jm)
@@ -615,7 +633,7 @@ def test_structure_layer_matches_fraction_reference():
     # not Jacobi: the triples before (1, 2, 3) are zero or read zero brackets
     cases.append((LieAlgebra(6, {(2, 3): {4: 1}, (1, 4): {5: Fraction(2, 3)}}),
                   standard_complex_structure(3)))
-    twists = set()
+    twists, unimodular = set(), set()
     for g, j in cases:
         n, jm = g.dim, j.matrix
         whole = Subspace.whole(n)
@@ -632,6 +650,10 @@ def test_structure_layer_matches_fraction_reference():
         assert center(g).basis == _ref_center(g)
         for sub in (whole, gp, complex_structures.j_stable_commutator(g, j)):
             assert center_of_subalgebra(g, sub).basis == _ref_center_of(g, sub.basis)
+        for sub in (Subspace.zero(n), whole, gp, gp.image(jm)):
+            assert centralizer(g, sub).basis == _ref_centralizer(g, sub.basis)
+        unimodular.add(is_unimodular(g))
+        assert is_unimodular(g) == _ref_unimodular(g)
         series = derived_and_central_series(g)
         assert series is derived_and_central_series(g)
         assert [s.basis for s in series.derived] == _ref_series(g, lambda prev: prev)
@@ -653,5 +675,6 @@ def test_structure_layer_matches_fraction_reference():
         assert is_integrable(g, j) == all(not any(v) for v in table.values())
         if is_abelian_cs(g, j):
             assert abelian_cs_report(g, j).ad_twist == _ref_ad_twist(g, jm) is True
-    # zero and nonzero twists both occur
+    # zero and nonzero twists, unimodular and not unimodular algebras all occur
     assert twists == {True, False}
+    assert unimodular == {True, False}

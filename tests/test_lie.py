@@ -170,6 +170,9 @@ def test_homomorphism_and_isomorphism():
     assert not is_homomorphism(bad, g, g)
     wit = is_homomorphism(bad, g, g, witness=True)
     assert wit is not None and wit.pair == (0, 1)
+    # a singular map and a map that is not square are not isomorphisms
+    assert not is_isomorphism(Matrix([[1, 0], [0, 0]]), g, g)
+    assert not is_isomorphism(Matrix([[1, 0, 0], [0, 1, 0]]), g, g)
 
 
 def test_abelian_constructor():

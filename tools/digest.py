@@ -14,10 +14,12 @@ and stderr hashed next to its stdout; files are written only under a
 temporary directory.  Run from the repository root:  python3 tools/digest.py
 
 It prints one sha256 per part (fuzz, check, kahler, round trip), so that a
-mismatch names its part, and then the total over all outputs on the last
-line.
+mismatch names its part, then the total over all outputs, and last the
+number of lines in src/abelianj/*.py, which is not hashed: the size of the
+code that produced the outputs.
 """
 import contextlib
+import glob
 import hashlib
 import io
 import json
@@ -30,7 +32,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from abelianj import serialize
 from abelianj.cli import main
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "abelianj", "fixtures")
+PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "abelianj")
+FIXTURES = os.path.join(PACKAGE, "fixtures")
 
 
 def _run(argv, report=None):
@@ -84,8 +87,18 @@ def digests():
     return {part: h.hexdigest() for part, h in parts.items()}, total.hexdigest()
 
 
+def source_lines():
+    """Number of lines in the package's modules, src/abelianj/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 if __name__ == "__main__":
     parts, total = digests()
     for part, hexdigest in parts.items():
         print("%-10s %s" % (part, hexdigest))
     print(total)
+    print("%-10s %d" % ("src lines", source_lines()))
