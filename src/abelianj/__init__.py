@@ -19,8 +19,8 @@ from .complex_structures import (
     nijenhuis,
 )
 from .constructions import (
-    AffModel, ConstructionError, DoubleProduct, ExtractedProducts,
-    IncompatiblePairError, NotApplicableError, RefinedWitness,
+    AffModel, DoubleProduct, ExtractedProducts, IncompatiblePairError,
+    NotApplicableError, RefinedWitness,
     aff_algebra, aff_from_abelian_ideal, double_product, equal_products_iso,
     extract_products, recognize_aff, refine_to_witness, search_witness,
     semidirect_r2_family, standard_complex_structure, witness_check,
@@ -35,7 +35,7 @@ from .hermitian import (
     torsion, twisted_cyclic_identity,
 )
 from .lab import (
-    DecomposeError, KahlerDecomposition, KahlerFactor, KahlerSample,
+    KahlerDecomposition, KahlerFactor, KahlerSample,
     TrialReport, kahler_decompose, random_instance, random_kahler_instance,
     report_to_dict, theorem_suite,
 )
@@ -47,7 +47,8 @@ from .lie import (
     is_unimodular, pushforward,
 )
 from .linalg import (
-    DimensionMismatch, Matrix, SingularMatrix, Subspace, rat, vec,
+    CertificateError, DimensionMismatch, Matrix, SingularMatrix, Subspace,
+    rat, vec,
 )
 from .serialize import (
     InputError, Instance, ValidationFailure, instance_from_dict,

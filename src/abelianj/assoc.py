@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 from .linalg import (
     DimensionMismatch, Matrix, Subspace, ONE, ZERO, _as_vector, bilinear,
-    contract_splits, is_zero_vec, left_map, lin_comb, rat, tensor_split, vec,
+    certify, contract_splits, is_zero_vec, left_map, lin_comb, rat, tensor_split, vec,
     vec_scale, zero_vec,
 )
 from .lie import PreconditionError
@@ -177,7 +177,7 @@ def nilradical(a) -> NilradicalReport:
         power = a.left_mult(v)
         for _ in range(n):
             power = power @ a.left_mult(v)
-        assert power.is_zero(), "trace-form kernel contains a non-nilpotent element"
+        certify("trace-form kernel contains a non-nilpotent element", power.is_zero())
     return NilradicalReport(current, current.is_zero())
 
 
@@ -220,6 +220,7 @@ def minimal_polynomial(mat: Matrix):
     n = mat.nrows
     powers = [Matrix.identity(n)]
     flat = [sum(powers[0].rows, ())]
+    sol = None
     for _ in range(n):
         powers.append(powers[-1] @ mat)
         flat.append(sum(powers[-1].rows, ()))
@@ -227,8 +228,9 @@ def minimal_polynomial(mat: Matrix):
         cols = Matrix.from_columns(flat[:-1])
         sol = cols.solve(vec_scale(rat(-1), flat[-1]))
         if sol is not None:
-            return list(sol) + [ONE]
-    raise AssertionError("minimal polynomial must exist by Cayley-Hamilton")
+            break
+    certify("minimal polynomial must exist by Cayley-Hamilton", sol is not None)
+    return list(sol) + [ONE]
 
 
 def _factor_over_q(coeffs):
@@ -319,13 +321,13 @@ def primitive_idempotents(a, max_retries=32, seed=0) -> IdempotentSet:
         types = []
         for f, block in blocks:
             e = _block_unit(a, block)
-            assert e is not None, "semisimple block must be unital"
+            certify("semisimple block must be unital", e is not None)
             elements.append(e)
             types.append("R" if len(f) - 1 == 1 else "C")
-        assert _certify_idempotents(a, elements)
+        certify("idempotents must be orthogonal", _certify_idempotents(a, elements))
         u = unit(a)
-        if u is not None:
-            assert lin_comb((ONE,) * len(elements), elements, a.dim) == u
+        certify("idempotents must sum to the unit",
+                u is None or lin_comb((ONE,) * len(elements), elements, a.dim) == u)
         order = sorted(range(len(elements)), key=lambda i: (types[i], elements[i]))
         return IdempotentSet(tuple(elements[i] for i in order),
                              tuple(types[i] for i in order))

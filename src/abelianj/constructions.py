@@ -4,8 +4,7 @@ abelian splitting g = u (+) Ju.
 
 Every algorithm here returns verified artifacts: isomorphisms are checked by
 is_holomorphic_iso before being handed back, and intermediate claims of the
-structure theory are re-certified at run time (a ConstructionError on valid
-input is an implementation bug, not a property of the input).
+structure theory are re-certified at run time by linalg.certify.
 """
 from __future__ import annotations
 
@@ -25,8 +24,8 @@ from .lie import (
     derived_and_central_series,
 )
 from .linalg import (
-    Matrix, SingularMatrix, Subspace, basis_vec, is_zero_vec, rat, vec_add,
-    vec_scale,
+    Matrix, SingularMatrix, Subspace, basis_vec, certify, is_zero_vec, rat,
+    vec_add, vec_scale,
 )
 
 
@@ -40,14 +39,6 @@ class IncompatiblePairError(ValueError):
 
 class NotApplicableError(ValueError):
     pass
-
-
-class ConstructionError(ValueError):
-    """A run-time certificate inside a structure algorithm failed."""
-
-    def __init__(self, step, detail=""):
-        super().__init__(step + (": " + detail if detail else ""))
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -104,8 +95,8 @@ def double_product(dot: CommAssocAlgebra, star: CommAssocAlgebra) -> DoubleProdu
                 brackets[(i, m + k)] = value
     g = LieAlgebra(n, brackets)
     j = standard_complex_structure(m)
-    assert check_jacobi(g) is None, "compatible pair must satisfy Jacobi"
-    assert is_abelian_cs(g, j), "standard J on a double product must be abelian"
+    certify("compatible pair must satisfy Jacobi", check_jacobi(g) is None)
+    certify("standard J on a double product must be abelian", is_abelian_cs(g, j))
     u = Subspace(n, [basis_vec(n, i) for i in range(m)])
     return DoubleProduct(g, j, dot, star, u)
 
@@ -129,7 +120,7 @@ def equal_products_iso(a: CommAssocAlgebra) -> HolomorphicPair:
         rows.append(tuple(rat(-1) if c == r else (rat(1) if c == m + r else rat(0))
                           for c in range(2 * m)))
     pair = HolomorphicPair(src.algebra, src.j, tgt.algebra, tgt.j, Matrix(rows))
-    assert is_holomorphic_iso(pair)
+    certify("equal-products map must be a holomorphic iso", is_holomorphic_iso(pair))
     return pair
 
 
@@ -173,11 +164,13 @@ def extract_products(g, j, u: Subspace) -> ExtractedProducts:
     p, coords = _half_coordinates(g, j, u)
     dot = CommAssocAlgebra(m, {ik: vec_scale(rat(-1), w[m:]) for ik, w in coords.items()})
     star = CommAssocAlgebra(m, {ik: w[:m] for ik, w in coords.items()})
-    assert check_axioms(dot) is None and check_axioms(star) is None
-    assert check_compatibility(dot, star) is None
+    certify("extracted products must satisfy the axioms",
+            check_axioms(dot) is None and check_axioms(star) is None)
+    certify("extracted products must be compatible",
+            check_compatibility(dot, star) is None)
     model = double_product(dot, star)
     pair = HolomorphicPair(model.algebra, model.j, g, j, p)
-    assert is_holomorphic_iso(pair)
+    certify("extracted model map must be a holomorphic iso", is_holomorphic_iso(pair))
     return ExtractedProducts(dot, star, pair)
 
 
@@ -193,20 +186,16 @@ def _aff_model(g, j, v: Subspace) -> AffModel:
     m = v.dim
     coords = _half_coordinates(g, j, v)[1]
     for (i, k), w in coords.items():
-        if not is_zero_vec(w[m:]):
-            raise ConstructionError(
-                "product leaves the abelian half",
+        certify("product leaves the abelian half", is_zero_vec(w[m:]),
                 "bracket [J v_%d, v_%d] has a J-half component" % (i + 1, k + 1))
     alg = CommAssocAlgebra(m, {ik: w[:m] for ik, w in coords.items()})
     wit = check_axioms(alg)
-    if wit is not None:
-        raise ConstructionError("recovered product fails " + wit.kind)
+    certify("recovered product fails the axioms", wit is None, wit and wit.kind)
     model = aff_algebra(alg)
     phi = Matrix.from_columns([j.apply(b) for b in v.basis]
                               + [vec_scale(rat(-1), b) for b in v.basis])
     pair = HolomorphicPair(model.algebra, model.j, g, j, phi)
-    if not is_holomorphic_iso(pair):
-        raise ConstructionError("affine model map failed verification")
+    certify("affine model map failed verification", is_holomorphic_iso(pair))
     return AffModel(alg, v, model, pair)
 
 
@@ -225,8 +214,8 @@ def recognize_aff(g, j) -> AffModel:
         raise NotApplicableError(
             "algebra is not the direct sum of its commutator and the J-image")
     result = _aff_model(g, j, gp)
-    if square_span(result.algebra) != Subspace.whole(result.algebra.dim):
-        raise ConstructionError("recovered product must have full square span")
+    certify("recovered product must have full square span",
+            square_span(result.algebra) == Subspace.whole(result.algebra.dim))
     return result
 
 
@@ -234,19 +223,16 @@ def _greedy_j_half(j, ambient_space: Subspace, seed: Subspace) -> Subspace:
     """Extend seed by echelon vectors of a J-stable space until the space is
     (seed + added) (+) J(seed + added); returns only the added part."""
     running = seed.sum(seed.image(j.matrix))
-    if running.dim != 2 * seed.dim:
-        raise ConstructionError("seed half meets its J-image")
+    certify("seed half meets its J-image", running.dim == 2 * seed.dim)
     added = []
     for w in ambient_space.basis:
         if not running.contains_vector(w):
             added.append(w)
             nxt = Subspace(running.ambient,
                            list(running.basis) + [w, j.apply(w)])
-            if nxt.dim != running.dim + 2:
-                raise ConstructionError("J-split extension step failed")
+            certify("J-split extension step failed", nxt.dim == running.dim + 2)
             running = nxt
-    if running != ambient_space:
-        raise ConstructionError("space to split is not J-stable")
+    certify("space to split is not J-stable", running == ambient_space)
     return Subspace(ambient_space.ambient, added)
 
 
@@ -256,29 +242,33 @@ class RefinedWitness(NamedTuple):
     central_part: Subspace      # l with center = l (+) Jl
 
 
-def refine_to_witness(g, j, u: Subspace) -> RefinedWitness:
-    """Shrink a (possibly non-direct) abelian generating half u to a direct
-    one: enlarge by the center, split the center against J, and keep one
-    sheet.  The result always passes witness_check."""
+def _generating_half_role(g, j, u: Subspace):
+    """The role of u in g after the preconditions that refine_to_witness and
+    aff_from_abelian_ideal share: g solvable, J abelian, u + Ju = g."""
     if not derived_and_central_series(g).is_solvable:
         raise PreconditionError("algebra must be solvable")
     if not is_abelian_cs(g, j):
         raise PreconditionError("complex structure must be abelian")
-    role = classify_subspace(g, u)
-    if not (role.is_subalgebra and role.is_abelian_subspace):
-        raise PreconditionError("u must be an abelian subalgebra")
     if u.sum(u.image(j.matrix)) != Subspace.whole(g.dim):
         raise PreconditionError("u + Ju must be the whole algebra")
+    return classify_subspace(g, u)
+
+
+def refine_to_witness(g, j, u: Subspace) -> RefinedWitness:
+    """Shrink a (possibly non-direct) abelian generating half u to a direct
+    one: enlarge by the center, split the center against J, and keep one
+    sheet.  The result always passes witness_check."""
+    role = _generating_half_role(g, j, u)
+    if not (role.is_subalgebra and role.is_abelian_subspace):
+        raise PreconditionError("u must be an abelian subalgebra")
     z = center(g)
     u1 = u.sum(z)
-    if u1.intersect(u1.image(j.matrix)) != z:
-        raise ConstructionError(
-            "enlarged half must meet its J-image exactly in the center")
+    certify("enlarged half must meet its J-image exactly in the center",
+            u1.intersect(u1.image(j.matrix)) == z)
     h = z.complement_in(u1)
     ell = _greedy_j_half(j, z, Subspace.zero(g.dim))
     witness = Subspace(g.dim, list(h.basis) + list(ell.basis))
-    if not witness_check(g, j, witness):
-        raise ConstructionError("refined half is not an abelian splitting")
+    certify("refined half is not an abelian splitting", witness_check(g, j, witness))
     return RefinedWitness(witness, h, ell)
 
 
@@ -291,20 +281,13 @@ def aff_from_abelian_ideal(g, j, u: Subspace) -> AffModel:
     commutator, and one sheet of a J-splitting of the center seeded by the
     central part of the commutator.
     """
-    if not derived_and_central_series(g).is_solvable:
-        raise PreconditionError("algebra must be solvable")
-    if not is_abelian_cs(g, j):
-        raise PreconditionError("complex structure must be abelian")
-    role = classify_subspace(g, u)
+    role = _generating_half_role(g, j, u)
     if not (role.is_ideal and role.is_abelian_subspace):
         raise PreconditionError("u must be an abelian ideal")
-    if u.sum(u.image(j.matrix)) != Subspace.whole(g.dim):
-        raise PreconditionError("u + Ju must be the whole algebra")
     gp = commutator_ideal(g)
     if not gp.intersect(gp.image(j.matrix)).is_zero():
         raise PreconditionError("commutator must meet its J-image trivially")
-    if not u.contains(gp):
-        raise ConstructionError("commutator must lie inside the abelian ideal")
+    certify("commutator must lie inside the abelian ideal", u.contains(gp))
     z = center(g)
     gp_central = gp.intersect(z)
     h = gp_central.complement_in(gp)
@@ -312,10 +295,8 @@ def aff_from_abelian_ideal(g, j, u: Subspace) -> AffModel:
     ell = _greedy_j_half(j, z, gp_central)
     v = Subspace(g.dim, list(k.basis) + list(h.basis)
                  + list(gp_central.basis) + list(ell.basis))
-    if 2 * v.dim != g.dim:
-        raise ConstructionError("assembled half has wrong dimension")
-    if not witness_check(g, j, v):
-        raise ConstructionError("assembled half is not an abelian splitting")
+    certify("assembled half has wrong dimension", 2 * v.dim == g.dim)
+    certify("assembled half is not an abelian splitting", witness_check(g, j, v))
     return _aff_model(g, j, v)
 
 
@@ -385,6 +366,6 @@ def semidirect_r2_family(n, t_map: Matrix):
         rows[2 + r] = tuple(
             j0.matrix.rows[r][c - 2] if c >= 2 else rat(0) for c in range(dim))
     j = ComplexStructure(Matrix(rows))
-    assert check_jacobi(g) is None
-    assert is_abelian_cs(g, j)
+    certify("semidirect family must satisfy Jacobi", check_jacobi(g) is None)
+    certify("semidirect family J must be abelian", is_abelian_cs(g, j))
     return g, j

@@ -23,7 +23,7 @@ from .lie import (
     derived_and_central_series,
 )
 from .linalg import (
-    DimensionMismatch, Matrix, _combine, bilinear, contract_splits, lin_comb,
+    DimensionMismatch, Matrix, _combine, bilinear, certify, contract_splits, lin_comb,
     norm_sq, rat, tensor_split, vec, vec_dot, is_zero_vec, zero_vec,
 )
 
@@ -210,8 +210,8 @@ def levi_civita(g, metric=None) -> Connection:
     n, gs, adj = g.dim, g.split(), _adjoints(g, metric)
     conn = Connection([[_combine(2, ((1, gs[i][j]), (-1, adj[j][i]), (-1, adj[i][j])), n)
                         for j in range(n)] for i in range(n)])
-    assert is_torsion_free(g, conn)
-    assert _is_metric(conn, metric)
+    certify("Levi-Civita solution has torsion", is_torsion_free(g, conn))
+    certify("Levi-Civita solution is not metric", _is_metric(conn, metric))
     return conn
 
 

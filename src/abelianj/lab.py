@@ -3,7 +3,7 @@
 kahler_decompose runs the structural splitting proof as an algorithm: every
 numbered step is certified exactly and a failed certificate names the step.
 theorem_suite fuzzes the rigidity statements over the generator families and
-reports violations as data rather than raising.
+reports violations, failed certificates among them, as data, never raising.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .assoc import (
 from .complex_structures import (
     ComplexStructure, abelian_cs_report, is_abelian_cs, j_stable_commutator,
 )
-from .constructions import ConstructionError, _greedy_j_half, double_product
+from .constructions import _greedy_j_half, double_product
 from .hermitian import (  # curvature: bench/test_bench.py reads lab.curvature
     HermitianTriple, InnerProduct, connection_flags, curvature,
     cyclic_metric_identity, first_canonical, is_flat, is_kahler,
@@ -29,18 +29,12 @@ from .lie import (
     LieAlgebra, PreconditionError, center, check_jacobi, classify_subspace,
     commutator_ideal, derived_and_central_series, is_unimodular, pushforward,
 )
-from .linalg import Matrix, Subspace, basis_vec, bilinear_table, lin_comb, rat, vec
+from .linalg import (
+    CertificateError, Matrix, Subspace, basis_vec, bilinear_table, certify,
+    is_zero_vec, lin_comb, rat, vec,
+)
 
 FAMILIES = ("trivial-star", "equal-products", "diagonal-pair")
-
-
-class DecomposeError(ValueError):
-    """A numbered step of the splitting pipeline failed its certificate."""
-
-    def __init__(self, step: int, detail: str):
-        self.step = step
-        self.detail = detail
-        super().__init__("step %d: %s" % (step, detail))
 
 
 class KahlerFactor(NamedTuple):
@@ -102,27 +96,23 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     g, j, metric = t.algebra, t.j, t.metric
     if g.dim == 0:
         raise PreconditionError("dimension must be positive")
-    if not is_abelian_cs(g, j):
-        raise PreconditionError("complex structure must be abelian")
+    cyclic = cyclic_metric_identity(t)      # raises unless J is abelian
     if not is_kahler(t):
         raise PreconditionError("fundamental form must be closed")
-
-    if not cyclic_metric_identity(t):
-        raise DecomposeError(1, "cyclic metric identity fails")
+    certify(1, cyclic, "cyclic metric identity fails")
 
     z = center(g)
     gp = commutator_ideal(g)
     gpj = j_stable_commutator(g, j)
-    if z != gpj.orthogonal_complement(metric):
-        raise DecomposeError(2, "center is not the orthogonal complement of "
-                                "the J-closed commutator ideal")
-    if not z.intersect(gpj).is_zero() or z.dim + gpj.dim != g.dim:
-        raise DecomposeError(2, "center and J-closed commutator do not split the algebra")
-    if z.image(j.matrix) != z or z.dim % 2 != 0:
-        raise DecomposeError(2, "center is not J-stable of even dimension")
+    certify(2, z == gpj.orthogonal_complement(metric),
+            "center is not the orthogonal complement of the J-closed commutator ideal")
+    certify(2, z.intersect(gpj).is_zero() and z.dim + gpj.dim == g.dim,
+            "center and J-closed commutator do not split the algebra")
+    certify(2, z.image(j.matrix) == z and z.dim % 2 == 0,
+            "center is not J-stable of even dimension")
 
-    if not gp.intersect(gp.image(j.matrix)).is_zero():
-        raise DecomposeError(3, "commutator ideal meets its J-image")
+    certify(3, gp.intersect(gp.image(j.matrix)).is_zero(),
+            "commutator ideal meets its J-image")
     n = gp.dim
 
     factors = []
@@ -133,30 +123,26 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
             jb = j.apply(basis[i])
             for k in range(i, n):
                 coords = gp.coordinates(g.bracket(jb, basis[k]))
-                if coords is None:
-                    raise DecomposeError(4, "[Jx, y] left the commutator ideal")
+                certify(4, coords is not None, "[Jx, y] left the commutator ideal")
                 products[(i, k)] = vec(coords)
         alg = CommAssocAlgebra(n, products)
         wit = check_axioms(alg)
-        if wit is not None:
-            raise DecomposeError(4, "induced product fails %s at %s"
-                                 % (wit.kind, (wit.indices,)))
+        certify(4, wit is None,
+                wit and "induced product fails %s at %s" % (wit.kind, (wit.indices,)))
 
         ghat = Matrix([[metric.eval(basis[a], basis[b]) for b in range(n)]
                        for a in range(n)])
         for a in range(n):
             la = alg.left_mult(basis_vec(n, a))
-            if ghat @ la != la.transpose() @ ghat:
-                raise DecomposeError(5, "left multiplication %d is not self-adjoint" % a)
-        if not nilradical(alg).is_semisimple:
-            raise DecomposeError(5, "induced product has a nonzero nilradical")
+            certify(5, ghat @ la == la.transpose() @ ghat,
+                    "left multiplication %d is not self-adjoint" % a)
+        certify(5, nilradical(alg).is_semisimple, "induced product has a nonzero nilradical")
 
         idem = primitive_idempotents(alg)
-        if any(kind != "R" for kind in idem.factor_types):
-            raise DecomposeError(6, "a two-dimensional complex factor appeared; "
-                                    "only split real factors can occur")
-        if len(idem.idempotents) != n:
-            raise DecomposeError(6, "idempotent count differs from the commutator dimension")
+        certify(6, all(kind == "R" for kind in idem.factor_types),
+                "a two-dimensional complex factor appeared; only split real factors can occur")
+        certify(6, len(idem.idempotents) == n,
+                "idempotent count differs from the commutator dimension")
 
         raw = [lin_comb(e, basis, g.dim) for e in idem.idempotents]
         # deterministic order: descending norm, then coordinates
@@ -164,33 +150,28 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
 
         for i, v in enumerate(raw):
             jv = vec(j.apply(v))
-            if vec(g.bracket(jv, v)) != v:
-                raise DecomposeError(7, "idempotent direction is not [Je, e] = e")
+            certify(7, vec(g.bracket(jv, v)) == v, "idempotent direction is not [Je, e] = e")
             for k, w in enumerate(raw):
-                if k != i and not all(c == 0 for c in g.bracket(jv, w)):
-                    raise DecomposeError(7, "distinct factor planes do not commute")
-                if not all(c == 0 for c in g.bracket(v, w)):
-                    raise DecomposeError(7, "curved directions fail to commute")
+                certify(7, k == i or is_zero_vec(g.bracket(jv, w)),
+                        "distinct factor planes do not commute")
+                certify(7, is_zero_vec(g.bracket(v, w)), "curved directions fail to commute")
             plane = Subspace(g.dim, [v, jv])
-            if plane.dim != 2:
-                raise DecomposeError(7, "factor plane is degenerate")
+            certify(7, plane.dim == 2, "factor plane is degenerate")
             r2 = metric.eval(v, v)
             factors.append(KahlerFactor(v, r2, rat(1) / r2, plane))
         for i in range(n):
             vi, jvi = factors[i].idempotent, vec(j.apply(factors[i].idempotent))
-            if metric.eval(jvi, vi) != 0:
-                raise DecomposeError(7, "plane basis is not orthogonal")
+            certify(7, metric.eval(jvi, vi) == 0, "plane basis is not orthogonal")
             for k in range(i + 1, n):
                 vk, jvk = factors[k].idempotent, vec(j.apply(factors[k].idempotent))
-                if any(metric.eval(a, b) != 0
-                       for a in (vi, jvi) for b in (vk, jvk)):
-                    raise DecomposeError(7, "factor planes are not pairwise orthogonal")
+                certify(7, all(metric.eval(a, b) == 0 for a in (vi, jvi) for b in (vk, jvk)),
+                        "factor planes are not pairwise orthogonal")
 
         total = Subspace.zero(g.dim)
         for f in factors:
             total = total.sum(f.plane)
-        if total.dim != 2 * n or total.sum(z).dim != g.dim:
-            raise DecomposeError(7, "planes and center do not span the algebra")
+        certify(7, total.dim == 2 * n and total.sum(z).dim == g.dim,
+                "planes and center do not span the algebra")
 
     cols = []
     for f in factors:
@@ -205,8 +186,8 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     model_alg = LieAlgebra(g.dim, {(2 * i, 2 * i + 1): {2 * i + 1: rat(1)}
                                    for i in range(n)})
     model_j = ComplexStructure(_standard_block_j(g.dim // 2))
-    if (p @ model_j.matrix) != (j.matrix @ p):
-        raise DecomposeError(8, "change of basis does not transport J to block form")
+    certify(8, (p @ model_j.matrix) == (j.matrix @ p),
+            "change of basis does not transport J to block form")
     gm = (p.transpose() @ metric.gram) @ p
     for i, f in enumerate(factors):
         row_j, row_v = gm.rows[2 * i], gm.rows[2 * i + 1]
@@ -214,14 +195,13 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
                     and row_j[2 * i + 1] == 0
                     and all(row_j[c] == 0 for c in range(g.dim) if c not in (2 * i,))
                     and all(row_v[c] == 0 for c in range(g.dim) if c not in (2 * i + 1,)))
-        if not shape_ok:
-            raise DecomposeError(8, "metric is not r^2-diagonal on factor %d" % i)
+        certify(8, shape_ok, "metric is not r^2-diagonal on factor %d" % i)
     model = HermitianTriple(model_alg, model_j, InnerProduct(gm))
 
     dec = KahlerDecomposition(tuple(factors), z, p, model)
     alg2, jm2, gram2 = dec.rebuild()
-    if alg2 != g or jm2 != j.matrix or gram2 != metric.gram:
-        raise DecomposeError(8, "rebuilt structure differs from the input")
+    certify(8, alg2 == g and jm2 == j.matrix and gram2 == metric.gram,
+            "rebuilt structure differs from the input")
     return dec
 
 
@@ -305,7 +285,7 @@ def random_pair(rng, dim_a, family):
         pair = _random_diagonal(rng, dim_a), _random_diagonal(rng, dim_a)
     else:
         raise PreconditionError("unknown family %r" % (family,))
-    assert check_compatibility(*pair) is None
+    certify("random pair must be compatible", check_compatibility(*pair) is None)
     return pair
 
 
@@ -334,8 +314,8 @@ def random_instance(seed, dim_a, family, disguise=False, metric=False):
         p = random_unimodular(rng, g.dim)
         g = pushforward(g, p)
         j = ComplexStructure((p @ j.matrix) @ p.inverse())
-        assert check_jacobi(g) is None
-        assert is_abelian_cs(g, j)
+        certify("disguised instance must satisfy Jacobi", check_jacobi(g) is None)
+        certify("disguised J must be abelian", is_abelian_cs(g, j))
     if not metric:
         return g, j
     return HermitianTriple(g, j, random_hermitian_metric(rng, j))
@@ -385,12 +365,13 @@ def random_kahler_instance(seed, max_dim=12) -> KahlerSample:
             for c in range(2 * s):
                 rows[2 * n + r][2 * n + c] = h.rows[r][c]
     t = HermitianTriple(g, j, InnerProduct(Matrix(rows)))
-    assert is_abelian_cs(g, j) and is_kahler(t)
+    certify("block model must be Kähler with abelian J", is_abelian_cs(g, j) and is_kahler(t))
 
     p = _random_cayley_isometry(rng, t)
     g2 = pushforward(g, p)
     t2 = HermitianTriple(g2, j, t.metric)
-    assert is_abelian_cs(g2, j) and is_kahler(t2)
+    certify("disguised model must be Kähler with abelian J",
+            is_abelian_cs(g2, j) and is_kahler(t2))
     return KahlerSample(t2, n, tuple(norms))
 
 
@@ -422,7 +403,7 @@ def report_to_dict(rep: TrialReport) -> dict:
             "counterexamples": list(rep.counterexamples)}
 
 
-def _record(counts, ces, name, ok, triple):
+def _record(counts, ces, name, ok, triple, certificate=None):
     bucket = counts[name]
     if ok:
         bucket["pass"] += 1
@@ -430,32 +411,44 @@ def _record(counts, ces, name, ok, triple):
         bucket["fail"] += 1
         payload = serialize.instance_to_dict(triple.algebra, triple.j, triple.metric)
         payload["violated"] = name
+        if certificate is not None:
+            payload["certificate"] = certificate
         ces.append(payload)
 
 
 def _run_trial(triple, expected: Optional[KahlerSample], counts, ces):
-    g, j, metric = triple.algebra, triple.j, triple.metric
-    rec = lambda name, ok: _record(counts, ces, name, ok, triple)
+    """Record each theorem's verdict on one instance; a failed certificate ends
+    the trial as a failure, with its message, of the next theorem in order."""
+    recorded = 0
+    try:
+        for name, ok in _verdicts(triple, expected):
+            _record(counts, ces, name, ok, triple)
+            recorded += 1
+    except CertificateError as exc:
+        _record(counts, ces, THEOREM_NAMES[recorded], False, triple, str(exc))
 
-    rec("abelian_structure_report", abelian_cs_report(g, j).all_hold)
+
+def _verdicts(triple, expected: Optional[KahlerSample]):
+    """Yield (theorem, holds) for one instance, in THEOREM_NAMES order."""
+    g, j, metric = triple.algebra, triple.j, triple.metric
+
+    yield "abelian_structure_report", abelian_cs_report(g, j).all_hold
 
     nabla1 = first_canonical(triple)
     flags = connection_flags(g, j, metric, nabla1)
-    rec("hermitian_connection_identities",
-        flags.is_metric and flags.is_complex and flags.torsion_type_11)
+    yield ("hermitian_connection_identities",
+           flags.is_metric and flags.is_complex and flags.torsion_type_11)
 
     kahler = is_kahler(triple)
-    rec("closed_form_matches_cyclic_identity",
-        kahler == cyclic_metric_identity(triple))
+    yield "closed_form_matches_cyclic_identity", kahler == cyclic_metric_identity(triple)
 
     gp = commutator_ideal(g)
     if nabla1.is_zero():
-        rec("zero_first_connection_forces_abelian", gp.is_zero())
-        rec("twisted_cyclic_under_zero_first_connection",
-            twisted_cyclic_identity(triple))
+        yield "zero_first_connection_forces_abelian", gp.is_zero()
+        yield "twisted_cyclic_under_zero_first_connection", twisted_cyclic_identity(triple)
     else:
-        rec("zero_first_connection_forces_abelian", True)
-        rec("twisted_cyclic_under_zero_first_connection", True)
+        yield "zero_first_connection_forces_abelian", True
+        yield "twisted_cyclic_under_zero_first_connection", True
 
     flat1 = is_flat(g, nabla1)
     if flat1:
@@ -467,15 +460,15 @@ def _run_trial(triple, expected: Optional[KahlerSample], counts, ces):
               and classify_subspace(g, gpj).is_abelian_subspace
               and classify_subspace(
                   g, gpj.orthogonal_complement(metric)).is_abelian_subspace)
-        rec("flat_first_connection_forces_abelian", ok)
+        yield "flat_first_connection_forces_abelian", ok
     else:
-        rec("flat_first_connection_forces_abelian", True)
+        yield "flat_first_connection_forces_abelian", True
 
     series = derived_and_central_series(g)
     if series.is_nilpotent and not gp.is_zero():
-        rec("nilpotent_nonabelian_first_connection_curved", not flat1)
+        yield "nilpotent_nonabelian_first_connection_curved", not flat1
     else:
-        rec("nilpotent_nonabelian_first_connection_curved", True)
+        yield "nilpotent_nonabelian_first_connection_curved", True
 
     if kahler:
         try:
@@ -484,15 +477,13 @@ def _run_trial(triple, expected: Optional[KahlerSample], counts, ces):
             if expected is not None:
                 ok = (ok and dec.n == expected.factor_count
                       and tuple(f.norm_sq for f in dec.factors) == expected.norm_squares)
-        except (DecomposeError, ConstructionError, IrrationalSpectrumError,
-                GenericityError):
+        except (CertificateError, IrrationalSpectrumError, GenericityError):
             ok = False
-        rec("kahler_decomposition_complete", ok)
-        rec("kahler_unimodular_forces_abelian",
-            not is_unimodular(g) or gp.is_zero())
+        yield "kahler_decomposition_complete", ok
+        yield "kahler_unimodular_forces_abelian", not is_unimodular(g) or gp.is_zero()
     else:
-        rec("kahler_decomposition_complete", True)
-        rec("kahler_unimodular_forces_abelian", True)
+        yield "kahler_decomposition_complete", True
+        yield "kahler_unimodular_forces_abelian", True
 
 
 def theorem_suite(seed, trials, max_dim=12) -> TrialReport:

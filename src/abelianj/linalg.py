@@ -48,6 +48,22 @@ class SingularMatrix(ValueError):
     pass
 
 
+class CertificateError(ValueError):
+    """A claim proved about a result failed at run time: on valid input, a bug.
+    `step` is a pipeline step number, printed as "step N", or the claim."""
+
+    def __init__(self, step, detail=""):
+        head = "step %d" % step if isinstance(step, int) else step
+        super().__init__(head + (": " + detail if detail else ""))
+        self.step, self.detail = step, detail
+
+
+def certify(step, ok, detail=""):
+    """Raise CertificateError(step, detail) unless ok; python -O keeps it."""
+    if not ok:
+        raise CertificateError(step, detail)
+
+
 def rat(value=0, den=None):
     """Exact rational from int, 'p/q' string, Fraction, or (num, den).
 
@@ -568,7 +584,8 @@ class Subspace:
             comp = Subspace(self.ambient, added)
         else:
             comp = bigger.intersect(self.orthogonal_complement(metric))
-        assert comp.dim + self.dim == bigger.dim and self.intersect(comp).is_zero()
+        certify("complement does not split the bigger space",
+                comp.dim + self.dim == bigger.dim and self.intersect(comp).is_zero())
         return comp
 
     def orthogonal_complement(self, metric):

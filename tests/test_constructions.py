@@ -7,7 +7,7 @@ from abelianj.complex_structures import (
     ComplexStructure, HolomorphicPair, is_abelian_cs, is_holomorphic_iso,
 )
 from abelianj.constructions import (
-    AffModel, ConstructionError, IncompatiblePairError, _aff_model, NotApplicableError, aff_algebra,
+    AffModel, IncompatiblePairError, _aff_model, NotApplicableError, aff_algebra,
     aff_from_abelian_ideal, double_product, equal_products_iso,
     extract_products, recognize_aff, refine_to_witness, search_witness,
     semidirect_r2_family, standard_complex_structure, witness_check,
@@ -17,7 +17,7 @@ from abelianj.lie import (
     LieAlgebra, PreconditionError, check_jacobi, commutator_ideal,
     derived_and_central_series,
 )
-from abelianj.linalg import Matrix, Subspace, vec
+from abelianj.linalg import CertificateError, Matrix, Subspace, vec
 
 
 def complex_plane():
@@ -122,7 +122,7 @@ def test_aff_model_rejects_product_leaving_the_half():
     # on double_product(C, C) the bracket [J u_1, u_1] has second-half
     # component -(u_1 . u_1) = -u_1, so the first pair in (i, k) order fails
     dp = double_product(complex_plane(), complex_plane())
-    with pytest.raises(ConstructionError, match="product leaves the abelian half") as exc:
+    with pytest.raises(CertificateError, match="product leaves the abelian half") as exc:
         _aff_model(dp.algebra, dp.j, dp.u)
     assert "[J v_1, v_1]" in str(exc.value)
 

@@ -13,13 +13,13 @@ from abelianj.hermitian import (
     HermitianTriple, InnerProduct, is_hermitian, is_kahler, sectional_curvature,
 )
 from abelianj.lab import (
-    THEOREM_NAMES, DecomposeError, KahlerDecomposition, conjugate_product,
+    THEOREM_NAMES, KahlerDecomposition, conjugate_product,
     kahler_decompose, random_hermitian_metric, random_instance,
     random_kahler_instance, random_pair, random_unimodular, report_to_dict,
     theorem_suite,
 )
 from abelianj.lie import LieAlgebra, PreconditionError, check_jacobi
-from abelianj.linalg import Matrix, Subspace, rat, vec
+from abelianj.linalg import CertificateError, Matrix, Subspace, rat, vec
 from abelianj import hermitian, serialize
 
 
@@ -90,7 +90,7 @@ def test_decompose_irrational_spectrum():
 
 
 def test_decompose_error_carries_step():
-    err = DecomposeError(4, "induced product fails")
+    err = CertificateError(4, "induced product fails")
     assert err.step == 4
     assert "step 4" in str(err)
 
@@ -185,6 +185,19 @@ def test_theorem_suite_records_failing_first_connection(monkeypatch):
     assert rep.theorems["hermitian_connection_identities"]["fail"] >= 1
     assert any(ce["violated"] == "hermitian_connection_identities"
                for ce in rep.counterexamples)
+
+
+def test_theorem_suite_records_failed_certificate(monkeypatch):
+    # a Levi-Civita certificate that fails ends each trial as a failure of
+    # the theorem under evaluation, with the message in the payload
+    monkeypatch.setattr(hermitian, "_is_metric", lambda conn, metric: False)
+    rep = theorem_suite(20240823, 3)
+    assert rep.theorems["abelian_structure_report"] == {"pass": 3, "fail": 0}
+    assert rep.theorems["hermitian_connection_identities"] == {"pass": 0, "fail": 3}
+    assert all(rep.theorems[name] == {"pass": 0, "fail": 0}
+               for name in THEOREM_NAMES[2:])
+    assert [(ce["violated"], ce["certificate"]) for ce in rep.counterexamples] == \
+        [("hermitian_connection_identities", "Levi-Civita solution is not metric")] * 3
 
 
 def test_theorem_suite_deterministic():
