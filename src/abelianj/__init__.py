@@ -16,19 +16,18 @@ from .assoc import (
 from .complex_structures import (
     AbelianReport, ComplexStructure, HolomorphicPair, abelian_cs_report,
     is_abelian_cs, is_holomorphic_iso, is_integrable, j_stable_commutator,
-    nijenhuis,
 )
 from .constructions import (
     AffModel, DoubleProduct, ExtractedProducts, IncompatiblePairError,
     NotApplicableError, RefinedWitness,
     aff_algebra, aff_from_abelian_ideal, double_product, equal_products_iso,
-    extract_products, recognize_aff, refine_to_witness, search_witness,
-    semidirect_r2_family, standard_complex_structure, witness_check,
+    extract_products, recognize_aff, refine_to_witness, semidirect_r2_family,
+    standard_complex_structure, witness_check,
 )
 from .hermitian import (
     Connection, ConnectionFlags, FlatMetricReport, HermitianTriple,
-    InnerProduct, NotPositiveDefiniteError, apply_curvature,
-    complex_projection, connection_flags, curvature, curvature_norm_sq,
+    InnerProduct, NotPositiveDefiniteError, complex_projection,
+    connection_flags, curvature, curvature_norm_sq,
     cyclic_metric_identity, d_omega, first_canonical, first_canonical_pairing,
     flat_metric_report, is_flat, is_hermitian, is_kahler, is_torsion_free,
     kahler_form, kahler_form_matrix, levi_civita, sectional_curvature,
@@ -40,11 +39,10 @@ from .lab import (
     report_to_dict, theorem_suite,
 )
 from .lie import (
-    HomWitness, JacobiWitness, LieAlgebra, PreconditionError, SeriesReport,
-    SubspaceRole, bilinear_table, bracket_span, center, center_of_subalgebra,
-    centralizer, check_jacobi, classify_subspace, commutator_ideal,
-    derived_and_central_series, direct_sum, is_homomorphism, is_isomorphism,
-    is_unimodular, pushforward,
+    JacobiWitness, LieAlgebra, PreconditionError, SeriesReport, SubspaceRole,
+    bilinear_table, bracket_span, center, center_of_subalgebra, check_jacobi,
+    classify_subspace, commutator_ideal, derived_and_central_series,
+    is_homomorphism, is_isomorphism, is_unimodular, pushforward,
 )
 from .linalg import (
     CertificateError, DimensionMismatch, Matrix, SingularMatrix, Subspace,

@@ -270,17 +270,23 @@ def _certify_idempotents(a, elements):
     return True
 
 
-def _generic_elements(dim, max_retries, seed):
+# candidate generic elements per primitive_idempotents call, and the seed of
+# the random ones after the six Vandermonde candidates
+_GENERIC_DRAWS = 32
+_GENERIC_SEED = 0
+
+
+def _generic_elements(dim):
     """Vandermonde-style candidates (1, t, t^2, ...) first, then random."""
-    rng = random.Random(seed)
-    for t in range(1, max_retries + 1):
+    rng = random.Random(_GENERIC_SEED)
+    for t in range(1, _GENERIC_DRAWS + 1):
         if t <= 6:
             yield tuple(rat(t) ** i for i in range(dim))
         else:
             yield tuple(rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
 
 
-def primitive_idempotents(a, max_retries=32, seed=0) -> IdempotentSet:
+def primitive_idempotents(a) -> IdempotentSet:
     """Complete primitive orthogonal idempotents of a semisimple algebra.
 
     Factor types: "R" for a 1-dim block, "C" for a 2-dim block on which the
@@ -293,7 +299,7 @@ def primitive_idempotents(a, max_retries=32, seed=0) -> IdempotentSet:
     if a.dim == 0:
         return IdempotentSet((), ())
     last_error = None
-    for x in _generic_elements(a.dim, max_retries, seed):
+    for x in _generic_elements(a.dim):
         lx = a.left_mult(x)
         minpoly = minimal_polynomial(lx)
         factors = _factor_over_q(minpoly)

@@ -139,12 +139,12 @@ def run_check(args) -> int:
             props["kahler"] = is_kahler(t)
             out["metric"]["kahler"] = props["kahler"]
             lines.append("  hermitian: yes  kahler: %s" % _yesno(props["kahler"]))
-            lc = levi_civita(t)
+            lc = levi_civita(g, inst.metric)
             out["connections"] = {}
             # the first canonical connection is the complex projection of lc
             for key, label, conn in (("levi_civita", "levi-civita", lc),
                                      ("first_canonical", "first canonical",
-                                      complex_projection(g, inst.j, lc))):
+                                      complex_projection(inst.j, lc))):
                 flags = connection_flags(g, inst.j, inst.metric, conn)
                 norm = serialize.scalar_str(curvature_norm_sq(g, conn))
                 out["connections"][key] = {"tensor": _connection_json(g, conn),
@@ -168,17 +168,29 @@ def run_check(args) -> int:
     return FAIL if failed else PASS
 
 
+def _within_max_dim(dim):
+    """Refuse to build an instance that load would refuse: a 'dim' above
+    serialize.MAX_DIM."""
+    if dim > serialize.MAX_DIM:
+        raise serialize.InputError("the constructed 'dim' %d is above the limit of %d"
+                                   % (dim, serialize.MAX_DIM))
+
+
 def run_construct(args) -> int:
     if args.what == "double-product":
-        dp = double_product(serialize.load_algebra(args.dot),
-                            serialize.load_algebra(args.star))
+        dot = serialize.load_algebra(args.dot)
+        _within_max_dim(2 * dot.dim)
+        dp = double_product(dot, serialize.load_algebra(args.star))
         g, j = dp.algebra, dp.j
     elif args.what == "aff":
-        dp = aff_algebra(serialize.load_algebra(args.algebra))
+        a = serialize.load_algebra(args.algebra)
+        _within_max_dim(2 * a.dim)
+        dp = aff_algebra(a)
         g, j = dp.algebra, dp.j
     else:
         if args.n < 1:
             raise serialize.InputError("--n must be a positive integer")
+        _within_max_dim(2 * args.n + 2)
         g, j = semidirect_r2_family(args.n, serialize.load_matrix(args.t))
     text = serialize.emit(serialize.instance_to_dict(g, j))
     if args.out:

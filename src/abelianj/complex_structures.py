@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .linalg import (
     DimensionMismatch, Matrix, Subspace, _combine_nonzero, _nonzeros, is_zero_vec,
-    vec_sub, rat,
+    rat,
 )
 from .lie import (
     LieAlgebra, PreconditionError, bilinear_table, center, center_of_subalgebra,
@@ -47,14 +47,6 @@ class ComplexStructure:
 
     def __repr__(self):
         return "ComplexStructure(dim=%d)" % self.dim
-
-
-def nijenhuis(g, j: ComplexStructure, x, y):
-    """N(x,y) = [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y], evaluated exactly."""
-    jx, jy = j.apply(x), j.apply(y)
-    out = vec_sub(g.bracket(jx, jy), j.apply(g.bracket(jx, y)))
-    out = vec_sub(out, j.apply(g.bracket(x, jy)))
-    return vec_sub(out, g.bracket(x, y))
 
 
 def _twist(gs, js, i, k):

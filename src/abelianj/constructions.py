@@ -8,9 +8,8 @@ structure theory are re-certified at run time by linalg.certify.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .assoc import (
     CommAssocAlgebra, check_axioms, check_compatibility, square_span,
@@ -19,13 +18,12 @@ from .complex_structures import (
     ComplexStructure, HolomorphicPair, is_abelian_cs, is_holomorphic_iso,
 )
 from .lie import (
-    LieAlgebra, PreconditionError, bracket_span, center, centralizer,
-    check_jacobi, classify_subspace, commutator_ideal,
-    derived_and_central_series,
+    LieAlgebra, PreconditionError, bracket_span, center, check_jacobi,
+    classify_subspace, commutator_ideal, derived_and_central_series,
 )
 from .linalg import (
     Matrix, SingularMatrix, Subspace, basis_vec, certify, is_zero_vec, rat,
-    vec_add, vec_scale,
+    vec_scale,
 )
 
 
@@ -298,43 +296,6 @@ def aff_from_abelian_ideal(g, j, u: Subspace) -> AffModel:
     certify("assembled half has wrong dimension", 2 * v.dim == g.dim)
     certify("assembled half is not an abelian splitting", witness_check(g, j, v))
     return _aff_model(g, j, v)
-
-
-def search_witness(g, j, seed=0, trials=64) -> Optional[Subspace]:
-    """Bounded randomized search for an abelian splitting half.
-
-    Grows candidate halves inside iterated centralizers from random starting
-    vectors.  Returns a verified witness or None; None is inconclusive, not
-    a proof of non-existence.
-    """
-    n = g.dim
-    if n % 2:
-        return None
-    half = n // 2
-    gp = commutator_ideal(g)
-    if gp.dim == half and witness_check(g, j, gp):
-        return gp
-    rng = random.Random(seed)
-    for _ in range(trials):
-        start = tuple(rat(rng.randint(-2, 2)) for _ in range(n))
-        if is_zero_vec(start):
-            continue
-        current = Subspace(n, [start])
-        while current.dim < half:
-            cent = centralizer(g, current)
-            fresh = [w for w in cent.basis if not current.contains_vector(w)]
-            if not fresh:
-                break
-            w = fresh[rng.randrange(len(fresh))]
-            if len(fresh) > 1 and rng.random() < 0.5:
-                other = fresh[rng.randrange(len(fresh))]
-                mixed = vec_add(w, vec_scale(rat(rng.randint(-1, 1)), other))
-                if not current.contains_vector(mixed):
-                    w = mixed
-            current = Subspace(n, list(current.basis) + [w])
-        if current.dim == half and witness_check(g, j, current):
-            return current
-    return None
 
 
 def semidirect_r2_family(n, t_map: Matrix):

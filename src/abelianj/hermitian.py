@@ -200,13 +200,11 @@ def _adjoints(g, metric):
             for j in range(g.dim)]
 
 
-def levi_civita(g, metric=None) -> Connection:
+def levi_civita(g, metric: InnerProduct) -> Connection:
     """Unique torsion-free metric connection.  The Koszul pairing
     2 g(D_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y) solves to
     D_{e_i} e_j = (c_ij - ad_j* e_i - ad_i* e_j) / 2, one contraction per
     (i, j)."""
-    if metric is None:
-        g, metric = g.algebra, g.metric
     n, gs, adj = g.dim, g.split(), _adjoints(g, metric)
     conn = Connection([[_combine(2, ((1, gs[i][j]), (-1, adj[j][i]), (-1, adj[i][j])), n)
                         for j in range(n)] for i in range(n)])
@@ -277,16 +275,6 @@ def curvature_norm_sq(g, conn: Connection):
                         for col in cols for e in col])
 
 
-def apply_curvature(grid, x, y):
-    """Operator R(x, y) for arbitrary vectors, from the basis grid."""
-    n = len(grid)
-    pairs = list(combinations(range(n), 2))
-    coefs = [x[i] * y[j] - x[j] * y[i] for i, j in pairs]
-    return Matrix.from_columns(
-        [lin_comb(coefs, [grid[i][j].column(k) for i, j in pairs], n)
-         for k in range(n)])
-
-
 class ConnectionFlags(NamedTuple):
     is_metric: bool
     is_complex: bool
@@ -333,7 +321,7 @@ def connection_flags(g, j, metric, conn) -> ConnectionFlags:
     )
 
 
-def complex_projection(g, j: ComplexStructure, conn: Connection) -> Connection:
+def complex_projection(j: ComplexStructure, conn: Connection) -> Connection:
     """Average a connection with its J-conjugate along each direction:
     D_i -> (D_i - J D_i J) / 2.
 
@@ -360,7 +348,7 @@ def first_canonical(t: HermitianTriple) -> Connection:
     """Complex projection of the Levi-Civita connection: metric and complex,
     with torsion of type (1,1) when J is integrable.  For abelian J it equals
     first_canonical_pairing(t)."""
-    return complex_projection(t.algebra, t.j, levi_civita(t.algebra, t.metric))
+    return complex_projection(t.j, levi_civita(t.algebra, t.metric))
 
 
 def first_canonical_pairing(t: HermitianTriple) -> Connection:
@@ -378,7 +366,7 @@ def first_canonical_pairing(t: HermitianTriple) -> Connection:
     n, gs, adj = g.dim, g.split(), _adjoints(g, t.metric)
     k = Connection([[_combine(1, ((1, gs[i][q]), (-1, adj[i][q])), n) for q in range(n)]
                     for i in range(n)])
-    p = complex_projection(g, j, k).split()
+    p = complex_projection(j, k).split()
     return Connection([[_combine(2, ((1, p[i][q]), (-1, adj[q][i])), n) for q in range(n)]
                        for i in range(n)])
 

@@ -9,9 +9,9 @@ The structure checks are contractions over the kept bracket split
 (linalg._combine), and a zero bracket costs none: bracket_span contracts
 only nonzero bracket slices, check_jacobi skips a triple whose three
 brackets are zero and commutator_ideal reads only the nonzero brackets.
-center, centralizer and center_of_subalgebra are one centralizer kernel
-(_annihilator) of a bracket table that holds only the nonzero brackets:
-the kept slices c[i][j] for center, _brackets for the other two.  An
+center and center_of_subalgebra are one centralizer kernel (_annihilator)
+of a bracket table that holds only the nonzero brackets: the kept slices
+c[i][j] for center, _brackets for the other.  An
 algebra keeps its derived and lower central series once computed, as it
 keeps its split.
 """
@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .linalg import (
     DimensionMismatch, Matrix, SingularMatrix, Subspace, _as_vector, _combine,
-    _nonzeros, bilinear, contract, contract_splits, is_zero_vec, left_map,
-    lin_comb, rat, tensor_split, vec, vec_scale, vec_sub, zero_vec,
+    _nonzeros, bilinear, contract_splits, is_zero_vec, lin_comb, rat,
+    tensor_split, vec, vec_scale, zero_vec,
 )
 
 
@@ -34,11 +34,6 @@ class PreconditionError(ValueError):
 
 class JacobiWitness(NamedTuple):
     triple: tuple
-    residual: tuple
-
-
-class HomWitness(NamedTuple):
-    pair: tuple
     residual: tuple
 
 
@@ -93,16 +88,6 @@ class LieAlgebra:
             raise DimensionMismatch("bracket arguments must have dimension %d" % self.dim)
         return bilinear(self.split(), x, y)
 
-    def bracket_with_basis(self, i, y):
-        """[e_i, y] in O(dim^2)."""
-        return contract(y, self.split()[i], self.dim)
-
-    def ad(self, x):
-        """Matrix of y -> [x, y]."""
-        if len(x) != self.dim:
-            raise DimensionMismatch("ad argument must have dimension %d" % self.dim)
-        return left_map(self.split(), x)
-
     def __eq__(self, other):
         return isinstance(other, LieAlgebra) and self.dim == other.dim and self.c == other.c
 
@@ -140,12 +125,6 @@ def center(g) -> Subspace:
     s = g.split()
     table = [[v if sv[1] else None for v, sv in zip(row, srow)] for row, srow in zip(g.c, s)]
     return _annihilator(g, Subspace.whole(g.dim), table)
-
-
-def centralizer(g, u: Subspace) -> Subspace:
-    """{x : [x, u] = 0 for all u in the subspace}."""
-    whole = Subspace.whole(g.dim)
-    return _annihilator(g, whole, _brackets(g, whole, u))
 
 
 def center_of_subalgebra(g, u: Subspace) -> Subspace:
@@ -275,30 +254,15 @@ def pushforward(g, p: Matrix) -> LieAlgebra:
     return LieAlgebra.from_tensor(tensor, g.basis_names)
 
 
-def direct_sum(g1, g2) -> LieAlgebra:
-    brackets = {}
-    for off, h in ((0, g1), (g1.dim, g2)):
-        for i, j in combinations(range(h.dim), 2):
-            value = {off + k: c for k, c in enumerate(h.c[i][j]) if c}
-            if value:
-                brackets[(off + i, off + j)] = value
-    names = tuple(g1.basis_names) + tuple(g2.basis_names)
-    if len(set(names)) != len(names):
-        names = None
-    return LieAlgebra(g1.dim + g2.dim, brackets, names)
-
-
-def is_homomorphism(phi: Matrix, g1, g2, witness=False):
-    """phi[x,y] = [phi x, phi y] on basis pairs; optionally return a witness."""
+def is_homomorphism(phi: Matrix, g1, g2) -> bool:
+    """phi[x,y] = [phi x, phi y] on basis pairs."""
     if phi.ncols != g1.dim or phi.nrows != g2.dim:
         raise DimensionMismatch("map shape does not match the two algebras")
     for i in range(g1.dim):
         for j in range(i + 1, g1.dim):
-            lhs = phi.apply(g1.c[i][j])
-            rhs = g2.bracket(phi.column(i), phi.column(j))
-            if lhs != rhs:
-                return HomWitness((i, j), vec_sub(lhs, rhs)) if witness else False
-    return None if witness else True
+            if phi.apply(g1.c[i][j]) != g2.bracket(phi.column(i), phi.column(j)):
+                return False
+    return True
 
 
 def is_isomorphism(phi: Matrix, g1, g2) -> bool:

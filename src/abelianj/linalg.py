@@ -202,11 +202,6 @@ def tensor_split(tensor):
     return [[_nonzeros(v) for v in row] for row in tensor]
 
 
-def contract(coeffs, splits, n):
-    """sum_q coeffs[q] * (vector q) in Q^n, from the vectors' splits."""
-    return contract_splits([(1, _nonzeros(coeffs), splits)], n)
-
-
 def contract_splits(parts, n):
     """sum over parts (s, coefficient split, vector splits) of
     s * sum_q coefficient_q * (vector q) in Q^n, s an int, normalised once."""
@@ -366,7 +361,7 @@ class Matrix:
         """Matrix-vector product: the columns combined by v."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d, expected %d" % (len(v), self.ncols))
-        return contract(v, self.split(), self.nrows)
+        return contract_splits([(1, _nonzeros(v), self.split())], self.nrows)
 
     def __matmul__(self, other):
         if isinstance(other, Matrix):
@@ -514,7 +509,12 @@ class Subspace:
 
     @classmethod
     def whole(cls, ambient):
-        return cls(ambient, [basis_vec(ambient, i) for i in range(ambient)])
+        """Q^ambient, whose echelon form is the identity: no elimination."""
+        s = object.__new__(cls)
+        s.ambient = ambient
+        s.basis = tuple(basis_vec(ambient, i) for i in range(ambient))
+        s.pivots = tuple(range(ambient))
+        return s
 
     @property
     def dim(self):
@@ -563,36 +563,32 @@ class Subspace:
         inter = [row[n:] for row in rows if is_zero_vec(row[:n])]
         return Subspace(n, inter)
 
-    def complement_in(self, bigger, metric=None):
-        """C with bigger = self (+) C; orthogonal complement when metric given.
-
-        Without a metric the choice is deterministic: greedily extend by the
-        echelon basis vectors of `bigger` not already in the running span.
+    def complement_in(self, bigger):
+        """C with bigger = self (+) C, chosen deterministically: greedily
+        extend by the echelon basis vectors of `bigger` not already in the
+        running span.
         """
         self._check(bigger)
         if not bigger.contains(self):
             raise DimensionMismatch("complement: first subspace not inside second")
-        if metric is None:
-            acc = list(self.basis)
-            added = []
-            current = Subspace(self.ambient, acc)
-            for w in bigger.basis:
-                if not current.contains_vector(w):
-                    added.append(w)
-                    acc.append(w)
-                    current = Subspace(self.ambient, acc)
-            comp = Subspace(self.ambient, added)
-        else:
-            comp = bigger.intersect(self.orthogonal_complement(metric))
+        acc = list(self.basis)
+        added = []
+        current = Subspace(self.ambient, acc)
+        for w in bigger.basis:
+            if not current.contains_vector(w):
+                added.append(w)
+                acc.append(w)
+                current = Subspace(self.ambient, acc)
+        comp = Subspace(self.ambient, added)
         certify("complement does not split the bigger space",
                 comp.dim + self.dim == bigger.dim and self.intersect(comp).is_zero())
         return comp
 
     def orthogonal_complement(self, metric):
-        gram = metric.gram if hasattr(metric, "gram") else metric
+        """Orthogonal complement with respect to an InnerProduct."""
         if self.is_zero():
             return Subspace.whole(self.ambient)
-        constraints = Matrix([gram.apply(u) for u in self.basis])
+        constraints = Matrix([metric.gram.apply(u) for u in self.basis])
         return Subspace(self.ambient, constraints.kernel())
 
     def image(self, mat):

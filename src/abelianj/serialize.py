@@ -5,9 +5,10 @@ InputError for malformed files or values (exit 2), ValidationFailure for
 well-formed data whose object fails a mathematical validator such as the
 Jacobi identity or positive definiteness (exit 1).
 
-Loading refuses a 'dim' above MAX_DIM with an InputError before any tensor
-is allocated: tensors are dense dim^3, so an oversized file would otherwise
-exhaust memory and time instead of failing.
+Loading refuses a 'dim' above MAX_DIM, and a matrix file with more than
+MAX_DIM rows, with an InputError before any tensor is allocated or any
+scalar parsed: tensors are dense dim^3, so an oversized file would
+otherwise exhaust memory and time instead of failing.
 
 Emission is canonical: fixed key order, brackets sorted by index pair,
 sparse values in ascending index order, two-space indent, trailing newline.
@@ -222,6 +223,8 @@ def matrix_from_file_dict(data, what="matrix") -> Matrix:
     if not isinstance(data, dict) or "matrix" not in data:
         raise InputError("%s file must be an object with a 'matrix' key" % what)
     rows = data["matrix"]
+    if isinstance(rows, list) and len(rows) > MAX_DIM:
+        raise InputError("'matrix' has %d rows, above the limit of %d" % (len(rows), MAX_DIM))
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, list) or len(r) != len(rows) for r in rows)):
         raise InputError("'matrix' must be a square array")

@@ -37,7 +37,7 @@ def test_certificate_runs_under_python_optimize(fixtures_dir):
         "hermitian._is_metric = lambda conn, metric: False\n"
         "t = serialize.load_instance(sys.argv[1]).triple()\n"
         "try:\n"
-        "    hermitian.levi_civita(t)\n"
+        "    hermitian.levi_civita(t.algebra, t.metric)\n"
         "except CertificateError as exc:\n"
         "    print(exc)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))

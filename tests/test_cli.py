@@ -161,6 +161,34 @@ def test_construct_aff_round_trip(fixtures_dir, tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def test_construct_refuses_results_load_would_refuse(tmp_path, capsys):
+    # each result would have a 'dim' above MAX_DIM: exit 2 before building
+    half = serialize.MAX_DIM // 2 + 1
+    algebra = tmp_path / "a.json"
+    algebra.write_text(json.dumps({"dim": half, "products": []}), encoding="utf-8")
+    out_path = tmp_path / "aff.json"
+    assert main(["construct", "aff", "--algebra", str(algebra), "-o", str(out_path)]) == 2
+    assert not out_path.exists()
+    assert main(["construct", "double-product", "--dot", str(algebra),
+                 "--star", str(algebra), "-o", str(out_path)]) == 2
+    assert not out_path.exists()
+    # 2n + 2 = 66; the acting map itself is a valid 64 x 64 identity
+    n = serialize.MAX_DIM // 2
+    t_path = tmp_path / "t.json"
+    t_path.write_text(json.dumps(
+        {"matrix": [["1" if r == c else "0" for c in range(2 * n)] for r in range(2 * n)]}),
+        encoding="utf-8")
+    assert main(["construct", "semidirect", "--n", str(n), "--t", str(t_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("above the limit of %d" % serialize.MAX_DIM) == 3
+    # a matrix file with more rows than MAX_DIM is refused as input
+    big = tmp_path / "big.json"
+    rows = serialize.MAX_DIM + 1
+    big.write_text(json.dumps({"matrix": [["0"] * rows] * rows}), encoding="utf-8")
+    assert main(["construct", "semidirect", "--n", "1", "--t", str(big)]) == 2
+    assert "above the limit of %d" % serialize.MAX_DIM in capsys.readouterr().err
+
+
 def test_construct_incompatible_pair(fixtures_dir, capsys):
     code = main(["construct", "double-product",
                  "--dot", fx(fixtures_dir, "prod_dual_numbers.json"),

@@ -9,8 +9,8 @@ from abelianj.complex_structures import (
 from abelianj.constructions import (
     AffModel, IncompatiblePairError, _aff_model, NotApplicableError, aff_algebra,
     aff_from_abelian_ideal, double_product, equal_products_iso,
-    extract_products, recognize_aff, refine_to_witness, search_witness,
-    semidirect_r2_family, standard_complex_structure, witness_check,
+    extract_products, recognize_aff, refine_to_witness, semidirect_r2_family,
+    standard_complex_structure, witness_check,
 )
 from abelianj.lab import _standard_block_j, random_pair
 from abelianj.lie import (
@@ -200,18 +200,6 @@ def test_aff_from_abelian_ideal_preconditions():
                              vec((0, 0, 0, 0, 1, 0))])
     with pytest.raises(PreconditionError):
         aff_from_abelian_ideal(g, j, not_ideal)
-
-
-def test_search_witness_fast_path_and_abelian():
-    g = aff_complex()
-    j = standard_complex_structure(2)
-    found = search_witness(g, j)
-    assert found == commutator_ideal(g)
-    g2 = LieAlgebra.abelian(2)
-    j2 = ComplexStructure(Matrix([[0, -1], [1, 0]]))
-    found2 = search_witness(g2, j2, seed=5)
-    assert found2 is not None
-    assert witness_check(g2, j2, found2)
 
 
 def test_semidirect_family_identity_action():

@@ -180,7 +180,7 @@ def test_theorem_suite_records_failing_first_connection(monkeypatch):
     # with the projection skipped, the first canonical connection is
     # Levi-Civita, which is not complex unless the metric is Kahler: the
     # flag check must report it as a counterexample, not abort the suite
-    monkeypatch.setattr(hermitian, "complex_projection", lambda g, j, conn: conn)
+    monkeypatch.setattr(hermitian, "complex_projection", lambda j, conn: conn)
     rep = theorem_suite(20240823, 10, max_dim=8)
     assert rep.theorems["hermitian_connection_identities"]["fail"] >= 1
     assert any(ce["violated"] == "hermitian_connection_identities"

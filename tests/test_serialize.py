@@ -167,6 +167,9 @@ def test_matrix_file_parsing(tmp_path):
         matrix_from_file_dict({"rows": []})
     with pytest.raises(InputError):
         matrix_from_file_dict({"matrix": [["1", "2"]]})
+    # too many rows is refused before the shape or any entry is read
+    with pytest.raises(InputError, match="above the limit"):
+        matrix_from_file_dict({"matrix": [[0.5]] * (serialize.MAX_DIM + 1)})
 
 
 def test_load_errors(tmp_path):
