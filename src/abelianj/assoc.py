@@ -1,14 +1,22 @@
 """Commutative associative algebras: axioms, compatibility for double
 products, nilradical, and primitive idempotent extraction.
 
-Idempotents come from factoring the minimal polynomial of a generic
+Idempotents come from splitting the minimal polynomial of a generic
 multiplication operator over Q.  A rational primitive decomposition exists
 exactly when every factor is linear or an imaginary quadratic; any other
 factor is reported as an irrational spectrum instead of being approximated.
+The splitting needs only the standard library.  The roots are found modulo
+a small prime q at which they are simple and lifted p-adically by Newton's
+method, in Z_q and in its unramified quadratic extension.  One root in Z_q
+gives a candidate linear factor; two roots in Z_q, or a conjugate pair,
+give a candidate quadratic factor; each candidate is tested by exact
+division.
 """
 from __future__ import annotations
 
 import random
+from itertools import chain, count
+from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .linalg import (
@@ -203,7 +211,7 @@ class IdempotentSet(NamedTuple):
     factor_types: tuple         # "R" | "C" per idempotent
 
 
-# ---- polynomial evaluation over Q (ascending coefficients) ----
+# ---- polynomials over Q (ascending coefficients) ----
 
 def _poly_eval_matrix(p, mat):
     n = mat.nrows
@@ -233,17 +241,105 @@ def minimal_polynomial(mat: Matrix):
     return list(sol) + [ONE]
 
 
-def _factor_over_q(coeffs):
-    """Irreducible monic factors over Q via sympy, as ascending-coeff lists."""
-    from sympy import Poly, Rational, Symbol
+def _divmod(a, b):
+    """Quotient and remainder of a by b over Q."""
+    r = list(a)
+    q = [ZERO] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + len(b) - 1] / b[-1]
+        for k, bk in enumerate(b):
+            r[i + k] -= c * bk
+    del r[len(b) - 1:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
-    t = Symbol("t")
-    p = Poly([Rational(str(c)) for c in reversed(coeffs)], t, domain="QQ")
-    out = []
-    for fac, mult in p.factor_list()[1]:
-        monic = fac.monic()
-        out.append(([rat(str(c)) for c in reversed(monic.all_coeffs())], mult))
-    return out
+
+# Elements a + b*w of Z/mod[w], w^2 = n, as pairs (a, b).
+
+def _mul(x, y, n, mod):
+    return ((x[0] * y[0] + n * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod)
+
+
+def _eval(f, x, n, mod):
+    a = b = 0
+    for c in reversed(f):
+        a, b = (a * x[0] + n * b * x[1] + c) % mod, (a * x[1] + b * x[0]) % mod
+    return a, b
+
+
+def _newton(f, df, x, n, mod):
+    """x - f(x) / f'(x) in Z/mod[w]."""
+    d = _eval(df, x, n, mod)
+    inv = pow((d[0] * d[0] - n * d[1] * d[1]) % mod, -1, mod)
+    step = _mul(_eval(f, x, n, mod), (d[0] * inv, -d[1] * inv), n, mod)
+    return ((x[0] - step[0]) % mod, (x[1] - step[1]) % mod)
+
+
+def _padic_roots(p):
+    """(lc, n, mod, roots): the roots, modulo mod = q^(2^k), of the squarefree
+    p scaled to an integer polynomial f with leading coefficient lc, in the
+    unramified quadratic extension Z_q[w], w^2 = n, of Z_q.  q is the first
+    odd prime not dividing lc at which every root of f in F_q[w] is simple,
+    so each lifts uniquely by Newton's method (Loos, SIAM J. Comput. 1983).
+    A rational root r, or a monic quadratic factor t^2 - s t + m, makes
+    lc * r, or lc * s and lc * m, integers of size at most bound^2 < mod / 2.
+    Rejected primes divide lc * Res(f, f'); once their product passes the
+    Hadamard bound of that product, the resultant is 0: a repeated root."""
+    den = lcm(*(c.denominator for c in p))
+    f = [c.numerator * (den // c.denominator) for c in p]
+    df = [i * c for i, c in enumerate(f)][1:]
+    d, lc = len(f) - 1, f[-1]
+    bound = abs(lc) + max(map(abs, f[:-1]))
+    rejected, limit = 1, abs(lc) * d ** d * sum(c * c for c in f) ** d
+    for q in (k for k in count(3, 2) if all(k % j for j in range(3, isqrt(k) + 1, 2))):
+        n = next(k for k in range(2, q) if pow(k, (q - 1) // 2, q) == q - 1)
+        roots = [(a, 0) for a in range(q) if _eval(f, (a, 0), n, q) == (0, 0)]
+        if len(roots) < d:      # else no root is left for F_q[w] outside F_q
+            roots += [(a, b) for b in range(1, q) for a in range(q)
+                      if _eval(f, (a, b), n, q) == (0, 0)]
+        if lc % q and all(_eval(df, x, n, q) != (0, 0) for x in roots):
+            break
+        rejected *= q
+        certify("a minimal polynomial of a semisimple element is squarefree",
+                rejected <= limit)
+    mod = q
+    while mod <= 2 * bound * bound:
+        mod *= mod
+        roots = [_newton(f, df, x, n, mod) for x in roots]
+    return lc, n, mod, roots
+
+
+def _rational(lc, a, mod):
+    """v / lc for the integer v = lc * a (mod mod) of least absolute value."""
+    v = lc * a % mod
+    return rat(v - mod if 2 * v > mod else v, lc)
+
+
+def _split_over_q(p):
+    """(factors, rest) for the squarefree monic p: its monic linear and
+    quadratic factors over Q, and their cofactor.  Each p-adic root in Z_q
+    gives a linear candidate.  The two roots of a quadratic factor are both
+    in Z_q or conjugate in Z_q[w], so each such pair gives a quadratic
+    candidate.  Candidates are tested by division, linear ones first, so a
+    product of two linear factors is no longer a divisor when its turn comes."""
+    lc, n, mod, lifted = _padic_roots(p)
+    in_zq = [x for x in lifted if not x[1]]
+    pairs = [(x, (x[0], mod - x[1])) for x in lifted if 0 < 2 * x[1] < mod]
+    pairs += [(x, y) for i, x in enumerate(in_zq) for y in in_zq[i + 1:]]
+    candidates = chain(
+        ([-_rational(lc, a, mod), ONE] for a, _ in in_zq),
+        ([_rational(lc, _mul(x, y, n, mod)[0], mod), -_rational(lc, x[0] + y[0], mod), ONE]
+         for x, y in pairs))
+    factors, rest = [], p
+    for g in candidates:
+        if len(g) > len(rest):
+            break
+        quo, rem = _divmod(rest, g)
+        if not rem:
+            factors.append(g)
+            rest = quo
+    return factors, rest
 
 
 def _block_unit(a, block: Subspace):
@@ -301,20 +397,18 @@ def primitive_idempotents(a) -> IdempotentSet:
     last_error = None
     for x in _generic_elements(a.dim):
         lx = a.left_mult(x)
-        minpoly = minimal_polynomial(lx)
-        factors = _factor_over_q(minpoly)
-        if any(mult > 1 for _, mult in factors):
-            last_error = GenericityError("minimal polynomial not squarefree")
-            continue
-        bad = [f for f, _ in factors
-               if len(f) - 1 > 2 or (len(f) - 1 == 2 and f[1] * f[1] - 4 * f[0] >= 0)]
-        if bad:
+        factors, rest = _split_over_q(minimal_polynomial(lx))
+        if any(len(f) == 3 and f[1] * f[1] - 4 * f[0] > 0 for f in factors):
             raise IrrationalSpectrumError(
-                "irrational spectrum: irreducible factor of degree %d is not "
-                "linear or an imaginary quadratic" % (len(bad[0]) - 1))
+                "irrational spectrum: irreducible factor of degree 2 is not "
+                "linear or an imaginary quadratic")
+        if len(rest) > 1:
+            raise IrrationalSpectrumError(
+                "irrational spectrum: a factor of degree %d has no linear or "
+                "quadratic factor over Q" % (len(rest) - 1))
         blocks = []
         ok = True
-        for f, _ in factors:
+        for f in factors:
             block = Subspace(a.dim, _poly_eval_matrix(f, lx).kernel())
             if block.dim != len(f) - 1:
                 ok = False  # eigenvalue collision, redraw the generic element

@@ -9,7 +9,7 @@ from abelianj.assoc import (
     minimal_polynomial, nilradical, primitive_idempotents, square_span, unit,
 )
 from abelianj.lie import PreconditionError
-from abelianj.linalg import DimensionMismatch, Matrix, Subspace, rat, vec
+from abelianj.linalg import CertificateError, DimensionMismatch, Matrix, Subspace, rat, vec
 
 
 def real_line():
@@ -175,6 +175,50 @@ def test_primitive_idempotents_three_blocks():
     for e in out.idempotents:
         total = tuple(x + y for x, y in zip(total, e))
     assert total == unit(a)
+
+
+def _quadratic_field(offset, d):
+    """Q(sqrt d) on the basis 1, sqrt d at positions offset, offset + 1."""
+    o = offset
+    return {(o, o): {o: 1}, (o, o + 1): {o + 1: 1}, (o + 1, o + 1): {o: d}}
+
+
+def _cubic_field(offset, k):
+    """Q(c), c^3 = k, on the basis 1, c, c^2 from position offset."""
+    o = offset
+    return {(o, o): {o: 1}, (o, o + 1): {o + 1: 1}, (o, o + 2): {o + 2: 1},
+            (o + 1, o + 1): {o + 2: 1}, (o + 1, o + 2): {o: k}, (o + 2, o + 2): {o + 1: k}}
+
+
+def test_primitive_idempotents_two_complex_blocks():
+    # Q(i) x Q(sqrt -2) x Q: two imaginary quadratic factors and a linear one
+    a = CommAssocAlgebra(5, {**_quadratic_field(0, -1), **_quadratic_field(2, -2),
+                             (4, 4): {4: 1}})
+    out = primitive_idempotents(a)
+    assert out.factor_types == ("C", "C", "R")
+    assert out.idempotents == (vec((0, 0, 1, 0, 0)), vec((1, 0, 0, 0, 0)),
+                               vec((0, 0, 0, 0, 1)))
+
+
+def test_irrational_spectrum_messages():
+    # Q(i) x Q(sqrt 2): the real quadratic factor is named by its degree
+    a = CommAssocAlgebra(4, {**_quadratic_field(0, -1), **_quadratic_field(2, 2)})
+    with pytest.raises(IrrationalSpectrumError,
+                       match="irreducible factor of degree 2 is not linear or an imaginary quadratic"):
+        primitive_idempotents(a)
+    # Q(cbrt 2) x Q(cbrt 3): the left-over sextic is reducible, so the
+    # message names only what is certain about it
+    b = CommAssocAlgebra(6, {**_cubic_field(0, 2), **_cubic_field(3, 3)})
+    with pytest.raises(IrrationalSpectrumError,
+                       match="a factor of degree 6 has no linear or quadratic factor over Q"):
+        primitive_idempotents(b)
+
+
+def test_splitter_rejects_a_repeated_root():
+    # (t - 1)^2: every prime sees the double root, and the rejected primes
+    # soon outgrow the resultant bound that a squarefree input would obey
+    with pytest.raises(CertificateError):
+        assoc._split_over_q([rat(1), rat(-2), rat(1)])
 
 
 def test_generic_element_retry_is_bounded(monkeypatch):

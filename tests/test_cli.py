@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -290,3 +294,32 @@ def test_argparse_contract():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# Runs both commands in one fresh process; each must reach the idempotent
+# splitter, and neither may import sympy.
+_NO_SYMPY_SCRIPT = """\
+import json, sys
+from abelianj import cli, lab
+calls = []
+split = lab.primitive_idempotents
+lab.primitive_idempotents = lambda a: calls.append(a) or split(a)
+codes = [cli.main(["decompose-kahler", "--instance", sys.argv[1]])]
+reached = [len(calls)]
+codes.append(cli.main(["fuzz", "--seed", "359", "--trials", "5"]))
+reached.append(len(calls) - reached[0])
+print(json.dumps([codes, reached, "sympy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_decompose_and_fuzz_do_not_import_sympy(fixtures_dir, flags):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _NO_SYMPY_SCRIPT, fx(fixtures_dir, "kahler_two_blocks.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    codes, reached, imported = json.loads(out.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0] and all(reached)
+    assert imported is False

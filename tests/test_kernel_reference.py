@@ -3,7 +3,8 @@ references: bilinear products, the structure layer (bracket spans, center,
 centers of subalgebras, series, Jacobi, unimodularity, the ad-twist and
 Nijenhuis tensor) and the Hermitian layer
 (curvature, Koszul, torsion, flag residuals, complex projection) against
-dense Fraction formulas, elimination results against sympy."""
+dense Fraction formulas, elimination results and the idempotent splitter's
+factors over Q against sympy."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -11,8 +12,11 @@ from math import gcd
 import pytest
 import sympy
 
-from abelianj.assoc import CommAssocAlgebra, check_axioms, check_compatibility
-from abelianj import complex_structures, hermitian, lie, linalg
+from abelianj.assoc import (
+    CommAssocAlgebra, IrrationalSpectrumError, check_axioms, check_compatibility,
+    primitive_idempotents,
+)
+from abelianj import assoc, complex_structures, hermitian, lie, linalg
 from abelianj.complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import (
@@ -662,3 +666,90 @@ def test_structure_layer_matches_fraction_reference():
     # zero and nonzero twists, unimodular and not unimodular algebras all occur
     assert twists == {True, False}
     assert unimodular == {True, False}
+
+
+# ---- the idempotent splitter against sympy's factorization over Q ----
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
+def _monic_factor(rng, kind):
+    """Monic factor with 17-bit numerators and 6-bit denominators; the
+    quadratics have a nonzero discriminant of the sign their kind names."""
+    def big():
+        return Fraction(rng.randint(-2 ** 16, 2 ** 16), rng.randint(1, 2 ** 6))
+    if kind == "linear":
+        return [big(), Fraction(1)]
+    if kind == "cubic":
+        return [big(), big(), big(), Fraction(1)]
+    s, gap = big(), abs(big()) + 1
+    disc = -gap if kind == "imaginary" else gap
+    return [(s * s - disc) / 4, -s, Fraction(1)]
+
+
+def _random_split_product(rng, max_degree):
+    """Product of random linear, imaginary-quadratic, real-quadratic and
+    cubic monic factors, of degree at most max_degree."""
+    p, kinds = [Fraction(1)], []
+    while True:
+        kind = rng.choice(("linear", "imaginary", "real", "cubic"))
+        if len(p) - 1 + {"linear": 1, "cubic": 3}.get(kind, 2) > max_degree:
+            return p, kinds
+        p = _poly_mul(p, _monic_factor(rng, kind))
+        kinds.append(kind)
+        if rng.random() < 0.15:
+            return p, kinds
+
+
+def _sympy_factors(p):
+    """Monic irreducible factors over Q, ascending coefficients, from sympy."""
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
+                      sympy.Symbol("t"), domain="QQ")
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        assert mult == 1                # the products are squarefree
+        out.append([_frac(c) for c in reversed(fac.monic().all_coeffs())])
+    return out
+
+
+def _quotient_algebra(p):
+    """Q[t] / (p) in the basis 1, t, ..., t^(d-1)."""
+    d = len(p) - 1
+    powers, cur = [], [Fraction(1)] + [Fraction(0)] * (d - 1)
+    for _ in range(2 * d - 1):
+        powers.append(cur)
+        cur = [c - cur[-1] * q for c, q in zip([Fraction(0)] + cur[:-1], p)]
+    return CommAssocAlgebra(d, {(i, k): tuple(powers[i + k])
+                                for i in range(d) for k in range(i, d)})
+
+
+def test_split_over_q_matches_sympy():
+    rng = random.Random(1983)
+    kinds, bits = set(), 0
+    for case in range(40):
+        p, drawn = _random_split_product(rng, 12 if case % 2 else 5)
+        kinds.update(drawn)
+        bits = max(bits, max(c.numerator.bit_length() + c.denominator.bit_length() for c in p))
+        ref = _sympy_factors(p)
+        small = sorted(f for f in ref if len(f) <= 3)
+        rest = [Fraction(1)]
+        for f in ref:
+            if len(f) > 3:
+                rest = _poly_mul(rest, f)
+        factors, left = assoc._split_over_q(p)
+        assert sorted(factors) == small and left == rest
+        # the verdict of primitive_idempotents on Q[t]/(p) = prod Q[t]/(f)
+        if len(p) - 1 <= 5:
+            real = [f for f in small if len(f) == 3 and f[1] ** 2 - 4 * f[0] > 0]
+            if real or len(rest) > 1:
+                with pytest.raises(IrrationalSpectrumError):
+                    primitive_idempotents(_quotient_algebra(p))
+            else:
+                types = sorted("R" if len(f) == 2 else "C" for f in small)
+                assert primitive_idempotents(_quotient_algebra(p)).factor_types == tuple(types)
+    assert kinds == {"linear", "imaginary", "real", "cubic"} and bits > 200
