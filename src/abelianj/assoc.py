@@ -20,9 +20,9 @@ from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _as_vector, bilinear,
-    certify, contract_splits, is_zero_vec, left_map, lin_comb, rat, tensor_split, vec,
-    vec_scale, zero_vec,
+    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _as_vector, _eliminate, _entry,
+    _over_lcm, bilinear, certify, contract_splits, is_zero_vec, left_map, lin_comb, rat,
+    tensor_split, zero_vec,
 )
 from .lie import PreconditionError
 
@@ -71,18 +71,6 @@ class CommAssocAlgebra:
             "e%d" % (i + 1) for i in range(dim))
         if len(self.basis_names) != dim:
             raise DimensionMismatch("basis_names length != dim")
-
-    @classmethod
-    def from_tensor(cls, tensor, basis_names=None):
-        dim = len(tensor)
-        products = {}
-        for i in range(dim):
-            for j in range(i, dim):
-                if vec(tensor[i][j]) != vec(tensor[j][i]):
-                    raise DimensionMismatch("product tensor not symmetric at (%d,%d)" % (i, j))
-                if not is_zero_vec(tensor[i][j]):
-                    products[(i, j)] = tensor[i][j]
-        return cls(dim, products, basis_names)
 
     @classmethod
     def zero(cls, dim):
@@ -224,21 +212,21 @@ def _poly_eval_matrix(p, mat):
 
 
 def minimal_polynomial(mat: Matrix):
-    """Monic minimal polynomial, ascending coefficients, via exact linalgebra."""
+    """Monic minimal polynomial, ascending coefficients, from one elimination
+    of the flattened powers I, M, ..., M^n, column k scaled to integers by
+    the lcm D_k of its denominators.  The pivots are 0, ..., d-1 for d the
+    degree, and coefficient k < d is -rows[k][d] D_k / (den D_d)."""
     n = mat.nrows
-    powers = [Matrix.identity(n)]
-    flat = [sum(powers[0].rows, ())]
-    sol = None
+    power = Matrix.identity(n)
+    cols = [_over_lcm(sum(power.rows, ()))]
     for _ in range(n):
-        powers.append(powers[-1] @ mat)
-        flat.append(sum(powers[-1].rows, ()))
-        # solve c_0 I + ... + c_{d-1} M^{d-1} = -M^d
-        cols = Matrix.from_columns(flat[:-1])
-        sol = cols.solve(vec_scale(rat(-1), flat[-1]))
-        if sol is not None:
-            break
-    certify("minimal polynomial must exist by Cayley-Hamilton", sol is not None)
-    return list(sol) + [ONE]
+        power = power @ mat
+        cols.append(_over_lcm(sum(power.rows, ())))
+    rows = [list(r) for r in zip(*[nums for _, nums in cols]) if any(r)]
+    pivots, den, _, _ = _eliminate(rows, n + 1)
+    d = len(pivots)
+    certify("minimal polynomial must exist by Cayley-Hamilton", d <= n)
+    return [_entry(-rows[k][d] * cols[k][0], den * cols[d][0]) for k in range(d)] + [ONE]
 
 
 def _divmod(a, b):

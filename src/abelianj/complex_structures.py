@@ -1,10 +1,10 @@
 """Complex structures on Lie algebras: integrability, the abelian condition,
 holomorphic isomorphisms, and the five-way structural report for abelian J.
 
-The Nijenhuis table and the report's ad-twist [Je_i, e_k] + [e_i, Je_k] are
-contractions over the kept splits of the brackets and of J
-(linalg._combine) that read only nonzero bracket slices; a pair whose
-brackets are all zero costs none.
+The Nijenhuis table, the abelian test and the report's ad-twist
+[Je_i, e_k] + [e_i, Je_k] are contractions over the kept splits of the
+brackets and of J (linalg._combine), once per pair i < k and over nonzero
+bracket slices only; a pair whose brackets are all zero costs none.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from .linalg import (
     rat,
 )
 from .lie import (
-    LieAlgebra, PreconditionError, bilinear_table, center, center_of_subalgebra,
-    classify_subspace, commutator_ideal, derived_and_central_series,
+    LieAlgebra, PreconditionError, bilinear_table, bracket_span, center,
+    center_of_subalgebra, commutator_ideal, derived_and_central_series,
     is_isomorphism,
 )
 
@@ -63,7 +63,7 @@ def _nijenhuis_table(g, j):
     for i < k, one contraction per pair, none for a pair whose brackets are
     all zero."""
     n, gs, js = g.dim, g.split(), j.matrix.split()
-    t_jj = bilinear_table(g, j.matrix, j.matrix)
+    t_jj = bilinear_table(g, j.matrix, j.matrix, upper=True)
     for i, k in combinations(range(n), 2):
         dt, tw = _twist(gs, js, i, k)
         yield (i, k), _combine_nonzero(dt, [(dt, _nonzeros(t_jj[i][k])), (-dt, gs[i][k])]
@@ -75,8 +75,10 @@ def is_integrable(g, j) -> bool:
 
 
 def is_abelian_cs(g, j) -> bool:
-    """[Jx, Jy] = [x, y] on all basis pairs."""
-    return bilinear_table(g, j.matrix, j.matrix) == g.c
+    """[Jx, Jy] = [x, y] on the basis pairs i < j; both sides are
+    alternating, so these decide it."""
+    t = bilinear_table(g, j.matrix, j.matrix, upper=True)
+    return all(t[i][k] == g.c[i][k] for i, k in combinations(range(g.dim), 2))
 
 
 def j_stable_commutator(g, j) -> Subspace:
@@ -119,11 +121,10 @@ def abelian_cs_report(g, j) -> AbelianReport:
     ad_twist = not any(_twist(gs, js, i, k)[1] for i, k in combinations(range(g.dim), 2))
 
     series = derived_and_central_series(g)
-    gp_abelian = classify_subspace(g, gp).is_abelian_subspace
-    iff_holds = gp_abelian == series.is_2step_solvable
+    iff_holds = bracket_span(g, gp, gp).is_zero() == series.is_2step_solvable
 
-    jgp_role = classify_subspace(g, jgp)
-    jgp_flag = jgp_role.is_subalgebra and jgp_role.is_abelian_subspace
+    # an abelian subspace is a subalgebra: its bracket span is zero
+    jgp_flag = bracket_span(g, jgp, jgp).is_zero()
 
     inter = gp.intersect(jgp)
     central = center_of_subalgebra(g, gpj)

@@ -7,9 +7,12 @@ rational tensors; there are no tolerances anywhere.
 
 Curvature, the Koszul solve, torsion, the flag residuals and the complex
 projection are contractions over kept splits (linalg.contract_splits and
-linalg._combine).  A curvature pair whose operators and bracket are all
-zero, and a direction whose operator is zero, are skipped without a
-contraction; is_flat stops at the first nonzero curvature column.
+linalg._combine).  Alternating tensors are contracted once per unordered
+pair i < j: torsion, its (1,1) test through bilinear_table, the cyclic sums
+of is_kahler and cyclic_metric_identity, and the metric flag, L + L^T for
+L = G D_i.  A curvature pair whose operators and bracket are all zero, and
+a direction whose operator is zero, are skipped without a contraction;
+is_flat stops at the first nonzero curvature column.
 """
 from __future__ import annotations
 
@@ -23,8 +26,9 @@ from .lie import (
     derived_and_central_series,
 )
 from .linalg import (
-    DimensionMismatch, Matrix, _combine, bilinear, certify, contract_splits, lin_comb,
-    norm_sq, rat, tensor_split, vec, vec_dot, is_zero_vec, zero_vec,
+    DimensionMismatch, Matrix, _combine, _combine_nonzero, _neg, bilinear, certify,
+    contract_splits, lin_comb, norm_sq, rat, tensor_split, vec, vec_dot, is_zero_vec,
+    zero_vec,
 )
 
 
@@ -150,18 +154,22 @@ def d_omega(t: HermitianTriple, x, y, z):
             - kahler_form(t, g.bracket(z, x), y))
 
 
-def _cyclic_sums_vanish(form, tensor, triples) -> bool:
-    """With w[i][j][k] the k-th entry of form applied to tensor[i][j]:
-    w[i][j][k] + w[j][k][i] + w[k][i][j] == 0 on every triple."""
-    w = [[form.apply(v) for v in row] for row in tensor]
-    return all(w[i][j][k] + w[j][k][i] + w[k][i][j] == 0 for i, j, k in triples)
+def _cyclic_sums_vanish(form, g) -> bool:
+    """With w[i][j][k] the k-th entry of form applied to the bracket c_ij:
+    w[i][j][k] + w[j][k][i] + w[k][i][j] == 0 on every triple i < j < k.
+    The form is applied once per unordered pair, to the nonzero slices
+    i < j only, and w[k][i] is read as -w[i][k]."""
+    n, s, fs = g.dim, g.split(), form.split()
+    w = {(i, j): contract_splits([(1, s[i][j], fs)], n)
+         for i, j in combinations(range(n), 2) if s[i][j][1]}
+    z = zero_vec(n)
+    return all(w.get((i, j), z)[k] + w.get((j, k), z)[i] == w.get((i, k), z)[j]
+               for i, j, k in combinations(range(n), 3))
 
 
 def is_kahler(t: HermitianTriple) -> bool:
     """The Kahler form is closed: its cyclic sums over brackets vanish."""
-    n = t.algebra.dim
-    return _cyclic_sums_vanish(kahler_form_matrix(t).transpose(), t.algebra.c,
-                               combinations(range(n), 3))
+    return _cyclic_sums_vanish(kahler_form_matrix(t).transpose(), t.algebra)
 
 
 def cyclic_metric_identity(t: HermitianTriple) -> bool:
@@ -173,7 +181,7 @@ def cyclic_metric_identity(t: HermitianTriple) -> bool:
     g = t.algebra
     if not is_abelian_cs(g, t.j):
         raise PreconditionError("identity requires an abelian complex structure")
-    return _cyclic_sums_vanish(t.metric.gram, g.c, combinations(range(g.dim), 3))
+    return _cyclic_sums_vanish(t.metric.gram, g)
 
 
 def twisted_cyclic_identity(t: HermitianTriple) -> bool:
@@ -183,7 +191,9 @@ def twisted_cyclic_identity(t: HermitianTriple) -> bool:
     """
     n = t.algebra.dim
     tj = bilinear_table(t.algebra, Matrix.identity(n), t.j.matrix)
-    return _cyclic_sums_vanish(t.metric.gram, tj, product(range(n), repeat=3))
+    w = [[t.metric.gram.apply(v) for v in row] for row in tj]
+    return all(w[i][j][k] + w[j][k][i] + w[k][i][j] == 0
+               for i, j, k in product(range(n), repeat=3))
 
 
 def _live(splits):
@@ -215,10 +225,13 @@ def levi_civita(g, metric: InnerProduct) -> Connection:
 
 def torsion(g, conn: Connection):
     """T(e_i, e_j) = D_{e_i} e_j - D_{e_j} e_i - [e_i, e_j], one contraction
-    per pair i != j."""
+    per pair i < j; T(e_j, e_i) = -T(e_i, e_j) by negation."""
     n, gs, cs = g.dim, g.split(), conn.split()
-    return tuple(tuple(_combine(1, ((1, cs[i][j]), (-1, cs[j][i]), (-1, gs[i][j])), n)
-                       if i != j else zero_vec(n) for j in range(n)) for i in range(n))
+    t = [[zero_vec(n)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        v = t[i][j] = _combine(1, ((1, cs[i][j]), (-1, cs[j][i]), (-1, gs[i][j])), n)
+        t[j][i] = _neg(v)
+    return tuple(map(tuple, t))
 
 
 def is_torsion_free(g, conn: Connection) -> bool:
@@ -282,17 +295,23 @@ class ConnectionFlags(NamedTuple):
 
 
 def _is_metric(conn: Connection, metric: InnerProduct) -> bool:
-    """Each D_i is skew for the metric: the residual G D_i + D_i^T G
-    vanishes, one contraction per column; zero operators are skipped."""
-    n = conn.dim
+    """Each D_i is skew for the metric: G D_i + D_i^T G = L + L^T vanishes,
+    L = G D_i as G is symmetric.  Column k of L is one contraction, kept as
+    (den, {index: numerator}) and tested against the columns before it;
+    zero operators are skipped."""
     gs = metric.gram.split()
-    for i, row in enumerate(conn.split()):
+    for row in conn.split():
         if not _live(row):
             continue
-        ts = Matrix(conn.gamma[i]).split()      # the columns of D_i^T
-        if any(any(contract_splits([(1, row[k], gs), (1, gs[k], ts)], n))
-               for k in range(n)):
-            return False
+        cols = []
+        for k, (d, nz) in enumerate(row):
+            den, col = _combine_nonzero(d, [(c, gs[q]) for q, c in nz], conn.dim,
+                                        keep_split=True)
+            col = dict(col)
+            if k in col or any(col.get(a, 0) * da + ca.get(k, 0) * den
+                               for a, (da, ca) in enumerate(cols)):
+                return False
+            cols.append((den, col))
     return True
 
 
@@ -309,8 +328,10 @@ def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
     """T(Jx, Jy) = T(x, y); a zero torsion, as Levi-Civita's, is of type
     (1,1) with no contraction."""
     t = torsion(g, conn)
-    return all(is_zero_vec(v) for row in t for v in row) or \
-        bilinear_table(t, j.matrix, j.matrix) == t
+    if all(is_zero_vec(v) for row in t for v in row):
+        return True
+    tjj = bilinear_table(t, j.matrix, j.matrix, upper=True)
+    return all(tjj[a][b] == t[a][b] for a, b in combinations(range(g.dim), 2))
 
 
 def connection_flags(g, j, metric, conn) -> ConnectionFlags:

@@ -26,7 +26,7 @@ from .hermitian import (  # curvature: bench/test_bench.py reads lab.curvature
     twisted_cyclic_identity,
 )
 from .lie import (
-    LieAlgebra, PreconditionError, center, classify_subspace, commutator_ideal,
+    LieAlgebra, PreconditionError, bracket_span, center, commutator_ideal,
     derived_and_central_series, is_unimodular, pushforward,
 )
 from .linalg import (
@@ -449,9 +449,8 @@ def _verdicts(triple, expected: Optional[KahlerSample]):
         ok = (gp.is_zero()
               and z.intersect(gp).is_zero()
               and gp.image(j.matrix) == gp
-              and classify_subspace(g, gpj).is_abelian_subspace
-              and classify_subspace(
-                  g, gpj.orthogonal_complement(metric)).is_abelian_subspace)
+              and all(bracket_span(g, u, u).is_zero()
+                      for u in (gpj, gpj.orthogonal_complement(metric))))
         yield "flat_first_connection_forces_abelian", ok
     else:
         yield "flat_first_connection_forces_abelian", True

@@ -1,19 +1,19 @@
 """Lie algebras as dense structure-constant tensors over Q.
 
-c[i][j] is the coordinate vector of [e_i, e_j]; antisymmetry is enforced at
-construction (only i < j is taken as input, the rest is reflected).  Jacobi
-is NOT enforced at construction; check_jacobi reports the first violating
-triple, since several callers deliberately build non-Lie tensors to test it.
+c[i][j] is the coordinate vector of [e_i, e_j]; only i < j is taken as input
+and the rest is filled by negation, so antisymmetry holds by construction.
+Jacobi is NOT enforced at construction; check_jacobi reports the first
+violating triple, since several callers deliberately build non-Lie tensors.
 
 The structure checks are contractions over the kept bracket split
-(linalg._combine), and a zero bracket costs none: bracket_span contracts
-only nonzero bracket slices, check_jacobi skips a triple whose three
+(linalg._combine), once per unordered pair and none for a zero bracket:
+pushforward contracts bilinear_table's pairs i < j, a self-bracket table
+(_brackets of u with u) only a < b, check_jacobi skips a triple whose three
 brackets are zero and commutator_ideal reads only the nonzero brackets.
-center and center_of_subalgebra are one centralizer kernel (_annihilator)
-of a bracket table that holds only the nonzero brackets: the kept slices
-c[i][j] for center, _brackets for the other.  An
-algebra keeps its derived and lower central series once computed, as it
-keeps its split.
+center and center_of_subalgebra are one centralizer kernel (_annihilator);
+center_of_subalgebra's one self-bracket table also decides its closure
+precondition.  An algebra keeps its derived and lower central series once
+computed, as it keeps its split.
 """
 from __future__ import annotations
 
@@ -22,9 +22,9 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, SingularMatrix, Subspace, _as_vector, _combine,
-    _nonzeros, bilinear, contract_splits, is_zero_vec, lin_comb, rat,
-    tensor_split, vec, vec_scale, zero_vec,
+    DimensionMismatch, Matrix, SingularMatrix, Subspace, _as_vector, _combine, _neg,
+    _nonzeros, bilinear, contract_splits, is_zero_vec, lin_comb, tensor_split,
+    zero_vec,
 )
 
 
@@ -51,27 +51,12 @@ class LieAlgebra:
                 raise DimensionMismatch("bracket pair (%d,%d) must satisfy 0 <= i < j < dim" % (i, j))
             v = _as_vector(value, dim)
             table[i][j] = v
-            table[j][i] = vec_scale(rat(-1), v)
+            table[j][i] = _neg(v)
         self.c = tuple(tuple(row) for row in table)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(dim))
         if len(self.basis_names) != dim:
             raise DimensionMismatch("basis_names length != dim")
-
-    @classmethod
-    def from_tensor(cls, tensor, basis_names=None):
-        """Build from a full c[i][j] table, validating antisymmetry."""
-        dim = len(tensor)
-        brackets = {}
-        for i in range(dim):
-            if not is_zero_vec(tensor[i][i]):
-                raise DimensionMismatch("[e%d,e%d] != 0" % (i, i))
-            for j in range(i + 1, dim):
-                if vec(tensor[j][i]) != vec_scale(rat(-1), vec(tensor[i][j])):
-                    raise DimensionMismatch("antisymmetry fails at (%d,%d)" % (i, j))
-                if not is_zero_vec(tensor[i][j]):
-                    brackets[(i, j)] = tensor[i][j]
-        return cls(dim, brackets, basis_names)
 
     @classmethod
     def abelian(cls, dim, basis_names=None):
@@ -128,9 +113,15 @@ def center(g) -> Subspace:
 
 
 def center_of_subalgebra(g, u: Subspace) -> Subspace:
-    if not classify_subspace(g, u).is_subalgebra:
+    """The centralizer of u in u, from one self-bracket table: its pairs
+    a < b decide the closure precondition, and with [u_b, u_a] = -[u_a, u_b]
+    filled in it is the annihilator's table."""
+    table = _brackets(g, u, u)
+    if not all(u.contains_vector(w) for row in table for w in row if w is not None):
         raise PreconditionError("subspace is not closed under the bracket")
-    return _annihilator(g, u, _brackets(g, u, u))
+    for a, row in enumerate(table):
+        row[:a] = [w and _neg(w) for w in (table[b][a] for b in range(a))]
+    return _annihilator(g, u, table)
 
 
 def _annihilator(g, u: Subspace, table):
@@ -149,14 +140,18 @@ def _annihilator(g, u: Subspace, table):
 def _brackets(g, u: Subspace, v: Subspace):
     """[a, b] for the basis vectors a of u (rows) and b of v (columns).  Each
     basis vector is split once, and a bracket contracts only the nonzero
-    bracket slices it reads; one that reads none is zero, given as None."""
+    bracket slices it reads; one that reads none is zero, given as None.
+    For v the same subspace as u the table is alternating and only the
+    pairs a < b are contracted: the entries on and below the diagonal are
+    None."""
     n, s = g.dim, g.split()
     vs = [_nonzeros(b) for b in v.basis]
     table = []
-    for da, xs in map(_nonzeros, u.basis):
+    for a, (da, xs) in enumerate(map(_nonzeros, u.basis)):
         row = []
-        for db, ys in vs:
-            terms = [(x * y, s[p][q]) for p, x in xs for q, y in ys if s[p][q][1]]
+        for b, (db, ys) in enumerate(vs):
+            terms = [(x * y, s[p][q]) for p, x in xs for q, y in ys if s[p][q][1]] \
+                if b > a or u is not v else None
             row.append(_combine(da * db, terms, n) if terms else None)
         table.append(row)
     return table
@@ -164,7 +159,8 @@ def _brackets(g, u: Subspace, v: Subspace):
 
 def bracket_span(g, u: Subspace, v: Subspace) -> Subspace:
     """Span of the brackets [a, b] of the two bases, from _brackets: a
-    bracket that reads only zero slices adds nothing."""
+    bracket that reads only zero slices adds nothing, nor does [b, a] of
+    a self-bracket."""
     return Subspace(g.dim, [w for row in _brackets(g, u, v) for w in row if w is not None])
 
 
@@ -233,25 +229,27 @@ def classify_subspace(g, u: Subspace) -> SubspaceRole:
     )
 
 
-def bilinear_table(tensor, a: Matrix, b: Matrix):
-    """t[i][j] = tensor(A e_i, B e_j) by bilinearity, contracted in O(dim^4).
+def bilinear_table(tensor, a: Matrix, b: Matrix, upper=False):
+    """t[i][j] = tensor(A e_i, B e_j) by bilinearity, contracted in O(dim^4);
+    with upper, only the pairs i < j (linalg.bilinear_table).
 
     tensor is a LieAlgebra, whose bracket and kept split are used, or any
     rank-3 tensor t with t[p][q] the vector value on (e_p, e_q), such as a
     torsion.
     """
     split = tensor.split() if isinstance(tensor, LieAlgebra) else tensor_split(tensor)
-    return linalg.bilinear_table(split, a, b)
+    return linalg.bilinear_table(split, a, b, upper)
 
 
 def pushforward(g, p: Matrix) -> LieAlgebra:
-    """Transport the bracket by P: new(x,y) = P [P^-1 x, P^-1 y]."""
+    """Transport the bracket by P: new(x,y) = P [P^-1 x, P^-1 y], on the
+    pairs i < j; the new bracket is antisymmetric by construction."""
     if not p.is_square() or p.nrows != g.dim:
         raise DimensionMismatch("pushforward needs a square matrix of size dim")
     pinv = p.inverse()
-    raw = bilinear_table(g, pinv, pinv)
-    tensor = [[p.apply(raw[i][j]) for j in range(g.dim)] for i in range(g.dim)]
-    return LieAlgebra.from_tensor(tensor, g.basis_names)
+    raw = bilinear_table(g, pinv, pinv, upper=True)
+    return LieAlgebra(g.dim, {(i, j): p.apply(raw[i][j])
+                              for i, j in combinations(range(g.dim), 2)}, g.basis_names)
 
 
 def is_homomorphism(phi: Matrix, g1, g2) -> bool:

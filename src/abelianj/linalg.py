@@ -11,7 +11,8 @@ arithmetic on integer numerators, chiefly in two routines:
   over one common denominator and normalises each output entry once into a
   Fraction.  Matrix products, matrix-vector products, linear combinations,
   Jacobi residuals, every bilinear product of a rank-3 tensor (bracket,
-  commutative product, connection, bilinear tables), the structure layer
+  commutative product, connection, bilinear_table, which contracts an
+  alternating table once per unordered pair i < j), the structure layer
   (bracket spans, the ad-twist and Nijenhuis residuals) and the Hermitian
   layer (curvature, the Koszul solve, torsion, the metric and complex flag
   residuals, the complex projection) run through it; a dot product or a
@@ -124,6 +125,11 @@ def vec_scale(c, v):
     return tuple(c * a if a else ZERO for a in v)
 
 
+def _neg(v):
+    """-v by negation; a zero entry stays the ZERO constant."""
+    return tuple(-a if a else ZERO for a in v)
+
+
 def _over_lcm(v):
     """(d, nums): v as integer numerators over d, the lcm of its denominators."""
     d = lcm(*[x.denominator for x in v])
@@ -226,18 +232,22 @@ def left_map(split, x):
         [_combine(dx, [(a, split[i][j]) for i, a in xs], n) for j in range(n)])
 
 
-def bilinear_table(split, a, b):
+def bilinear_table(split, a, b, upper=False):
     """t[i][j] = T(A e_i, B e_j) for the tensor T with this split.
 
     Two contractions through the columns' splits, O(dim^4): first
     T(e_p, B e_j) for every p and j, kept as unnormalised splits, then
     their combinations by the columns of A.  Zero slices and zero
-    first-stage values take no part, so a zero tensor costs no contraction."""
+    first-stage values take no part, so a zero tensor costs no contraction.
+    With upper, for an alternating T read once per unordered pair, the
+    second stage contracts only the pairs i < j and t[i][j] is None for
+    j <= i."""
     n = len(split)
     first = [[_combine_nonzero(d, [(c, split[p][q]) for q, c in nz], n, keep_split=True)
               for p in range(n)] for d, nz in b.split()]
-    return tuple(tuple(_combine_nonzero(d, [(c, fj[p]) for p, c in nz], n) for fj in first)
-                 for d, nz in a.split())
+    return tuple(tuple(_combine_nonzero(d, [(c, fj[p]) for p, c in nz], n)
+                       if i < j or not upper else None for j, fj in enumerate(first))
+                 for i, (d, nz) in enumerate(a.split()))
 
 
 def _eliminate(rows, ncols):

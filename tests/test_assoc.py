@@ -42,13 +42,6 @@ def test_ctor_validation():
         CommAssocAlgebra(2, basis_names=("x",))
 
 
-def test_from_tensor_symmetry():
-    good = CommAssocAlgebra.from_tensor([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]])
-    assert good == complex_plane()
-    with pytest.raises(DimensionMismatch):
-        CommAssocAlgebra.from_tensor([[(1, 0), (0, 1)], [(0, 0), (0, 0)]])
-
-
 def test_multiply_and_left_mult():
     a = complex_plane()
     # (1 + 2i)(3 + i) = 1 + 7i

@@ -3,8 +3,11 @@ references: bilinear products, the structure layer (bracket spans, center,
 centers of subalgebras, series, Jacobi, unimodularity, the ad-twist and
 Nijenhuis tensor) and the Hermitian layer
 (curvature, Koszul, torsion, flag residuals, complex projection) against
-dense Fraction formulas, elimination results and the idempotent splitter's
-factors over Q against sympy."""
+dense Fraction formulas; the tensors contracted once per unordered pair
+(pushforward, the cyclic sums of is_kahler and cyclic_metric_identity)
+against every ordered pair; the minimal polynomial against one solve per
+degree; elimination results and the idempotent splitter's factors over Q
+against sympy."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,7 +19,7 @@ from abelianj.assoc import (
     CommAssocAlgebra, IrrationalSpectrumError, check_axioms, check_compatibility,
     primitive_idempotents,
 )
-from abelianj import assoc, complex_structures, hermitian, lie, linalg
+from abelianj import assoc, complex_structures, hermitian, lab, lie, linalg
 from abelianj.complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import (
@@ -753,3 +756,103 @@ def test_split_over_q_matches_sympy():
                 types = sorted("R" if len(f) == 2 else "C" for f in small)
                 assert primitive_idempotents(_quotient_algebra(p)).factor_types == tuple(types)
     assert kinds == {"linear", "imaginary", "real", "cubic"} and bits > 200
+
+
+# ---- alternating tensors contracted once per unordered pair ----
+
+def test_pushforward_matches_all_ordered_pairs():
+    """P [P^-1 e_i, P^-1 e_j] on every ordered pair, the pairs j <= i
+    included, which pushforward fills by antisymmetry."""
+    rng = random.Random(1311)
+    for dim_a in range(1, 7):
+        family = FAMILIES[dim_a % 3]
+        g, _ = random_instance(rng.randrange(2 ** 32), dim_a, family, disguise=True)
+        n = g.dim
+        p = lab.random_unimodular(rng, n)
+        pinv = _rows(p.inverse())
+        cols = [tuple(r[i] for r in pinv) for i in range(n)]
+        h = lie.pushforward(g, p)
+        for i in range(n):
+            for j in range(n):
+                raw = _ref_bilinear(g.c, cols[i], cols[j])
+                assert h.c[i][j] == tuple(sum((p.rows[r][q] * raw[q] for q in range(n)),
+                                              Fraction(0)) for r in range(n))
+        assert h.basis_names == g.basis_names and any(map(any, h.c)) == any(map(any, g.c))
+
+
+def _ref_cyclic_sums_vanish(form_rows, g):
+    """The cyclic sums of w[i][j][k] = (F c_ij)_k on the triples i < j < k,
+    the form applied to every ordered slice."""
+    n = g.dim
+    w = [[tuple(sum((form_rows[k][q] * g.c[i][j][q] for q in range(n)), Fraction(0))
+                for k in range(n)) for j in range(n)] for i in range(n)]
+    return all(w[i][j][k] + w[j][k][i] + w[k][i][j] == 0
+               for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+
+
+def test_cyclic_sums_match_all_ordered_slices():
+    rng = random.Random(2011)
+    triples = [random_kahler_instance(rng.randrange(2 ** 32), 12).triple for _ in range(4)]
+    triples += [random_instance(rng.randrange(2 ** 32), 1 + rng.randrange(4), family,
+                                disguise=disguise, metric=True)
+                for family in FAMILIES for disguise in (False, True)]
+    seen = set()
+    for t in triples:
+        gram, jm = _rows(t.metric.gram), _rows(t.j.matrix)
+        kahler = hermitian.is_kahler(t)
+        assert kahler == _ref_cyclic_sums_vanish(_mm(gram, jm), t.algebra)
+        assert hermitian.cyclic_metric_identity(t) == _ref_cyclic_sums_vanish(gram, t.algebra)
+        seen.add(kahler)
+    assert seen == {True, False}
+
+
+def test_center_of_subalgebra_refuses_an_unclosed_subspace():
+    # [e1, e2] = e3: span{e1, e2} is not closed, span{e1, e3} is
+    heis = LieAlgebra(3, {(0, 1): {2: 1}})
+    with pytest.raises(lie.PreconditionError):
+        center_of_subalgebra(heis, Subspace(3, [basis_vec(3, 0), basis_vec(3, 1)]))
+    closed = Subspace(3, [basis_vec(3, 0), basis_vec(3, 2)])
+    assert center_of_subalgebra(heis, closed) == closed
+
+
+def _ref_minimal_polynomial(mat):
+    """The first degree k at which M^k lies in the span of I, ..., M^(k-1),
+    one solve per degree."""
+    n = mat.nrows
+    powers = [Matrix.identity(n)]
+    for _ in range(n):
+        powers.append(powers[-1] @ mat)
+        flat = [sum(m.rows, ()) for m in powers]
+        sol = Matrix.from_columns(flat[:-1]).solve(tuple(-x for x in flat[-1]))
+        if sol is not None:
+            return list(sol) + [Fraction(1)]
+    raise AssertionError("no minimal polynomial")
+
+
+def test_minimal_polynomial_matches_one_solve_per_degree():
+    rng = random.Random(1968)
+    cases = [Matrix.zeros(3, 3), Matrix.identity(4), Matrix([[5]])]
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        q = lab.random_unimodular(rng, n)
+        qinv = q.inverse()
+        # derogatory: repeated diagonal eigenvalues; nilpotent: strictly
+        # upper triangular; generic: random entries; each conjugated by q
+        diag = Matrix([[Fraction(rng.choice((-2, 1, 3))) if r == c else 0 for c in range(n)]
+                       for r in range(n)])
+        nil = Matrix([[_scalar(rng) if c > r else 0 for c in range(n)] for r in range(n)])
+        dense = Matrix([_vector(rng, n) for _ in range(n)])
+        cases += [(q @ m) @ qinv for m in (diag, nil, dense)]
+    p, _ = _random_split_product(random.Random(5), 6)
+    a = _quotient_algebra(p)
+    cases.append(a.left_mult(next(assoc._generic_elements(a.dim))))
+    degrees = set()
+    for mat in cases:
+        mp = assoc.minimal_polynomial(mat)
+        assert mp == _ref_minimal_polynomial(mat) and _normalised(mp)
+        assert assoc._poly_eval_matrix(mp, mat).is_zero()
+        degrees.add((len(mp) - 1, mat.nrows))
+    # minimal polynomials below the full degree, and of the full degree, occur
+    assert any(d < n for d, n in degrees) and any(d == n > 1 for d, n in degrees)
+    assert assoc.minimal_polynomial(Matrix.zeros(3, 3)) == [0, 1]
+    assert assoc.minimal_polynomial(Matrix.identity(4)) == [-1, 1]

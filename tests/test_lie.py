@@ -160,11 +160,3 @@ def test_abelian_constructor():
     assert all(g.bracket(x, y) == vec((0, 0, 0))
                for x in (vec((1, 0, 0)),) for y in (vec((0, 1, 0)),))
     assert commutator_ideal(g).is_zero()
-
-
-def test_from_tensor_validates():
-    g = aff_line()
-    assert LieAlgebra.from_tensor(g.c) == g
-    bad = [[(0, 0), (0, 1)], [(0, 1), (0, 0)]]
-    with pytest.raises(DimensionMismatch):
-        LieAlgebra.from_tensor(bad)
