@@ -15,14 +15,14 @@ division.
 from __future__ import annotations
 
 import random
-from itertools import chain, count
+from itertools import chain, combinations_with_replacement, count
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .linalg import (
     DimensionMismatch, Matrix, Subspace, ONE, ZERO, _as_vector, _eliminate, _entry,
-    _over_lcm, bilinear, certify, contract_splits, is_zero_vec, left_map, lin_comb, rat,
-    tensor_split, zero_vec,
+    _nonzeros, _over_lcm, bilinear, bilinear_table, certify, contract_splits, is_zero_vec,
+    left_map, lin_comb, rat, tensor_split, vec_dot, zero_vec,
 )
 from .lie import PreconditionError
 
@@ -102,13 +102,16 @@ class CommAssocAlgebra:
 
 
 def check_axioms(a) -> Optional[AxiomWitness]:
-    """None if associative on basis triples, else a witness.  Commutativity
-    holds by construction: the product table is kept symmetric."""
+    """None if associative on basis triples, else the first witness
+    (i, j, k) in lexicographic order.  Commutativity holds by construction:
+    the product table is kept symmetric, so the residual at (k, j, i) is
+    minus the one at (i, j, k) and zero at i = k, and the triples with
+    i < k decide it."""
     n = a.dim
     s = a.split()  # symmetric, so s[k][q] splits e_q e_k
     for i in range(n):
         for j in range(n):
-            for k in range(n):
+            for k in range(i + 1, n):
                 # (e_i e_j) e_k - e_i (e_j e_k)
                 resid = contract_splits([(1, s[i][j], s[k]), (-1, s[j][k], s[i])], n)
                 if not is_zero_vec(resid):
@@ -117,7 +120,10 @@ def check_axioms(a) -> Optional[AxiomWitness]:
 
 
 def check_compatibility(adot, astar) -> Optional[CompatibilityWitness]:
-    """The two mixed-product identities a*(b.c) = b*(a.c), a.(b*c) = b.(a*c)."""
+    """The two mixed-product identities a*(b.c) = b*(a.c), a.(b*c) = b.(a*c),
+    or the first witness (i, j, k) in lexicographic order.  Both residuals
+    change sign under i <-> j and vanish at i = j, so the triples with
+    i < j decide them."""
     if adot.dim != astar.dim:
         raise PreconditionError("algebras have different dimensions")
     if check_axioms(adot) is not None or check_axioms(astar) is not None:
@@ -125,7 +131,7 @@ def check_compatibility(adot, astar) -> Optional[CompatibilityWitness]:
     n = adot.dim
     dot, star = adot.split(), astar.split()
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             for k in range(n):
                 # e_i * (e_j . e_k) - e_j * (e_i . e_k)
                 resid = contract_splits([(1, dot[j][k], star[i]), (-1, dot[i][k], star[j])], n)
@@ -149,32 +155,26 @@ class NilradicalReport(NamedTuple):
 
 
 def nilradical(a) -> NilradicalReport:
-    """Kernel of the trace form b(x,y) = tr(l_{x.y}), iterated to stability.
+    """Kernel of the trace form b(x,y) = tr(l_{x.y}).
 
-    For commutative algebras in characteristic zero one pass already gives
-    the set of nilpotent elements; each basis element of the result is
-    certified nilpotent exactly.
+    tr l_{e_i e_j} = sum_k m[i][j][k] t_k with t_k = tr l_{e_k} =
+    sum_q m[k][q][q].  For commutative algebras in characteristic zero the
+    kernel is the set of nilpotent elements, and one pass is final: b is
+    symmetric, so {y : b(rad, y) = 0} contains rad.  Each basis element of
+    the result is certified nilpotent exactly.
     """
     if check_axioms(a) is not None:
         raise PreconditionError("nilradical requires a commutative associative algebra")
     n = a.dim
-    traces = [[a.left_mult(a.m[i][j]).trace() for j in range(n)] for i in range(n)]
-    current = Subspace.whole(n)
-    while True:
-        if current.is_zero():
-            break
-        rows = [tuple(sum((u[i] * traces[i][j] for i in range(n)), ZERO)
-                      for j in range(n)) for u in current.basis]
-        nxt = current.intersect(Subspace(n, Matrix(rows).kernel()))
-        if nxt == current:
-            break
-        current = nxt
-    for v in current.basis:
-        power = a.left_mult(v)
+    t = [sum((row[q][q] for q in range(n)), ZERO) for row in a.m]
+    rad = Subspace(n, Matrix([[vec_dot(v, t) for v in row] for row in a.m]).kernel())
+    for v in rad.basis:
+        lv = a.left_mult(v)
+        power = lv
         for _ in range(n):
-            power = power @ a.left_mult(v)
+            power = power @ lv
         certify("trace-form kernel contains a non-nilpotent element", power.is_zero())
-    return NilradicalReport(current, current.is_zero())
+    return NilradicalReport(rad, rad.is_zero())
 
 
 def is_nilpotent_algebra(a) -> bool:
@@ -333,25 +333,20 @@ def _split_over_q(p):
 def _block_unit(a, block: Subspace):
     """Unit of the restricted algebra on an ideal block, in ambient coords."""
     basis = block.basis
-    products = {}
-    for i in range(len(basis)):
-        for k in range(i, len(basis)):
-            coords = block.coordinates(a.multiply(basis[i], basis[k]))
-            if coords is None:
-                return None
-            products[(i, k)] = coords
+    bs = [_nonzeros(b) for b in basis]
+    products = {ik: block.coordinates(w) for ik, w in bilinear_table(
+        a.split(), bs, bs, combinations_with_replacement(range(len(bs)), 2)).items()}
+    if None in products.values():
+        return None
     e = unit(CommAssocAlgebra(len(basis), products))
     return None if e is None else lin_comb(e, basis, a.dim)
 
 
 def _certify_idempotents(a, elements):
-    for idx, e in enumerate(elements):
-        if a.multiply(e, e) != e:
-            return False
-        for e2 in elements[idx + 1:]:
-            if not is_zero_vec(a.multiply(e, e2)):
-                return False
-    return True
+    """e_i e_i = e_i and e_i e_k = 0 for i < k."""
+    es = [_nonzeros(e) for e in elements]
+    table = bilinear_table(a.split(), es, es, combinations_with_replacement(range(len(es)), 2))
+    return all(w == elements[i] if i == k else is_zero_vec(w) for (i, k), w in table.items())
 
 
 # candidate generic elements per primitive_idempotents call, and the seed of

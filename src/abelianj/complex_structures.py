@@ -63,10 +63,10 @@ def _nijenhuis_table(g, j):
     for i < k, one contraction per pair, none for a pair whose brackets are
     all zero."""
     n, gs, js = g.dim, g.split(), j.matrix.split()
-    t_jj = bilinear_table(g, j.matrix, j.matrix, upper=True)
-    for i, k in combinations(range(n), 2):
+    t_jj = bilinear_table(g, j.matrix, j.matrix, combinations(range(n), 2))
+    for (i, k), w in t_jj.items():
         dt, tw = _twist(gs, js, i, k)
-        yield (i, k), _combine_nonzero(dt, [(dt, _nonzeros(t_jj[i][k])), (-dt, gs[i][k])]
+        yield (i, k), _combine_nonzero(dt, [(dt, _nonzeros(w)), (-dt, gs[i][k])]
                                        + [(-c, js[t]) for t, c in tw], n)
 
 
@@ -77,8 +77,8 @@ def is_integrable(g, j) -> bool:
 def is_abelian_cs(g, j) -> bool:
     """[Jx, Jy] = [x, y] on the basis pairs i < j; both sides are
     alternating, so these decide it."""
-    t = bilinear_table(g, j.matrix, j.matrix, upper=True)
-    return all(t[i][k] == g.c[i][k] for i, k in combinations(range(g.dim), 2))
+    t = bilinear_table(g, j.matrix, j.matrix, combinations(range(g.dim), 2))
+    return all(w == g.c[i][k] for (i, k), w in t.items())
 
 
 def j_stable_commutator(g, j) -> Subspace:

@@ -9,6 +9,7 @@ structure theory are re-certified at run time by linalg.certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 from .assoc import (
@@ -18,7 +19,7 @@ from .complex_structures import (
     ComplexStructure, HolomorphicPair, is_abelian_cs, is_holomorphic_iso,
 )
 from .lie import (
-    LieAlgebra, PreconditionError, bracket_span, center, check_jacobi,
+    LieAlgebra, PreconditionError, bilinear_table, bracket_span, center, check_jacobi,
     classify_subspace, commutator_ideal, derived_and_central_series,
 )
 from .linalg import (
@@ -136,8 +137,9 @@ def _half_coordinates(g, j, v: Subspace):
     jv = [j.apply(b) for b in v.basis]
     p = Matrix.from_columns(list(v.basis) + jv)
     pinv = p.inverse()
-    return p, {(i, k): pinv.apply(g.bracket(jv[i], v.basis[k]))
-               for i in range(v.dim) for k in range(i, v.dim)}
+    table = bilinear_table(g, Matrix.from_columns(jv), Matrix.from_columns(v.basis),
+                           combinations_with_replacement(range(v.dim), 2))
+    return p, {ik: pinv.apply(w) for ik, w in table.items()}
 
 
 class ExtractedProducts(NamedTuple):

@@ -190,9 +190,10 @@ def twisted_cyclic_identity(t: HermitianTriple) -> bool:
     Cyclic-invariant but not alternating, so all ordered triples are tested.
     """
     n = t.algebra.dim
-    tj = bilinear_table(t.algebra, Matrix.identity(n), t.j.matrix)
-    w = [[t.metric.gram.apply(v) for v in row] for row in tj]
-    return all(w[i][j][k] + w[j][k][i] + w[k][i][j] == 0
+    tj = bilinear_table(t.algebra, Matrix.identity(n), t.j.matrix,
+                        product(range(n), repeat=2))
+    w = {ij: t.metric.gram.apply(v) for ij, v in tj.items()}
+    return all(w[i, j][k] + w[j, k][i] + w[k, i][j] == 0
                for i, j, k in product(range(n), repeat=3))
 
 
@@ -330,8 +331,8 @@ def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
     t = torsion(g, conn)
     if all(is_zero_vec(v) for row in t for v in row):
         return True
-    tjj = bilinear_table(t, j.matrix, j.matrix, upper=True)
-    return all(tjj[a][b] == t[a][b] for a, b in combinations(range(g.dim), 2))
+    tjj = bilinear_table(t, j.matrix, j.matrix, combinations(range(g.dim), 2))
+    return all(w == t[a][b] for (a, b), w in tjj.items())
 
 
 def connection_flags(g, j, metric, conn) -> ConnectionFlags:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple, Optional
 
 from . import serialize
@@ -118,13 +119,12 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     factors = []
     if n:
         basis = gp.basis
+        bm = Matrix.from_columns(basis)
         products = {}
-        for i in range(n):
-            jb = j.apply(basis[i])
-            for k in range(i, n):
-                coords = gp.coordinates(g.bracket(jb, basis[k]))
-                certify(4, coords is not None, "[Jx, y] left the commutator ideal")
-                products[(i, k)] = vec(coords)
+        for ik, w in bilinear_table(g.split(), (j.matrix @ bm).split(), bm.split(),
+                                    combinations_with_replacement(range(n), 2)).items():
+            products[ik] = gp.coordinates(w)
+            certify(4, products[ik] is not None, "[Jx, y] left the commutator ideal")
         alg = CommAssocAlgebra(n, products)
         wit = check_axioms(alg)
         certify(4, wit is None,
@@ -148,22 +148,24 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
         # deterministic order: descending norm, then coordinates
         raw.sort(key=lambda v: (-metric.eval(v, v), v))
 
-        for i, v in enumerate(raw):
-            jv = vec(j.apply(v))
-            certify(7, vec(g.bracket(jv, v)) == v, "idempotent direction is not [Je, e] = e")
-            for k, w in enumerate(raw):
-                certify(7, k == i or is_zero_vec(g.bracket(jv, w)),
-                        "distinct factor planes do not commute")
-                certify(7, is_zero_vec(g.bracket(v, w)), "curved directions fail to commute")
+        rm = Matrix.from_columns(raw)
+        jrm = j.matrix @ rm
+        jr = bilinear_table(g.split(), jrm.split(), rm.split(), product(range(n), repeat=2))
+        rr = bilinear_table(g.split(), rm.split(), rm.split(), combinations(range(n), 2))
+        certify(7, all(jr[i, i] == v for i, v in enumerate(raw)),
+                "idempotent direction is not [Je, e] = e")
+        certify(7, all(is_zero_vec(w) for (i, k), w in jr.items() if i != k),
+                "distinct factor planes do not commute")
+        certify(7, all(map(is_zero_vec, rr.values())), "curved directions fail to commute")
+        planes = list(zip(raw, jrm.columns()))
+        for v, jv in planes:
             plane = Subspace(g.dim, [v, jv])
             certify(7, plane.dim == 2, "factor plane is degenerate")
             r2 = metric.eval(v, v)
             factors.append(KahlerFactor(v, r2, rat(1) / r2, plane))
-        for i in range(n):
-            vi, jvi = factors[i].idempotent, vec(j.apply(factors[i].idempotent))
+        for i, (vi, jvi) in enumerate(planes):
             certify(7, metric.eval(jvi, vi) == 0, "plane basis is not orthogonal")
-            for k in range(i + 1, n):
-                vk, jvk = factors[k].idempotent, vec(j.apply(factors[k].idempotent))
+            for vk, jvk in planes[i + 1:]:
                 certify(7, all(metric.eval(a, b) == 0 for a in (vi, jvi) for b in (vk, jvk)),
                         "factor planes are not pairwise orthogonal")
 
@@ -225,10 +227,9 @@ def random_unimodular(rng, n) -> Matrix:
 
 def conjugate_product(alg: CommAssocAlgebra, q: Matrix) -> CommAssocAlgebra:
     """Same product in the basis given by the columns of q."""
-    qinv = q.inverse()
-    raw = bilinear_table(alg.split(), qinv, qinv)
-    return CommAssocAlgebra(alg.dim, {(i, k): q.apply(raw[i][k]) for i in range(alg.dim)
-                                      for k in range(i, alg.dim)})
+    qs = q.inverse().split()
+    raw = bilinear_table(alg.split(), qs, qs, combinations_with_replacement(range(alg.dim), 2))
+    return CommAssocAlgebra(alg.dim, {ik: q.apply(w) for ik, w in raw.items()})
 
 
 def _random_block_algebra(rng, dim) -> CommAssocAlgebra:

@@ -5,26 +5,26 @@ and the rest is filled by negation, so antisymmetry holds by construction.
 Jacobi is NOT enforced at construction; check_jacobi reports the first
 violating triple, since several callers deliberately build non-Lie tensors.
 
-The structure checks are contractions over the kept bracket split
-(linalg._combine), once per unordered pair and none for a zero bracket:
-pushforward contracts bilinear_table's pairs i < j, a self-bracket table
-(_brackets of u with u) only a < b, check_jacobi skips a triple whose three
-brackets are zero and commutator_ideal reads only the nonzero brackets.
-center and center_of_subalgebra are one centralizer kernel (_annihilator);
+The structure checks are contractions over the kept bracket split, none
+for a zero bracket.  Every bracket table is one linalg.bilinear_table over
+the pairs it needs: pushforward, is_homomorphism and a self-bracket table
+(_brackets of u with u) ask only for the pairs i < j of the alternating
+bracket.  check_jacobi skips a triple whose three brackets are zero and
+commutator_ideal reads only the nonzero brackets.  center and
+center_of_subalgebra are one centralizer kernel (_annihilator);
 center_of_subalgebra's one self-bracket table also decides its closure
 precondition.  An algebra keeps its derived and lower central series once
 computed, as it keeps its split.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple, Optional
 
 from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, SingularMatrix, Subspace, _as_vector, _combine, _neg,
-    _nonzeros, bilinear, contract_splits, is_zero_vec, lin_comb, tensor_split,
-    zero_vec,
+    DimensionMismatch, Matrix, SingularMatrix, Subspace, _as_vector, _neg, _nonzeros,
+    bilinear, contract_splits, is_zero_vec, lin_comb, tensor_split, zero_vec,
 )
 
 
@@ -108,60 +108,49 @@ def commutator_ideal(g) -> Subspace:
 def center(g) -> Subspace:
     """{x : [x, e_j] = 0 for all j}, from the kept bracket slices."""
     s = g.split()
-    table = [[v if sv[1] else None for v, sv in zip(row, srow)] for row, srow in zip(g.c, s)]
-    return _annihilator(g, Subspace.whole(g.dim), table)
+    return _annihilator(g, Subspace.whole(g.dim),
+                        {(i, j): g.c[i][j] for i in range(g.dim) for j in range(g.dim)
+                         if s[i][j][1]})
 
 
 def center_of_subalgebra(g, u: Subspace) -> Subspace:
     """The centralizer of u in u, from one self-bracket table: its pairs
     a < b decide the closure precondition, and with [u_b, u_a] = -[u_a, u_b]
-    filled in it is the annihilator's table."""
-    table = _brackets(g, u, u)
-    if not all(u.contains_vector(w) for row in table for w in row if w is not None):
+    added it is the annihilator's table."""
+    table = {ab: w for ab, w in _brackets(g, u, u).items() if not is_zero_vec(w)}
+    if not all(u.contains_vector(w) for w in table.values()):
         raise PreconditionError("subspace is not closed under the bracket")
-    for a, row in enumerate(table):
-        row[:a] = [w and _neg(w) for w in (table[b][a] for b in range(a))]
+    table.update([((b, a), _neg(w)) for (a, b), w in table.items()])
     return _annihilator(g, u, table)
 
 
 def _annihilator(g, u: Subspace, table):
-    """The one centralizer kernel: {sum_a x_a u_a : sum_a x_a table[a][b] = 0
-    for every column b}, where table[a][b] is a bracket of the basis vector
-    u_a, or None when it reads only zero slices.  u itself when no column
-    holds a bracket, the table having no row included."""
-    live = [col for col in zip(*table) if any(w is not None for w in col)]
-    if not live:
+    """The one centralizer kernel: {sum_a x_a u_a : sum_a x_a table[a, b] = 0
+    for every b}, where table maps (a, b) to a nonzero bracket of the basis
+    vector u_a and a missing pair is a zero bracket.  u itself when the
+    table is empty."""
+    if not table:
         return u
     z = zero_vec(g.dim)
-    rows = [r for col in live for r in zip(*[w or z for w in col])]
+    rows = [r for b in sorted({b for _, b in table})
+            for r in zip(*[table.get((a, b), z) for a in range(u.dim)])]
     return Subspace(g.dim, [lin_comb(c, u.basis, g.dim) for c in Matrix(rows).kernel()])
 
 
 def _brackets(g, u: Subspace, v: Subspace):
-    """[a, b] for the basis vectors a of u (rows) and b of v (columns).  Each
-    basis vector is split once, and a bracket contracts only the nonzero
-    bracket slices it reads; one that reads none is zero, given as None.
-    For v the same subspace as u the table is alternating and only the
-    pairs a < b are contracted: the entries on and below the diagonal are
-    None."""
-    n, s = g.dim, g.split()
+    """{(a, b): [u_a, v_b]} over the basis vectors of u and v, one
+    bilinear_table over their splits.  For v the same subspace as u the
+    table is alternating and only the pairs a < b are asked for."""
+    us = [_nonzeros(a) for a in u.basis]
+    if v is u:
+        return linalg.bilinear_table(g.split(), us, us, combinations(range(len(us)), 2))
     vs = [_nonzeros(b) for b in v.basis]
-    table = []
-    for a, (da, xs) in enumerate(map(_nonzeros, u.basis)):
-        row = []
-        for b, (db, ys) in enumerate(vs):
-            terms = [(x * y, s[p][q]) for p, x in xs for q, y in ys if s[p][q][1]] \
-                if b > a or u is not v else None
-            row.append(_combine(da * db, terms, n) if terms else None)
-        table.append(row)
-    return table
+    return linalg.bilinear_table(g.split(), us, vs, product(range(len(us)), range(len(vs))))
 
 
 def bracket_span(g, u: Subspace, v: Subspace) -> Subspace:
-    """Span of the brackets [a, b] of the two bases, from _brackets: a
-    bracket that reads only zero slices adds nothing, nor does [b, a] of
-    a self-bracket."""
-    return Subspace(g.dim, [w for row in _brackets(g, u, v) for w in row if w is not None])
+    """Span of the nonzero brackets [a, b] of the two bases, from _brackets."""
+    return Subspace(g.dim, [w for w in _brackets(g, u, v).values() if not is_zero_vec(w)])
 
 
 class SeriesReport(NamedTuple):
@@ -229,16 +218,16 @@ def classify_subspace(g, u: Subspace) -> SubspaceRole:
     )
 
 
-def bilinear_table(tensor, a: Matrix, b: Matrix, upper=False):
-    """t[i][j] = tensor(A e_i, B e_j) by bilinearity, contracted in O(dim^4);
-    with upper, only the pairs i < j (linalg.bilinear_table).
+def bilinear_table(tensor, a: Matrix, b: Matrix, pairs):
+    """{(i, j): tensor(A e_i, B e_j)} for exactly the index pairs asked for
+    (linalg.bilinear_table).
 
     tensor is a LieAlgebra, whose bracket and kept split are used, or any
     rank-3 tensor t with t[p][q] the vector value on (e_p, e_q), such as a
     torsion.
     """
     split = tensor.split() if isinstance(tensor, LieAlgebra) else tensor_split(tensor)
-    return linalg.bilinear_table(split, a, b, upper)
+    return linalg.bilinear_table(split, a.split(), b.split(), pairs)
 
 
 def pushforward(g, p: Matrix) -> LieAlgebra:
@@ -247,20 +236,16 @@ def pushforward(g, p: Matrix) -> LieAlgebra:
     if not p.is_square() or p.nrows != g.dim:
         raise DimensionMismatch("pushforward needs a square matrix of size dim")
     pinv = p.inverse()
-    raw = bilinear_table(g, pinv, pinv, upper=True)
-    return LieAlgebra(g.dim, {(i, j): p.apply(raw[i][j])
-                              for i, j in combinations(range(g.dim), 2)}, g.basis_names)
+    raw = bilinear_table(g, pinv, pinv, combinations(range(g.dim), 2))
+    return LieAlgebra(g.dim, {ij: p.apply(w) for ij, w in raw.items()}, g.basis_names)
 
 
 def is_homomorphism(phi: Matrix, g1, g2) -> bool:
-    """phi[x,y] = [phi x, phi y] on basis pairs."""
+    """phi[x,y] = [phi x, phi y] on the basis pairs i < j."""
     if phi.ncols != g1.dim or phi.nrows != g2.dim:
         raise DimensionMismatch("map shape does not match the two algebras")
-    for i in range(g1.dim):
-        for j in range(i + 1, g1.dim):
-            if phi.apply(g1.c[i][j]) != g2.bracket(phi.column(i), phi.column(j)):
-                return False
-    return True
+    table = bilinear_table(g2, phi, phi, combinations(range(g1.dim), 2))
+    return all(phi.apply(g1.c[i][j]) == w for (i, j), w in table.items())
 
 
 def is_isomorphism(phi: Matrix, g1, g2) -> bool:

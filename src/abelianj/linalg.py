@@ -10,14 +10,18 @@ arithmetic on integer numerators, chiefly in two routines:
   lcm of their denominators.  _combine sums integer multiples of splits
   over one common denominator and normalises each output entry once into a
   Fraction.  Matrix products, matrix-vector products, linear combinations,
-  Jacobi residuals, every bilinear product of a rank-3 tensor (bracket,
-  commutative product, connection, bilinear_table, which contracts an
-  alternating table once per unordered pair i < j), the structure layer
-  (bracket spans, the ad-twist and Nijenhuis residuals) and the Hermitian
-  layer (curvature, the Koszul solve, torsion, the metric and complex flag
-  residuals, the complex projection) run through it; a dot product or a
-  sum of squares is one integer sum over the same splits.  A contraction
-  with only zero splits to read is not made (_combine_nonzero).
+  Jacobi residuals, the structure layer (the ad-twist and Nijenhuis
+  residuals) and the Hermitian layer (curvature, the Koszul solve,
+  torsion, the metric and complex flag residuals, the complex projection)
+  run through it; a dot product or a sum of squares is one integer sum over
+  the same splits.  A contraction with only zero splits to read is not
+  made (_combine_nonzero).
+  A rank-3 tensor T is evaluated on vectors only by _bilinear, one
+  contraction of T(x, y) over the nonzero slices it reads.  bilinear (the
+  bracket, the commutative product, a connection), left_map and
+  bilinear_table call it; bilinear_table computes exactly the pairs
+  (i, j) its caller asks for, so an alternating table is contracted once
+  per unordered pair i < j and a symmetric one once per i <= j.
 * _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
   1968) on integer rows, exact divisions only.  Reduced row echelon form,
   rank, kernel, solve, inverse, det and leading principal minors all read
@@ -216,38 +220,33 @@ def contract_splits(parts, n):
                           for s, (d, cs), splits in parts for q, c in cs], n)
 
 
+def _bilinear(split, x, y, n):
+    """T(x, y) for the tensor T with this split, x and y given by their
+    splits: the one bilinear contraction, over the nonzero slices T[p][q]
+    it reads, and the zero vector, with no contraction, when it reads none."""
+    (dx, xs), (dy, ys) = x, y
+    return _combine_nonzero(dx * dy, [(a * b, split[p][q]) for p, a in xs for q, b in ys], n)
+
+
 def bilinear(split, x, y):
     """T(x, y) = sum_ij x_i y_j T[i][j] for the tensor T with this split."""
-    dx, xs = _nonzeros(x)
-    dy, ys = _nonzeros(y)
-    return _combine(dx * dy, [(a * b, split[i][j]) for i, a in xs for j, b in ys],
-                    len(split))
+    return _bilinear(split, _nonzeros(x), _nonzeros(y), len(split))
 
 
 def left_map(split, x):
     """Matrix of y -> T(x, y) for the tensor T with this split."""
-    dx, xs = _nonzeros(x)
     n = len(split)
-    return Matrix.from_columns(
-        [_combine(dx, [(a, split[i][j]) for i, a in xs], n) for j in range(n)])
+    xs = _nonzeros(x)
+    return Matrix.from_columns([_bilinear(split, xs, (1, [(j, 1)]), n) for j in range(n)])
 
 
-def bilinear_table(split, a, b, upper=False):
-    """t[i][j] = T(A e_i, B e_j) for the tensor T with this split.
-
-    Two contractions through the columns' splits, O(dim^4): first
-    T(e_p, B e_j) for every p and j, kept as unnormalised splits, then
-    their combinations by the columns of A.  Zero slices and zero
-    first-stage values take no part, so a zero tensor costs no contraction.
-    With upper, for an alternating T read once per unordered pair, the
-    second stage contracts only the pairs i < j and t[i][j] is None for
-    j <= i."""
+def bilinear_table(split, xs, ys, pairs):
+    """{(i, j): T(x_i, y_j)} for exactly the index pairs asked for, xs and ys
+    the splits of the vectors: an alternating T asks for the pairs i < j
+    (itertools.combinations), a symmetric one for i <= j
+    (combinations_with_replacement)."""
     n = len(split)
-    first = [[_combine_nonzero(d, [(c, split[p][q]) for q, c in nz], n, keep_split=True)
-              for p in range(n)] for d, nz in b.split()]
-    return tuple(tuple(_combine_nonzero(d, [(c, fj[p]) for p, c in nz], n)
-                       if i < j or not upper else None for j, fj in enumerate(first))
-                 for i, (d, nz) in enumerate(a.split()))
+    return {(i, j): _bilinear(split, xs[i], ys[j], n) for i, j in pairs}
 
 
 def _eliminate(rows, ncols):

@@ -17,14 +17,12 @@ Re-emitting a parsed canonical file is byte-identical.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .assoc import CommAssocAlgebra, check_axioms
 from .complex_structures import ComplexStructure
-from .hermitian import (
-    HermitianTriple, InnerProduct, NotPositiveDefiniteError, is_hermitian,
-)
-from .lie import LieAlgebra, check_jacobi
+from .hermitian import HermitianTriple, InnerProduct, NotPositiveDefiniteError
+from .lie import LieAlgebra, PreconditionError, check_jacobi
 from .linalg import DimensionMismatch, Matrix, is_zero_vec, rat
 
 
@@ -143,17 +141,27 @@ def _read_header(data, allowed):
     return n, names
 
 
-class Instance(NamedTuple):
-    algebra: LieAlgebra
-    j: Optional[ComplexStructure]
-    metric: Optional[InnerProduct]
+class Instance:
+    """An algebra with an optional J and metric.  Given both, their
+    HermitianTriple is built here, so J-compatibility is checked once."""
+
+    __slots__ = ("algebra", "j", "metric", "_triple")
+
+    def __init__(self, algebra: LieAlgebra, j: Optional[ComplexStructure],
+                 metric: Optional[InnerProduct]):
+        self.algebra, self.j, self.metric, self._triple = algebra, j, metric, None
+        if j is not None and metric is not None:
+            try:
+                self._triple = HermitianTriple(algebra, j, metric)
+            except PreconditionError:
+                raise ValidationFailure("'metric' is not compatible with 'J'") from None
 
     def triple(self) -> HermitianTriple:
         if self.j is None:
             raise InputError("instance has no 'J' entry")
         if self.metric is None:
             raise InputError("instance has no 'metric' entry")
-        return HermitianTriple(self.algebra, self.j, self.metric)
+        return self._triple
 
 
 def instance_from_dict(data) -> Instance:
@@ -182,8 +190,6 @@ def instance_from_dict(data) -> Instance:
             metric = InnerProduct(_matrix_from_json(data["metric"], n, "'metric'"))
         except NotPositiveDefiniteError as exc:
             raise ValidationFailure("'metric': %s" % exc)
-    if j is not None and metric is not None and not is_hermitian(g, j, metric):
-        raise ValidationFailure("'metric' is not compatible with 'J'")
     return Instance(g, j, metric)
 
 

@@ -1,15 +1,16 @@
 """The contraction kernel and the fraction-free elimination against plain
 references: bilinear products, the structure layer (bracket spans, center,
 centers of subalgebras, series, Jacobi, unimodularity, the ad-twist and
-Nijenhuis tensor) and the Hermitian layer
-(curvature, Koszul, torsion, flag residuals, complex projection) against
-dense Fraction formulas; the tensors contracted once per unordered pair
+Nijenhuis tensor), the Hermitian layer (curvature, Koszul, torsion, flag
+residuals, complex projection) and the nilradical against dense Fraction
+formulas; the tensors contracted once per unordered pair
 (pushforward, the cyclic sums of is_kahler and cyclic_metric_identity)
 against every ordered pair; the minimal polynomial against one solve per
 degree; elimination results and the idempotent splitter's factors over Q
 against sympy."""
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -17,7 +18,7 @@ import sympy
 
 from abelianj.assoc import (
     CommAssocAlgebra, IrrationalSpectrumError, check_axioms, check_compatibility,
-    primitive_idempotents,
+    nilradical, primitive_idempotents,
 )
 from abelianj import assoc, complex_structures, hermitian, lab, lie, linalg
 from abelianj.complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
@@ -100,10 +101,16 @@ def test_bilinear_products_match_fraction_reference():
         outputs.extend(op.rows)
         expected = tuple(tuple(_ref_bilinear(g.c, mat_a.column(i), mat_b.column(j))
                                for j in range(n)) for i in range(n))
-        # the algebra's kept split and a raw tensor give the same table
-        table = bilinear_table(g, mat_a, mat_b)
-        assert table == expected and bilinear_table(g.c, mat_a, mat_b) == expected
-        outputs.extend(v for row in table for v in row)
+        # exactly the pairs asked for; the algebra's kept split and a raw
+        # tensor give the same table
+        for pairs in (list(combinations(range(n), 2)),
+                      list(combinations_with_replacement(range(n), 2)),
+                      [(i, j) for i in range(n) for j in range(n)]):
+            table = bilinear_table(g, mat_a, mat_b, pairs)
+            assert list(table) == pairs
+            assert all(table[i, j] == expected[i][j] for i, j in pairs)
+            assert bilinear_table(g.c, mat_a, mat_b, pairs) == table
+            outputs.extend(table.values())
         # random tensors mostly fail Jacobi: the first witness and its residual
         witness = check_jacobi(g)
         assert (witness and tuple(witness)) == _ref_jacobi(g)
@@ -176,6 +183,31 @@ def test_axiom_and_compatibility_witnesses_match_reference():
                 assert (witness and tuple(witness)) == _ref_compatibility(dot, star)
                 witnesses += witness is not None
     assert witnesses
+
+
+def _ref_nilradical(a):
+    """Kernel of the trace form tr(l_{x.y}), each l_x a dense Fraction matrix,
+    from sympy."""
+    n = a.dim
+
+    def trace_l(x):
+        return sum((_ref_bilinear(a.m, x, basis_vec(n, q))[q] for q in range(n)), Fraction(0))
+
+    form = sympy.Matrix(n, n, [sympy.Rational(t.numerator, t.denominator)
+                               for t in (trace_l(a.m[i][j]) for i in range(n) for j in range(n))])
+    return _ref_span(n, [tuple(_frac(c) for c in v) for v in form.nullspace()])
+
+
+def test_nilradical_matches_trace_form_reference():
+    rng = random.Random(31)
+    radicals = 0
+    for _ in range(16):
+        a = lab._random_block_algebra(rng, rng.randint(1, 6))
+        rep = nilradical(a)
+        assert rep.nilradical.basis == _ref_nilradical(a)
+        assert rep.is_semisimple == (rep.nilradical.dim == 0)
+        radicals += rep.nilradical.dim > 0
+    assert 0 < radicals < 16
 
 
 def _sympy(mat):

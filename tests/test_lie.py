@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -101,31 +102,32 @@ def test_bracket_span_and_bilinear_table():
     g = aff_complex()
     whole = Subspace.whole(4)
     assert bracket_span(g, whole, whole) == commutator_ideal(g)
-    tab = bilinear_table(g.c, Matrix.identity(4), Matrix.identity(4))
-    assert all(vec(tab[i][j]) == g.c[i][j] for i in range(4) for j in range(4))
+    pairs = list(product(range(4), repeat=2))
+    tab = bilinear_table(g.c, Matrix.identity(4), Matrix.identity(4), pairs)
+    assert all(vec(tab[i, j]) == g.c[i][j] for i in range(4) for j in range(4))
 
     # general A, B that commute neither with each other nor with J
     a = Matrix([[1, 2, 0, -1], [0, 1, 3, 0], [2, 0, 0, 1], [-1, 1, 1, 2]])
     b = Matrix([[0, 1, 0, 0], [rat(1, 2), 0, -2, 1], [1, 1, 1, 0], [0, 3, 0, -1]])
     jm = standard_complex_structure(2).matrix
     assert a @ b != b @ a and a @ jm != jm @ a and b @ jm != jm @ b
-    tab = bilinear_table(g.c, a, b)
+    tab = bilinear_table(g.c, a, b, pairs)
     for i in range(4):
         for j in range(4):
-            assert tab[i][j] == g.bracket(a.column(i), b.column(j))
+            assert tab[i, j] == g.bracket(a.column(i), b.column(j))
 
     # any rank-3 tensor: the torsion of a nonzero connection, transported
     conn = Connection([[[rat(i - j + k, 1 + k) for k in range(4)]
                         for j in range(4)] for i in range(4)])
     tor = torsion(g, conn)
     assert tor != g.c
-    tab = bilinear_table(tor, a, b)
+    tab = bilinear_table(tor, a, b, pairs)
     for i in range(4):
         for j in range(4):
             x, y = a.column(i), b.column(j)
             by_hand = vec_sub(vec_sub(conn.apply(x, y), conn.apply(y, x)),
                               g.bracket(x, y))
-            assert tab[i][j] == by_hand
+            assert tab[i, j] == by_hand
 
 
 def test_pushforward_identity_and_inverse():

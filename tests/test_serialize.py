@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from abelianj import serialize
+from abelianj import hermitian, serialize
 from abelianj.assoc import CommAssocAlgebra
 from abelianj.lie import LieAlgebra
 from abelianj.linalg import rat, vec
@@ -136,6 +136,21 @@ def test_instance_triple_requires_both_parts():
         dim=2, brackets=[], J=[["0", "-1"], ["1", "0"]]))
     with pytest.raises(InputError):
         with_j.triple()
+
+
+def test_instance_checks_j_compatibility_once(monkeypatch):
+    calls = []
+    real = hermitian.is_hermitian
+    monkeypatch.setattr(hermitian, "is_hermitian", lambda *a: calls.append(a) or real(*a))
+    inst = instance_from_dict(minimal_instance(
+        dim=2, brackets=[], J=[["0", "-1"], ["1", "0"]], metric=[["2", "0"], ["0", "2"]]))
+    t = inst.triple()
+    assert inst.triple() is t and len(calls) == 1
+    assert (t.algebra, t.j, t.metric) == (inst.algebra, inst.j, inst.metric)
+    with pytest.raises(ValidationFailure) as exc:
+        instance_from_dict(minimal_instance(
+            dim=2, brackets=[], J=[["0", "-1"], ["1", "0"]], metric=[["1", "0"], ["0", "2"]]))
+    assert str(exc.value) == "'metric' is not compatible with 'J'"
 
 
 def test_algebra_round_trip_and_failure():
