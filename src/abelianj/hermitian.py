@@ -12,7 +12,9 @@ pair i < j: torsion, its (1,1) test through bilinear_table, the cyclic sums
 of is_kahler and cyclic_metric_identity, and the metric flag, L + L^T for
 L = G D_i.  A curvature pair whose operators and bracket are all zero, and
 a direction whose operator is zero, are skipped without a contraction;
-is_flat stops at the first nonzero curvature column.
+is_flat stops at the first nonzero curvature column.  The connections
+levi_civita and complex_projection solve for are stored as the canonical
+splits of their slices; gamma is built only when read.
 """
 from __future__ import annotations
 
@@ -26,9 +28,9 @@ from .lie import (
     derived_and_central_series,
 )
 from .linalg import (
-    DimensionMismatch, Matrix, _combine, _combine_nonzero, _neg, bilinear, certify,
-    contract_splits, lin_comb, norm_sq, rat, tensor_split, vec, vec_dot, is_zero_vec,
-    zero_vec,
+    DimensionMismatch, Matrix, _combine, _combine_nonzero, _neg, _splits_key, _tensor_dense,
+    bilinear, certify, contract_splits, lin_comb, norm_sq, rat, tensor_split, vec, vec_dot,
+    is_zero_vec, zero_vec,
 )
 
 
@@ -82,39 +84,53 @@ class InnerProduct:
 
 class Connection:
     """Rank-3 coefficient tensor: gamma[i][j] is the basis vector expansion
-    of the derivative of e_j along e_i."""
-    __slots__ = ("dim", "gamma", "_split")
+    of the derivative of e_j along e_i.  Stored as the Fractions it was given,
+    or as the canonical splits of its slices when a solve builds it
+    (levi_civita, complex_projection); gamma is built on first read."""
+    __slots__ = ("dim", "_gamma", "_split")
 
     def __init__(self, gamma):
         self.dim = len(gamma)
         self._split = None
-        self.gamma = tuple(tuple(vec(v) for v in row) for row in gamma)
-        for row in self.gamma:
+        self._gamma = tuple(tuple(vec(v) for v in row) for row in gamma)
+        for row in self._gamma:
             if len(row) != self.dim or any(len(v) != self.dim for v in row):
                 raise DimensionMismatch("connection tensor must be cubic")
 
     @classmethod
+    def _of_split(cls, split):
+        """Connection from the canonical splits of its slices; never mutated."""
+        conn = object.__new__(cls)
+        conn.dim, conn._gamma, conn._split = len(split), None, split
+        return conn
+
+    @classmethod
     def zero(cls, n):
-        z = zero_vec(n)
-        return cls(tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        return cls._of_split([[(1, [])] * n for _ in range(n)])
+
+    @property
+    def gamma(self):
+        if self._gamma is None:
+            self._gamma = _tensor_dense(self._split)
+        return self._gamma
 
     def split(self):
         """Split of every slice gamma[i][j], computed on first use."""
         if self._split is None:
-            self._split = tensor_split(self.gamma)
+            self._split = tensor_split(self._gamma)
         return self._split
 
     def apply(self, x, y):
         return bilinear(self.split(), x, y)
 
     def is_zero(self):
-        return all(is_zero_vec(v) for row in self.gamma for v in row)
+        return not any(nz for row in self.split() for _, nz in row)
 
     def __eq__(self, other):
-        return isinstance(other, Connection) and self.gamma == other.gamma
+        return isinstance(other, Connection) and self.split() == other.split()
 
     def __hash__(self):
-        return hash(self.gamma)
+        return hash(_splits_key(s for row in self.split() for s in row))
 
     def __repr__(self):
         return "Connection(dim=%d)" % self.dim
@@ -207,8 +223,8 @@ def _adjoints(g, metric):
     the brackets [e_j, e_q] as rows); a zero ad_j keeps its empty splits."""
     gm, gs = metric.gram, g.split()
     ginv = gm.inverse()
-    return [(ginv @ (Matrix(g.c[j]) @ gm)).split() if _live(gs[j]) else gs[j]
-            for j in range(g.dim)]
+    return [(ginv @ (Matrix._of_split(gs[j], g.dim).transpose() @ gm)).split()
+            if _live(gs[j]) else gs[j] for j in range(g.dim)]
 
 
 def levi_civita(g, metric: InnerProduct) -> Connection:
@@ -217,8 +233,9 @@ def levi_civita(g, metric: InnerProduct) -> Connection:
     D_{e_i} e_j = (c_ij - ad_j* e_i - ad_i* e_j) / 2, one contraction per
     (i, j)."""
     n, gs, adj = g.dim, g.split(), _adjoints(g, metric)
-    conn = Connection([[_combine(2, ((1, gs[i][j]), (-1, adj[j][i]), (-1, adj[i][j])), n)
-                        for j in range(n)] for i in range(n)])
+    conn = Connection._of_split([[_combine(2, ((1, gs[i][j]), (-1, adj[j][i]), (-1, adj[i][j])),
+                                           n, keep_split=True)
+                                  for j in range(n)] for i in range(n)])
     certify("Levi-Civita solution has torsion", is_torsion_free(g, conn))
     certify("Levi-Civita solution is not metric", _is_metric(conn, metric))
     return conn
@@ -354,16 +371,17 @@ def complex_projection(j: ComplexStructure, conn: Connection) -> Connection:
     """
     n = conn.dim
     js = j.matrix.split()
-    gamma = []
+    out = []
     for row in conn.split():
         if not _live(row):
-            gamma.append([zero_vec(n)] * n)
+            out.append(row)
             continue
         jd = [_combine(d, [(c, js[q]) for q, c in nz], n, keep_split=True)
               for d, nz in row]
-        gamma.append([_combine(2 * d, [(d, row[k])] + [(-c, jd[q]) for q, c in nz], n)
-                      for k, (d, nz) in enumerate(js)])
-    return Connection(gamma)
+        out.append([_combine(2 * d, [(d, row[k])] + [(-c, jd[q]) for q, c in nz], n,
+                             keep_split=True)
+                    for k, (d, nz) in enumerate(js)])
+    return Connection._of_split(out)
 
 
 def first_canonical(t: HermitianTriple) -> Connection:
@@ -386,11 +404,11 @@ def first_canonical_pairing(t: HermitianTriple) -> Connection:
     if not is_abelian_cs(g, j):
         raise PreconditionError("pairing formula requires an abelian complex structure")
     n, gs, adj = g.dim, g.split(), _adjoints(g, t.metric)
-    k = Connection([[_combine(1, ((1, gs[i][q]), (-1, adj[i][q])), n) for q in range(n)]
-                    for i in range(n)])
+    k = Connection._of_split([[_combine(1, ((1, gs[i][q]), (-1, adj[i][q])), n, keep_split=True)
+                               for q in range(n)] for i in range(n)])
     p = complex_projection(j, k).split()
-    return Connection([[_combine(2, ((1, p[i][q]), (-1, adj[q][i])), n) for q in range(n)]
-                       for i in range(n)])
+    return Connection._of_split([[_combine(2, ((1, p[i][q]), (-1, adj[q][i])), n, keep_split=True)
+                                  for q in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ violating triple, since several callers deliberately build non-Lie tensors.
 
 The structure checks are contractions over the kept bracket split, none
 for a zero bracket.  Every bracket table is one linalg.bilinear_table over
-the pairs it needs: pushforward, is_homomorphism and a self-bracket table
-(_brackets of u with u) ask only for the pairs i < j of the alternating
-bracket.  check_jacobi skips a triple whose three brackets are zero and
-commutator_ideal reads only the nonzero brackets.  center and
+the pairs it needs: is_homomorphism and a self-bracket table (_brackets of
+u with u) ask only for the pairs i < j of the alternating bracket.
+pushforward transports the canonical splits of the brackets i < j and
+stores the new algebra as those splits, the pairs j > i negated; its
+Fractions c are built only when read.  check_jacobi skips a triple whose
+three brackets are zero and commutator_ideal reads only the nonzero
+brackets.  center and
 center_of_subalgebra are one centralizer kernel (_annihilator);
 center_of_subalgebra's one self-bracket table also decides its closure
 precondition.  An algebra keeps its derived and lower central series once
@@ -24,7 +27,8 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .linalg import (
     DimensionMismatch, Matrix, SingularMatrix, Subspace, _as_vector, _neg, _nonzeros,
-    bilinear, contract_splits, is_zero_vec, lin_comb, tensor_split, zero_vec,
+    _splits_key, _tensor_dense, bilinear, contract_splits, is_zero_vec, lin_comb,
+    tensor_split, zero_vec,
 )
 
 
@@ -38,7 +42,9 @@ class JacobiWitness(NamedTuple):
 
 
 class LieAlgebra:
-    __slots__ = ("dim", "c", "basis_names", "_split", "_series")
+    """Stored as the Fractions it was given, or, when pushforward builds it,
+    as the canonical splits of its brackets; c is built on first read."""
+    __slots__ = ("dim", "_c", "basis_names", "_split", "_series")
 
     def __init__(self, dim, brackets=None, basis_names=None):
         """brackets: {(i,j): value} for i<j; value is a dense vector or {k: scalar}."""
@@ -52,20 +58,38 @@ class LieAlgebra:
             v = _as_vector(value, dim)
             table[i][j] = v
             table[j][i] = _neg(v)
-        self.c = tuple(tuple(row) for row in table)
+        self._c = tuple(tuple(row) for row in table)
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             "e%d" % (i + 1) for i in range(dim))
         if len(self.basis_names) != dim:
             raise DimensionMismatch("basis_names length != dim")
 
     @classmethod
+    def _of_split(cls, dim, upper, basis_names):
+        """Algebra from {(i, j): canonical split of [e_i, e_j]} for i < j, the
+        missing pairs zero; the pairs j > i get the negated numerators."""
+        split = [[(1, [])] * dim for _ in range(dim)]
+        for (i, j), (d, nz) in upper.items():
+            split[i][j] = (d, nz)
+            split[j][i] = (d, [(k, -a) for k, a in nz])
+        g = object.__new__(cls)
+        g.dim, g._c, g.basis_names, g._split, g._series = dim, None, basis_names, split, None
+        return g
+
+    @classmethod
     def abelian(cls, dim, basis_names=None):
         return cls(dim, {}, basis_names)
+
+    @property
+    def c(self):
+        if self._c is None:
+            self._c = _tensor_dense(self._split)
+        return self._c
 
     def split(self):
         """Split of every bracket c[i][j], computed on first use."""
         if self._split is None:
-            self._split = tensor_split(self.c)
+            self._split = tensor_split(self._c)
         return self._split
 
     def bracket(self, x, y):
@@ -74,10 +98,11 @@ class LieAlgebra:
         return bilinear(self.split(), x, y)
 
     def __eq__(self, other):
-        return isinstance(other, LieAlgebra) and self.dim == other.dim and self.c == other.c
+        return (isinstance(other, LieAlgebra) and self.dim == other.dim
+                and self.split() == other.split())
 
     def __hash__(self):
-        return hash(self.c)
+        return hash(_splits_key(s for row in self.split() for s in row))
 
     def __repr__(self):
         return "LieAlgebra(dim=%d)" % self.dim
@@ -235,9 +260,13 @@ def pushforward(g, p: Matrix) -> LieAlgebra:
     pairs i < j; the new bracket is antisymmetric by construction."""
     if not p.is_square() or p.nrows != g.dim:
         raise DimensionMismatch("pushforward needs a square matrix of size dim")
-    pinv = p.inverse()
-    raw = bilinear_table(g, pinv, pinv, combinations(range(g.dim), 2))
-    return LieAlgebra(g.dim, {ij: p.apply(w) for ij, w in raw.items()}, g.basis_names)
+    n, gs, ps, qs = g.dim, g.split(), p.split(), p.inverse().split()
+    out = {}
+    for i, j in combinations(range(n), 2):
+        d, nz = linalg._bilinear(gs, qs[i], qs[j], n, keep_split=True)
+        if nz:
+            out[i, j] = linalg._combine(d, [(c, ps[t]) for t, c in nz], n, keep_split=True)
+    return LieAlgebra._of_split(n, out, g.basis_names)
 
 
 def is_homomorphism(phi: Matrix, g1, g2) -> bool:

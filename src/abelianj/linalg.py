@@ -8,9 +8,10 @@ arithmetic on integer numerators, chiefly in two routines:
 * _combine, the one contraction.  A vector's split is (d, [(index,
   numerator)]): its nonzero entries as Python-int numerators over d, the
   lcm of their denominators.  _combine sums integer multiples of splits
-  over one common denominator and normalises each output entry once into a
-  Fraction.  Matrix products, matrix-vector products, linear combinations,
-  Jacobi residuals, the structure layer (the ad-twist and Nijenhuis
+  over one common denominator and either normalises each output entry
+  once into a Fraction or reduces the sum to its canonical split.  Matrix
+  products and sums, matrix-vector products, linear combinations, Jacobi
+  residuals, the structure layer (the ad-twist and Nijenhuis
   residuals) and the Hermitian layer (curvature, the Koszul solve,
   torsion, the metric and complex flag residuals, the complex projection)
   run through it; a dot product or a sum of squares is one integer sum over
@@ -25,21 +26,26 @@ arithmetic on integer numerators, chiefly in two routines:
 * _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
   1968) on integer rows, exact divisions only.  Reduced row echelon form,
   rank, kernel, solve, inverse, det and leading principal minors all read
-  its result.
+  its result; a Matrix stored as splits hands it integer rows read off
+  its splits, with no Fraction built.
 
-Split-cache invariant: an immutable operand keeps its split.  A Matrix
-keeps the split of each column (the image of each basis vector), and a
-LieAlgebra, CommAssocAlgebra or Connection the split of each slice of its
-tensor (a LieAlgebra also keeps its derived and lower central series).
-Each is computed on first use and stored in a slot on the object, so it
-lives and dies with the object.  Outside the two routines every
-entry is a normalised Fraction.  Subspaces are kept in reduced row echelon
-form so equality is syntactic.
+Split-first storage: a vector's canonical split, (d > 0, [(index,
+numerator)]) with gcd(d, numerators) = 1, is unique, so equal vectors have
+equal splits.  A Matrix, Connection or LieAlgebra that a contraction or an
+elimination builds (a matrix product, sum, multiple, transpose or inverse,
+levi_civita, complex_projection, pushforward) is stored as the canonical
+splits of its columns or slices; its Fractions (rows, gamma, c) are built
+only when read.  One built from Fractions computes its splits on first use
+instead.  Either way both forms are kept in slots on the object, so they
+live and die with it, and == compares splits.  Splits are shared and never
+mutated.  A Matrix also keeps its inverse, and a LieAlgebra its derived
+and lower central series.  Subspaces are kept in reduced row echelon form
+of normalised Fractions, so equality is syntactic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -154,13 +160,35 @@ def _entry(num, den):
     return Fraction(num, den) if num else ZERO
 
 
+def _reduced(den, nz):
+    """The canonical split of the vector with numerators nz over den: the
+    denominator made positive and divided with the numerators by their gcd,
+    so two equal vectors have equal splits."""
+    g = gcd(den, *[a for _, a in nz])
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, nz
+    return den // g, [(k, a // g) for k, a in nz]
+
+
+def _dense(split, n):
+    """The vector in Q^n with this split, as normalised Fractions."""
+    d, nz = split
+    out = [ZERO] * n
+    for k, a in nz:
+        out[k] = Fraction(a, d)
+    return tuple(out)
+
+
 def _combine(den, terms, n, keep_split=False):
     """sum of (c / den) * vector over terms (c, split of the vector) in Q^n.
 
     The one contraction kernel: every term is put over den * big, big the
     lcm of the terms' denominators, and summed over Python ints.  Returns
-    the normalised vector, or with keep_split the unnormalised split of
-    the sum, for a contraction that continues in a second stage.
+    the normalised vector, or with keep_split the canonical split of the
+    sum, for a result stored as its split or a contraction that continues
+    in a second stage.
     """
     big = lcm(*[d for _, (d, _) in terms])
     out = [0] * n
@@ -170,7 +198,7 @@ def _combine(den, terms, n, keep_split=False):
             out[k] += f * a
     den *= big
     if keep_split:
-        return den, [(k, a) for k, a in enumerate(out) if a]
+        return _reduced(den, [(k, a) for k, a in enumerate(out) if a])
     return tuple(Fraction(a, den) if a else ZERO for a in out)
 
 
@@ -212,6 +240,18 @@ def tensor_split(tensor):
     return [[_nonzeros(v) for v in row] for row in tensor]
 
 
+def _tensor_dense(split):
+    """The rank-3 tensor of Fractions whose slices have these splits."""
+    n = len(split)
+    return tuple(tuple(_dense(s, n) for s in row) for row in split)
+
+
+def _splits_key(splits):
+    """A hashable form of a sequence of canonical splits, equal exactly when
+    the vectors are."""
+    return tuple((d, tuple(nz)) for d, nz in splits)
+
+
 def contract_splits(parts, n):
     """sum over parts (s, coefficient split, vector splits) of
     s * sum_q coefficient_q * (vector q) in Q^n, s an int, normalised once."""
@@ -220,12 +260,17 @@ def contract_splits(parts, n):
                           for s, (d, cs), splits in parts for q, c in cs], n)
 
 
-def _bilinear(split, x, y, n):
+def _bilinear(split, x, y, n, keep_split=False):
     """T(x, y) for the tensor T with this split, x and y given by their
     splits: the one bilinear contraction, over the nonzero slices T[p][q]
-    it reads, and the zero vector, with no contraction, when it reads none."""
+    it reads, and the zero vector, with no contraction, when it reads none.
+    An empty slice is skipped before its coefficient is multiplied.  With
+    keep_split the canonical split of T(x, y)."""
     (dx, xs), (dy, ys) = x, y
-    return _combine_nonzero(dx * dy, [(a * b, split[p][q]) for p, a in xs for q, b in ys], n)
+    terms = [(a * b, s) for p, a in xs for q, b in ys if (s := split[p][q])[1]]
+    if terms:
+        return _combine(dx * dy, terms, n, keep_split)
+    return (1, []) if keep_split else zero_vec(n)
 
 
 def bilinear(split, x, y):
@@ -318,37 +363,71 @@ def _rref(rows, ncols):
             tuple(pivots))
 
 
-class Matrix:
-    """Dense exact matrix over Q; keeps the split of its columns once used."""
+def _transposed(split, nrows):
+    """Canonical splits of the rows of the matrix with these column splits,
+    in integers: each row over the lcm of its columns' denominators, then
+    reduced."""
+    rows = [[] for _ in range(nrows)]
+    for j, (d, nz) in enumerate(split):
+        for k, a in nz:
+            rows[k].append((j, a, d))
+    out = []
+    for row in rows:
+        big = lcm(*[d for _, _, d in row])
+        out.append(_reduced(big, [(j, a * (big // d)) for j, a, d in row]))
+    return out
 
-    __slots__ = ("rows", "nrows", "ncols", "_split")
+
+class Matrix:
+    """Dense exact matrix over Q, stored as whichever form it was born in:
+    rows of Fractions when built from values, else the canonical splits of
+    its columns (an identity, zeros, a product, sum, multiple, transpose or
+    inverse).  The other form is built on first read and kept, as is the
+    inverse once computed; == compares splits."""
+
+    __slots__ = ("_rows", "nrows", "ncols", "_split", "_inverse")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(rat(e) for e in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        self._split = None
-        if any(len(r) != self.ncols for r in self.rows):
+        self._rows = tuple(tuple(rat(e) for e in row) for row in rows)
+        self.nrows = len(self._rows)
+        self.ncols = len(self._rows[0]) if self._rows else 0
+        self._split = self._inverse = None
+        if any(len(r) != self.ncols for r in self._rows):
             raise DimensionMismatch("ragged rows")
 
     @classmethod
     def _of(cls, rows, nrows, ncols):
         """Matrix from rows of normalised Fractions, without re-validation."""
         m = object.__new__(cls)
-        m.rows, m.nrows, m.ncols, m._split = tuple(rows), nrows, ncols, None
+        m._rows, m.nrows, m.ncols, m._split, m._inverse = tuple(rows), nrows, ncols, None, None
+        return m
+
+    @classmethod
+    def _of_split(cls, split, nrows):
+        """Matrix from the canonical splits of its columns; never mutated."""
+        m = object.__new__(cls)
+        m._rows, m.nrows, m.ncols, m._split, m._inverse = None, nrows, len(split), split, None
         return m
 
     @classmethod
     def identity(cls, n):
-        return cls([basis_vec(n, i) for i in range(n)])
+        return cls._of_split([(1, [(i, 1)]) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, m, n):
-        return cls._of([zero_vec(n)] * m, m, n)
+        return cls._of_split([(1, [])] * n, m)
 
     @classmethod
     def from_columns(cls, cols):
         return cls(list(zip(*cols))) if cols else cls([])
+
+    @property
+    def rows(self):
+        """The rows as tuples of Fractions, built from the splits on first read."""
+        if self._rows is None:
+            cols = [_dense(s, self.nrows) for s in self._split]
+            self._rows = tuple(zip(*cols)) if cols else ((),) * self.nrows
+        return self._rows
 
     def column(self, j):
         return tuple(row[j] for row in self.rows)
@@ -363,8 +442,7 @@ class Matrix:
         return self._split
 
     def transpose(self):
-        rows = zip(*self.rows) if self.nrows else [()] * self.ncols
-        return Matrix._of(rows, self.ncols, self.nrows)
+        return Matrix._of_split(_transposed(self.split(), self.nrows), self.ncols)
 
     def apply(self, v):
         """Matrix-vector product: the columns combined by v."""
@@ -377,10 +455,9 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise DimensionMismatch("shape mismatch in matmul")
             cols = self.split()
-            out = [_combine(d, [(c, cols[t]) for t, c in nz], self.nrows)
-                   for d, nz in other.split()]
-            rows = zip(*out) if out else [()] * self.nrows
-            return Matrix._of(rows, self.nrows, other.ncols)
+            return Matrix._of_split([_combine(d, [(c, cols[t]) for t, c in nz], self.nrows,
+                                              keep_split=True)
+                                     for d, nz in other.split()], self.nrows)
         return self.apply(other)
 
     def _same_shape(self, other):
@@ -388,32 +465,36 @@ class Matrix:
             raise DimensionMismatch("shapes %dx%d and %dx%d differ" % (
                 self.nrows, self.ncols, other.nrows, other.ncols))
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         self._same_shape(other)
-        return Matrix._of([vec_add(a, b) for a, b in zip(self.rows, other.rows)],
-                          self.nrows, self.ncols)
+        return Matrix._of_split([_combine(1, ((1, a), (sign, b)), self.nrows, keep_split=True)
+                                 for a, b in zip(self.split(), other.split())], self.nrows)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix._of([vec_sub(a, b) for a, b in zip(self.rows, other.rows)],
-                          self.nrows, self.ncols)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return Matrix._of([tuple(-a if a else a for a in r) for r in self.rows],
-                          self.nrows, self.ncols)
+        return Matrix._of_split([(d, [(k, -a) for k, a in nz]) for d, nz in self.split()],
+                                self.nrows)
 
     def scale(self, c):
         c = rat(c)
-        return Matrix._of([vec_scale(c, r) for r in self.rows], self.nrows, self.ncols)
+        p, q = c.numerator, c.denominator
+        return Matrix._of_split([_reduced(d * q, [(k, a * p) for k, a in nz] if p else [])
+                                 for d, nz in self.split()], self.nrows)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (isinstance(other, Matrix) and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+                and self.split() == other.split())
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(_splits_key(self.split()))
 
     def is_zero(self):
-        return all(is_zero_vec(r) for r in self.rows)
+        return not any(nz for _, nz in self.split())
 
     def is_square(self):
         return self.nrows == self.ncols
@@ -425,14 +506,32 @@ class Matrix:
         rows, pivots = _rref(self.rows, self.ncols)
         return Matrix._of(rows, len(rows), self.ncols), pivots
 
+    def _scaled_rows(self):
+        """(d, nums) for every row: its integer numerators over d, the lcm of
+        its denominators; read off the column splits, in integers, when the
+        matrix has no Fraction rows."""
+        if self._rows is not None:
+            return [_over_lcm(row) for row in self._rows]
+        out = []
+        for d, nz in _transposed(self._split, self.nrows):
+            nums = [0] * self.ncols
+            for k, a in nz:
+                nums[k] = a
+            out.append((d, nums))
+        return out
+
+    def _nonzero_int_rows(self):
+        """The nonzero rows as integer numerators (see _int_rows)."""
+        return [nums for _, nums in self._scaled_rows() if any(nums)]
+
     def rank(self):
-        return len(_eliminate(_int_rows(self.rows), self.ncols)[0])
+        return len(_eliminate(self._nonzero_int_rows(), self.ncols)[0])
 
     def _square_elimination(self, what):
         """(row lcms, result of _eliminate) for a square matrix."""
         if not self.is_square():
             raise DimensionMismatch("%s of non-square matrix" % what)
-        scaled = [_over_lcm(row) for row in self.rows]
+        scaled = self._scaled_rows()
         return [d for d, _ in scaled], _eliminate([nums for _, nums in scaled], self.ncols)
 
     def det(self):
@@ -455,18 +554,25 @@ class Matrix:
         return out
 
     def inverse(self):
-        if not self.is_square():
-            raise DimensionMismatch("inverse of non-square matrix")
-        n = self.nrows
-        work = _int_rows([row + basis_vec(n, i) for i, row in enumerate(self.rows)])
-        pivots, den, _, _ = _eliminate(work, 2 * n)
-        if pivots != list(range(n)):
-            raise SingularMatrix("matrix is singular")
-        return Matrix._of([tuple(_entry(x, den) for x in row[n:]) for row in work], n, n)
+        """The inverse, computed on first use and kept: the right half of the
+        eliminated [A | I] is den * A^-1, read as canonical column splits."""
+        if self._inverse is None:
+            if not self.is_square():
+                raise DimensionMismatch("inverse of non-square matrix")
+            n = self.nrows
+            work = [nums + [d if k == i else 0 for k in range(n)]
+                    for i, (d, nums) in enumerate(self._scaled_rows())]
+            pivots, den, _, _ = _eliminate(work, 2 * n)
+            if pivots != list(range(n)):
+                raise SingularMatrix("matrix is singular")
+            self._inverse = Matrix._of_split(
+                [_reduced(den, [(r, row[c]) for r, row in enumerate(work) if row[c]])
+                 for c in range(n, 2 * n)], n)
+        return self._inverse
 
     def kernel(self):
         """Canonical null-space basis (free variables set to 1, in order)."""
-        work = _int_rows(self.rows)
+        work = self._nonzero_int_rows()
         pivots, den, _, _ = _eliminate(work, self.ncols)
         pivot_set = set(pivots)
         basis = []

@@ -7,7 +7,8 @@ formulas; the tensors contracted once per unordered pair
 (pushforward, the cyclic sums of is_kahler and cyclic_metric_identity)
 against every ordered pair; the minimal polynomial against one solve per
 degree; elimination results and the idempotent splitter's factors over Q
-against sympy."""
+against sympy; matrices, connections and algebras stored as canonical
+splits against their twins built from Fractions."""
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -888,3 +889,126 @@ def test_minimal_polynomial_matches_one_solve_per_degree():
     assert any(d < n for d, n in degrees) and any(d == n > 1 for d, n in degrees)
     assert assoc.minimal_polynomial(Matrix.zeros(3, 3)) == [0, 1]
     assert assoc.minimal_polynomial(Matrix.identity(4)) == [-1, 1]
+
+
+# ---- split-first storage against Fraction-built twins ----
+
+def _canonical(split):
+    """(d, [(index, numerator)]) with d > 0, nonzero numerators and
+    gcd(d, numerators) = 1: the one split of its vector."""
+    d, nz = split
+    return d > 0 and all(a for _, a in nz) and gcd(d, *[a for _, a in nz]) == 1
+
+
+def _ref_transpose(rows):
+    return [list(r) for r in zip(*rows)]
+
+
+def test_split_born_matrices_equal_their_row_born_twins():
+    """Products, sums, multiples, negations and transposes are born as
+    column splits: equal, with equal hashes, to the matrix built from the
+    Fraction reference; eliminations read their splits; rows are built on
+    read and match the reference."""
+    rng = random.Random(1501)
+    for _ in range(40):
+        m, k, n = (rng.randint(1, 4) for _ in range(3))
+        a, a2, b = _random_matrix(rng, m, k), _random_matrix(rng, m, k), _random_matrix(rng, k, n)
+        c = _scalar(rng)
+        ra, ra2, rb = _rows(a), _rows(a2), _rows(b)
+        ab = _mm(ra, rb)
+        cases = [
+            (a @ b, ab), ((a @ b).transpose(), _ref_transpose(ab)),
+            (a + a2, [[x + y for x, y in zip(r, s)] for r, s in zip(ra, ra2)]),
+            (a - a2, [[x - y for x, y in zip(r, s)] for r, s in zip(ra, ra2)]),
+            (-(a @ b), [[-x for x in r] for r in ab]),
+            (a.scale(c), [[c * x for x in r] for r in ra]),
+        ]
+        for born, ref in cases:
+            twin = Matrix(ref)
+            assert born._rows is None and all(map(_canonical, born.split()))
+            assert born == twin and twin == born and hash(born) == hash(twin)
+            assert born.rank() == twin.rank() and born.kernel() == twin.kernel()
+            if born.is_square():
+                assert born.det() == twin.det()
+                assert born.leading_minors() == twin.leading_minors()
+            assert born.is_zero() == twin.is_zero() == (not any(map(any, ref)))
+            assert born._rows is None
+            assert born.column(0) == tuple(r[0] for r in ref)
+            assert born.rows == tuple(map(tuple, ref)) and all(map(_normalised, born.rows))
+        assert (a @ b) != Matrix(ab).scale(2) or not any(map(any, ab))
+
+
+def test_inverse_of_negative_determinant_has_canonical_splits():
+    """Bareiss leaves den * A^-1 with den the signed last pivot; the inverse
+    is read off with a positive denominator.  A disguise by such a matrix
+    keeps J^2 = -I, and a second inverse is the kept one."""
+    rng = random.Random(1502)
+    seen = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        a = Matrix([_vector(rng, n) for _ in range(n)])
+        det = a.det()
+        if det >= 0:
+            continue
+        seen += 1
+        inv = a.inverse()
+        assert inv is a.inverse()
+        assert all(_canonical(s) and s[0] > 0 for s in inv.split())
+        assert _mm(_rows(a), _rows(inv)) == _rows(Matrix.identity(n))
+        assert _sympy(inv) == _sympy(a).inv()
+    assert seen > 10
+    # no row swap: the last Bareiss pivot, den, is the determinant -3
+    flip = Matrix([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -3]])
+    assert flip.det() == -3
+    assert flip.inverse().split() == [(1, [(0, 1)]), (1, [(0, -2), (1, 1)]), (1, [(2, 1)]),
+                                      (3, [(3, -1)])]
+    j = standard_complex_structure(2).matrix
+    disguised = complex_structures.ComplexStructure((flip @ j) @ flip.inverse())
+    assert (disguised.matrix @ disguised.matrix) == -Matrix.identity(4)
+
+
+def test_pushforward_equals_a_fraction_built_algebra():
+    """The split-born pushforward equals, with the same hash, the algebra
+    built from the Fraction reference P [P^-1 e_i, P^-1 e_j] on i < j."""
+    rng = random.Random(1503)
+    for dim_a in range(1, 6):
+        g, _ = random_instance(rng.randrange(2 ** 32), dim_a, FAMILIES[dim_a % 3],
+                               disguise=True)
+        n = g.dim
+        p = lab.random_unimodular(rng, n).scale(Fraction(rng.choice((1, -2)), 3))
+        pinv = _sympy(p).inv()
+        cols = [[_frac(pinv[r, i]) for r in range(n)] for i in range(n)]
+        ref = LieAlgebra(n, {(i, j): [sum((p.rows[r][q] * w[q] for q in range(n)), Fraction(0))
+                                      for r in range(n)]
+                             for i, j in combinations(range(n), 2)
+                             for w in [_ref_bilinear(g.c, cols[i], cols[j])]})
+        h = lie.pushforward(g, p)
+        assert h._c is None and all(_canonical(s) for row in h.split() for s in row)
+        assert h == ref and ref == h and hash(h) == hash(ref)
+        assert h.c == ref.c and all(_normalised(v) for row in h.c for v in row)
+        assert h != LieAlgebra.abelian(n) or ref == LieAlgebra.abelian(n)
+
+
+def test_split_born_connections_compare_by_their_splits():
+    """levi_civita and complex_projection are born as splits: is_zero and ==
+    read the splits and agree with the gamma-built twin and the reference."""
+    flat = levi_civita(LieAlgebra.abelian(4), InnerProduct.diagonal([1, 2, 1, 2]))
+    assert flat._gamma is None and flat.is_zero()
+    assert flat == Connection.zero(4) == Connection([[[0] * 4] * 4] * 4)
+    assert hash(flat) == hash(Connection([[[0] * 4] * 4] * 4))
+    for t in _hermitian_cases()[::2]:
+        g, j, metric = t.algebra, t.j, t.metric
+        lc = levi_civita(g, metric)
+        proj = complex_projection(j, lc)
+        for conn, ref in ((lc, _ref_levi_civita(g, metric)),
+                          (proj, _ref_projection(Connection(_ref_levi_civita(g, metric)),
+                                                 j.matrix))):
+            twin = Connection(ref)
+            assert conn._gamma is None
+            assert all(_canonical(s) for row in conn.split() for s in row)
+            assert conn == twin and twin == conn and hash(conn) == hash(twin)
+            assert conn.is_zero() == twin.is_zero() == (not any(any(v) for row in ref for v in row))
+            assert conn._gamma is None and conn.gamma == ref
+        assert (lc == Connection.zero(g.dim)) == lc.is_zero()
+    curved = levi_civita(LieAlgebra(2, {(0, 1): {1: 1}}), InnerProduct.identity(2))
+    assert not curved.is_zero() and curved != Connection.zero(2)

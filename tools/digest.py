@@ -37,13 +37,21 @@ FIXTURES = os.path.join(PACKAGE, "fixtures")
 
 
 def _run(argv, report=None):
+    """Exit code, stdout and stderr of one command, then its report.  The
+    report file is deleted first, so a command that fails before writing
+    it hashes as "no report" instead of reading an earlier run's file."""
+    if report and os.path.exists(report):
+        os.remove(report)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + (["--report", report] if report else []))
     text = "exit %d\n%s\nstderr\n%s" % (code, out.getvalue(), err.getvalue())
     if report:
-        with open(report, encoding="utf-8") as fh:
-            text += "report\n" + fh.read()
+        if os.path.exists(report):
+            with open(report, encoding="utf-8") as fh:
+                text += "report\n" + fh.read()
+        else:
+            text += "no report\n"
     return text
 
 
