@@ -20,11 +20,11 @@ from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _as_vector, _eliminate, _entry,
-    _nonzeros, _over_lcm, bilinear, bilinear_table, certify, contract_splits, is_zero_vec,
-    left_map, lin_comb, rat, tensor_split, vec_dot, zero_vec,
+    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _eliminate, _entry, _ints, _nonzeros,
+    _stacked, _tensor_dense, _trace, _value_split, bilinear, bilinear_table,
+    certify, contract_splits, is_zero_vec, left_map, lin_comb, rat,
 )
-from .lie import PreconditionError
+from .lie import PreconditionError, _PairTable
 
 
 class AxiomWitness(NamedTuple):
@@ -52,53 +52,37 @@ class GenericityError(ValueError):
     pass
 
 
-class CommAssocAlgebra:
-    __slots__ = ("dim", "m", "basis_names", "_split")
+class CommAssocAlgebra(_PairTable):
+    """Stored as the canonical splits of its products m[i][j]; m builds
+    Fractions from them on each read."""
+    __slots__ = ()
+    _symmetric = True
 
     def __init__(self, dim, products=None, basis_names=None):
         """products: {(i,j): value} for i<=j; value dense vector or {k: scalar}."""
-        self.dim = dim
-        self._split = None
-        table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), value in (products or {}).items():
+        products = products or {}
+        for i, j in products:
             if not (0 <= i <= j < dim):
                 raise DimensionMismatch("product pair (%d,%d) must satisfy 0 <= i <= j < dim" % (i, j))
-            v = _as_vector(value, dim)
-            table[i][j] = v
-            table[j][i] = v
-        self.m = tuple(tuple(row) for row in table)
-        self.basis_names = tuple(basis_names) if basis_names else tuple(
-            "e%d" % (i + 1) for i in range(dim))
-        if len(self.basis_names) != dim:
-            raise DimensionMismatch("basis_names length != dim")
+        self._set(dim, {ij: _value_split(v, dim) for ij, v in products.items()}, basis_names)
 
     @classmethod
     def zero(cls, dim):
         return cls(dim, {})
 
-    def split(self):
-        """Split of every product m[i][j], computed on first use."""
-        if self._split is None:
-            self._split = tensor_split(self.m)
-        return self._split
+    @property
+    def m(self):
+        """The products as Fractions, built from the splits on each read."""
+        return _tensor_dense(self._split)
 
     def multiply(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("multiply arguments must have dimension %d" % self.dim)
-        return bilinear(self.split(), x, y)
+        return bilinear(self._split, x, y)
 
     def left_mult(self, x):
         """Matrix of y -> x.y."""
-        return left_map(self.split(), x)
-
-    def __eq__(self, other):
-        return isinstance(other, CommAssocAlgebra) and self.dim == other.dim and self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
-
-    def __repr__(self):
-        return "CommAssocAlgebra(dim=%d)" % self.dim
+        return left_map(self._split, _nonzeros(x))
 
 
 def check_axioms(a) -> Optional[AxiomWitness]:
@@ -145,8 +129,8 @@ def check_compatibility(adot, astar) -> Optional[CompatibilityWitness]:
 
 
 def square_span(a) -> Subspace:
-    vecs = [a.m[i][j] for i in range(a.dim) for j in range(i, a.dim)]
-    return Subspace(a.dim, vecs)
+    s = a.split()
+    return Subspace._spanned(a.dim, [s[i][j] for i in range(a.dim) for j in range(i, a.dim)])
 
 
 class NilradicalReport(NamedTuple):
@@ -165,11 +149,14 @@ def nilradical(a) -> NilradicalReport:
     """
     if check_axioms(a) is not None:
         raise PreconditionError("nilradical requires a commutative associative algebra")
-    n = a.dim
-    t = [sum((row[q][q] for q in range(n)), ZERO) for row in a.m]
-    rad = Subspace(n, Matrix([[vec_dot(v, t) for v in row] for row in a.m]).kernel())
-    for v in rad.basis:
-        lv = a.left_mult(v)
+    n, s = a.dim, a.split()
+    dt, t = _nonzeros([_trace(row) for row in s])    # row k is l_{e_k} by columns
+    t = dict(t)
+    form = Matrix([[_entry(sum(x * t.get(k, 0) for k, x in nz), d * dt) for d, nz in row]
+                   for row in s])
+    rad = Subspace._spanned(n, form._kernel_splits())
+    for v in rad.split():
+        lv = left_map(s, v)
         power = lv
         for _ in range(n):
             power = power @ lv
@@ -182,16 +169,12 @@ def is_nilpotent_algebra(a) -> bool:
 
 
 def unit(a):
-    """The multiplicative unit as a vector, or None."""
+    """The multiplicative unit as a vector, or None: the solution x of
+    sum_j x_j e_j e_i = e_i for every i, column j stacking the products
+    e_j e_i over i."""
     n = a.dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        for k in range(n):
-            rows.append(tuple(a.m[j][i][k] for j in range(n)))
-            rhs.append(ONE if k == i else ZERO)
-    aug = Matrix(rows)
-    return aug.solve(tuple(rhs))
+    return Matrix._of_split([_stacked(row, n) for row in a.split()], n * n).solve(
+        tuple(ONE if k == i else ZERO for i in range(n) for k in range(n)))
 
 
 class IdempotentSet(NamedTuple):
@@ -213,16 +196,16 @@ def _poly_eval_matrix(p, mat):
 
 def minimal_polynomial(mat: Matrix):
     """Monic minimal polynomial, ascending coefficients, from one elimination
-    of the flattened powers I, M, ..., M^n, column k scaled to integers by
-    the lcm D_k of its denominators.  The pivots are 0, ..., d-1 for d the
-    degree, and coefficient k < d is -rows[k][d] D_k / (den D_d)."""
+    of the flattened powers I, M, ..., M^n, column k the numerators of the
+    stacked column splits of M^k over their denominator D_k.  The pivots
+    are 0, ..., d-1 for d the degree, and coefficient k < d is
+    -rows[k][d] D_k / (den D_d)."""
     n = mat.nrows
-    power = Matrix.identity(n)
-    cols = [_over_lcm(sum(power.rows, ()))]
+    powers = [Matrix.identity(n)]
     for _ in range(n):
-        power = power @ mat
-        cols.append(_over_lcm(sum(power.rows, ())))
-    rows = [list(r) for r in zip(*[nums for _, nums in cols]) if any(r)]
+        powers.append(powers[-1] @ mat)
+    cols = [_stacked(p.split(), n) for p in powers]
+    rows = [list(r) for r in zip(*[_ints(nz, n * n) for _, nz in cols]) if any(r)]
     pivots, den, _, _ = _eliminate(rows, n + 1)
     d = len(pivots)
     certify("minimal polynomial must exist by Cayley-Hamilton", d <= n)
@@ -332,21 +315,22 @@ def _split_over_q(p):
 
 def _block_unit(a, block: Subspace):
     """Unit of the restricted algebra on an ideal block, in ambient coords."""
-    basis = block.basis
-    bs = [_nonzeros(b) for b in basis]
-    products = {ik: block.coordinates(w) for ik, w in bilinear_table(
-        a.split(), bs, bs, combinations_with_replacement(range(len(bs)), 2)).items()}
-    if None in products.values():
-        return None
-    e = unit(CommAssocAlgebra(len(basis), products))
-    return None if e is None else lin_comb(e, basis, a.dim)
+    bs = block.split()
+    products = {}
+    for ik, w in bilinear_table(a.split(), bs, bs,
+                                combinations_with_replacement(range(len(bs)), 2)).items():
+        products[ik] = block._coords(w)
+        if products[ik] is None:
+            return None
+    e = unit(CommAssocAlgebra._of_split(len(bs), products))
+    return None if e is None else contract_splits([(1, _nonzeros(e), bs)], a.dim)
 
 
 def _certify_idempotents(a, elements):
     """e_i e_i = e_i and e_i e_k = 0 for i < k."""
     es = [_nonzeros(e) for e in elements]
     table = bilinear_table(a.split(), es, es, combinations_with_replacement(range(len(es)), 2))
-    return all(w == elements[i] if i == k else is_zero_vec(w) for (i, k), w in table.items())
+    return all(w == es[i] if i == k else not w[1] for (i, k), w in table.items())
 
 
 # candidate generic elements per primitive_idempotents call, and the seed of
@@ -392,7 +376,7 @@ def primitive_idempotents(a) -> IdempotentSet:
         blocks = []
         ok = True
         for f in factors:
-            block = Subspace(a.dim, _poly_eval_matrix(f, lx).kernel())
+            block = Subspace._spanned(a.dim, _poly_eval_matrix(f, lx)._kernel_splits())
             if block.dim != len(f) - 1:
                 ok = False  # eigenvalue collision, redraw the generic element
                 break

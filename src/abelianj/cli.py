@@ -47,12 +47,12 @@ def _fmt_vector(v, names) -> str:
     return " ".join([head] + terms[1:])
 
 
-def _connection_lines(g, conn, label):
+def _connection_lines(g, gamma, label):
     lines = ["  %s:" % label]
     shown = 0
     for i in range(g.dim):
         for jx in range(g.dim):
-            v = conn.gamma[i][jx]
+            v = gamma[i][jx]
             if not all(c == 0 for c in v):
                 lines.append("    nabla_%s %s = %s"
                              % (g.basis_names[i], g.basis_names[jx],
@@ -63,9 +63,8 @@ def _connection_lines(g, conn, label):
     return lines
 
 
-def _connection_json(g, conn):
-    return [[[serialize.scalar_str(c) for c in conn.gamma[i][jx]]
-             for jx in range(g.dim)] for i in range(g.dim)]
+def _connection_json(gamma):
+    return [[[serialize.scalar_str(c) for c in v] for v in row] for row in gamma]
 
 
 def _yesno(b) -> str:
@@ -147,10 +146,11 @@ def run_check(args) -> int:
                                       complex_projection(inst.j, lc))):
                 flags = connection_flags(g, inst.j, inst.metric, conn)
                 norm = serialize.scalar_str(curvature_norm_sq(g, conn))
-                out["connections"][key] = {"tensor": _connection_json(g, conn),
+                gamma = conn.gamma
+                out["connections"][key] = {"tensor": _connection_json(gamma),
                                            "flags": flags._asdict(),
                                            "curvature_norm_sq": norm}
-                lines.extend(_connection_lines(g, conn, label))
+                lines.extend(_connection_lines(g, gamma, label))
                 lines.append("    flags: metric %s, complex %s, torsion type (1,1) %s"
                              % tuple(_yesno(f) for f in flags))
                 lines.append("    curvature norm^2: %s" % norm)

@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import (
-    DimensionMismatch, Matrix, Subspace, _combine_nonzero, _nonzeros, is_zero_vec,
-    rat,
-)
+from . import linalg
+from .linalg import DimensionMismatch, Matrix, Subspace, _combine_nonzero, is_zero_vec, rat
 from .lie import (
-    LieAlgebra, PreconditionError, bilinear_table, bracket_span, center,
+    LieAlgebra, PreconditionError, bracket_span, center,
     center_of_subalgebra, commutator_ideal, derived_and_central_series,
     is_isomorphism,
 )
@@ -63,10 +61,10 @@ def _nijenhuis_table(g, j):
     for i < k, one contraction per pair, none for a pair whose brackets are
     all zero."""
     n, gs, js = g.dim, g.split(), j.matrix.split()
-    t_jj = bilinear_table(g, j.matrix, j.matrix, combinations(range(n), 2))
+    t_jj = linalg.bilinear_table(gs, js, js, combinations(range(n), 2))
     for (i, k), w in t_jj.items():
         dt, tw = _twist(gs, js, i, k)
-        yield (i, k), _combine_nonzero(dt, [(dt, _nonzeros(w)), (-dt, gs[i][k])]
+        yield (i, k), _combine_nonzero(dt, [(dt, w), (-dt, gs[i][k])]
                                        + [(-c, js[t]) for t, c in tw], n)
 
 
@@ -77,8 +75,9 @@ def is_integrable(g, j) -> bool:
 def is_abelian_cs(g, j) -> bool:
     """[Jx, Jy] = [x, y] on the basis pairs i < j; both sides are
     alternating, so these decide it."""
-    t = bilinear_table(g, j.matrix, j.matrix, combinations(range(g.dim), 2))
-    return all(w == g.c[i][k] for (i, k), w in t.items())
+    gs, js = g.split(), j.matrix.split()
+    t = linalg.bilinear_table(gs, js, js, combinations(range(g.dim), 2))
+    return all(w == gs[i][k] for (i, k), w in t.items())
 
 
 def j_stable_commutator(g, j) -> Subspace:

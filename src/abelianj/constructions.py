@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import NamedTuple
 
 from .assoc import (
@@ -18,12 +19,13 @@ from .assoc import (
 from .complex_structures import (
     ComplexStructure, HolomorphicPair, is_abelian_cs, is_holomorphic_iso,
 )
+from . import linalg
 from .lie import (
-    LieAlgebra, PreconditionError, bilinear_table, bracket_span, center, check_jacobi,
+    LieAlgebra, PreconditionError, bracket_span, center, check_jacobi,
     classify_subspace, commutator_ideal, derived_and_central_series,
 )
 from .linalg import (
-    Matrix, SingularMatrix, Subspace, basis_vec, certify, is_zero_vec, rat,
+    Matrix, SingularMatrix, Subspace, _dense, _negated, _reduced, certify, is_zero_vec, rat,
     vec_scale,
 )
 
@@ -52,14 +54,16 @@ class DoubleProduct:
     u: Subspace
 
 
+def _shifted(split, by):
+    d, nz = split
+    return d, [(k + by, a) for k, a in nz]
+
+
 def standard_complex_structure(m) -> ComplexStructure:
-    """J on R^{2m} mapping the first half of the basis onto the second."""
-    rows = []
-    for r in range(m):
-        rows.append(tuple(rat(-1) if c == m + r else rat(0) for c in range(2 * m)))
-    for r in range(m):
-        rows.append(tuple(rat(1) if c == r else rat(0) for c in range(2 * m)))
-    return ComplexStructure(Matrix(rows))
+    """J on R^{2m} mapping the first half of the basis onto the second:
+    J e_c = e_{m+c} and J e_{m+c} = -e_c for c < m."""
+    return ComplexStructure(Matrix._of_split(
+        [(1, [(m + c, 1)]) for c in range(m)] + [(1, [(c, -1)]) for c in range(m)], 2 * m))
 
 
 def double_product(dot: CommAssocAlgebra, star: CommAssocAlgebra) -> DoubleProduct:
@@ -83,20 +87,17 @@ def double_product(dot: CommAssocAlgebra, star: CommAssocAlgebra) -> DoubleProdu
     brackets = {}
     for i in range(m):
         for k in range(m):
-            value = {}
-            for idx, c in enumerate(star.m[i][k]):
-                if c != 0:
-                    value[idx] = -c
-            for idx, c in enumerate(dot.m[i][k]):
-                if c != 0:
-                    value[m + idx] = c
-            if value:
-                brackets[(i, m + k)] = value
-    g = LieAlgebra(n, brackets)
+            # [e_i, e_{m+k}] = (-(e_i * e_k), e_i . e_k), one split over both halves
+            (ds, ns), (dd, nd) = star.split()[i][k], dot.split()[i][k]
+            if ns or nd:
+                big = lcm(ds, dd)
+                brackets[i, m + k] = _reduced(big, [(t, -a * (big // ds)) for t, a in ns]
+                                              + [(m + t, a * (big // dd)) for t, a in nd])
+    g = LieAlgebra._of_split(n, brackets)
     j = standard_complex_structure(m)
     certify("compatible pair must satisfy Jacobi", check_jacobi(g) is None)
     certify("standard J on a double product must be abelian", is_abelian_cs(g, j))
-    u = Subspace(n, [basis_vec(n, i) for i in range(m)])
+    u = Subspace._spanned(n, [(1, [(i, 1)]) for i in range(m)])
     return DoubleProduct(g, j, dot, star, u)
 
 
@@ -112,13 +113,9 @@ def equal_products_iso(a: CommAssocAlgebra) -> HolomorphicPair:
     src = double_product(a, a)
     tgt = aff_algebra(a)
     m = a.dim
-    rows = []
-    for r in range(m):
-        rows.append(tuple(rat(1) if c in (r, m + r) else rat(0) for c in range(2 * m)))
-    for r in range(m):
-        rows.append(tuple(rat(-1) if c == r else (rat(1) if c == m + r else rat(0))
-                          for c in range(2 * m)))
-    pair = HolomorphicPair(src.algebra, src.j, tgt.algebra, tgt.j, Matrix(rows))
+    iso = Matrix._of_split([(1, [(c, 1), (m + c, -1)]) for c in range(m)]
+                           + [(1, [(c, 1), (m + c, 1)]) for c in range(m)], 2 * m)
+    pair = HolomorphicPair(src.algebra, src.j, tgt.algebra, tgt.j, iso)
     certify("equal-products map must be a holomorphic iso", is_holomorphic_iso(pair))
     return pair
 
@@ -134,12 +131,13 @@ def witness_check(g, j, u: Subspace) -> bool:
 def _half_coordinates(g, j, v: Subspace):
     """(P, {(i, k): coordinates of [J v_i, v_k] in the columns of P}) for
     i <= k, P the basis [v | Jv] of g."""
-    jv = [j.apply(b) for b in v.basis]
-    p = Matrix.from_columns(list(v.basis) + jv)
+    vs = v.split()
+    jvs = [j.matrix._apply_split(s) for s in vs]
+    p = Matrix._of_split(vs + jvs, g.dim)
     pinv = p.inverse()
-    table = bilinear_table(g, Matrix.from_columns(jv), Matrix.from_columns(v.basis),
-                           combinations_with_replacement(range(v.dim), 2))
-    return p, {ik: pinv.apply(w) for ik, w in table.items()}
+    table = linalg.bilinear_table(g.split(), jvs, vs,
+                                  combinations_with_replacement(range(v.dim), 2))
+    return p, {ik: _dense(pinv._apply_split(w), g.dim) for ik, w in table.items()}
 
 
 class ExtractedProducts(NamedTuple):
@@ -192,8 +190,9 @@ def _aff_model(g, j, v: Subspace) -> AffModel:
     wit = check_axioms(alg)
     certify("recovered product fails the axioms", wit is None, wit and wit.kind)
     model = aff_algebra(alg)
-    phi = Matrix.from_columns([j.apply(b) for b in v.basis]
-                              + [vec_scale(rat(-1), b) for b in v.basis])
+    vs = v.split()
+    phi = Matrix._of_split([j.matrix._apply_split(s) for s in vs] + [_negated(s) for s in vs],
+                           g.dim)
     pair = HolomorphicPair(model.algebra, model.j, g, j, phi)
     certify("affine model map failed verification", is_holomorphic_iso(pair))
     return AffModel(alg, v, model, pair)
@@ -225,15 +224,15 @@ def _greedy_j_half(j, ambient_space: Subspace, seed: Subspace) -> Subspace:
     running = seed.sum(seed.image(j.matrix))
     certify("seed half meets its J-image", running.dim == 2 * seed.dim)
     added = []
-    for w in ambient_space.basis:
-        if not running.contains_vector(w):
+    for w in ambient_space.split():
+        if running._coords(w) is None:
             added.append(w)
-            nxt = Subspace(running.ambient,
-                           list(running.basis) + [w, j.apply(w)])
+            nxt = Subspace._spanned(running.ambient,
+                                    running.split() + [w, j.matrix._apply_split(w)])
             certify("J-split extension step failed", nxt.dim == running.dim + 2)
             running = nxt
     certify("space to split is not J-stable", running == ambient_space)
-    return Subspace(ambient_space.ambient, added)
+    return Subspace._spanned(ambient_space.ambient, added)
 
 
 class RefinedWitness(NamedTuple):
@@ -267,7 +266,7 @@ def refine_to_witness(g, j, u: Subspace) -> RefinedWitness:
             u1.intersect(u1.image(j.matrix)) == z)
     h = z.complement_in(u1)
     ell = _greedy_j_half(j, z, Subspace.zero(g.dim))
-    witness = Subspace(g.dim, list(h.basis) + list(ell.basis))
+    witness = Subspace._spanned(g.dim, h.split() + ell.split())
     certify("refined half is not an abelian splitting", witness_check(g, j, witness))
     return RefinedWitness(witness, h, ell)
 
@@ -293,8 +292,7 @@ def aff_from_abelian_ideal(g, j, u: Subspace) -> AffModel:
     h = gp_central.complement_in(gp)
     k = gp.sum(z.intersect(u)).complement_in(u)
     ell = _greedy_j_half(j, z, gp_central)
-    v = Subspace(g.dim, list(k.basis) + list(h.basis)
-                 + list(gp_central.basis) + list(ell.basis))
+    v = Subspace._spanned(g.dim, k.split() + h.split() + gp_central.split() + ell.split())
     certify("assembled half has wrong dimension", 2 * v.dim == g.dim)
     certify("assembled half is not an abelian splitting", witness_check(g, j, v))
     return _aff_model(g, j, v)
@@ -318,17 +316,12 @@ def semidirect_r2_family(n, t_map: Matrix):
     brackets = {}
     for col in range(2 * n):
         for row_idx, action in ((0, tj), (1, t_map)):
-            value = {2 + r: c for r, c in enumerate(action.column(col)) if c != 0}
-            if value:
-                brackets[(row_idx, 2 + col)] = value
-    g = LieAlgebra(dim, brackets)
-    rows = [tuple(rat(0) for _ in range(dim)) for _ in range(dim)]
-    rows[1] = tuple(rat(1) if c == 0 else rat(0) for c in range(dim))
-    rows[0] = tuple(rat(-1) if c == 1 else rat(0) for c in range(dim))
-    for r in range(2 * n):
-        rows[2 + r] = tuple(
-            j0.matrix.rows[r][c - 2] if c >= 2 else rat(0) for c in range(dim))
-    j = ComplexStructure(Matrix(rows))
+            if action.split()[col][1]:
+                brackets[row_idx, 2 + col] = _shifted(action.split()[col], 2)
+    g = LieAlgebra._of_split(dim, brackets)
+    # J e_0 = e_1, J e_1 = -e_0, and J0 on the acted space
+    j = ComplexStructure(Matrix._of_split(
+        [(1, [(1, 1)]), (1, [(0, -1)])] + [_shifted(s, 2) for s in j0.matrix.split()], dim))
     certify("semidirect family must satisfy Jacobi", check_jacobi(g) is None)
     certify("semidirect family J must be abelian", is_abelian_cs(g, j))
     return g, j

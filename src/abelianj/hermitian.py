@@ -12,9 +12,11 @@ pair i < j: torsion, its (1,1) test through bilinear_table, the cyclic sums
 of is_kahler and cyclic_metric_identity, and the metric flag, L + L^T for
 L = G D_i.  A curvature pair whose operators and bracket are all zero, and
 a direction whose operator is zero, are skipped without a contraction;
-is_flat stops at the first nonzero curvature column.  The connections
-levi_civita and complex_projection solve for are stored as the canonical
-splits of their slices; gamma is built only when read.
+is_flat stops at the first nonzero curvature column.  A connection is
+stored as the canonical splits of its slices and nothing else (see
+linalg): Connection(gamma) converts once, levi_civita and
+complex_projection build the splits directly, and gamma builds Fractions
+from them on each read.
 """
 from __future__ import annotations
 
@@ -27,10 +29,11 @@ from .lie import (
     LieAlgebra, PreconditionError, bilinear_table, commutator_ideal,
     derived_and_central_series,
 )
+from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, _combine, _combine_nonzero, _neg, _splits_key, _tensor_dense,
-    bilinear, certify, contract_splits, lin_comb, norm_sq, rat, tensor_split, vec, vec_dot,
-    is_zero_vec, zero_vec,
+    DimensionMismatch, Matrix, _Tensor, _bilinear, _combine, _combine_nonzero, _negated,
+    _nonzeros, _tensor_dense, bilinear, certify, contract_splits, lin_comb, norm_sq,
+    vec, vec_dot, zero_vec,
 )
 
 
@@ -64,10 +67,8 @@ class InnerProduct:
     @classmethod
     def diagonal(cls, entries):
         entries = vec(entries)
-        n = len(entries)
-        return cls(Matrix([
-            tuple(entries[r] if r == c else rat(0) for c in range(n))
-            for r in range(n)]))
+        return cls(Matrix._of_split([(e.denominator, [(i, e.numerator)] if e else [])
+                                     for i, e in enumerate(entries)], len(entries)))
 
     def eval(self, x, y):
         return vec_dot(x, self.gram.apply(y))
@@ -82,26 +83,24 @@ class InnerProduct:
         return "InnerProduct(dim=%d)" % self.dim
 
 
-class Connection:
+class Connection(_Tensor):
     """Rank-3 coefficient tensor: gamma[i][j] is the basis vector expansion
-    of the derivative of e_j along e_i.  Stored as the Fractions it was given,
-    or as the canonical splits of its slices when a solve builds it
-    (levi_civita, complex_projection); gamma is built on first read."""
-    __slots__ = ("dim", "_gamma", "_split")
+    of the derivative of e_j along e_i.  Stored as the canonical splits of
+    its slices; gamma builds Fractions from them on each read."""
+    __slots__ = ()
 
     def __init__(self, gamma):
+        gamma = [[vec(v) for v in row] for row in gamma]
         self.dim = len(gamma)
-        self._split = None
-        self._gamma = tuple(tuple(vec(v) for v in row) for row in gamma)
-        for row in self._gamma:
-            if len(row) != self.dim or any(len(v) != self.dim for v in row):
-                raise DimensionMismatch("connection tensor must be cubic")
+        if any(len(row) != self.dim or any(len(v) != self.dim for v in row) for row in gamma):
+            raise DimensionMismatch("connection tensor must be cubic")
+        self._split = [[_nonzeros(v) for v in row] for row in gamma]
 
     @classmethod
     def _of_split(cls, split):
         """Connection from the canonical splits of its slices; never mutated."""
         conn = object.__new__(cls)
-        conn.dim, conn._gamma, conn._split = len(split), None, split
+        conn.dim, conn._split = len(split), split
         return conn
 
     @classmethod
@@ -110,30 +109,14 @@ class Connection:
 
     @property
     def gamma(self):
-        if self._gamma is None:
-            self._gamma = _tensor_dense(self._split)
-        return self._gamma
-
-    def split(self):
-        """Split of every slice gamma[i][j], computed on first use."""
-        if self._split is None:
-            self._split = tensor_split(self._gamma)
-        return self._split
+        """The slices as Fractions, built from the splits on each read."""
+        return _tensor_dense(self._split)
 
     def apply(self, x, y):
-        return bilinear(self.split(), x, y)
+        return bilinear(self._split, x, y)
 
     def is_zero(self):
-        return not any(nz for row in self.split() for _, nz in row)
-
-    def __eq__(self, other):
-        return isinstance(other, Connection) and self.split() == other.split()
-
-    def __hash__(self):
-        return hash(_splits_key(s for row in self.split() for s in row))
-
-    def __repr__(self):
-        return "Connection(dim=%d)" % self.dim
+        return not any(nz for row in self._split for _, nz in row)
 
 
 def is_hermitian(g, j: ComplexStructure, metric: InnerProduct) -> bool:
@@ -241,20 +224,25 @@ def levi_civita(g, metric: InnerProduct) -> Connection:
     return conn
 
 
-def torsion(g, conn: Connection):
-    """T(e_i, e_j) = D_{e_i} e_j - D_{e_j} e_i - [e_i, e_j], one contraction
-    per pair i < j; T(e_j, e_i) = -T(e_i, e_j) by negation."""
+def _torsion(g, conn: Connection):
+    """Splits of T(e_i, e_j) = D_{e_i} e_j - D_{e_j} e_i - [e_i, e_j], one
+    contraction per pair i < j; T(e_j, e_i) = -T(e_i, e_j) by negation."""
     n, gs, cs = g.dim, g.split(), conn.split()
-    t = [[zero_vec(n)] * n for _ in range(n)]
+    t = [[(1, [])] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        v = t[i][j] = _combine(1, ((1, cs[i][j]), (-1, cs[j][i]), (-1, gs[i][j])), n)
-        t[j][i] = _neg(v)
-    return tuple(map(tuple, t))
+        v = t[i][j] = _combine(1, ((1, cs[i][j]), (-1, cs[j][i]), (-1, gs[i][j])), n,
+                               keep_split=True)
+        t[j][i] = _negated(v)
+    return t
+
+
+def torsion(g, conn: Connection):
+    """The torsion tensor as Fractions."""
+    return _tensor_dense(_torsion(g, conn))
 
 
 def is_torsion_free(g, conn: Connection) -> bool:
-    t = torsion(g, conn)
-    return all(is_zero_vec(t[i][j]) for i, j in combinations(range(g.dim), 2))
+    return not any(nz for row in _torsion(g, conn) for _, nz in row)
 
 
 def _curvature_pairs(g, conn: Connection):
@@ -345,10 +333,11 @@ def _is_complex(conn: Connection, j: ComplexStructure) -> bool:
 def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
     """T(Jx, Jy) = T(x, y); a zero torsion, as Levi-Civita's, is of type
     (1,1) with no contraction."""
-    t = torsion(g, conn)
-    if all(is_zero_vec(v) for row in t for v in row):
+    t = _torsion(g, conn)
+    if not any(nz for row in t for _, nz in row):
         return True
-    tjj = bilinear_table(t, j.matrix, j.matrix, combinations(range(g.dim), 2))
+    js = j.matrix.split()
+    tjj = linalg.bilinear_table(t, js, js, combinations(range(g.dim), 2))
     return all(w == t[a][b] for (a, b), w in tjj.items())
 
 
@@ -432,8 +421,9 @@ def flat_metric_report(g, metric: InnerProduct, conn: Connection) -> FlatMetricR
         raise PreconditionError("connection must be flat")
     # over the zero bracket, R(e_i, e_j) is the commutator of D_i and D_j
     commuting = is_flat(LieAlgebra.abelian(g.dim), conn)
-    vanishes = not any(any(conn.apply(v, e)) for v in commutator_ideal(g).basis
-                       for e in Matrix.identity(g.dim).rows)
+    n, cs = g.dim, conn.split()
+    vanishes = not any(_bilinear(cs, v, (1, [(k, 1)]), n, keep_split=True)[1]
+                       for v in commutator_ideal(g).split() for k in range(n))
     return FlatMetricReport(commuting, vanishes)
 
 

@@ -31,8 +31,8 @@ from .lie import (
     derived_and_central_series, is_unimodular, pushforward,
 )
 from .linalg import (
-    CertificateError, Matrix, Subspace, basis_vec, bilinear_table, certify,
-    is_zero_vec, lin_comb, rat, vec,
+    CertificateError, Matrix, Subspace, _combine, _nonzeros, basis_vec, bilinear_table,
+    certify, rat,
 )
 
 FAMILIES = ("trivial-star", "equal-products", "diagonal-pair")
@@ -76,11 +76,10 @@ class KahlerDecomposition:
 
 
 def _standard_block_j(n_blocks: int) -> Matrix:
-    rows = [[rat(0)] * (2 * n_blocks) for _ in range(2 * n_blocks)]
-    for i in range(n_blocks):
-        rows[2 * i][2 * i + 1] = rat(1)
-        rows[2 * i + 1][2 * i] = rat(-1)
-    return Matrix(rows)
+    """J e_{2i} = -e_{2i+1} and J e_{2i+1} = e_{2i} on each block."""
+    return Matrix._of_split([s for i in range(n_blocks)
+                             for s in ((1, [(2 * i + 1, -1)]), (1, [(2 * i, 1)]))],
+                            2 * n_blocks)
 
 
 def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
@@ -117,21 +116,21 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     n = gp.dim
 
     factors = []
+    gs, jm = g.split(), j.matrix
     if n:
-        basis = gp.basis
-        bm = Matrix.from_columns(basis)
+        bs = gp.split()
+        bm = Matrix._of_split(bs, g.dim)
         products = {}
-        for ik, w in bilinear_table(g.split(), (j.matrix @ bm).split(), bm.split(),
+        for ik, w in bilinear_table(gs, (jm @ bm).split(), bs,
                                     combinations_with_replacement(range(n), 2)).items():
-            products[ik] = gp.coordinates(w)
+            products[ik] = gp._coords(w)
             certify(4, products[ik] is not None, "[Jx, y] left the commutator ideal")
-        alg = CommAssocAlgebra(n, products)
+        alg = CommAssocAlgebra._of_split(n, products)
         wit = check_axioms(alg)
         certify(4, wit is None,
                 wit and "induced product fails %s at %s" % (wit.kind, (wit.indices,)))
 
-        ghat = Matrix([[metric.eval(basis[a], basis[b]) for b in range(n)]
-                       for a in range(n)])
+        ghat = (bm.transpose() @ metric.gram) @ bm
         for a in range(n):
             la = alg.left_mult(basis_vec(n, a))
             certify(5, ghat @ la == la.transpose() @ ghat,
@@ -144,22 +143,23 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
         certify(6, len(idem.idempotents) == n,
                 "idempotent count differs from the commutator dimension")
 
-        raw = [lin_comb(e, basis, g.dim) for e in idem.idempotents]
+        raw = [bm.apply(e) for e in idem.idempotents]
         # deterministic order: descending norm, then coordinates
         raw.sort(key=lambda v: (-metric.eval(v, v), v))
 
         rm = Matrix.from_columns(raw)
-        jrm = j.matrix @ rm
-        jr = bilinear_table(g.split(), jrm.split(), rm.split(), product(range(n), repeat=2))
-        rr = bilinear_table(g.split(), rm.split(), rm.split(), combinations(range(n), 2))
-        certify(7, all(jr[i, i] == v for i, v in enumerate(raw)),
+        jrm = jm @ rm
+        rs = rm.split()
+        jr = bilinear_table(gs, jrm.split(), rs, product(range(n), repeat=2))
+        rr = bilinear_table(gs, rs, rs, combinations(range(n), 2))
+        certify(7, all(jr[i, i] == s for i, s in enumerate(rs)),
                 "idempotent direction is not [Je, e] = e")
-        certify(7, all(is_zero_vec(w) for (i, k), w in jr.items() if i != k),
+        certify(7, not any(w[1] for (i, k), w in jr.items() if i != k),
                 "distinct factor planes do not commute")
-        certify(7, all(map(is_zero_vec, rr.values())), "curved directions fail to commute")
+        certify(7, not any(w[1] for w in rr.values()), "curved directions fail to commute")
         planes = list(zip(raw, jrm.columns()))
-        for v, jv in planes:
-            plane = Subspace(g.dim, [v, jv])
+        for (v, jv), s, js in zip(planes, rs, jrm.split()):
+            plane = Subspace._spanned(g.dim, [s, js])
             certify(7, plane.dim == 2, "factor plane is degenerate")
             r2 = metric.eval(v, v)
             factors.append(KahlerFactor(v, r2, rat(1) / r2, plane))
@@ -175,15 +175,11 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
         certify(7, total.dim == 2 * n and total.sum(z).dim == g.dim,
                 "planes and center do not span the algebra")
 
-    cols = []
-    for f in factors:
-        cols.append(vec(j.apply(f.idempotent)))
-        cols.append(vec(f.idempotent))
-    central_half = _greedy_j_half(j, z, Subspace.zero(g.dim))
-    for l in central_half.basis:
-        cols.append(vec(j.apply(l)))
-        cols.append(vec(l))
-    p = Matrix.from_columns(cols)
+    # columns Je, e for each idempotent e, then for each vector of one sheet
+    # of the center's J-splitting
+    halves = ([_nonzeros(f.idempotent) for f in factors]
+              + _greedy_j_half(j, z, Subspace.zero(g.dim)).split())
+    p = Matrix._of_split([s for h in halves for s in (jm._apply_split(h), h)], g.dim)
 
     model_alg = LieAlgebra(g.dim, {(2 * i, 2 * i + 1): {2 * i + 1: rat(1)}
                                    for i in range(n)})
@@ -191,8 +187,9 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     certify(8, (p @ model_j.matrix) == (j.matrix @ p),
             "change of basis does not transport J to block form")
     gm = (p.transpose() @ metric.gram) @ p
+    gm_rows = gm.rows
     for i, f in enumerate(factors):
-        row_j, row_v = gm.rows[2 * i], gm.rows[2 * i + 1]
+        row_j, row_v = gm_rows[2 * i], gm_rows[2 * i + 1]
         shape_ok = (row_j[2 * i] == f.norm_sq and row_v[2 * i + 1] == f.norm_sq
                     and row_j[2 * i + 1] == 0
                     and all(row_j[c] == 0 for c in range(g.dim) if c not in (2 * i,))
@@ -213,23 +210,24 @@ _SHEAR_SCALARS = (-2, -1, 1, 2)
 
 
 def random_unimodular(rng, n) -> Matrix:
-    """Product of 2n draws of elementary shears; determinant +-1 exactly."""
-    m = Matrix.identity(n)
+    """Product of 2n draws of elementary shears; determinant +-1 exactly.
+    Right-multiplying by the shear I + s E_ab adds s times column a to
+    column b, one integer update of the running product's column splits."""
+    cols = [(1, [(i, 1)]) for i in range(n)]
     for _ in range(2 * n):
         a, b = rng.randrange(n), rng.randrange(n)
         if a == b:
             continue
-        rows = [list(r) for r in Matrix.identity(n).rows]
-        rows[a][b] = rat(rng.choice(_SHEAR_SCALARS))
-        m = m @ Matrix(rows)
-    return m
+        s = rng.choice(_SHEAR_SCALARS)
+        cols[b] = _combine(1, ((1, cols[b]), (s, cols[a])), n, keep_split=True)
+    return Matrix._of_split(cols, n)
 
 
 def conjugate_product(alg: CommAssocAlgebra, q: Matrix) -> CommAssocAlgebra:
     """Same product in the basis given by the columns of q."""
     qs = q.inverse().split()
     raw = bilinear_table(alg.split(), qs, qs, combinations_with_replacement(range(alg.dim), 2))
-    return CommAssocAlgebra(alg.dim, {ik: q.apply(w) for ik, w in raw.items()})
+    return CommAssocAlgebra._of_split(alg.dim, {ik: q._apply_split(w) for ik, w in raw.items()})
 
 
 def _random_block_algebra(rng, dim) -> CommAssocAlgebra:
@@ -357,10 +355,10 @@ def random_kahler_instance(seed, max_dim=12) -> KahlerSample:
         rows[2 * i][2 * i] = r2
         rows[2 * i + 1][2 * i + 1] = r2
     if s:
-        h = random_hermitian_metric(rng, ComplexStructure(_standard_block_j(s))).gram
+        h = random_hermitian_metric(rng, ComplexStructure(_standard_block_j(s))).gram.rows
         for r in range(2 * s):
             for c in range(2 * s):
-                rows[2 * n + r][2 * n + c] = h.rows[r][c]
+                rows[2 * n + r][2 * n + c] = h[r][c]
     t = HermitianTriple(g, j, InnerProduct(Matrix(rows)))
     certify("block model must be Kähler with abelian J", is_abelian_cs(g, j) and is_kahler(t))
 

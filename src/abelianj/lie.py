@@ -5,19 +5,16 @@ and the rest is filled by negation, so antisymmetry holds by construction.
 Jacobi is NOT enforced at construction; check_jacobi reports the first
 violating triple, since several callers deliberately build non-Lie tensors.
 
-The structure checks are contractions over the kept bracket split, none
-for a zero bracket.  Every bracket table is one linalg.bilinear_table over
-the pairs it needs: is_homomorphism and a self-bracket table (_brackets of
-u with u) ask only for the pairs i < j of the alternating bracket.
-pushforward transports the canonical splits of the brackets i < j and
-stores the new algebra as those splits, the pairs j > i negated; its
-Fractions c are built only when read.  check_jacobi skips a triple whose
-three brackets are zero and commutator_ideal reads only the nonzero
-brackets.  center and
-center_of_subalgebra are one centralizer kernel (_annihilator);
-center_of_subalgebra's one self-bracket table also decides its closure
-precondition.  An algebra keeps its derived and lower central series once
-computed, as it keeps its split.
+An algebra is its canonical bracket splits (see linalg), and c builds
+Fractions from them on each read.  The structure checks are contractions
+over those splits, none for a zero bracket.  Every bracket table is one
+linalg.bilinear_table over the pairs it needs, kept as splits:
+is_homomorphism and a self-bracket table (_brackets of u with u) ask only
+for the pairs i < j of the alternating bracket.  check_jacobi skips a
+triple whose three brackets are zero.  center and center_of_subalgebra
+are one centralizer kernel (_annihilator); center_of_subalgebra's one
+self-bracket table also decides its closure precondition.  An algebra
+keeps its derived and lower central series once computed.
 """
 from __future__ import annotations
 
@@ -26,9 +23,9 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, SingularMatrix, Subspace, _as_vector, _neg, _nonzeros,
-    _splits_key, _tensor_dense, bilinear, contract_splits, is_zero_vec, lin_comb,
-    tensor_split, zero_vec,
+    DimensionMismatch, Matrix, SingularMatrix, Subspace, _dense, _echelon, _ints, _kernel,
+    _Tensor, _negated, _nonzeros, _tensor_dense, _trace, _value_split, bilinear,
+    contract_splits, is_zero_vec, vec,
 )
 
 
@@ -41,40 +38,49 @@ class JacobiWitness(NamedTuple):
     residual: tuple
 
 
-class LieAlgebra:
-    """Stored as the Fractions it was given, or, when pushforward builds it,
-    as the canonical splits of its brackets; c is built on first read."""
-    __slots__ = ("dim", "_c", "basis_names", "_split", "_series")
+class _PairTable(_Tensor):
+    """A tensor given on the pairs i < j, the pairs j > i filled by
+    negation, or on i <= j, filled by symmetry when _symmetric is set; its
+    basis vectors are named."""
+    __slots__ = ("basis_names",)
+    _symmetric = False
 
-    def __init__(self, dim, brackets=None, basis_names=None):
-        """brackets: {(i,j): value} for i<j; value is a dense vector or {k: scalar}."""
+    @classmethod
+    def _of_split(cls, dim, upper, basis_names=None):
+        """The table from {(i, j): canonical split of t[i][j]} on the given
+        pairs, the missing pairs zero."""
+        t = object.__new__(cls)
+        t._set(dim, upper, basis_names)
+        return t
+
+    def _set(self, dim, upper, basis_names):
         self.dim = dim
-        self._split = None
-        self._series = None
-        table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), value in (brackets or {}).items():
-            if not (0 <= i < j < dim):
-                raise DimensionMismatch("bracket pair (%d,%d) must satisfy 0 <= i < j < dim" % (i, j))
-            v = _as_vector(value, dim)
-            table[i][j] = v
-            table[j][i] = _neg(v)
-        self._c = tuple(tuple(row) for row in table)
-        self.basis_names = tuple(basis_names) if basis_names else tuple(
-            "e%d" % (i + 1) for i in range(dim))
+        self._split = [[(1, [])] * dim for _ in range(dim)]
+        for (i, j), s in upper.items():
+            self._split[i][j] = s
+            self._split[j][i] = s if self._symmetric else _negated(s)
+        self.basis_names = (tuple(basis_names) if basis_names
+                            else tuple("e%d" % (i + 1) for i in range(dim)))
         if len(self.basis_names) != dim:
             raise DimensionMismatch("basis_names length != dim")
 
-    @classmethod
-    def _of_split(cls, dim, upper, basis_names):
-        """Algebra from {(i, j): canonical split of [e_i, e_j]} for i < j, the
-        missing pairs zero; the pairs j > i get the negated numerators."""
-        split = [[(1, [])] * dim for _ in range(dim)]
-        for (i, j), (d, nz) in upper.items():
-            split[i][j] = (d, nz)
-            split[j][i] = (d, [(k, -a) for k, a in nz])
-        g = object.__new__(cls)
-        g.dim, g._c, g.basis_names, g._split, g._series = dim, None, basis_names, split, None
-        return g
+
+class LieAlgebra(_PairTable):
+    """Stored as the canonical splits of its brackets c[i][j]; c builds
+    Fractions from them on each read."""
+    __slots__ = ("_series",)
+
+    def __init__(self, dim, brackets=None, basis_names=None):
+        """brackets: {(i,j): value} for i<j; value is a dense vector or {k: scalar}."""
+        brackets = brackets or {}
+        for i, j in brackets:
+            if not (0 <= i < j < dim):
+                raise DimensionMismatch("bracket pair (%d,%d) must satisfy 0 <= i < j < dim" % (i, j))
+        self._set(dim, {ij: _value_split(v, dim) for ij, v in brackets.items()}, basis_names)
+
+    def _set(self, dim, upper, basis_names):
+        super()._set(dim, upper, basis_names)
+        self._series = None
 
     @classmethod
     def abelian(cls, dim, basis_names=None):
@@ -82,30 +88,13 @@ class LieAlgebra:
 
     @property
     def c(self):
-        if self._c is None:
-            self._c = _tensor_dense(self._split)
-        return self._c
-
-    def split(self):
-        """Split of every bracket c[i][j], computed on first use."""
-        if self._split is None:
-            self._split = tensor_split(self._c)
-        return self._split
+        """The brackets as Fractions, built from the splits on each read."""
+        return _tensor_dense(self._split)
 
     def bracket(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have dimension %d" % self.dim)
-        return bilinear(self.split(), x, y)
-
-    def __eq__(self, other):
-        return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self.split() == other.split())
-
-    def __hash__(self):
-        return hash(_splits_key(s for row in self.split() for s in row))
-
-    def __repr__(self):
-        return "LieAlgebra(dim=%d)" % self.dim
+        return bilinear(self._split, x, y)
 
 
 def check_jacobi(g) -> Optional[JacobiWitness]:
@@ -126,15 +115,14 @@ def check_jacobi(g) -> Optional[JacobiWitness]:
 
 def commutator_ideal(g) -> Subspace:
     s = g.split()
-    return Subspace(g.dim, [g.c[i][j] for i, j in combinations(range(g.dim), 2)
-                            if s[i][j][1]])
+    return Subspace._spanned(g.dim, [s[i][j] for i, j in combinations(range(g.dim), 2)])
 
 
 def center(g) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}, from the kept bracket slices."""
+    """{x : [x, e_j] = 0 for all j}, from the bracket splits."""
     s = g.split()
     return _annihilator(g, Subspace.whole(g.dim),
-                        {(i, j): g.c[i][j] for i in range(g.dim) for j in range(g.dim)
+                        {(i, j): s[i][j] for i in range(g.dim) for j in range(g.dim)
                          if s[i][j][1]})
 
 
@@ -142,40 +130,48 @@ def center_of_subalgebra(g, u: Subspace) -> Subspace:
     """The centralizer of u in u, from one self-bracket table: its pairs
     a < b decide the closure precondition, and with [u_b, u_a] = -[u_a, u_b]
     added it is the annihilator's table."""
-    table = {ab: w for ab, w in _brackets(g, u, u).items() if not is_zero_vec(w)}
-    if not all(u.contains_vector(w) for w in table.values()):
+    table = {ab: w for ab, w in _brackets(g, u, u).items() if w[1]}
+    if not all(u._coords(w) is not None for w in table.values()):
         raise PreconditionError("subspace is not closed under the bracket")
-    table.update([((b, a), _neg(w)) for (a, b), w in table.items()])
+    table.update([((b, a), _negated(w)) for (a, b), w in table.items()])
     return _annihilator(g, u, table)
 
 
 def _annihilator(g, u: Subspace, table):
     """The one centralizer kernel: {sum_a x_a u_a : sum_a x_a table[a, b] = 0
-    for every b}, where table maps (a, b) to a nonzero bracket of the basis
-    vector u_a and a missing pair is a zero bracket.  u itself when the
-    table is empty."""
+    for every b}, where table maps (a, b) to the split of a nonzero bracket
+    of the basis vector u_a and a missing pair is a zero bracket.  u itself
+    when the table is empty.
+
+    The equations of one b are the integer rows of the matrix with columns
+    table[a, b].  They are eliminated one b at a time, together with the
+    reduced rows kept so far, so at most u.dim + dim rows are ever stacked;
+    the reduced echelon form is unique, so the kernel is the same."""
     if not table:
         return u
-    z = zero_vec(g.dim)
-    rows = [r for b in sorted({b for _, b in table})
-            for r in zip(*[table.get((a, b), z) for a in range(u.dim)])]
-    return Subspace(g.dim, [lin_comb(c, u.basis, g.dim) for c in Matrix(rows).kernel()])
+    m, n = u.dim, g.dim
+    work = []
+    for b in sorted({b for _, b in table}):
+        block = Matrix._of_split([table.get((a, b), (1, [])) for a in range(m)], n)
+        work = [_ints(nz, m) for _, nz in _echelon(work + block._nonzero_int_rows(), m)[0]]
+    basis = Matrix._of_split(u.split(), n)
+    return Subspace._spanned(n, [basis._apply_split(c) for c in _kernel(work, m)])
 
 
 def _brackets(g, u: Subspace, v: Subspace):
-    """{(a, b): [u_a, v_b]} over the basis vectors of u and v, one
+    """{(a, b): split of [u_a, v_b]} over the basis vectors of u and v, one
     bilinear_table over their splits.  For v the same subspace as u the
     table is alternating and only the pairs a < b are asked for."""
-    us = [_nonzeros(a) for a in u.basis]
+    us = u.split()
     if v is u:
         return linalg.bilinear_table(g.split(), us, us, combinations(range(len(us)), 2))
-    vs = [_nonzeros(b) for b in v.basis]
+    vs = v.split()
     return linalg.bilinear_table(g.split(), us, vs, product(range(len(us)), range(len(vs))))
 
 
 def bracket_span(g, u: Subspace, v: Subspace) -> Subspace:
-    """Span of the nonzero brackets [a, b] of the two bases, from _brackets."""
-    return Subspace(g.dim, [w for w in _brackets(g, u, v).values() if not is_zero_vec(w)])
+    """Span of the brackets [a, b] of the two bases, from _brackets."""
+    return Subspace._spanned(g.dim, list(_brackets(g, u, v).values()))
 
 
 class SeriesReport(NamedTuple):
@@ -223,8 +219,9 @@ def _series(g) -> SeriesReport:
 
 
 def is_unimodular(g) -> bool:
-    """tr ad_{e_i} = sum_k c[i][k][k] vanishes for every i."""
-    return all(sum(row[k][k] for k in range(g.dim)) == 0 for row in g.c)
+    """tr ad_{e_i} = sum_k c[i][k][k] vanishes for every i; the brackets
+    [e_i, e_k] are the columns of ad_{e_i}."""
+    return all(_trace(row) == 0 for row in g.split())
 
 
 class SubspaceRole(NamedTuple):
@@ -245,14 +242,15 @@ def classify_subspace(g, u: Subspace) -> SubspaceRole:
 
 def bilinear_table(tensor, a: Matrix, b: Matrix, pairs):
     """{(i, j): tensor(A e_i, B e_j)} for exactly the index pairs asked for
-    (linalg.bilinear_table).
+    (linalg.bilinear_table), as Fractions.
 
-    tensor is a LieAlgebra, whose bracket and kept split are used, or any
-    rank-3 tensor t with t[p][q] the vector value on (e_p, e_q), such as a
-    torsion.
+    tensor is a LieAlgebra, whose bracket splits are used, or any rank-3
+    tensor t with t[p][q] the vector value on (e_p, e_q).
     """
-    split = tensor.split() if isinstance(tensor, LieAlgebra) else tensor_split(tensor)
-    return linalg.bilinear_table(split, a.split(), b.split(), pairs)
+    split = (tensor.split() if isinstance(tensor, LieAlgebra)
+             else [[_nonzeros(vec(v)) for v in row] for row in tensor])
+    table = linalg.bilinear_table(split, a.split(), b.split(), pairs)
+    return {ij: _dense(w, len(split)) for ij, w in table.items()}
 
 
 def pushforward(g, p: Matrix) -> LieAlgebra:
@@ -260,12 +258,12 @@ def pushforward(g, p: Matrix) -> LieAlgebra:
     pairs i < j; the new bracket is antisymmetric by construction."""
     if not p.is_square() or p.nrows != g.dim:
         raise DimensionMismatch("pushforward needs a square matrix of size dim")
-    n, gs, ps, qs = g.dim, g.split(), p.split(), p.inverse().split()
+    n, gs, qs = g.dim, g.split(), p.inverse().split()
     out = {}
     for i, j in combinations(range(n), 2):
-        d, nz = linalg._bilinear(gs, qs[i], qs[j], n, keep_split=True)
-        if nz:
-            out[i, j] = linalg._combine(d, [(c, ps[t]) for t, c in nz], n, keep_split=True)
+        w = linalg._bilinear(gs, qs[i], qs[j], n, keep_split=True)
+        if w[1]:
+            out[i, j] = p._apply_split(w)
     return LieAlgebra._of_split(n, out, g.basis_names)
 
 
@@ -273,8 +271,9 @@ def is_homomorphism(phi: Matrix, g1, g2) -> bool:
     """phi[x,y] = [phi x, phi y] on the basis pairs i < j."""
     if phi.ncols != g1.dim or phi.nrows != g2.dim:
         raise DimensionMismatch("map shape does not match the two algebras")
-    table = bilinear_table(g2, phi, phi, combinations(range(g1.dim), 2))
-    return all(phi.apply(g1.c[i][j]) == w for (i, j), w in table.items())
+    g1s, ps = g1.split(), phi.split()
+    table = linalg.bilinear_table(g2.split(), ps, ps, combinations(range(g1.dim), 2))
+    return all(phi._apply_split(g1s[i][j]) == w for (i, j), w in table.items())
 
 
 def is_isomorphism(phi: Matrix, g1, g2) -> bool:

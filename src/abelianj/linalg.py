@@ -26,21 +26,18 @@ arithmetic on integer numerators, chiefly in two routines:
 * _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
   1968) on integer rows, exact divisions only.  Reduced row echelon form,
   rank, kernel, solve, inverse, det and leading principal minors all read
-  its result; a Matrix stored as splits hands it integer rows read off
-  its splits, with no Fraction built.
+  its result from integer rows read off splits, with no Fraction built.
 
-Split-first storage: a vector's canonical split, (d > 0, [(index,
-numerator)]) with gcd(d, numerators) = 1, is unique, so equal vectors have
-equal splits.  A Matrix, Connection or LieAlgebra that a contraction or an
-elimination builds (a matrix product, sum, multiple, transpose or inverse,
-levi_civita, complex_projection, pushforward) is stored as the canonical
-splits of its columns or slices; its Fractions (rows, gamma, c) are built
-only when read.  One built from Fractions computes its splits on first use
-instead.  Either way both forms are kept in slots on the object, so they
-live and die with it, and == compares splits.  Splits are shared and never
-mutated.  A Matrix also keeps its inverse, and a LieAlgebra its derived
-and lower central series.  Subspaces are kept in reduced row echelon form
-of normalised Fractions, so equality is syntactic.
+One storage rule: every exact object is its canonical splits.  A vector's
+canonical split, (d > 0, [(index, numerator)]) with ascending indices and
+gcd(d, numerators) = 1, is unique, so == and hash compare splits.  A Matrix
+stores those of its columns, a LieAlgebra, CommAssocAlgebra or Connection
+those of its slices, a Subspace those of its reduced echelon basis; a
+constructor converts its input once, a contraction or an elimination builds
+splits directly, and splits are shared and never mutated.  Fractions exist
+only at the edges: the views (rows, columns, c, m, gamma, basis), built on
+each read and never stored, and the vector-valued public calls (apply,
+bracket, multiply, lin_comb, coordinates).
 """
 from __future__ import annotations
 
@@ -99,61 +96,36 @@ def zero_vec(n):
     return (ZERO,) * n
 
 
-def _as_vector(value, dim):
-    """Dense vector from a sequence or a sparse {index: scalar} dict."""
-    if isinstance(value, dict):
-        out = list(zero_vec(dim))
-        for k, s in value.items():
-            out[int(k)] = rat(s)
-        return tuple(out)
-    return vec(value)
-
-
 def basis_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def _same_length(u, v):
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths %d and %d differ" % (len(u), len(v)))
-
-
-# Elementwise operations pass an entry through where the other operand's
-# entry is zero, so sparse operands cost no Fraction arithmetic there.
-
-def vec_add(u, v):
-    _same_length(u, v)
-    return tuple(a if not b else b if not a else a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    _same_length(u, v)
-    return tuple(a if not b else -b if not a else a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):
     return tuple(c * a if a else ZERO for a in v)
 
 
-def _neg(v):
-    """-v by negation; a zero entry stays the ZERO constant."""
-    return tuple(-a if a else ZERO for a in v)
-
-
-def _over_lcm(v):
-    """(d, nums): v as integer numerators over d, the lcm of its denominators."""
-    d = lcm(*[x.denominator for x in v])
-    return d, [x.numerator * (d // x.denominator) for x in v]
-
-
 def _nonzeros(v):
-    """The split of v: (d, [(index, numerator)]) for its nonzero entries over
-    their lcm d."""
+    """The canonical split of v: (d, [(index, numerator)]) for its nonzero
+    entries over their lcm d."""
     # most zeros are the ZERO constant, which the identity test skips
     # without a call to Fraction.__bool__
     nz = [(t, x) for t, x in enumerate(v) if x is not ZERO and x]
     d = lcm(*[x.denominator for _, x in nz])
     return d, [(t, x.numerator * (d // x.denominator)) for t, x in nz]
+
+
+def _value_split(value, dim):
+    """The canonical split of a vector of Q^dim given densely or as a sparse
+    {index: scalar} dict."""
+    if isinstance(value, dict):
+        v = list(zero_vec(dim))
+        for k, s in value.items():
+            v[int(k)] = rat(s)
+    else:
+        v = vec(value)
+        if len(v) != dim:
+            raise DimensionMismatch("vector length %d, expected %d" % (len(v), dim))
+    return _nonzeros(v)
 
 
 def _entry(num, den):
@@ -170,6 +142,19 @@ def _reduced(den, nz):
     if g == 1:
         return den, nz
     return den // g, [(k, a // g) for k, a in nz]
+
+
+def _negated(split):
+    d, nz = split
+    return d, [(k, -a) for k, a in nz]
+
+
+def _ints(nz, n):
+    """The numerators nz of a split as a dense list of n integers."""
+    out = [0] * n
+    for k, a in nz:
+        out[k] = a
+    return out
 
 
 def _dense(split, n):
@@ -212,10 +197,11 @@ def _combine_nonzero(den, terms, n, keep_split=False):
 
 
 def vec_dot(u, v):
-    _same_length(u, v)
-    du, nz = _nonzeros(u)
-    dv, nums = _over_lcm(v)
-    return _entry(sum(a * nums[t] for t, a in nz), du * dv)
+    if len(u) != len(v):
+        raise DimensionMismatch("vector lengths %d and %d differ" % (len(u), len(v)))
+    (du, nu), (dv, nv) = _nonzeros(u), _nonzeros(v)
+    nv = dict(nv)
+    return _entry(sum(a * nv.get(t, 0) for t, a in nu), du * dv)
 
 
 def norm_sq(v):
@@ -235,9 +221,10 @@ def lin_comb(coeffs, vectors, n):
     return _combine(dc, [(c, _nonzeros(vectors[q])) for q, c in cs], n)
 
 
-def tensor_split(tensor):
-    """Split of every slice tensor[i][j] of a rank-3 tensor."""
-    return [[_nonzeros(v) for v in row] for row in tensor]
+def _trace(split):
+    """Trace of the square matrix with these column splits."""
+    return sum((Fraction(a, d) for k, (d, nz) in enumerate(split) for t, a in nz if t == k),
+               ZERO)
 
 
 def _tensor_dense(split):
@@ -250,6 +237,32 @@ def _splits_key(splits):
     """A hashable form of a sequence of canonical splits, equal exactly when
     the vectors are."""
     return tuple((d, tuple(nz)) for d, nz in splits)
+
+
+def _stacked(splits, n):
+    """The canonical split of the concatenation of these vectors of Q^n."""
+    big = lcm(*[d for d, _ in splits])
+    return _reduced(big, [(i * n + k, a * (big // d))
+                          for i, (d, nz) in enumerate(splits) for k, a in nz])
+
+
+class _Tensor:
+    """A rank-3 tensor on Q^dim, stored as the canonical splits of its
+    slices t[i][j] and nothing else: == and hash compare them."""
+    __slots__ = ("dim", "_split")
+
+    def split(self):
+        """The canonical split of every slice."""
+        return self._split
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._split == other._split
+
+    def __hash__(self):
+        return hash(_splits_key(s for row in self._split for s in row))
+
+    def __repr__(self):
+        return "%s(dim=%d)" % (type(self).__name__, self.dim)
 
 
 def contract_splits(parts, n):
@@ -279,19 +292,20 @@ def bilinear(split, x, y):
 
 
 def left_map(split, x):
-    """Matrix of y -> T(x, y) for the tensor T with this split."""
+    """Matrix of y -> T(x, y) for the tensor T with this split, x given by
+    its split."""
     n = len(split)
-    xs = _nonzeros(x)
-    return Matrix.from_columns([_bilinear(split, xs, (1, [(j, 1)]), n) for j in range(n)])
+    return Matrix._of_split([_bilinear(split, x, (1, [(j, 1)]), n, keep_split=True)
+                             for j in range(n)], n)
 
 
 def bilinear_table(split, xs, ys, pairs):
-    """{(i, j): T(x_i, y_j)} for exactly the index pairs asked for, xs and ys
-    the splits of the vectors: an alternating T asks for the pairs i < j
-    (itertools.combinations), a symmetric one for i <= j
-    (combinations_with_replacement)."""
+    """{(i, j): canonical split of T(x_i, y_j)} for exactly the index pairs
+    asked for, xs and ys the splits of the vectors: an alternating T asks
+    for the pairs i < j (itertools.combinations), a symmetric one for
+    i <= j (combinations_with_replacement)."""
     n = len(split)
-    return {(i, j): _bilinear(split, xs[i], ys[j], n) for i, j in pairs}
+    return {(i, j): _bilinear(split, xs[i], ys[j], n, keep_split=True) for i, j in pairs}
 
 
 def _eliminate(rows, ncols):
@@ -346,21 +360,30 @@ def _eliminate(rows, ncols):
     return pivots, prev, sign, leading
 
 
-def _int_rows(rows):
-    """Each nonzero row as integer numerators over its own lcm: scaling a
-    row changes no reduced echelon form, and a zero row adds nothing to it."""
-    return [_over_lcm(row)[1] for row in rows if not is_zero_vec(row)]
+def _echelon(rows, ncols):
+    """(canonical splits of the reduced row echelon rows, pivot columns) of
+    these integer rows: the nonzero rows _eliminate leaves, over its last
+    pivot."""
+    pivots, den, _, _ = _eliminate(rows, ncols)
+    return ([_reduced(den, [(k, x) for k, x in enumerate(row) if x])
+             for row in rows[:len(pivots)]], pivots)
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form with leftmost-nonzero pivoting.
-
-    Returns (nonzero rows as tuples, pivot column indices).
-    """
-    work = _int_rows(rows)
-    pivots, den, _, _ = _eliminate(work, ncols)
-    return (tuple(tuple(_entry(x, den) for x in row) for row in work[:len(pivots)]),
-            tuple(pivots))
+def _kernel(rows, ncols):
+    """Canonical splits of the null-space basis of these integer rows, the
+    free variables set to 1 in order; the rows are eliminated in place."""
+    pivots, den, _, _ = _eliminate(rows, ncols)
+    pivot_set = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = den
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        out.append(_reduced(den, [(k, a) for k, a in enumerate(v) if a]))
+    return out
 
 
 def _transposed(split, nrows):
@@ -379,34 +402,26 @@ def _transposed(split, nrows):
 
 
 class Matrix:
-    """Dense exact matrix over Q, stored as whichever form it was born in:
-    rows of Fractions when built from values, else the canonical splits of
-    its columns (an identity, zeros, a product, sum, multiple, transpose or
-    inverse).  The other form is built on first read and kept, as is the
-    inverse once computed; == compares splits."""
+    """Dense exact matrix over Q, stored as the canonical splits of its
+    columns; rows, column and columns build Fractions from them on each
+    read.  The inverse is kept once computed."""
 
-    __slots__ = ("_rows", "nrows", "ncols", "_split", "_inverse")
+    __slots__ = ("nrows", "ncols", "_split", "_inverse")
 
     def __init__(self, rows):
-        self._rows = tuple(tuple(rat(e) for e in row) for row in rows)
-        self.nrows = len(self._rows)
-        self.ncols = len(self._rows[0]) if self._rows else 0
-        self._split = self._inverse = None
-        if any(len(r) != self.ncols for r in self._rows):
+        rows = [tuple(rat(e) for e in row) for row in rows]
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if any(len(r) != self.ncols for r in rows):
             raise DimensionMismatch("ragged rows")
-
-    @classmethod
-    def _of(cls, rows, nrows, ncols):
-        """Matrix from rows of normalised Fractions, without re-validation."""
-        m = object.__new__(cls)
-        m._rows, m.nrows, m.ncols, m._split, m._inverse = tuple(rows), nrows, ncols, None, None
-        return m
+        self._split = [_nonzeros(col) for col in zip(*rows)]
+        self._inverse = None
 
     @classmethod
     def _of_split(cls, split, nrows):
         """Matrix from the canonical splits of its columns; never mutated."""
         m = object.__new__(cls)
-        m._rows, m.nrows, m.ncols, m._split, m._inverse = None, nrows, len(split), split, None
+        m.nrows, m.ncols, m._split, m._inverse = nrows, len(split), split, None
         return m
 
     @classmethod
@@ -423,41 +438,40 @@ class Matrix:
 
     @property
     def rows(self):
-        """The rows as tuples of Fractions, built from the splits on first read."""
-        if self._rows is None:
-            cols = [_dense(s, self.nrows) for s in self._split]
-            self._rows = tuple(zip(*cols)) if cols else ((),) * self.nrows
-        return self._rows
+        """The rows as tuples of Fractions, built from the splits on each read."""
+        cols = self.columns()
+        return tuple(zip(*cols)) if cols else ((),) * self.nrows
 
     def column(self, j):
-        return tuple(row[j] for row in self.rows)
+        return _dense(self._split[j], self.nrows)
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return [_dense(s, self.nrows) for s in self._split]
 
     def split(self):
-        """Split of every column, computed on first use."""
-        if self._split is None:
-            self._split = [_nonzeros(col) for col in self.columns()]
+        """The canonical splits of the columns."""
         return self._split
 
     def transpose(self):
-        return Matrix._of_split(_transposed(self.split(), self.nrows), self.ncols)
+        return Matrix._of_split(_transposed(self._split, self.nrows), self.ncols)
 
     def apply(self, v):
         """Matrix-vector product: the columns combined by v."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d, expected %d" % (len(v), self.ncols))
-        return contract_splits([(1, _nonzeros(v), self.split())], self.nrows)
+        return contract_splits([(1, _nonzeros(v), self._split)], self.nrows)
+
+    def _apply_split(self, x):
+        """The canonical split of A x, x given by its split."""
+        d, nz = x
+        cols = self._split
+        return _combine(d, [(c, cols[t]) for t, c in nz], self.nrows, keep_split=True)
 
     def __matmul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DimensionMismatch("shape mismatch in matmul")
-            cols = self.split()
-            return Matrix._of_split([_combine(d, [(c, cols[t]) for t, c in nz], self.nrows,
-                                              keep_split=True)
-                                     for d, nz in other.split()], self.nrows)
+            return Matrix._of_split([self._apply_split(s) for s in other._split], self.nrows)
         return self.apply(other)
 
     def _same_shape(self, other):
@@ -468,7 +482,7 @@ class Matrix:
     def _plus(self, other, sign):
         self._same_shape(other)
         return Matrix._of_split([_combine(1, ((1, a), (sign, b)), self.nrows, keep_split=True)
-                                 for a, b in zip(self.split(), other.split())], self.nrows)
+                                 for a, b in zip(self._split, other._split)], self.nrows)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -477,52 +491,43 @@ class Matrix:
         return self._plus(other, -1)
 
     def __neg__(self):
-        return Matrix._of_split([(d, [(k, -a) for k, a in nz]) for d, nz in self.split()],
-                                self.nrows)
+        return Matrix._of_split([_negated(s) for s in self._split], self.nrows)
 
     def scale(self, c):
         c = rat(c)
         p, q = c.numerator, c.denominator
         return Matrix._of_split([_reduced(d * q, [(k, a * p) for k, a in nz] if p else [])
-                                 for d, nz in self.split()], self.nrows)
+                                 for d, nz in self._split], self.nrows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-                and self.split() == other.split())
+                and self._split == other._split)
 
     def __hash__(self):
-        return hash(_splits_key(self.split()))
+        return hash(_splits_key(self._split))
 
     def is_zero(self):
-        return not any(nz for _, nz in self.split())
+        return not any(nz for _, nz in self._split)
 
     def is_square(self):
         return self.nrows == self.ncols
 
     def trace(self):
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
+        return _trace(self._split)
 
     def rref(self):
-        rows, pivots = _rref(self.rows, self.ncols)
-        return Matrix._of(rows, len(rows), self.ncols), pivots
+        rows, pivots = _echelon(self._nonzero_int_rows(), self.ncols)
+        return Matrix._of_split(_transposed(rows, self.ncols), len(rows)), tuple(pivots)
 
     def _scaled_rows(self):
         """(d, nums) for every row: its integer numerators over d, the lcm of
-        its denominators; read off the column splits, in integers, when the
-        matrix has no Fraction rows."""
-        if self._rows is not None:
-            return [_over_lcm(row) for row in self._rows]
-        out = []
-        for d, nz in _transposed(self._split, self.nrows):
-            nums = [0] * self.ncols
-            for k, a in nz:
-                nums[k] = a
-            out.append((d, nums))
-        return out
+        its denominators, read off the column splits."""
+        return [(d, _ints(nz, self.ncols)) for d, nz in _transposed(self._split, self.nrows)]
 
     def _nonzero_int_rows(self):
-        """The nonzero rows as integer numerators (see _int_rows)."""
-        return [nums for _, nums in self._scaled_rows() if any(nums)]
+        """The nonzero rows as integer numerators: scaling a row changes no
+        reduced echelon form, and a zero row adds nothing to it."""
+        return [_ints(nz, self.ncols) for _, nz in _transposed(self._split, self.nrows) if nz]
 
     def rank(self):
         return len(_eliminate(self._nonzero_int_rows(), self.ncols)[0])
@@ -570,27 +575,25 @@ class Matrix:
                  for c in range(n, 2 * n)], n)
         return self._inverse
 
+    def _kernel_splits(self):
+        return _kernel(self._nonzero_int_rows(), self.ncols)
+
     def kernel(self):
         """Canonical null-space basis (free variables set to 1, in order)."""
-        work = self._nonzero_int_rows()
-        pivots, den, _, _ = _eliminate(work, self.ncols)
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            v = [ZERO] * self.ncols
-            v[f] = ONE
-            for r, p in enumerate(pivots):
-                v[p] = _entry(-work[r][f], den)
-            basis.append(tuple(v))
-        return basis
+        return [_dense(s, self.ncols) for s in self._kernel_splits()]
 
     def solve(self, b):
-        """One solution of A x = b, or None if inconsistent."""
-        _same_length(self.rows, b)
+        """One solution of A x = b, or None if inconsistent: row i, with its
+        integer numerators over d and b_i = p / q, is the equation
+        q * nums . x = p * d."""
+        if len(b) != self.nrows:
+            raise DimensionMismatch("vector lengths %d and %d differ" % (self.nrows, len(b)))
         n = self.ncols
-        work = _int_rows([row + (bi,) for row, bi in zip(self.rows, vec(b))])
+        work = []
+        for (d, nums), bi in zip(self._scaled_rows(), vec(b)):
+            row = [x * bi.denominator for x in nums] + [bi.numerator * d]
+            if any(row):
+                work.append(row)
         pivots, den, _, _ = _eliminate(work, n + 1)
         if n in pivots:
             return None
@@ -604,19 +607,31 @@ class Matrix:
 
 
 class Subspace:
-    """Subspace of Q^n with canonical reduced-echelon basis.
-
-    Two equal subspaces have identical representations, so == is syntactic.
+    """Subspace of Q^n, stored as the canonical splits of its reduced row
+    echelon basis, read as integers off _eliminate over its last pivot.
+    Two equal subspaces have identical splits, so == is syntactic; basis
+    builds Fractions from the splits on each read.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "_split", "pivots")
 
     def __init__(self, ambient, rows=()):
-        self.ambient = ambient
-        clean = [vec(r) for r in rows]
-        if any(len(r) != ambient for r in clean):
+        rows = [vec(r) for r in rows]
+        if any(len(r) != ambient for r in rows):
             raise DimensionMismatch("vector does not live in ambient space")
-        self.basis, self.pivots = _rref(clean, ambient)
+        self._span(ambient, [_nonzeros(r) for r in rows])
+
+    @classmethod
+    def _spanned(cls, ambient, splits):
+        """The span of the vectors with these splits in Q^ambient."""
+        s = object.__new__(cls)
+        s._span(ambient, splits)
+        return s
+
+    def _span(self, ambient, splits):
+        self.ambient = ambient
+        rows, pivots = _echelon([_ints(nz, ambient) for _, nz in splits if nz], ambient)
+        self._split, self.pivots = rows, tuple(pivots)
 
     @classmethod
     def zero(cls, ambient):
@@ -624,59 +639,71 @@ class Subspace:
 
     @classmethod
     def whole(cls, ambient):
-        """Q^ambient, whose echelon form is the identity: no elimination."""
-        s = object.__new__(cls)
-        s.ambient = ambient
-        s.basis = tuple(basis_vec(ambient, i) for i in range(ambient))
-        s.pivots = tuple(range(ambient))
-        return s
+        return cls._spanned(ambient, [(1, [(i, 1)]) for i in range(ambient)])
+
+    @property
+    def basis(self):
+        """The echelon basis as tuples of Fractions, built on each read."""
+        return tuple(_dense(s, self.ambient) for s in self._split)
+
+    def split(self):
+        """The canonical splits of the echelon basis."""
+        return self._split
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._split)
 
     def is_zero(self):
-        return not self.basis
+        return not self._split
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient == other.ambient
-                and self.basis == other.basis)
+                and self._split == other._split)
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, _splits_key(self._split)))
 
     def __repr__(self):
         return "Subspace(dim %d of Q^%d)" % (self.dim, self.ambient)
+
+    def _coords(self, split):
+        """The split of the coordinates, in the echelon basis, of the vector
+        with this split, or None if it lies outside: the coordinates are its
+        entries at the pivots, and the residual must vanish."""
+        d, nz = split
+        entries = dict(nz)
+        cs = [(r, entries[p]) for r, p in enumerate(self.pivots) if p in entries]
+        resid = _combine(d, [(d, split)] + [(-a, self._split[r]) for r, a in cs],
+                         self.ambient, keep_split=True)
+        return None if resid[1] else _reduced(d, cs)
 
     def coordinates(self, v):
         """Coefficients of v in the canonical basis, or None if v outside."""
         if len(v) != self.ambient:
             raise DimensionMismatch("ambient mismatch")
-        v = vec(v)
-        coeffs = tuple(v[p] for p in self.pivots)
-        resid = lin_comb((ONE,) + tuple(-c for c in coeffs), (v,) + self.basis,
-                         self.ambient)
-        return coeffs if is_zero_vec(resid) else None
+        cs = self._coords(_nonzeros(vec(v)))
+        return None if cs is None else _dense(cs, self.dim)
 
     def contains_vector(self, v):
         return self.coordinates(v) is not None
 
     def contains(self, other):
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(self._coords(s) is not None for s in other._split)
 
     def sum(self, other):
         self._check(other)
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace._spanned(self.ambient, self._split + other._split)
 
     def intersect(self, other):
         """Zassenhaus: row reduce [U|U; V|0], read rows with zero left half."""
         self._check(other)
         n = self.ambient
-        block = [list(b) + list(b) for b in self.basis]
-        block += [list(b) + [ZERO] * n for b in other.basis]
-        rows, _ = _rref(block, 2 * n)
-        inter = [row[n:] for row in rows if is_zero_vec(row[:n])]
-        return Subspace(n, inter)
+        block = [_ints(nz, n) * 2 for _, nz in self._split]
+        block += [_ints(nz, n) + [0] * n for _, nz in other._split]
+        rows, _ = _echelon(block, 2 * n)
+        return Subspace._spanned(n, [(d, [(k - n, a) for k, a in nz])
+                                     for d, nz in rows if nz[0][0] >= n])
 
     def complement_in(self, bigger):
         """C with bigger = self (+) C, chosen deterministically: greedily
@@ -686,30 +713,33 @@ class Subspace:
         self._check(bigger)
         if not bigger.contains(self):
             raise DimensionMismatch("complement: first subspace not inside second")
-        acc = list(self.basis)
+        acc = list(self._split)
         added = []
-        current = Subspace(self.ambient, acc)
-        for w in bigger.basis:
-            if not current.contains_vector(w):
+        current = self
+        for w in bigger._split:
+            if current._coords(w) is None:
                 added.append(w)
                 acc.append(w)
-                current = Subspace(self.ambient, acc)
-        comp = Subspace(self.ambient, added)
+                current = Subspace._spanned(self.ambient, acc)
+        comp = Subspace._spanned(self.ambient, added)
         certify("complement does not split the bigger space",
                 comp.dim + self.dim == bigger.dim and self.intersect(comp).is_zero())
         return comp
 
     def orthogonal_complement(self, metric):
-        """Orthogonal complement with respect to an InnerProduct."""
+        """Orthogonal complement with respect to an InnerProduct: the kernel
+        of the rows G u over the basis vectors u."""
+        n = self.ambient
         if self.is_zero():
-            return Subspace.whole(self.ambient)
-        constraints = Matrix([metric.gram.apply(u) for u in self.basis])
-        return Subspace(self.ambient, constraints.kernel())
+            return Subspace.whole(n)
+        rows = [_ints(metric.gram._apply_split(s)[1], n) for s in self._split]
+        return Subspace._spanned(n, _kernel(rows, n))
 
     def image(self, mat):
         """Span of mat applied to the basis."""
-        return Subspace(mat.nrows, [mat.apply(b) for b in self.basis]) if self.basis \
-            else Subspace.zero(mat.nrows)
+        if mat.ncols != self.ambient:
+            raise DimensionMismatch("vector length %d, expected %d" % (self.ambient, mat.ncols))
+        return Subspace._spanned(mat.nrows, [mat._apply_split(s) for s in self._split])
 
     def _check(self, other):
         if self.ambient != other.ambient:

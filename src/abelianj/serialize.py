@@ -23,7 +23,7 @@ from .assoc import CommAssocAlgebra, check_axioms
 from .complex_structures import ComplexStructure
 from .hermitian import HermitianTriple, InnerProduct, NotPositiveDefiniteError
 from .lie import LieAlgebra, PreconditionError, check_jacobi
-from .linalg import DimensionMismatch, Matrix, is_zero_vec, rat
+from .linalg import DimensionMismatch, Matrix, _entry, rat
 
 
 class InputError(ValueError):
@@ -104,16 +104,18 @@ def _sparse_pairs(data, n, key, symmetric):
     return out
 
 
-def _sparse_to_json(tensor, n, symmetric):
+def _sparse_to_json(split, symmetric):
+    """The 'brackets' or 'products' list of a table of splits."""
+    n = len(split)
     items = []
     for i in range(n):
         start = i if symmetric else i + 1
         for j in range(start, n):
-            v = tensor[i][j]
-            if not is_zero_vec(v):
+            d, nz = split[i][j]
+            if nz:
                 items.append({
                     "pair": [i, j],
-                    "value": {str(k): scalar_str(c) for k, c in enumerate(v) if c != 0},
+                    "value": {str(k): scalar_str(_entry(a, d)) for k, a in nz},
                 })
     return items
 
@@ -195,7 +197,7 @@ def instance_from_dict(data) -> Instance:
 
 def instance_to_dict(g, j=None, metric=None) -> dict:
     out = {"dim": g.dim, "basis": list(g.basis_names)}
-    out["brackets"] = _sparse_to_json(g.c, g.dim, symmetric=False)
+    out["brackets"] = _sparse_to_json(g.split(), symmetric=False)
     if j is not None:
         out["J"] = _matrix_to_json(j.matrix)
     if metric is not None:
@@ -221,7 +223,7 @@ def algebra_to_dict(a: CommAssocAlgebra) -> dict:
     return {
         "dim": a.dim,
         "basis": list(a.basis_names),
-        "products": _sparse_to_json(a.m, a.dim, symmetric=True),
+        "products": _sparse_to_json(a.split(), symmetric=True),
     }
 
 

