@@ -20,9 +20,9 @@ from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _eliminate, _entry, _ints, _nonzeros,
-    _stacked, _tensor_dense, _trace, _value_split, bilinear, bilinear_table,
-    certify, contract_splits, is_zero_vec, left_map, lin_comb, rat,
+    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _combine, _dense, _eliminate, _entry,
+    _ints, _nonzeros, _stacked, _tensor_dense, _trace, _value_split, bilinear,
+    bilinear_table, certify, contract_splits, left_map, rat,
 )
 from .lie import PreconditionError, _PairTable
 
@@ -98,8 +98,8 @@ def check_axioms(a) -> Optional[AxiomWitness]:
             for k in range(i + 1, n):
                 # (e_i e_j) e_k - e_i (e_j e_k)
                 resid = contract_splits([(1, s[i][j], s[k]), (-1, s[j][k], s[i])], n)
-                if not is_zero_vec(resid):
-                    return AxiomWitness("associativity", (i, j, k), resid)
+                if resid[1]:
+                    return AxiomWitness("associativity", (i, j, k), _dense(resid, n))
     return None
 
 
@@ -119,12 +119,12 @@ def check_compatibility(adot, astar) -> Optional[CompatibilityWitness]:
             for k in range(n):
                 # e_i * (e_j . e_k) - e_j * (e_i . e_k)
                 resid = contract_splits([(1, dot[j][k], star[i]), (-1, dot[i][k], star[j])], n)
-                if not is_zero_vec(resid):
-                    return CompatibilityWitness(1, (i, j, k), resid)
+                if resid[1]:
+                    return CompatibilityWitness(1, (i, j, k), _dense(resid, n))
                 # e_i . (e_j * e_k) - e_j . (e_i * e_k)
                 resid = contract_splits([(1, star[j][k], dot[i]), (-1, star[i][k], dot[j])], n)
-                if not is_zero_vec(resid):
-                    return CompatibilityWitness(2, (i, j, k), resid)
+                if resid[1]:
+                    return CompatibilityWitness(2, (i, j, k), _dense(resid, n))
     return None
 
 
@@ -314,7 +314,8 @@ def _split_over_q(p):
 
 
 def _block_unit(a, block: Subspace):
-    """Unit of the restricted algebra on an ideal block, in ambient coords."""
+    """Canonical split of the unit of the restricted algebra on an ideal
+    block, in ambient coords."""
     bs = block.split()
     products = {}
     for ik, w in bilinear_table(a.split(), bs, bs,
@@ -326,9 +327,8 @@ def _block_unit(a, block: Subspace):
     return None if e is None else contract_splits([(1, _nonzeros(e), bs)], a.dim)
 
 
-def _certify_idempotents(a, elements):
-    """e_i e_i = e_i and e_i e_k = 0 for i < k."""
-    es = [_nonzeros(e) for e in elements]
+def _certify_idempotents(a, es):
+    """e_i e_i = e_i and e_i e_k = 0 for i < k, the e_i given by their splits."""
     table = bilinear_table(a.split(), es, es, combinations_with_replacement(range(len(es)), 2))
     return all(w == es[i] if i == k else not w[1] for (i, k), w in table.items())
 
@@ -394,7 +394,8 @@ def primitive_idempotents(a) -> IdempotentSet:
         certify("idempotents must be orthogonal", _certify_idempotents(a, elements))
         u = unit(a)
         certify("idempotents must sum to the unit",
-                u is None or lin_comb((ONE,) * len(elements), elements, a.dim) == u)
+                u is None or _combine(1, [(1, e) for e in elements], a.dim) == _nonzeros(u))
+        elements = [_dense(e, a.dim) for e in elements]
         order = sorted(range(len(elements)), key=lambda i: (types[i], elements[i]))
         return IdempotentSet(tuple(elements[i] for i in order),
                              tuple(types[i] for i in order))

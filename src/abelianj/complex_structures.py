@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .linalg import DimensionMismatch, Matrix, Subspace, _combine_nonzero, is_zero_vec, rat
+from .linalg import DimensionMismatch, Matrix, Subspace, _combine_nonzero, rat
 from .lie import (
     LieAlgebra, PreconditionError, bracket_span, center,
     center_of_subalgebra, commutator_ideal, derived_and_central_series,
@@ -48,18 +48,18 @@ class ComplexStructure:
 
 
 def _twist(gs, js, i, k):
-    """Split of [Je_i, e_k] + [e_i, Je_k], unnormalised, from the bracket
-    split gs and the column split js of J; empty, with no contraction, when
-    every bracket slice it reads is zero."""
+    """Canonical split of [Je_i, e_k] + [e_i, Je_k], from the bracket split
+    gs and the column split js of J; empty, with no contraction, when every
+    bracket slice it reads is zero."""
     (di, ji), (dk, jk) = js[i], js[k]
     terms = [(c * dk, gs[p][k]) for p, c in ji] + [(c * di, gs[i][q]) for q, c in jk]
-    return _combine_nonzero(di * dk, terms, len(gs), keep_split=True)
+    return _combine_nonzero(di * dk, terms, len(gs))
 
 
 def _nijenhuis_table(g, j):
-    """N(e_i, e_k) = [Je_i, Je_k] - [e_i, e_k] - J([Je_i, e_k] + [e_i, Je_k])
-    for i < k, one contraction per pair, none for a pair whose brackets are
-    all zero."""
+    """Canonical splits of N(e_i, e_k) = [Je_i, Je_k] - [e_i, e_k]
+    - J([Je_i, e_k] + [e_i, Je_k]) for i < k, one contraction per pair, none
+    for a pair whose brackets are all zero."""
     n, gs, js = g.dim, g.split(), j.matrix.split()
     t_jj = linalg.bilinear_table(gs, js, js, combinations(range(n), 2))
     for (i, k), w in t_jj.items():
@@ -69,7 +69,7 @@ def _nijenhuis_table(g, j):
 
 
 def is_integrable(g, j) -> bool:
-    return all(is_zero_vec(n) for _, n in _nijenhuis_table(g, j))
+    return not any(nz for _, (_, nz) in _nijenhuis_table(g, j))
 
 
 def is_abelian_cs(g, j) -> bool:

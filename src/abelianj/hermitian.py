@@ -7,12 +7,15 @@ rational tensors; there are no tolerances anywhere.
 
 Curvature, the Koszul solve, torsion, the flag residuals and the complex
 projection are contractions over kept splits (linalg.contract_splits and
-linalg._combine).  Alternating tensors are contracted once per unordered
-pair i < j: torsion, its (1,1) test through bilinear_table, the cyclic sums
-of is_kahler and cyclic_metric_identity, and the metric flag, L + L^T for
-L = G D_i.  A curvature pair whose operators and bracket are all zero, and
-a direction whose operator is zero, are skipped without a contraction;
-is_flat stops at the first nonzero curvature column.  A connection is
+linalg._combine), each returning a canonical split that is tested for zero
+by its numerators.  The curvature norm and the cyclic sums are integer
+sums over one common denominator.  Alternating tensors are contracted once
+per unordered pair i < j: torsion, its (1,1) test through bilinear_table,
+the cyclic sums of is_kahler and cyclic_metric_identity, and the metric
+flag, L + L^T for L = G D_i.  A Koszul or torsion entry, a curvature pair
+whose operators and bracket are all zero, and a direction whose operator
+is zero, are skipped without a contraction; is_flat stops at the first
+nonzero curvature column.  A connection is
 stored as the canonical splits of its slices and nothing else (see
 linalg): Connection(gamma) converts once, levi_civita and
 complex_projection build the splits directly, and gamma builds Fractions
@@ -22,18 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import lcm
 from typing import NamedTuple
 
 from .complex_structures import ComplexStructure, is_abelian_cs
-from .lie import (
-    LieAlgebra, PreconditionError, bilinear_table, commutator_ideal,
-    derived_and_central_series,
-)
+from .lie import LieAlgebra, PreconditionError, commutator_ideal, derived_and_central_series
 from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, _Tensor, _bilinear, _combine, _combine_nonzero, _negated,
-    _nonzeros, _tensor_dense, bilinear, certify, contract_splits, lin_comb, norm_sq,
-    vec, vec_dot, zero_vec,
+    DimensionMismatch, Matrix, _Tensor, _bilinear, _combine, _combine_nonzero, _entry,
+    _ints, _negated, _nonzeros, _tensor_dense, bilinear, certify, contract_splits, lin_comb,
+    vec, vec_dot,
 )
 
 
@@ -153,22 +154,32 @@ def d_omega(t: HermitianTriple, x, y, z):
             - kahler_form(t, g.bracket(z, x), y))
 
 
-def _cyclic_sums_vanish(form, g) -> bool:
-    """With w[i][j][k] the k-th entry of form applied to the bracket c_ij:
-    w[i][j][k] + w[j][k][i] + w[k][i][j] == 0 on every triple i < j < k.
-    The form is applied once per unordered pair, to the nonzero slices
-    i < j only, and w[k][i] is read as -w[i][k]."""
-    n, s, fs = g.dim, g.split(), form.split()
-    w = {(i, j): contract_splits([(1, s[i][j], fs)], n)
-         for i, j in combinations(range(n), 2) if s[i][j][1]}
-    z = zero_vec(n)
-    return all(w.get((i, j), z)[k] + w.get((j, k), z)[i] == w.get((i, k), z)[j]
-               for i, j, k in combinations(range(n), 3))
+def _cyclic_sums_vanish(w, n, triples) -> bool:
+    """w[i, j][k] + w[j, k][i] + w[k, i][j] == 0 on these triples, w mapping
+    index pairs to the splits of vectors of Q^n, a missing pair the zero
+    vector: one integer sum per triple over the common denominator of w."""
+    big = lcm(*[d for d, _ in w.values()])
+    v = {ij: _ints([(k, a * (big // d)) for k, a in nz], n) for ij, (d, nz) in w.items()}
+    z = [0] * n
+    return not any(v.get((i, j), z)[k] + v.get((j, k), z)[i] + v.get((k, i), z)[j]
+                   for i, j, k in triples)
+
+
+def _form_cyclic_sums_vanish(form, g) -> bool:
+    """The cyclic sums of w[i, j] = form c_ij on the triples i < j < k.  The
+    form is applied once per unordered pair, to the nonzero slices i < j
+    only, and w[j, i] is -w[i, j]."""
+    s, w = g.split(), {}
+    for i, j in combinations(range(g.dim), 2):
+        if s[i][j][1]:
+            w[i, j] = form._apply_split(s[i][j])
+            w[j, i] = _negated(w[i, j])
+    return _cyclic_sums_vanish(w, g.dim, combinations(range(g.dim), 3))
 
 
 def is_kahler(t: HermitianTriple) -> bool:
     """The Kahler form is closed: its cyclic sums over brackets vanish."""
-    return _cyclic_sums_vanish(kahler_form_matrix(t).transpose(), t.algebra)
+    return _form_cyclic_sums_vanish(kahler_form_matrix(t).transpose(), t.algebra)
 
 
 def cyclic_metric_identity(t: HermitianTriple) -> bool:
@@ -180,20 +191,20 @@ def cyclic_metric_identity(t: HermitianTriple) -> bool:
     g = t.algebra
     if not is_abelian_cs(g, t.j):
         raise PreconditionError("identity requires an abelian complex structure")
-    return _cyclic_sums_vanish(t.metric.gram, g)
+    return _form_cyclic_sums_vanish(t.metric.gram, g)
 
 
 def twisted_cyclic_identity(t: HermitianTriple) -> bool:
     """Vanishing of g([x,Jy],z) + g([y,Jz],x) + g([z,Jx],y) on basis triples.
 
-    Cyclic-invariant but not alternating, so all ordered triples are tested.
+    Cyclic-invariant but not alternating, so all ordered triples are tested,
+    with w[i, j] = G [e_i, J e_j] over every ordered pair.
     """
-    n = t.algebra.dim
-    tj = bilinear_table(t.algebra, Matrix.identity(n), t.j.matrix,
-                        product(range(n), repeat=2))
-    w = {ij: t.metric.gram.apply(v) for ij, v in tj.items()}
-    return all(w[i, j][k] + w[j, k][i] + w[k, i][j] == 0
-               for i, j, k in product(range(n), repeat=3))
+    n, gram = t.algebra.dim, t.metric.gram
+    tj = linalg.bilinear_table(t.algebra.split(), Matrix.identity(n).split(),
+                               t.j.matrix.split(), product(range(n), repeat=2))
+    w = {ij: gram._apply_split(v) for ij, v in tj.items() if v[1]}
+    return _cyclic_sums_vanish(w, n, product(range(n), repeat=3))
 
 
 def _live(splits):
@@ -214,10 +225,10 @@ def levi_civita(g, metric: InnerProduct) -> Connection:
     """Unique torsion-free metric connection.  The Koszul pairing
     2 g(D_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y) solves to
     D_{e_i} e_j = (c_ij - ad_j* e_i - ad_i* e_j) / 2, one contraction per
-    (i, j)."""
+    (i, j), none when all three are zero."""
     n, gs, adj = g.dim, g.split(), _adjoints(g, metric)
-    conn = Connection._of_split([[_combine(2, ((1, gs[i][j]), (-1, adj[j][i]), (-1, adj[i][j])),
-                                           n, keep_split=True)
+    conn = Connection._of_split([[_combine_nonzero(2, ((1, gs[i][j]), (-1, adj[j][i]),
+                                                       (-1, adj[i][j])), n)
                                   for j in range(n)] for i in range(n)])
     certify("Levi-Civita solution has torsion", is_torsion_free(g, conn))
     certify("Levi-Civita solution is not metric", _is_metric(conn, metric))
@@ -226,12 +237,12 @@ def levi_civita(g, metric: InnerProduct) -> Connection:
 
 def _torsion(g, conn: Connection):
     """Splits of T(e_i, e_j) = D_{e_i} e_j - D_{e_j} e_i - [e_i, e_j], one
-    contraction per pair i < j; T(e_j, e_i) = -T(e_i, e_j) by negation."""
+    contraction per pair i < j, none when its three splits are empty;
+    T(e_j, e_i) = -T(e_i, e_j) by negation."""
     n, gs, cs = g.dim, g.split(), conn.split()
     t = [[(1, [])] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        v = t[i][j] = _combine(1, ((1, cs[i][j]), (-1, cs[j][i]), (-1, gs[i][j])), n,
-                               keep_split=True)
+        v = t[i][j] = _combine_nonzero(1, ((1, cs[i][j]), (-1, cs[j][i]), (-1, gs[i][j])), n)
         t[j][i] = _negated(v)
     return t
 
@@ -246,7 +257,8 @@ def is_torsion_free(g, conn: Connection) -> bool:
 
 
 def _curvature_pairs(g, conn: Connection):
-    """Yield (i, j, columns of R(e_i, e_j)) for i < j, the columns lazily.
+    """Yield (i, j, column splits of R(e_i, e_j)) for i < j, the columns
+    lazily.
 
     Column k is one contraction of three parts: D_j e_k through D_i, minus
     D_i e_k through D_j, minus the bracket c_ij through the vectors D_p e_k.
@@ -262,7 +274,7 @@ def _curvature_pairs(g, conn: Connection):
                  if live[a] and cs[b][k][1]]
         if gs[i][j][1]:
             parts.append((-1, gs[i][j], along[k]))
-        return contract_splits(parts, n) if parts else zero_vec(n)
+        return contract_splits(parts, n) if parts else (1, [])
 
     for i, j in combinations(range(n), 2):
         if live[i] or live[j] or gs[i][j][1]:
@@ -270,28 +282,31 @@ def _curvature_pairs(g, conn: Connection):
 
 
 def curvature(g, conn: Connection):
-    """Antisymmetric grid of operators r[i][j] = [D_i, D_j] - D_{[e_i, e_j]};
-    the pairs _curvature_pairs skips share one zero matrix."""
+    """Antisymmetric grid of operators r[i][j] = [D_i, D_j] - D_{[e_i, e_j]},
+    each built from its column splits; the pairs _curvature_pairs skips
+    share one zero matrix."""
     n = g.dim
     zero = Matrix.zeros(n, n)
     grid = [[zero] * n for _ in range(n)]
     for i, j, cols in _curvature_pairs(g, conn):
-        r = Matrix.from_columns(list(cols))
+        r = Matrix._of_split(list(cols), n)
         grid[i][j], grid[j][i] = r, -r
     return tuple(tuple(row) for row in grid)
 
 
 def is_flat(g, conn: Connection) -> bool:
     """Whether every R(e_i, e_j) vanishes; stops at the first nonzero column."""
-    return not any(any(col) for _, _, cols in _curvature_pairs(g, conn) for col in cols)
+    return not any(nz for _, _, cols in _curvature_pairs(g, conn) for _, nz in cols)
 
 
 def curvature_norm_sq(g, conn: Connection):
-    """Sum of squared entries of every R(e_i, e_j); zero iff flat.  Summed
-    straight from the columns of the pairs i < j and doubled, as
-    R(e_j, e_i) = -R(e_i, e_j) and R(e_i, e_i) = 0."""
-    return 2 * norm_sq([e for _, _, cols in _curvature_pairs(g, conn)
-                        for col in cols for e in col])
+    """Sum of squared entries of every R(e_i, e_j); zero iff flat.  One
+    integer sum of squares over the common denominator of the column
+    splits of the pairs i < j, doubled, as R(e_j, e_i) = -R(e_i, e_j) and
+    R(e_i, e_i) = 0."""
+    cols = [c for _, _, cs in _curvature_pairs(g, conn) for c in cs if c[1]]
+    big = lcm(*[d for d, _ in cols])
+    return _entry(2 * sum((a * (big // d)) ** 2 for d, nz in cols for _, a in nz), big * big)
 
 
 class ConnectionFlags(NamedTuple):
@@ -311,8 +326,7 @@ def _is_metric(conn: Connection, metric: InnerProduct) -> bool:
             continue
         cols = []
         for k, (d, nz) in enumerate(row):
-            den, col = _combine_nonzero(d, [(c, gs[q]) for q, c in nz], conn.dim,
-                                        keep_split=True)
+            den, col = _combine_nonzero(d, [(c, gs[q]) for q, c in nz], conn.dim)
             col = dict(col)
             if k in col or any(col.get(a, 0) * da + ca.get(k, 0) * den
                                for a, (da, ca) in enumerate(cols)):
@@ -326,7 +340,7 @@ def _is_complex(conn: Connection, j: ComplexStructure) -> bool:
     contraction per column; zero operators are skipped."""
     n = conn.dim
     js = j.matrix.split()
-    return not any(any(contract_splits([(1, js[k], row), (-1, row[k], js)], n))
+    return not any(contract_splits([(1, js[k], row), (-1, row[k], js)], n)[1]
                    for row in conn.split() if _live(row) for k in range(n))
 
 
@@ -365,10 +379,8 @@ def complex_projection(j: ComplexStructure, conn: Connection) -> Connection:
         if not _live(row):
             out.append(row)
             continue
-        jd = [_combine(d, [(c, js[q]) for q, c in nz], n, keep_split=True)
-              for d, nz in row]
-        out.append([_combine(2 * d, [(d, row[k])] + [(-c, jd[q]) for q, c in nz], n,
-                             keep_split=True)
+        jd = [_combine(d, [(c, js[q]) for q, c in nz], n) for d, nz in row]
+        out.append([_combine(2 * d, [(d, row[k])] + [(-c, jd[q]) for q, c in nz], n)
                     for k, (d, nz) in enumerate(js)])
     return Connection._of_split(out)
 
@@ -393,10 +405,10 @@ def first_canonical_pairing(t: HermitianTriple) -> Connection:
     if not is_abelian_cs(g, j):
         raise PreconditionError("pairing formula requires an abelian complex structure")
     n, gs, adj = g.dim, g.split(), _adjoints(g, t.metric)
-    k = Connection._of_split([[_combine(1, ((1, gs[i][q]), (-1, adj[i][q])), n, keep_split=True)
+    k = Connection._of_split([[_combine(1, ((1, gs[i][q]), (-1, adj[i][q])), n)
                                for q in range(n)] for i in range(n)])
     p = complex_projection(j, k).split()
-    return Connection._of_split([[_combine(2, ((1, p[i][q]), (-1, adj[q][i])), n, keep_split=True)
+    return Connection._of_split([[_combine(2, ((1, p[i][q]), (-1, adj[q][i])), n)
                                   for q in range(n)] for i in range(n)])
 
 
@@ -422,7 +434,7 @@ def flat_metric_report(g, metric: InnerProduct, conn: Connection) -> FlatMetricR
     # over the zero bracket, R(e_i, e_j) is the commutator of D_i and D_j
     commuting = is_flat(LieAlgebra.abelian(g.dim), conn)
     n, cs = g.dim, conn.split()
-    vanishes = not any(_bilinear(cs, v, (1, [(k, 1)]), n, keep_split=True)[1]
+    vanishes = not any(_bilinear(cs, v, (1, [(k, 1)]), n)[1]
                        for v in commutator_ideal(g).split() for k in range(n))
     return FlatMetricReport(commuting, vanishes)
 

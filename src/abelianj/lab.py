@@ -219,7 +219,7 @@ def random_unimodular(rng, n) -> Matrix:
         if a == b:
             continue
         s = rng.choice(_SHEAR_SCALARS)
-        cols[b] = _combine(1, ((1, cols[b]), (s, cols[a])), n, keep_split=True)
+        cols[b] = _combine(1, ((1, cols[b]), (s, cols[a])), n)
     return Matrix._of_split(cols, n)
 
 

@@ -25,7 +25,7 @@ from . import linalg
 from .linalg import (
     DimensionMismatch, Matrix, SingularMatrix, Subspace, _dense, _echelon, _ints, _kernel,
     _Tensor, _negated, _nonzeros, _tensor_dense, _trace, _value_split, bilinear,
-    contract_splits, is_zero_vec, vec,
+    contract_splits, vec,
 )
 
 
@@ -108,8 +108,8 @@ def check_jacobi(g) -> Optional[JacobiWitness]:
             # [e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] - [e_j, [e_i, e_k]]
             resid = contract_splits(
                 [(1, s[j][k], s[i]), (1, s[i][j], s[k]), (-1, s[i][k], s[j])], n)
-            if not is_zero_vec(resid):
-                return JacobiWitness((i, j, k), resid)
+            if resid[1]:
+                return JacobiWitness((i, j, k), _dense(resid, n))
     return None
 
 
@@ -261,7 +261,7 @@ def pushforward(g, p: Matrix) -> LieAlgebra:
     n, gs, qs = g.dim, g.split(), p.inverse().split()
     out = {}
     for i, j in combinations(range(n), 2):
-        w = linalg._bilinear(gs, qs[i], qs[j], n, keep_split=True)
+        w = linalg._bilinear(gs, qs[i], qs[j], n)
         if w[1]:
             out[i, j] = p._apply_split(w)
     return LieAlgebra._of_split(n, out, g.basis_names)

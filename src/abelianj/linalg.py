@@ -8,15 +8,16 @@ arithmetic on integer numerators, chiefly in two routines:
 * _combine, the one contraction.  A vector's split is (d, [(index,
   numerator)]): its nonzero entries as Python-int numerators over d, the
   lcm of their denominators.  _combine sums integer multiples of splits
-  over one common denominator and either normalises each output entry
-  once into a Fraction or reduces the sum to its canonical split.  Matrix
-  products and sums, matrix-vector products, linear combinations, Jacobi
-  residuals, the structure layer (the ad-twist and Nijenhuis
-  residuals) and the Hermitian layer (curvature, the Koszul solve,
-  torsion, the metric and complex flag residuals, the complex projection)
-  run through it; a dot product or a sum of squares is one integer sum over
-  the same splits.  A contraction with only zero splits to read is not
-  made (_combine_nonzero).
+  over one common denominator and returns the canonical split of the sum,
+  its one return form: a caller tests it for zero by its numerators and
+  builds Fractions only where it hands a vector out.  Matrix products and
+  sums, matrix-vector products, linear combinations, Jacobi and axiom
+  residuals, the structure layer (the ad-twist and Nijenhuis residuals)
+  and the Hermitian layer (curvature, the Koszul solve, torsion, the
+  metric and complex flag residuals, the complex projection) run through
+  it; a dot product is one integer sum over the same splits.
+  _combine_nonzero is the one zero-skip: a contraction with only zero
+  splits to read is not made.
   A rank-3 tensor T is evaluated on vectors only by _bilinear, one
   contraction of T(x, y) over the nonzero slices it reads.  bilinear (the
   bracket, the commutative product, a connection), left_map and
@@ -36,8 +37,9 @@ those of its slices, a Subspace those of its reduced echelon basis; a
 constructor converts its input once, a contraction or an elimination builds
 splits directly, and splits are shared and never mutated.  Fractions exist
 only at the edges: the views (rows, columns, c, m, gamma, basis), built on
-each read and never stored, and the vector-valued public calls (apply,
-bracket, multiply, lin_comb, coordinates).
+each read and never stored, the vector-valued public calls (apply,
+bracket, multiply, lin_comb, coordinates, torsion) and the residuals of
+the witnesses.
 """
 from __future__ import annotations
 
@@ -92,10 +94,6 @@ def vec(entries):
     return tuple(rat(e) for e in entries)
 
 
-def zero_vec(n):
-    return (ZERO,) * n
-
-
 def basis_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -118,7 +116,7 @@ def _value_split(value, dim):
     """The canonical split of a vector of Q^dim given densely or as a sparse
     {index: scalar} dict."""
     if isinstance(value, dict):
-        v = list(zero_vec(dim))
+        v = [ZERO] * dim
         for k, s in value.items():
             v[int(k)] = rat(s)
     else:
@@ -166,14 +164,12 @@ def _dense(split, n):
     return tuple(out)
 
 
-def _combine(den, terms, n, keep_split=False):
-    """sum of (c / den) * vector over terms (c, split of the vector) in Q^n.
+def _combine(den, terms, n):
+    """The canonical split of sum of (c / den) * vector over terms (c, split
+    of the vector) in Q^n.
 
     The one contraction kernel: every term is put over den * big, big the
-    lcm of the terms' denominators, and summed over Python ints.  Returns
-    the normalised vector, or with keep_split the canonical split of the
-    sum, for a result stored as its split or a contraction that continues
-    in a second stage.
+    lcm of the terms' denominators, summed over Python ints and reduced.
     """
     big = lcm(*[d for _, (d, _) in terms])
     out = [0] * n
@@ -181,19 +177,14 @@ def _combine(den, terms, n, keep_split=False):
         f = c * (big // d)
         for k, a in nz:
             out[k] += f * a
-    den *= big
-    if keep_split:
-        return _reduced(den, [(k, a) for k, a in enumerate(out) if a])
-    return tuple(Fraction(a, den) if a else ZERO for a in out)
+    return _reduced(den * big, [(k, a) for k, a in enumerate(out) if a])
 
 
-def _combine_nonzero(den, terms, n, keep_split=False):
-    """_combine over the terms whose split is nonempty, with no call when
-    there is none: then the zero vector, or with keep_split the empty split."""
+def _combine_nonzero(den, terms, n):
+    """_combine over the terms whose split is nonempty: the one zero-skip,
+    the empty split with no contraction when there is none."""
     terms = [t for t in terms if t[1][1]]
-    if terms:
-        return _combine(den, terms, n, keep_split)
-    return (1, []) if keep_split else zero_vec(n)
+    return _combine(den, terms, n) if terms else (1, [])
 
 
 def vec_dot(u, v):
@@ -204,12 +195,6 @@ def vec_dot(u, v):
     return _entry(sum(a * nv.get(t, 0) for t, a in nu), du * dv)
 
 
-def norm_sq(v):
-    """Sum of the squares of the entries of v."""
-    d, nz = _nonzeros(v)
-    return _entry(sum(a * a for _, a in nz), d * d)
-
-
 def is_zero_vec(v):
     return not any(a is not ZERO and a for a in v)
 
@@ -218,7 +203,7 @@ def lin_comb(coeffs, vectors, n):
     """sum_q coeffs[q] * vectors[q] in Q^n; only the vectors with a nonzero
     coefficient are split."""
     dc, cs = _nonzeros(coeffs)
-    return _combine(dc, [(c, _nonzeros(vectors[q])) for q, c in cs], n)
+    return _dense(_combine(dc, [(c, _nonzeros(vectors[q])) for q, c in cs], n), n)
 
 
 def _trace(split):
@@ -266,37 +251,35 @@ class _Tensor:
 
 
 def contract_splits(parts, n):
-    """sum over parts (s, coefficient split, vector splits) of
-    s * sum_q coefficient_q * (vector q) in Q^n, s an int, normalised once."""
+    """The canonical split of the sum over parts (s, coefficient split,
+    vector splits) of s * sum_q coefficient_q * (vector q) in Q^n, s an int."""
     den = lcm(*[d for _, (d, _), _ in parts])
     return _combine(den, [(s * c * (den // d), splits[q])
                           for s, (d, cs), splits in parts for q, c in cs], n)
 
 
-def _bilinear(split, x, y, n, keep_split=False):
-    """T(x, y) for the tensor T with this split, x and y given by their
-    splits: the one bilinear contraction, over the nonzero slices T[p][q]
-    it reads, and the zero vector, with no contraction, when it reads none.
-    An empty slice is skipped before its coefficient is multiplied.  With
-    keep_split the canonical split of T(x, y)."""
+def _bilinear(split, x, y, n):
+    """The canonical split of T(x, y) for the tensor T with this split, x
+    and y given by their splits: the one bilinear contraction, over the
+    nonzero slices T[p][q] it reads, and the empty split, with no
+    contraction, when it reads none.  An empty slice is skipped before its
+    coefficient is multiplied."""
     (dx, xs), (dy, ys) = x, y
     terms = [(a * b, s) for p, a in xs for q, b in ys if (s := split[p][q])[1]]
-    if terms:
-        return _combine(dx * dy, terms, n, keep_split)
-    return (1, []) if keep_split else zero_vec(n)
+    return _combine(dx * dy, terms, n) if terms else (1, [])
 
 
 def bilinear(split, x, y):
     """T(x, y) = sum_ij x_i y_j T[i][j] for the tensor T with this split."""
-    return _bilinear(split, _nonzeros(x), _nonzeros(y), len(split))
+    n = len(split)
+    return _dense(_bilinear(split, _nonzeros(x), _nonzeros(y), n), n)
 
 
 def left_map(split, x):
     """Matrix of y -> T(x, y) for the tensor T with this split, x given by
     its split."""
     n = len(split)
-    return Matrix._of_split([_bilinear(split, x, (1, [(j, 1)]), n, keep_split=True)
-                             for j in range(n)], n)
+    return Matrix._of_split([_bilinear(split, x, (1, [(j, 1)]), n) for j in range(n)], n)
 
 
 def bilinear_table(split, xs, ys, pairs):
@@ -305,7 +288,7 @@ def bilinear_table(split, xs, ys, pairs):
     for the pairs i < j (itertools.combinations), a symmetric one for
     i <= j (combinations_with_replacement)."""
     n = len(split)
-    return {(i, j): _bilinear(split, xs[i], ys[j], n, keep_split=True) for i, j in pairs}
+    return {(i, j): _bilinear(split, xs[i], ys[j], n) for i, j in pairs}
 
 
 def _eliminate(rows, ncols):
@@ -459,13 +442,13 @@ class Matrix:
         """Matrix-vector product: the columns combined by v."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length %d, expected %d" % (len(v), self.ncols))
-        return contract_splits([(1, _nonzeros(v), self._split)], self.nrows)
+        return _dense(self._apply_split(_nonzeros(v)), self.nrows)
 
     def _apply_split(self, x):
         """The canonical split of A x, x given by its split."""
         d, nz = x
         cols = self._split
-        return _combine(d, [(c, cols[t]) for t, c in nz], self.nrows, keep_split=True)
+        return _combine(d, [(c, cols[t]) for t, c in nz], self.nrows)
 
     def __matmul__(self, other):
         if isinstance(other, Matrix):
@@ -481,7 +464,7 @@ class Matrix:
 
     def _plus(self, other, sign):
         self._same_shape(other)
-        return Matrix._of_split([_combine(1, ((1, a), (sign, b)), self.nrows, keep_split=True)
+        return Matrix._of_split([_combine(1, ((1, a), (sign, b)), self.nrows)
                                  for a, b in zip(self._split, other._split)], self.nrows)
 
     def __add__(self, other):
@@ -674,8 +657,7 @@ class Subspace:
         d, nz = split
         entries = dict(nz)
         cs = [(r, entries[p]) for r, p in enumerate(self.pivots) if p in entries]
-        resid = _combine(d, [(d, split)] + [(-a, self._split[r]) for r, a in cs],
-                         self.ambient, keep_split=True)
+        resid = _combine(d, [(d, split)] + [(-a, self._split[r]) for r, a in cs], self.ambient)
         return None if resid[1] else _reduced(d, cs)
 
     def coordinates(self, v):

@@ -9,7 +9,7 @@ from abelianj.complex_structures import (
 from abelianj.constructions import standard_complex_structure
 from abelianj.lab import FAMILIES, random_instance
 from abelianj.lie import LieAlgebra, PreconditionError
-from abelianj.linalg import DimensionMismatch, Matrix, is_zero_vec, vec
+from abelianj.linalg import DimensionMismatch, Matrix, _dense, is_zero_vec, vec
 
 
 def aff_complex():
@@ -52,7 +52,7 @@ def test_rotation_is_valid_and_applies():
 def test_nijenhuis_vanishes_on_abelian():
     g = LieAlgebra.abelian(4)
     j = standard_complex_structure(2)
-    table = dict(_nijenhuis_table(g, j))
+    table = {ik: _dense(w, 4) for ik, w in _nijenhuis_table(g, j)}
     assert len(table) == 6
     for n in table.values():
         assert is_zero_vec(n)
@@ -61,7 +61,7 @@ def test_nijenhuis_vanishes_on_abelian():
 def test_nijenhuis_witness_on_heisenberg():
     g = heis_r()
     j = standard_complex_structure(2)
-    n = dict(_nijenhuis_table(g, j))[(0, 1)]
+    n = _dense(dict(_nijenhuis_table(g, j))[(0, 1)], 4)
     assert n == vec((0, 0, -1, 0))
     assert not is_integrable(g, j)
     assert not is_abelian_cs(g, j)

@@ -34,7 +34,7 @@ from abelianj.lie import (
     LieAlgebra, bilinear_table, bracket_span, center, center_of_subalgebra,
     check_jacobi, commutator_ideal, derived_and_central_series, is_unimodular,
 )
-from abelianj.linalg import Matrix, SingularMatrix, Subspace, basis_vec, norm_sq
+from abelianj.linalg import Matrix, SingularMatrix, Subspace, basis_vec
 
 
 def _scalar(rng):
@@ -116,8 +116,6 @@ def test_bilinear_products_match_fraction_reference():
         assert (witness and tuple(witness)) == _ref_jacobi(g)
         if witness:
             outputs.append(witness.residual)
-        assert norm_sq(x) == sum((e * e for e in x), Fraction(0))
-        outputs.append((norm_sq(x),))
         for entries in outputs:
             assert _normalised(entries)
 
@@ -545,6 +543,9 @@ def test_zero_operators_cost_no_contraction(monkeypatch):
     zero = Connection.zero(12)
     grid = curvature(g, zero)
     assert is_flat(g, zero)
+    # the Koszul solve and the torsion skip their all-zero entries too
+    assert levi_civita(g, InnerProduct.identity(12)) == zero
+    assert hermitian.is_torsion_free(g, zero)
     assert calls == []
     assert all(cell.is_zero() for row in grid for cell in row)
     # the counter does see the contractions of a curved pair
@@ -695,7 +696,8 @@ def test_structure_layer_matches_fraction_reference():
                 assert [(t, Fraction(a, d)) for t, a in nz] == \
                     [(t, x) for t, x in enumerate(twist) if x]
                 twists.add(any(twist))
-        table = dict(complex_structures._nijenhuis_table(g, j))
+        table = {ik: linalg._dense(w, n)
+                 for ik, w in complex_structures._nijenhuis_table(g, j)}
         assert table == {(i, k): _ref_nijenhuis(g, jm, i, k)
                          for i in range(n) for k in range(i + 1, n)}
         assert all(_normalised(v) for v in table.values())
@@ -827,20 +829,36 @@ def _ref_cyclic_sums_vanish(form_rows, g):
                for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
 
 
+def _ref_twisted_cyclic_identity(gram, jm, g):
+    """g([e_i, Je_j], e_k) + g([e_j, Je_k], e_i) + g([e_k, Je_i], e_j) == 0
+    on every ordered triple, with w[i][j][k] = g([e_i, Je_j], e_k)."""
+    n, c = g.dim, g.c
+    jcol = [tuple(row[q] for row in jm) for q in range(n)]
+    w = [[tuple(sum((gram[k][q] * b[q] for q in range(n)), Fraction(0)) for k in range(n))
+          for b in (_ref_bilinear(c, basis_vec(n, i), jcol[j]) for j in range(n))]
+         for i in range(n)]
+    return all(w[i][j][k] + w[j][k][i] + w[k][i][j] == 0
+               for i in range(n) for j in range(n) for k in range(n))
+
+
 def test_cyclic_sums_match_all_ordered_slices():
     rng = random.Random(2011)
     triples = [random_kahler_instance(rng.randrange(2 ** 32), 12).triple for _ in range(4)]
     triples += [random_instance(rng.randrange(2 ** 32), 1 + rng.randrange(4), family,
                                 disguise=disguise, metric=True)
                 for family in FAMILIES for disguise in (False, True)]
-    seen = set()
+    seen, twisted = set(), set()
     for t in triples:
         gram, jm = _rows(t.metric.gram), _rows(t.j.matrix)
         kahler = hermitian.is_kahler(t)
         assert kahler == _ref_cyclic_sums_vanish(_mm(gram, jm), t.algebra)
         assert hermitian.cyclic_metric_identity(t) == _ref_cyclic_sums_vanish(gram, t.algebra)
         seen.add(kahler)
+        holds = hermitian.twisted_cyclic_identity(t)
+        assert holds == _ref_twisted_cyclic_identity(gram, jm, t.algebra)
+        twisted.add(holds)
     assert seen == {True, False}
+    assert twisted == {True, False}
 
 
 def test_center_of_subalgebra_refuses_an_unclosed_subspace():
