@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 from .linalg import (
     DimensionMismatch, Matrix, Subspace, ONE, ZERO, _combine, _dense, _eliminate, _entry,
-    _ints, _nonzeros, _stacked, _tensor_dense, _trace, _value_split, bilinear,
+    _ints, _kernel, _nonzeros, _stacked, _tensor_dense, _trace, _value_split, bilinear,
     bilinear_table, certify, contract_splits, left_map, rat,
 )
 from .lie import PreconditionError, _PairTable
@@ -150,11 +150,13 @@ def nilradical(a) -> NilradicalReport:
     if check_axioms(a) is not None:
         raise PreconditionError("nilradical requires a commutative associative algebra")
     n, s = a.dim, a.split()
-    dt, t = _nonzeros([_trace(row) for row in s])    # row k is l_{e_k} by columns
-    t = dict(t)
-    form = Matrix([[_entry(sum(x * t.get(k, 0) for k, x in nz), d * dt) for d, nz in row]
-                   for row in s])
-    rad = Subspace._spanned(n, form._kernel_splits())
+    traces = [_trace(row) for row in s]    # row k is l_{e_k} by columns
+    dt = lcm(*[d for _, d in traces])
+    t = {k: num * (dt // d) for k, (num, d) in enumerate(traces) if num}
+    # b(e_i, e_j) times dt and the lcm of all d_ij: integer rows, same kernel
+    big = lcm(*[d for row in s for d, _ in row])
+    form = [[(big // d) * sum(x * t.get(k, 0) for k, x in nz) for d, nz in row] for row in s]
+    rad = Subspace._spanned(n, _kernel(form, n))
     for v in rad.split():
         lv = left_map(s, v)
         power = lv

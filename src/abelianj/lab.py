@@ -31,8 +31,8 @@ from .lie import (
     derived_and_central_series, is_unimodular, pushforward,
 )
 from .linalg import (
-    CertificateError, Matrix, Subspace, _combine, _nonzeros, basis_vec, bilinear_table,
-    certify, rat,
+    CertificateError, Matrix, Subspace, _combine, _dense, _nonzeros, basis_vec,
+    bilinear_table, certify, rat,
 )
 
 FAMILIES = ("trivial-star", "equal-products", "diagonal-pair")
@@ -89,9 +89,10 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     Pipeline: (1) cyclic metric identity; (2) center = orthogonal complement
     of the J-closed commutator; (3) commutator ideal totally real; (4) the
     product x o y = [Jx, y] on it is commutative associative; (5) semisimple
-    with self-adjoint multiplications; (6) split real spectrum; (7) pairwise
-    orthogonal planes spanning a complement of the center; (8) norms,
-    curvatures and an exact change of basis onto the block model.
+    with self-adjoint multiplications; (6) split real spectrum; (7) commuting
+    planes [Je, e] = e that span g with the center: the change of basis P
+    has full rank; (8) J in block form, one Gram matrix P^T G P that is r^2
+    on each plane and zero off it, and an exact rebuild from the block model.
     """
     g, j, metric = t.algebra, t.j, t.metric
     if g.dim == 0:
@@ -115,7 +116,7 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
             "commutator ideal meets its J-image")
     n = gp.dim
 
-    factors = []
+    factors, rs = [], []
     gs, jm = g.split(), j.matrix
     if n:
         bs = gp.split()
@@ -143,43 +144,35 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
         certify(6, len(idem.idempotents) == n,
                 "idempotent count differs from the commutator dimension")
 
-        raw = [bm.apply(e) for e in idem.idempotents]
+        curved = []     # (r^2 = g(e, e), e, split of e) for each idempotent e
+        for e in idem.idempotents:
+            s = bm._apply_split(_nonzeros(e))
+            v = _dense(s, g.dim)
+            curved.append((metric.eval(v, v), v, s))
         # deterministic order: descending norm, then coordinates
-        raw.sort(key=lambda v: (-metric.eval(v, v), v))
+        curved.sort(key=lambda c: (-c[0], c[1]))
 
-        rm = Matrix.from_columns(raw)
-        jrm = jm @ rm
-        rs = rm.split()
-        jr = bilinear_table(gs, jrm.split(), rs, product(range(n), repeat=2))
+        rs = [s for _, _, s in curved]
+        jrs = [jm._apply_split(s) for s in rs]
+        jr = bilinear_table(gs, jrs, rs, product(range(n), repeat=2))
         rr = bilinear_table(gs, rs, rs, combinations(range(n), 2))
         certify(7, all(jr[i, i] == s for i, s in enumerate(rs)),
                 "idempotent direction is not [Je, e] = e")
         certify(7, not any(w[1] for (i, k), w in jr.items() if i != k),
                 "distinct factor planes do not commute")
         certify(7, not any(w[1] for w in rr.values()), "curved directions fail to commute")
-        planes = list(zip(raw, jrm.columns()))
-        for (v, jv), s, js in zip(planes, rs, jrm.split()):
+        for (r2, v, s), js in zip(curved, jrs):
             plane = Subspace._spanned(g.dim, [s, js])
             certify(7, plane.dim == 2, "factor plane is degenerate")
-            r2 = metric.eval(v, v)
-            factors.append(KahlerFactor(v, r2, rat(1) / r2, plane))
-        for i, (vi, jvi) in enumerate(planes):
-            certify(7, metric.eval(jvi, vi) == 0, "plane basis is not orthogonal")
-            for vk, jvk in planes[i + 1:]:
-                certify(7, all(metric.eval(a, b) == 0 for a in (vi, jvi) for b in (vk, jvk)),
-                        "factor planes are not pairwise orthogonal")
-
-        total = Subspace.zero(g.dim)
-        for f in factors:
-            total = total.sum(f.plane)
-        certify(7, total.dim == 2 * n and total.sum(z).dim == g.dim,
-                "planes and center do not span the algebra")
+            factors.append(KahlerFactor(v, r2, 1 / r2, plane))
 
     # columns Je, e for each idempotent e, then for each vector of one sheet
     # of the center's J-splitting
-    halves = ([_nonzeros(f.idempotent) for f in factors]
-              + _greedy_j_half(j, z, Subspace.zero(g.dim)).split())
+    halves = rs + _greedy_j_half(j, z, Subspace.zero(g.dim)).split()
     p = Matrix._of_split([s for h in halves for s in (jm._apply_split(h), h)], g.dim)
+    # p is square, as steps 2, 3 and 6 certified dim z + 2n = dim g, so the
+    # planes and the center span g exactly when p has full rank
+    certify(7, p.rank() == g.dim, "planes and center do not span the algebra")
 
     model_alg = LieAlgebra(g.dim, {(2 * i, 2 * i + 1): {2 * i + 1: rat(1)}
                                    for i in range(n)})
@@ -187,14 +180,14 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     certify(8, (p @ model_j.matrix) == (j.matrix @ p),
             "change of basis does not transport J to block form")
     gm = (p.transpose() @ metric.gram) @ p
-    gm_rows = gm.rows
+    # gm is symmetric: its columns 2i, 2i + 1 being r^2 e_2i, r^2 e_2i+1 is
+    # every norm and orthogonality claim on factor i
+    cols = gm.split()
     for i, f in enumerate(factors):
-        row_j, row_v = gm_rows[2 * i], gm_rows[2 * i + 1]
-        shape_ok = (row_j[2 * i] == f.norm_sq and row_v[2 * i + 1] == f.norm_sq
-                    and row_j[2 * i + 1] == 0
-                    and all(row_j[c] == 0 for c in range(g.dim) if c not in (2 * i,))
-                    and all(row_v[c] == 0 for c in range(g.dim) if c not in (2 * i + 1,)))
-        certify(8, shape_ok, "metric is not r^2-diagonal on factor %d" % i)
+        num, den = f.norm_sq.numerator, f.norm_sq.denominator
+        certify(8, cols[2 * i] == (den, [(2 * i, num)])
+                and cols[2 * i + 1] == (den, [(2 * i + 1, num)]),
+                "metric is not r^2-diagonal on factor %d" % i)
     model = HermitianTriple(model_alg, model_j, InnerProduct(gm))
 
     dec = KahlerDecomposition(tuple(factors), z, p, model)

@@ -14,10 +14,12 @@ for the pairs i < j of the alternating bracket.  check_jacobi skips a
 triple whose three brackets are zero.  center and center_of_subalgebra
 are one centralizer kernel (_annihilator); center_of_subalgebra's one
 self-bracket table also decides its closure precondition.  An algebra
-keeps its derived and lower central series once computed.
+keeps g', its center and its derived and lower central series, each built
+once by one memo (_kept); both series start from the kept g'.
 """
 from __future__ import annotations
 
+from functools import update_wrapper
 from itertools import combinations, product
 from typing import NamedTuple, Optional
 
@@ -67,8 +69,9 @@ class _PairTable(_Tensor):
 
 class LieAlgebra(_PairTable):
     """Stored as the canonical splits of its brackets c[i][j]; c builds
-    Fractions from them on each read."""
-    __slots__ = ("_series",)
+    Fractions from them on each read.  g', the center and the series are
+    computed once and kept (_kept)."""
+    __slots__ = ("_facts",)
 
     def __init__(self, dim, brackets=None, basis_names=None):
         """brackets: {(i,j): value} for i<j; value is a dense vector or {k: scalar}."""
@@ -80,7 +83,7 @@ class LieAlgebra(_PairTable):
 
     def _set(self, dim, upper, basis_names):
         super()._set(dim, upper, basis_names)
-        self._series = None
+        self._facts = {}
 
     @classmethod
     def abelian(cls, dim, basis_names=None):
@@ -95,6 +98,17 @@ class LieAlgebra(_PairTable):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have dimension %d" % self.dim)
         return bilinear(self._split, x, y)
+
+
+def _kept(build):
+    """build(g) as a fact of the algebra g: computed on the first call and
+    kept on g, whose splits never change."""
+    def fact(g):
+        facts = g._facts
+        if build not in facts:
+            facts[build] = build(g)
+        return facts[build]
+    return update_wrapper(fact, build)
 
 
 def check_jacobi(g) -> Optional[JacobiWitness]:
@@ -113,13 +127,16 @@ def check_jacobi(g) -> Optional[JacobiWitness]:
     return None
 
 
+@_kept
 def commutator_ideal(g) -> Subspace:
+    """g' = [g, g], computed once and kept on the algebra."""
     s = g.split()
     return Subspace._spanned(g.dim, [s[i][j] for i, j in combinations(range(g.dim), 2)])
 
 
+@_kept
 def center(g) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}, from the bracket splits."""
+    """{x : [x, e_j] = 0 for all j}, computed once and kept on the algebra."""
     s = g.split()
     return _annihilator(g, Subspace.whole(g.dim),
                         {(i, j): s[i][j] for i in range(g.dim) for j in range(g.dim)
@@ -183,45 +200,36 @@ class SeriesReport(NamedTuple):
     nilpotency_class: Optional[int]
 
 
+@_kept
 def derived_and_central_series(g) -> SeriesReport:
-    """Both series, computed on first use and kept on the algebra."""
-    if g._series is None:
-        g._series = _series(g)
-    return g._series
+    """Both series, computed once and kept on the algebra."""
+    whole, gp = Subspace.whole(g.dim), commutator_ideal(g)
 
+    def chain(step):
+        # whole, g', step(g'), ... until a term repeats or is zero; g' = g
+        # (a perfect algebra, or dim 0) ends the chain at once
+        out, nxt = [whole], gp
+        while nxt != out[-1]:
+            out.append(nxt)
+            if nxt.is_zero():
+                break
+            nxt = step(nxt)
+        return tuple(out)
 
-def _series(g) -> SeriesReport:
-    whole = Subspace.whole(g.dim)
-    derived = [whole]
-    while True:
-        nxt = bracket_span(g, derived[-1], derived[-1])
-        if nxt == derived[-1]:
-            break
-        derived.append(nxt)
-        if nxt.is_zero():
-            break
-    lower = [whole]
-    while True:
-        nxt = bracket_span(g, whole, lower[-1])
-        if nxt == lower[-1]:
-            break
-        lower.append(nxt)
-        if nxt.is_zero():
-            break
+    derived = chain(lambda u: bracket_span(g, u, u))
+    lower = chain(lambda u: bracket_span(g, whole, u))
     is_solvable = derived[-1].is_zero()
     is_nilpotent = lower[-1].is_zero()
     # derived[0] is the whole algebra, so index k holds the k-th derived ideal
-    is_2step = is_solvable and len(derived) <= 3 and (
-        len(derived) < 3 or derived[2].is_zero())
+    is_2step = is_solvable and len(derived) <= 3     # the chain ends at zero
     nilclass = len(lower) - 1 if is_nilpotent else None
-    return SeriesReport(tuple(derived), tuple(lower), is_solvable, is_2step,
-                        is_nilpotent, nilclass)
+    return SeriesReport(derived, lower, is_solvable, is_2step, is_nilpotent, nilclass)
 
 
 def is_unimodular(g) -> bool:
     """tr ad_{e_i} = sum_k c[i][k][k] vanishes for every i; the brackets
     [e_i, e_k] are the columns of ad_{e_i}."""
-    return all(_trace(row) == 0 for row in g.split())
+    return all(_trace(row)[0] == 0 for row in g.split())
 
 
 class SubspaceRole(NamedTuple):

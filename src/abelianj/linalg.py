@@ -207,9 +207,11 @@ def lin_comb(coeffs, vectors, n):
 
 
 def _trace(split):
-    """Trace of the square matrix with these column splits."""
-    return sum((Fraction(a, d) for k, (d, nz) in enumerate(split) for t, a in nz if t == k),
-               ZERO)
+    """(numerator, denominator) of the trace of the square matrix with these
+    column splits: the diagonal numerators summed over their lcm."""
+    diag = [(a, d) for k, (d, nz) in enumerate(split) for t, a in nz if t == k]
+    big = lcm(*[d for _, d in diag])
+    return sum(a * (big // d) for a, d in diag), big
 
 
 def _tensor_dense(split):
@@ -496,7 +498,7 @@ class Matrix:
         return self.nrows == self.ncols
 
     def trace(self):
-        return _trace(self._split)
+        return _entry(*_trace(self._split))
 
     def rref(self):
         rows, pivots = _echelon(self._nonzero_int_rows(), self.ncols)

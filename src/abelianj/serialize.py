@@ -54,10 +54,6 @@ def parse_scalar(value):
         raise InputError("bad rational %r (%s)" % (value, exc))
 
 
-def scalar_str(q) -> str:
-    return str(q)
-
-
 def _matrix_from_json(data, n, what) -> Matrix:
     if (not isinstance(data, list) or len(data) != n
             or any(not isinstance(row, list) or len(row) != n for row in data)):
@@ -66,7 +62,7 @@ def _matrix_from_json(data, n, what) -> Matrix:
 
 
 def _matrix_to_json(m: Matrix):
-    return [[scalar_str(e) for e in row] for row in m.rows]
+    return [[str(e) for e in row] for row in m.rows]
 
 
 def _sparse_pairs(data, n, key, symmetric):
@@ -115,7 +111,7 @@ def _sparse_to_json(split, symmetric):
             if nz:
                 items.append({
                     "pair": [i, j],
-                    "value": {str(k): scalar_str(_entry(a, d)) for k, a in nz},
+                    "value": {str(k): str(_entry(a, d)) for k, a in nz},
                 })
     return items
 
@@ -177,7 +173,7 @@ def instance_from_dict(data) -> Instance:
     if wit is not None:
         raise ValidationFailure(
             "Jacobi identity fails on basis triple %s (residual %s)"
-            % (wit.triple, [scalar_str(c) for c in wit.residual]))
+            % (wit.triple, [str(c) for c in wit.residual]))
     j = None
     if data.get("J") is not None:
         try:

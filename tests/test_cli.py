@@ -58,7 +58,7 @@ def test_check_first_canonical_matches_pairing(fixtures_dir, capsys):
         data = json.loads(capsys.readouterr().out)
         pairing = first_canonical_pairing(inst.triple())
         assert data["connections"]["first_canonical"]["tensor"] == [
-            [[serialize.scalar_str(c) for c in v] for v in row]
+            [[str(c) for c in v] for v in row]
             for row in pairing.gamma]
         checked += 1
     assert checked == 6

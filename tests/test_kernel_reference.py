@@ -674,6 +674,8 @@ def test_structure_layer_matches_fraction_reference():
             continue
         assert bracket_span(g, whole, whole).basis == _ref_bracket_span(g, whole.basis, whole.basis)
         gp = commutator_ideal(g)
+        # g', the center and the series are kept: a second call reads them
+        assert commutator_ideal(g) is gp and center(g) is center(g)
         assert gp.basis == _ref_span(n, [g.c[i][k] for i in range(n) for k in range(n)])
         assert bracket_span(g, gp, gp).basis == _ref_bracket_span(g, gp.basis, gp.basis)
         assert bracket_span(g, whole, gp).basis == _ref_bracket_span(g, whole.basis, gp.basis)
@@ -684,6 +686,8 @@ def test_structure_layer_matches_fraction_reference():
         assert is_unimodular(g) == _ref_unimodular(g)
         series = derived_and_central_series(g)
         assert series is derived_and_central_series(g)
+        # both series start from the kept g' (g' != g for these algebras)
+        assert series.derived[1] is gp and series.lower_central[1] is gp
         assert [s.basis for s in series.derived] == _ref_series(g, lambda prev: prev)
         assert [s.basis for s in series.lower_central] == \
             _ref_series(g, lambda prev: whole.basis)
@@ -707,6 +711,23 @@ def test_structure_layer_matches_fraction_reference():
     # zero and nonzero twists, unimodular and not unimodular algebras all occur
     assert twists == {True, False}
     assert unimodular == {True, False}
+
+
+def test_series_and_center_edge_cases_match_reference():
+    # sl(2, Q) is perfect, g' = g, and the algebra of dim 0 has g' = g = 0:
+    # both series stop at the whole algebra
+    sl2 = LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    for g in (sl2, LieAlgebra.abelian(0)):
+        whole = Subspace.whole(g.dim)
+        assert commutator_ideal(g) == whole
+        assert center(g).basis == _ref_center(g)
+        series = derived_and_central_series(g)
+        assert series.derived == series.lower_central == (whole,)
+        assert [s.basis for s in series.derived] == _ref_series(g, lambda prev: prev)
+        assert [s.basis for s in series.lower_central] == \
+            _ref_series(g, lambda prev: whole.basis)
+    assert not derived_and_central_series(sl2).is_solvable
+    assert derived_and_central_series(LieAlgebra.abelian(0)).is_nilpotent
 
 
 # ---- the idempotent splitter against sympy's factorization over Q ----

@@ -20,7 +20,7 @@ from abelianj.lab import (
 )
 from abelianj.lie import LieAlgebra, PreconditionError, check_jacobi
 from abelianj.linalg import CertificateError, Matrix, Subspace, rat, vec
-from abelianj import hermitian, serialize
+from abelianj import hermitian, lab, lie, serialize
 
 
 def load_triple(fixtures_dir, name):
@@ -160,6 +160,36 @@ def test_random_kahler_instances_decompose():
         assert tuple(f.norm_sq for f in dec.factors) == sample.norm_squares
         alg, jm, gram = dec.rebuild()
         assert alg == t.algebra and jm == t.j.matrix and gram == t.metric.gram
+
+
+def test_kahler_decompose_evaluates_each_norm_once(monkeypatch):
+    # every other metric claim is read off the one Gram matrix P^T G P
+    calls = []
+    evaluate = InnerProduct.eval
+    monkeypatch.setattr(InnerProduct, "eval",
+                        lambda self, x, y: calls.append(1) or evaluate(self, x, y))
+    dec = kahler_decompose(random_kahler_instance(10, max_dim=8).triple)
+    assert dec.n == 4 and len(calls) <= dec.n
+
+
+def test_kahler_trial_derives_the_center_once(monkeypatch):
+    sample = random_kahler_instance(9, max_dim=8)
+    g = sample.triple.algebra
+    assert sample.factor_count == 3 and g.dim == 8     # curved planes and a center
+    calls = []
+    annihilator = lie._annihilator
+
+    def counted(alg, u, table):
+        calls.append((alg, u))
+        return annihilator(alg, u, table)
+
+    monkeypatch.setattr(lie, "_annihilator", counted)
+    counts = {name: {"pass": 0, "fail": 0} for name in THEOREM_NAMES}
+    lab._run_trial(sample.triple, sample, counts, [])
+    assert all(c == {"pass": 1, "fail": 0} for c in counts.values())
+    # the center is the centralizer of the whole space; the other one is
+    # the centralizer of g' + Jg', a proper ideal here
+    assert [u for alg, u in calls if alg is g].count(Subspace.whole(g.dim)) == 1
 
 
 def test_theorem_suite_small_run():

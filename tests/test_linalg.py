@@ -122,6 +122,10 @@ def test_matrix_basics():
     m = Matrix([[1, 2], [3, 4]])
     assert m.det() == -2
     assert m.trace() == 5
+    # the diagonal is summed over one common denominator, a Fraction only at the end
+    for rows, tr in (([["1/2", 1], [7, "1/3"]], Fraction(5, 6)),
+                     ([["1/2", 1], [1, "-1/2"]], 0), ([[0, 1], [1, 0]], 0)):
+        assert Matrix(rows).trace() == tr and type(Matrix(rows).trace()) is Fraction
     assert m.rank() == 2
     assert m.transpose().rows[0] == (rat(1), rat(3))
     assert (m @ m.inverse()) == Matrix.identity(2)
