@@ -24,7 +24,7 @@ from .linalg import (
     _ints, _kernel, _nonzeros, _stacked, _tensor_dense, _trace, _value_split, bilinear,
     bilinear_table, certify, contract_splits, left_map, rat,
 )
-from .lie import PreconditionError, _PairTable
+from .lie import PreconditionError, _PairTable, _kept
 
 
 class AxiomWitness(NamedTuple):
@@ -85,12 +85,13 @@ class CommAssocAlgebra(_PairTable):
         return left_map(self._split, _nonzeros(x))
 
 
+@_kept
 def check_axioms(a) -> Optional[AxiomWitness]:
     """None if associative on basis triples, else the first witness
     (i, j, k) in lexicographic order.  Commutativity holds by construction:
     the product table is kept symmetric, so the residual at (k, j, i) is
     minus the one at (i, j, k) and zero at i = k, and the triples with
-    i < k decide it."""
+    i < k decide it.  Decided once and kept on the algebra."""
     n = a.dim
     s = a.split()  # symmetric, so s[k][q] splits e_q e_k
     for i in range(n):
@@ -138,6 +139,7 @@ class NilradicalReport(NamedTuple):
     is_semisimple: bool
 
 
+@_kept
 def nilradical(a) -> NilradicalReport:
     """Kernel of the trace form b(x,y) = tr(l_{x.y}).
 
@@ -145,7 +147,7 @@ def nilradical(a) -> NilradicalReport:
     sum_q m[k][q][q].  For commutative algebras in characteristic zero the
     kernel is the set of nilpotent elements, and one pass is final: b is
     symmetric, so {y : b(rad, y) = 0} contains rad.  Each basis element of
-    the result is certified nilpotent exactly.
+    the result is certified nilpotent exactly; kept on the algebra.
     """
     if check_axioms(a) is not None:
         raise PreconditionError("nilradical requires a commutative associative algebra")

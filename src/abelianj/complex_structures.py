@@ -14,7 +14,7 @@ from itertools import combinations
 from . import linalg
 from .linalg import DimensionMismatch, Matrix, Subspace, _combine_nonzero, rat
 from .lie import (
-    LieAlgebra, PreconditionError, bracket_span, center,
+    LieAlgebra, PreconditionError, _kept, bracket_span, center,
     center_of_subalgebra, commutator_ideal, derived_and_central_series,
     is_isomorphism,
 )
@@ -72,9 +72,10 @@ def is_integrable(g, j) -> bool:
     return not any(nz for _, (_, nz) in _nijenhuis_table(g, j))
 
 
+@_kept
 def is_abelian_cs(g, j) -> bool:
     """[Jx, Jy] = [x, y] on the basis pairs i < j; both sides are
-    alternating, so these decide it."""
+    alternating, so these decide it.  Decided once per J and kept on g."""
     gs, js = g.split(), j.matrix.split()
     t = linalg.bilinear_table(gs, js, js, combinations(range(g.dim), 2))
     return all(w == gs[i][k] for (i, k), w in t.items())
@@ -119,8 +120,9 @@ def abelian_cs_report(g, j) -> AbelianReport:
     gs, js = g.split(), j.matrix.split()
     ad_twist = not any(_twist(gs, js, i, k)[1] for i, k in combinations(range(g.dim), 2))
 
+    # [g', g'] is the derived series' third term, or its last when it stops sooner
     series = derived_and_central_series(g)
-    iff_holds = bracket_span(g, gp, gp).is_zero() == series.is_2step_solvable
+    iff_holds = series.derived[:3][-1].is_zero() == series.is_2step_solvable
 
     # an abelian subspace is a subalgebra: its bracket span is zero
     jgp_flag = bracket_span(g, jgp, jgp).is_zero()

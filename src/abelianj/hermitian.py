@@ -23,13 +23,13 @@ from them on each read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import lcm
 from typing import NamedTuple
 
 from .complex_structures import ComplexStructure, is_abelian_cs
-from .lie import LieAlgebra, PreconditionError, commutator_ideal, derived_and_central_series
+from .lie import LieAlgebra, PreconditionError, _kept, commutator_ideal, derived_and_central_series
 from . import linalg
 from .linalg import (
     DimensionMismatch, Matrix, _Tensor, _bilinear, _combine, _combine_nonzero, _entry,
@@ -130,9 +130,11 @@ def is_hermitian(g, j: ComplexStructure, metric: InnerProduct) -> bool:
 
 @dataclass(frozen=True)
 class HermitianTriple:
+    """An algebra, J and a J-compatible metric; its facts are kept (lie._kept)."""
     algebra: LieAlgebra
     j: ComplexStructure
     metric: InnerProduct
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_hermitian(self.algebra, self.j, self.metric):
@@ -177,11 +179,13 @@ def _form_cyclic_sums_vanish(form, g) -> bool:
     return _cyclic_sums_vanish(w, g.dim, combinations(range(g.dim), 3))
 
 
+@_kept
 def is_kahler(t: HermitianTriple) -> bool:
     """The Kahler form is closed: its cyclic sums over brackets vanish."""
     return _form_cyclic_sums_vanish(kahler_form_matrix(t).transpose(), t.algebra)
 
 
+@_kept
 def cyclic_metric_identity(t: HermitianTriple) -> bool:
     """Vanishing of the cyclic sum g([x,y],z) + g([y,z],x) + g([z,x],y).
 

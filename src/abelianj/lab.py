@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
 
 from . import serialize
@@ -87,12 +87,14 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     flat center.
 
     Pipeline: (1) cyclic metric identity; (2) center = orthogonal complement
-    of the J-closed commutator; (3) commutator ideal totally real; (4) the
-    product x o y = [Jx, y] on it is commutative associative; (5) semisimple
-    with self-adjoint multiplications; (6) split real spectrum; (7) commuting
-    planes [Je, e] = e that span g with the center: the change of basis P
-    has full rank; (8) J in block form, one Gram matrix P^T G P that is r^2
-    on each plane and zero off it, and an exact rebuild from the block model.
+    of the J-closed commutator, hence a J-stable complement of it; (3)
+    commutator ideal totally real; (4) the product x o y = [Jx, y] on it is
+    commutative associative; (5) semisimple with self-adjoint
+    multiplications; (6) split real spectrum; (7) planes span{Je, e} that
+    span g with the center: the change of basis P has full rank; (8) one
+    Gram matrix P^T G P that is r^2 on each plane and zero off it, and an
+    exact rebuild from the block model: [Je, e] = e, every other bracket of
+    the columns of P zero, and P taking the block J to J.
     """
     g, j, metric = t.algebra, t.j, t.metric
     if g.dim == 0:
@@ -107,10 +109,6 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     gpj = j_stable_commutator(g, j)
     certify(2, z == gpj.orthogonal_complement(metric),
             "center is not the orthogonal complement of the J-closed commutator ideal")
-    certify(2, z.intersect(gpj).is_zero() and z.dim + gpj.dim == g.dim,
-            "center and J-closed commutator do not split the algebra")
-    certify(2, z.image(j.matrix) == z and z.dim % 2 == 0,
-            "center is not J-stable of even dimension")
 
     certify(3, gp.intersect(gp.image(j.matrix)).is_zero(),
             "commutator ideal meets its J-image")
@@ -153,16 +151,8 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
         curved.sort(key=lambda c: (-c[0], c[1]))
 
         rs = [s for _, _, s in curved]
-        jrs = [jm._apply_split(s) for s in rs]
-        jr = bilinear_table(gs, jrs, rs, product(range(n), repeat=2))
-        rr = bilinear_table(gs, rs, rs, combinations(range(n), 2))
-        certify(7, all(jr[i, i] == s for i, s in enumerate(rs)),
-                "idempotent direction is not [Je, e] = e")
-        certify(7, not any(w[1] for (i, k), w in jr.items() if i != k),
-                "distinct factor planes do not commute")
-        certify(7, not any(w[1] for w in rr.values()), "curved directions fail to commute")
-        for (r2, v, s), js in zip(curved, jrs):
-            plane = Subspace._spanned(g.dim, [s, js])
+        for r2, v, s in curved:
+            plane = Subspace._spanned(g.dim, [s, jm._apply_split(s)])
             certify(7, plane.dim == 2, "factor plane is degenerate")
             factors.append(KahlerFactor(v, r2, 1 / r2, plane))
 
@@ -170,15 +160,13 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     # of the center's J-splitting
     halves = rs + _greedy_j_half(j, z, Subspace.zero(g.dim)).split()
     p = Matrix._of_split([s for h in halves for s in (jm._apply_split(h), h)], g.dim)
-    # p is square, as steps 2, 3 and 6 certified dim z + 2n = dim g, so the
-    # planes and the center span g exactly when p has full rank
+    # p is square, as z is the complement (step 2) of g' + Jg' of dim 2n
+    # (step 3), so the planes and the center span g exactly when p has full rank
     certify(7, p.rank() == g.dim, "planes and center do not span the algebra")
 
     model_alg = LieAlgebra(g.dim, {(2 * i, 2 * i + 1): {2 * i + 1: rat(1)}
                                    for i in range(n)})
     model_j = ComplexStructure(_standard_block_j(g.dim // 2))
-    certify(8, (p @ model_j.matrix) == (j.matrix @ p),
-            "change of basis does not transport J to block form")
     gm = (p.transpose() @ metric.gram) @ p
     # gm is symmetric: its columns 2i, 2i + 1 being r^2 e_2i, r^2 e_2i+1 is
     # every norm and orthogonality claim on factor i

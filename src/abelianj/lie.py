@@ -13,9 +13,11 @@ is_homomorphism and a self-bracket table (_brackets of u with u) ask only
 for the pairs i < j of the alternating bracket.  check_jacobi skips a
 triple whose three brackets are zero.  center and center_of_subalgebra
 are one centralizer kernel (_annihilator); center_of_subalgebra's one
-self-bracket table also decides its closure precondition.  An algebra
-keeps g', its center and its derived and lower central series, each built
-once by one memo (_kept); both series start from the kept g'.
+self-bracket table also decides its closure precondition.  One memo,
+_kept, decides each fact of an unchanging object once and keeps it there:
+g', the center and both series (from the kept g') of an algebra, the
+abelian test of each J on it, the axioms and nilradical of a product
+algebra, the Kahler test and cyclic identity of a Hermitian triple.
 """
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ class JacobiWitness(NamedTuple):
 class _PairTable(_Tensor):
     """A tensor given on the pairs i < j, the pairs j > i filled by
     negation, or on i <= j, filled by symmetry when _symmetric is set; its
-    basis vectors are named."""
-    __slots__ = ("basis_names",)
+    basis vectors are named.  Its facts are kept in _facts (_kept)."""
+    __slots__ = ("basis_names", "_facts")
     _symmetric = False
 
     @classmethod
@@ -65,13 +67,14 @@ class _PairTable(_Tensor):
                             else tuple("e%d" % (i + 1) for i in range(dim)))
         if len(self.basis_names) != dim:
             raise DimensionMismatch("basis_names length != dim")
+        self._facts = {}
 
 
 class LieAlgebra(_PairTable):
     """Stored as the canonical splits of its brackets c[i][j]; c builds
     Fractions from them on each read.  g', the center and the series are
     computed once and kept (_kept)."""
-    __slots__ = ("_facts",)
+    __slots__ = ()
 
     def __init__(self, dim, brackets=None, basis_names=None):
         """brackets: {(i,j): value} for i<j; value is a dense vector or {k: scalar}."""
@@ -80,10 +83,6 @@ class LieAlgebra(_PairTable):
             if not (0 <= i < j < dim):
                 raise DimensionMismatch("bracket pair (%d,%d) must satisfy 0 <= i < j < dim" % (i, j))
         self._set(dim, {ij: _value_split(v, dim) for ij, v in brackets.items()}, basis_names)
-
-    def _set(self, dim, upper, basis_names):
-        super()._set(dim, upper, basis_names)
-        self._facts = {}
 
     @classmethod
     def abelian(cls, dim, basis_names=None):
@@ -101,13 +100,14 @@ class LieAlgebra(_PairTable):
 
 
 def _kept(build):
-    """build(g) as a fact of the algebra g: computed on the first call and
-    kept on g, whose splits never change."""
-    def fact(g):
-        facts = g._facts
-        if build not in facts:
-            facts[build] = build(g)
-        return facts[build]
+    """build(x, *args) as a fact of x, an algebra or a Hermitian triple,
+    which never changes: computed on the first call and kept in x._facts
+    under (build,) + args."""
+    def fact(x, *args):
+        key, facts = (build,) + args, x._facts
+        if key not in facts:
+            facts[key] = build(x, *args)
+        return facts[key]
     return update_wrapper(fact, build)
 
 

@@ -77,11 +77,11 @@ def certify(step, ok, detail=""):
 def rat(value=0, den=None):
     """Exact rational from int, 'p/q' string, Fraction, or (num, den).
 
-    A Fraction is already normalised and is returned as it is."""
+    A Fraction is already normalised and is returned as it is; a float is refused."""
     if den is None and type(value) is Fraction:
         return value
     if den is not None:
-        return Fraction(value) / Fraction(den)
+        return rat(value) / rat(den)
     if isinstance(value, str):
         return Fraction(value.strip())
     if isinstance(value, float):
@@ -714,6 +714,8 @@ class Subspace:
         """Orthogonal complement with respect to an InnerProduct: the kernel
         of the rows G u over the basis vectors u."""
         n = self.ambient
+        if metric.dim != n:
+            raise DimensionMismatch("metric dimension %d, expected %d" % (metric.dim, n))
         if self.is_zero():
             return Subspace.whole(n)
         rows = [_ints(metric.gram._apply_split(s)[1], n) for s in self._split]

@@ -1,4 +1,6 @@
+import cProfile
 import json
+import pstats
 import random
 
 import pytest
@@ -170,6 +172,39 @@ def test_kahler_decompose_evaluates_each_norm_once(monkeypatch):
                         lambda self, x, y: calls.append(1) or evaluate(self, x, y))
     dec = kahler_decompose(random_kahler_instance(10, max_dim=8).triple)
     assert dec.n == 4 and len(calls) <= dec.n
+
+
+def test_kahler_decompose_refuses_scaled_idempotents(monkeypatch):
+    # doubled idempotents give [Je, e] = 2e: no certificate of step 7 reads
+    # the brackets, and the rebuild of step 8 refuses them
+    split = lab.primitive_idempotents
+
+    def doubled(alg):
+        idem = split(alg)
+        return idem._replace(idempotents=tuple(tuple(2 * x for x in e)
+                                               for e in idem.idempotents))
+
+    monkeypatch.setattr(lab, "primitive_idempotents", doubled)
+    with pytest.raises(CertificateError) as caught:
+        kahler_decompose(random_kahler_instance(9, max_dim=8).triple)
+    assert caught.value.step == 8
+    assert caught.value.detail == "rebuilt structure differs from the input"
+
+
+def test_kahler_trial_decides_each_claim_once():
+    # the profile counts the evaluations themselves, not the calls to the
+    # memo (lie._kept) in front of them
+    sample = random_kahler_instance(9, max_dim=8)
+    assert sample.factor_count == 3     # so the induced algebra is checked
+    counts = {name: {"pass": 0, "fail": 0} for name in THEOREM_NAMES}
+    profile = cProfile.Profile()
+    profile.runcall(lab._run_trial, sample.triple, sample, counts, [])
+    assert all(c == {"pass": 1, "fail": 0} for c in counts.values())
+    kept = ("is_abelian_cs", "is_kahler", "cyclic_metric_identity", "check_axioms",
+            "nilradical")
+    evaluations = {name: stat[1] for (_, _, name), stat in pstats.Stats(profile).stats.items()
+                   if name in kept}
+    assert evaluations == dict.fromkeys(kept, 1)
 
 
 def test_kahler_trial_derives_the_center_once(monkeypatch):

@@ -38,8 +38,9 @@ def test_rat_parsing():
 
 
 def test_rat_rejects_floats_and_zero_denominators():
-    with pytest.raises(TypeError):
-        rat(0.5)
+    for args in ((0.5,), (0.1, 3), (1, 0.5)):
+        with pytest.raises(TypeError):
+            rat(*args)
     with pytest.raises(ZeroDivisionError):
         rat("1/0")
     with pytest.raises(ZeroDivisionError):
@@ -281,6 +282,11 @@ def test_orthogonal_complement():
     assert s.sum(perp) == Subspace.whole(3)
     # the orthogonal complement inside the whole space is itself
     assert Subspace.whole(3).intersect(s.orthogonal_complement(metric)) == perp
+    # a metric of another dimension is refused, not read as one of Q^n
+    for sub, other in ((Subspace(2, [(1, 0)]), InnerProduct.identity(3)),
+                       (s, InnerProduct.identity(2)), (Subspace.zero(2), metric)):
+        with pytest.raises(DimensionMismatch):
+            sub.orthogonal_complement(other)
 
 
 def test_image():
