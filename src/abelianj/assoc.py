@@ -1,16 +1,20 @@
 """Commutative associative algebras: axioms, compatibility for double
 products, nilradical, and primitive idempotent extraction.
 
-Idempotents come from splitting the minimal polynomial of a generic
-multiplication operator over Q.  A rational primitive decomposition exists
-exactly when every factor is linear or an imaginary quadratic; any other
-factor is reported as an irrational spectrum instead of being approximated.
-The splitting needs only the standard library.  The roots are found modulo
-a small prime q at which they are simple and lifted p-adically by Newton's
-method, in Z_q and in its unramified quadratic extension.  One root in Z_q
-gives a candidate linear factor; two roots in Z_q, or a conjugate pair,
-give a candidate quadratic factor; each candidate is tested by exact
-division.
+Idempotents come from one generic element x of a semisimple A: the first
+draw whose multiplication operator L_x has a minimal polynomial m of degree
+dim A.  Then A = Q[x] = Q[T]/(m) is the product of the fields Q[T]/(f) over
+the factors f of m.  The block of f is the kernel of f(L_x), and its
+idempotent is the unit's component in it, read off the unit's coordinates
+in the stacked block bases; so the idempotents sum to the unit.  A rational
+primitive decomposition exists exactly when every factor is linear or an
+imaginary quadratic; any other factor is reported as an irrational spectrum
+instead of being approximated.  The splitting needs only the standard
+library.  The roots are found modulo a small prime q at which they are
+simple and lifted p-adically by Newton's method, in Z_q and in its
+unramified quadratic extension.  One root in Z_q gives a candidate linear
+factor; two roots in Z_q, or a conjugate pair, give a candidate quadratic
+factor; each candidate is tested by exact division.
 """
 from __future__ import annotations
 
@@ -317,24 +321,10 @@ def _split_over_q(p):
     return factors, rest
 
 
-def _block_unit(a, block: Subspace):
-    """Canonical split of the unit of the restricted algebra on an ideal
-    block, in ambient coords."""
-    bs = block.split()
-    products = {}
-    for ik, w in bilinear_table(a.split(), bs, bs,
-                                combinations_with_replacement(range(len(bs)), 2)).items():
-        products[ik] = block._coords(w)
-        if products[ik] is None:
-            return None
-    e = unit(CommAssocAlgebra._of_split(len(bs), products))
-    return None if e is None else contract_splits([(1, _nonzeros(e), bs)], a.dim)
-
-
 def _certify_idempotents(a, es):
-    """e_i e_i = e_i and e_i e_k = 0 for i < k, the e_i given by their splits."""
+    """e_i e_i = e_i != 0 and e_i e_k = 0 for i < k, the e_i given by splits."""
     table = bilinear_table(a.split(), es, es, combinations_with_replacement(range(len(es)), 2))
-    return all(w == es[i] if i == k else not w[1] for (i, k), w in table.items())
+    return all(bool(w[1]) and w == es[i] if i == k else not w[1] for (i, k), w in table.items())
 
 
 # candidate generic elements per primitive_idempotents call, and the seed of
@@ -354,21 +344,24 @@ def _generic_elements(dim):
 
 
 def primitive_idempotents(a) -> IdempotentSet:
-    """Complete primitive orthogonal idempotents of a semisimple algebra.
+    """Complete primitive orthogonal idempotents of a semisimple algebra, in
+    one pass over one generic element, as the module docstring describes.
 
     Factor types: "R" for a 1-dim block, "C" for a 2-dim block on which the
     minimal polynomial factor is an imaginary quadratic.  Raises
     IrrationalSpectrumError when any factor is neither.
     """
-    rep = nilradical(a)
-    if not rep.is_semisimple:
+    if not nilradical(a).is_semisimple:
         raise NotSemisimpleError("algebra has a nonzero nilradical")
-    if a.dim == 0:
+    n = a.dim
+    if n == 0:
         return IdempotentSet((), ())
-    last_error = None
-    for x in _generic_elements(a.dim):
+    u = unit(a)
+    certify("a semisimple algebra must be unital", u is not None)
+    for x in _generic_elements(n):
         lx = a.left_mult(x)
-        factors, rest = _split_over_q(minimal_polynomial(lx))
+        m = minimal_polynomial(lx)
+        factors, rest = _split_over_q(m)
         if any(len(f) == 3 and f[1] * f[1] - 4 * f[0] > 0 for f in factors):
             raise IrrationalSpectrumError(
                 "irrational spectrum: irreducible factor of degree 2 is not "
@@ -377,31 +370,23 @@ def primitive_idempotents(a) -> IdempotentSet:
             raise IrrationalSpectrumError(
                 "irrational spectrum: a factor of degree %d has no linear or "
                 "quadratic factor over Q" % (len(rest) - 1))
-        blocks = []
-        ok = True
-        for f in factors:
-            block = Subspace._spanned(a.dim, _poly_eval_matrix(f, lx)._kernel_splits())
-            if block.dim != len(f) - 1:
-                ok = False  # eigenvalue collision, redraw the generic element
-                break
-            blocks.append((f, block))
-        if not ok or sum(b.dim for _, b in blocks) != a.dim:
-            last_error = GenericityError("generic element did not separate the factors")
-            continue
-        elements = []
-        types = []
-        for f, block in blocks:
-            e = _block_unit(a, block)
-            certify("semisimple block must be unital", e is not None)
-            elements.append(e)
-            types.append("R" if len(f) - 1 == 1 else "C")
-        certify("idempotents must be orthogonal", _certify_idempotents(a, elements))
-        u = unit(a)
-        certify("idempotents must sum to the unit",
-                u is None or _combine(1, [(1, e) for e in elements], a.dim) == _nonzeros(u))
-        elements = [_dense(e, a.dim) for e in elements]
-        order = sorted(range(len(elements)), key=lambda i: (types[i], elements[i]))
-        return IdempotentSet(tuple(elements[i] for i in order),
-                             tuple(types[i] for i in order))
-    raise last_error or GenericityError("no generic element found")
-
+        if len(m) - 1 == n:
+            break
+    else:
+        raise GenericityError("no generic element generates the algebra")
+    blocks = [_poly_eval_matrix(f, lx)._kernel_splits() for f in factors]
+    certify("each block must have its factor's degree",
+            all(len(b) == len(f) - 1 for f, b in zip(factors, blocks)))
+    basis = Matrix._of_split([s for b in blocks for s in b], n)
+    certify("the blocks must span the algebra", basis.rank() == n)
+    d, coords = _nonzeros(basis.solve(u))   # B c = u, c unique as B has full rank
+    owner = [i for i, b in enumerate(blocks) for _ in b]
+    elements = [_combine(d, [(c, basis.split()[k]) for k, c in coords if owner[k] == i], n)
+                for i in range(len(blocks))]
+    certify("idempotents must be nonzero, idempotent and orthogonal",
+            _certify_idempotents(a, elements))
+    types = ["R" if len(f) == 2 else "C" for f in factors]
+    elements = [_dense(e, n) for e in elements]
+    order = sorted(range(len(elements)), key=lambda i: (types[i], elements[i]))
+    return IdempotentSet(tuple(elements[i] for i in order),
+                         tuple(types[i] for i in order))

@@ -264,7 +264,7 @@ def run_report(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         raise serialize.InputError("cannot read %s: %s" % (args.file, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an int literal too long to convert
         raise serialize.InputError("malformed JSON in %s: %s" % (args.file, exc))
     if not isinstance(data, dict) or not {"seed", "trials", "theorems",
                                           "counterexamples"} <= set(data):

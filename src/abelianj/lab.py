@@ -27,7 +27,7 @@ from .hermitian import (  # curvature: bench/test_bench.py reads lab.curvature
     twisted_cyclic_identity,
 )
 from .lie import (
-    LieAlgebra, PreconditionError, bracket_span, center, commutator_ideal,
+    LieAlgebra, PreconditionError, center, commutator_ideal,
     derived_and_central_series, is_unimodular, pushforward,
 )
 from .linalg import (
@@ -423,17 +423,7 @@ def _verdicts(triple, expected: Optional[KahlerSample]):
         yield "twisted_cyclic_under_zero_first_connection", True
 
     flat1 = is_flat(g, nabla1)
-    if flat1:
-        z = center(g)
-        gpj = j_stable_commutator(g, j)
-        ok = (gp.is_zero()
-              and z.intersect(gp).is_zero()
-              and gp.image(j.matrix) == gp
-              and all(bracket_span(g, u, u).is_zero()
-                      for u in (gpj, gpj.orthogonal_complement(metric))))
-        yield "flat_first_connection_forces_abelian", ok
-    else:
-        yield "flat_first_connection_forces_abelian", True
+    yield "flat_first_connection_forces_abelian", not flat1 or gp.is_zero()
 
     series = derived_and_central_series(g)
     if series.is_nilpotent and not gp.is_zero():

@@ -43,6 +43,7 @@ the witnesses.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -74,15 +75,26 @@ def certify(step, ok, detail=""):
         raise CertificateError(step, detail)
 
 
+# the largest decimal exponent a scalar string may carry (Python's default
+# limit on the digits of an int): Fraction("1e100000000") computes 10**100000000
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]*)\s*\Z", re.I)
+
+
 def rat(value=0, den=None):
     """Exact rational from int, 'p/q' string, Fraction, or (num, den).
 
-    A Fraction is already normalised and is returned as it is; a float is refused."""
+    A Fraction is already normalised and is returned as it is; a float is
+    refused, and so is a string whose decimal exponent is above _MAX_EXPONENT."""
     if den is None and type(value) is Fraction:
         return value
     if den is not None:
         return rat(value) / rat(den)
     if isinstance(value, str):
+        exp = ("e" in value or "E" in value) and _EXPONENT.search(value)
+        # five significant digits already exceed the limit: no longer int is built
+        if exp and int(exp[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
+            raise ValueError("decimal exponent above %d" % _MAX_EXPONENT)
         return Fraction(value.strip())
     if isinstance(value, float):
         raise TypeError("refusing inexact float %r; give an int, a 'p/q' string "

@@ -243,11 +243,11 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an int literal too long to convert
         raise InputError("malformed JSON in %s: %s" % (path, exc))
 
 

@@ -220,6 +220,32 @@ def test_generic_element_retry_is_bounded(monkeypatch):
         primitive_idempotents(split_pair())
 
 
+def test_unit_draw_is_redrawn_by_degree(monkeypatch):
+    # L_u = I has minimal polynomial t - 1 of degree 1 < 2, so the unit
+    # generates only Q and the next draw is taken
+    calls, real = [], assoc.minimal_polynomial
+    monkeypatch.setattr(assoc, "minimal_polynomial", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(assoc, "_generic_elements",
+                        lambda dim: iter([vec((1, 1)), vec((1, 2)), vec((3, 5))]))
+    out = primitive_idempotents(split_pair())
+    assert out.idempotents == (vec((0, 1)), vec((1, 0))) and out.factor_types == ("R", "R")
+    assert len(calls) == 2
+
+
+def test_only_non_generic_draws_raise_genericity_error(monkeypatch):
+    monkeypatch.setattr(assoc, "_generic_elements", lambda dim: iter([vec((2, 2))] * 5))
+    with pytest.raises(GenericityError):
+        primitive_idempotents(split_pair())
+
+
+def test_a_wrong_block_fails_its_certificate(monkeypatch):
+    # the kernel of a zero matrix is all of A, not a block of its factor's
+    # degree: a certificate names it before u is solved for in the stacked basis
+    monkeypatch.setattr(assoc, "_poly_eval_matrix", lambda f, m: Matrix.zeros(m.nrows, m.nrows))
+    with pytest.raises(CertificateError, match="factor's degree"):
+        primitive_idempotents(split_pair())
+
+
 def test_seeded_idempotent_round_trip():
     rng = random.Random(90125)
     for _ in range(15):

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -141,6 +142,10 @@ def test_check_bad_files(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{", encoding="utf-8")
     assert main(["check", str(garbled)]) == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"dim": 2, "brackets": [], "basis": ["\xe9", "f"]}')
+    assert main(["check", str(not_utf8)]) == 2
+    assert main(["report", str(not_utf8)]) == 2
     jacobi = tmp_path / "jacobi.json"
     jacobi.write_text(json.dumps({
         "dim": 3, "basis": ["e1", "e2", "e3"],
@@ -160,6 +165,28 @@ def test_check_refuses_oversized_dim(tmp_path, capsys):
         huge.write_text(json.dumps({"dim": dim, "brackets": []}), encoding="utf-8")
         assert main(["check", str(huge)]) == 2
         assert "above the limit of %d" % serialize.MAX_DIM in capsys.readouterr().err
+
+
+def test_check_refuses_a_huge_decimal_exponent_fast(tmp_path, capsys):
+    # Fraction("1e100000000") would compute 10**100000000 before any check
+    path = tmp_path / "exponent.json"
+    path.write_text('{"dim": 2, "brackets": [{"pair": [0, 1], "value": {"1": "1e100000000"}}]}',
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "decimal exponent above 4300" in capsys.readouterr().err
+
+
+def test_a_5000_digit_integer_literal_is_bad_input(tmp_path, capsys):
+    # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+    path = tmp_path / "digits.json"
+    path.write_text('{"dim": %s, "brackets": []}' % ("1" * 5000), encoding="utf-8")
+    for command in ("check", "report"):
+        start = time.perf_counter()
+        assert main([command, str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "input error" in capsys.readouterr().err
 
 
 def test_construct_aff_round_trip(fixtures_dir, tmp_path, capsys):

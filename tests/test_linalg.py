@@ -43,6 +43,11 @@ def test_rat_rejects_floats_and_zero_denominators():
             rat(*args)
     with pytest.raises(ZeroDivisionError):
         rat("1/0")
+    # Fraction computes 10**exponent, so a long exponent is refused first
+    assert rat("1e4300") == 10 ** 4300 and rat("1E-4300") == rat(1, 10 ** 4300)
+    for text in ("1e4301", "2.5E-4301", "1e100000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="decimal exponent above 4300"):
+            rat(text)
     with pytest.raises(ZeroDivisionError):
         rat(1, 0)
 

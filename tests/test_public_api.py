@@ -1,10 +1,13 @@
 """Every function the package exports earns its place: another library
 function calls it, an acceptance criterion calls it, or README's "Library
-entry points" section names it with the paper statement it checks."""
+entry points" section names it with the paper statement it checks.  Every
+private function or method is referenced somewhere in the package outside
+its own body."""
 import ast
 import inspect
 import pathlib
 import re
+from collections import Counter
 
 import abelianj
 
@@ -53,3 +56,22 @@ def test_every_exported_function_is_reached_or_documented():
 
 def test_entry_points_name_exported_functions():
     assert _readme_entry_points() <= set(_exported_functions())
+
+
+def _references(tree):
+    """How often each name is read in tree, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_helper_is_referenced():
+    refs, own, private = Counter(), Counter(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs += _references(tree)
+        for fn in ast.walk(tree):
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_") and not fn.name.startswith("__")):
+                private.append((path.name, fn.name))
+                own[fn.name] += _references(fn)[fn.name]
+    assert [(f, n) for f, n in private if refs[n] <= own[n]] == []
