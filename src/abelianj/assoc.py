@@ -1,6 +1,10 @@
 """Commutative associative algebras: axioms, compatibility for double
 products, nilradical, and primitive idempotent extraction.
 
+The associativity and compatibility identities are decided on basis
+triples by linalg._first_nonzero_residual, packed zero tests with only the
+first nonzero residual contracted as the witness.
+
 Idempotents come from one generic element x of a semisimple A: the first
 draw whose multiplication operator L_x has a minimal polynomial m of degree
 dim A.  Then A = Q[x] = Q[T]/(m) is the product of the fields Q[T]/(f) over
@@ -25,8 +29,8 @@ from typing import NamedTuple, Optional
 
 from .linalg import (
     DimensionMismatch, Matrix, Subspace, ONE, ZERO, _combine, _dense, _eliminate, _entry,
-    _ints, _kernel, _nonzeros, _stacked, _tensor_dense, _trace, _value_split, bilinear,
-    bilinear_table, certify, contract_splits, left_map, rat,
+    _first_nonzero_residual, _ints, _kernel, _nonzeros, _stacked, _tensor_dense, _trace,
+    _value_split, bilinear, bilinear_table, certify, left_map, rat,
 )
 from .lie import PreconditionError, _PairTable, _kept
 
@@ -95,42 +99,43 @@ def check_axioms(a) -> Optional[AxiomWitness]:
     (i, j, k) in lexicographic order.  Commutativity holds by construction:
     the product table is kept symmetric, so the residual at (k, j, i) is
     minus the one at (i, j, k) and zero at i = k, and the triples with
-    i < k decide it.  Decided once and kept on the algebra."""
+    i < k decide it, in one linalg._first_nonzero_residual.  Decided once
+    and kept on the algebra."""
     n = a.dim
-    s = a.split()  # symmetric, so s[k][q] splits e_q e_k
-    for i in range(n):
-        for j in range(n):
-            for k in range(i + 1, n):
-                # (e_i e_j) e_k - e_i (e_j e_k)
-                resid = contract_splits([(1, s[i][j], s[k]), (-1, s[j][k], s[i])], n)
-                if resid[1]:
-                    return AxiomWitness("associativity", (i, j, k), _dense(resid, n))
-    return None
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(i + 1, n)]
+    hit = _first_nonzero_residual([a.split()], [_associator_parts], triples, n)
+    return hit and AxiomWitness("associativity", hit[0], _dense(hit[2], n))
+
+
+def _associator_parts(s, i, j, k):
+    # (e_i e_j) e_k - e_i (e_j e_k); s is symmetric, so s[k][q] splits e_q e_k
+    return [(1, s[i][j], s[k]), (-1, s[j][k], s[i])]
 
 
 def check_compatibility(adot, astar) -> Optional[CompatibilityWitness]:
     """The two mixed-product identities a*(b.c) = b*(a.c), a.(b*c) = b.(a*c),
-    or the first witness (i, j, k) in lexicographic order.  Both residuals
-    change sign under i <-> j and vanish at i = j, so the triples with
-    i < j decide them."""
+    or the first witness (i, j, k) in lexicographic order, the first
+    identity before the second at each.  Both residuals change sign under
+    i <-> j and vanish at i = j, so the triples with i < j decide them, in
+    one linalg._first_nonzero_residual over both tables."""
     if adot.dim != astar.dim:
         raise PreconditionError("algebras have different dimensions")
     if check_axioms(adot) is not None or check_axioms(astar) is not None:
         raise PreconditionError("compatibility requires both algebras to pass the axioms")
     n = adot.dim
-    dot, star = adot.split(), astar.split()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                # e_i * (e_j . e_k) - e_j * (e_i . e_k)
-                resid = contract_splits([(1, dot[j][k], star[i]), (-1, dot[i][k], star[j])], n)
-                if resid[1]:
-                    return CompatibilityWitness(1, (i, j, k), _dense(resid, n))
-                # e_i . (e_j * e_k) - e_j . (e_i * e_k)
-                resid = contract_splits([(1, star[j][k], dot[i]), (-1, star[i][k], dot[j])], n)
-                if resid[1]:
-                    return CompatibilityWitness(2, (i, j, k), _dense(resid, n))
-    return None
+    triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    hit = _first_nonzero_residual([adot.split(), astar.split()], _COMPATIBILITY_PARTS,
+                                  triples, n)
+    return hit and CompatibilityWitness(hit[1] + 1, hit[0], _dense(hit[2], n))
+
+
+# the parts of the two compatibility residuals, in CompatibilityWitness order
+_COMPATIBILITY_PARTS = (
+    # e_i * (e_j . e_k) - e_j * (e_i . e_k)
+    lambda dot, star, i, j, k: [(1, dot[j][k], star[i]), (-1, dot[i][k], star[j])],
+    # e_i . (e_j * e_k) - e_j . (e_i * e_k)
+    lambda dot, star, i, j, k: [(1, star[j][k], dot[i]), (-1, star[i][k], dot[j])],
+)
 
 
 def square_span(a) -> Subspace:

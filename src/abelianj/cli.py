@@ -40,7 +40,7 @@ def _fmt_vector(v, names) -> str:
             terms.append("- %s" % name)
         else:
             sign = "-" if c < 0 else "+"
-            terms.append("%s %s %s" % (sign, abs(c), name))
+            terms.append("%s %s %s" % (sign, serialize._scalar_str(abs(c)), name))
     if not terms:
         return "0"
     head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
@@ -64,7 +64,10 @@ def _connection_lines(g, gamma, label):
 
 
 def _connection_json(gamma):
-    return [[[str(c) for c in v] for v in row] for row in gamma]
+    try:
+        return [[[str(c) for c in v] for v in row] for row in gamma]
+    except ValueError:      # an entry past Python's limit on int-to-decimal digits
+        return [[serialize._strs(v) for v in row] for row in gamma]
 
 
 def _yesno(b) -> str:
@@ -145,7 +148,7 @@ def run_check(args) -> int:
                                      ("first_canonical", "first canonical",
                                       complex_projection(inst.j, lc))):
                 flags = connection_flags(g, inst.j, inst.metric, conn)
-                norm = str(curvature_norm_sq(g, conn))
+                norm = serialize._scalar_str(curvature_norm_sq(g, conn))
                 gamma = conn.gamma
                 out["connections"][key] = {"tensor": _connection_json(gamma),
                                            "flags": flags._asdict(),
@@ -206,12 +209,12 @@ def _decomposition_dict(dec) -> dict:
         "n": dec.n,
         "s": dec.s,
         "factors": [{
-            "idempotent": [str(c) for c in f.idempotent],
-            "norm_sq": str(f.norm_sq),
-            "curvature": str(f.curvature),
+            "idempotent": serialize._strs(f.idempotent),
+            "norm_sq": serialize._scalar_str(f.norm_sq),
+            "curvature": serialize._scalar_str(f.curvature),
         } for f in dec.factors],
-        "center_basis": [[str(c) for c in b] for b in dec.center.basis],
-        "change_of_basis": [[str(c) for c in row] for row in dec.change_of_basis.rows],
+        "center_basis": [serialize._strs(b) for b in dec.center.basis],
+        "change_of_basis": [serialize._strs(row) for row in dec.change_of_basis.rows],
         "model": serialize.instance_to_dict(
             dec.model.algebra, dec.model.j, dec.model.metric),
     }
@@ -230,7 +233,8 @@ def run_decompose(args) -> int:
           % (dec.n, dec.center.dim, dec.s))
     for ix, f in enumerate(dec.factors):
         print("  %d: r^2 = %s, c = %s, direction = %s"
-              % (ix + 1, f.norm_sq, f.curvature, _fmt_vector(f.idempotent, g.basis_names)))
+              % (ix + 1, serialize._scalar_str(f.norm_sq), serialize._scalar_str(f.curvature),
+                 _fmt_vector(f.idempotent, g.basis_names)))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(serialize.emit(_decomposition_dict(dec)))

@@ -10,8 +10,10 @@ Fractions from them on each read.  The structure checks are contractions
 over those splits, none for a zero bracket.  Every bracket table is one
 linalg.bilinear_table over the pairs it needs, kept as splits:
 is_homomorphism and a self-bracket table (_brackets of u with u) ask only
-for the pairs i < j of the alternating bracket.  check_jacobi skips a
-triple whose three brackets are zero.  center and center_of_subalgebra
+for the pairs i < j of the alternating bracket.  check_jacobi is one
+linalg._first_nonzero_residual: a triple whose three brackets are zero
+costs nothing, the others are packed zero tests, and only the witness is
+contracted.  center and center_of_subalgebra
 are one centralizer kernel (_annihilator); center_of_subalgebra's one
 self-bracket table also decides its closure precondition.  One memo,
 _kept, decides each fact of an unchanging object once and keeps it there:
@@ -28,8 +30,7 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .linalg import (
     DimensionMismatch, Matrix, SingularMatrix, Subspace, _dense, _echelon, _ints, _kernel,
-    _Tensor, _negated, _nonzeros, _tensor_dense, _trace, _value_split, bilinear,
-    contract_splits, vec,
+    _Tensor, _negated, _nonzeros, _tensor_dense, _trace, _value_split, bilinear, vec,
 )
 
 
@@ -112,19 +113,20 @@ def _kept(build):
 
 
 def check_jacobi(g) -> Optional[JacobiWitness]:
-    """None on pass, else the first lexicographic violating triple i<j<k.
-    A triple whose three brackets are zero has a zero residual and is
-    skipped without a contraction."""
-    n = g.dim
-    s = g.split()
-    for i, j, k in combinations(range(n), 3):
-        if s[j][k][1] or s[i][j][1] or s[i][k][1]:
-            # [e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] - [e_j, [e_i, e_k]]
-            resid = contract_splits(
-                [(1, s[j][k], s[i]), (1, s[i][j], s[k]), (-1, s[i][k], s[j])], n)
-            if resid[1]:
-                return JacobiWitness((i, j, k), _dense(resid, n))
-    return None
+    """None on pass, else the first lexicographic violating triple i<j<k,
+    from one linalg._first_nonzero_residual over the triples with a nonzero
+    bracket among their three: the others have a zero residual and are not
+    read."""
+    n, s = g.dim, g.split()
+    triples = [(i, j, k) for i, j, k in combinations(range(n), 3)
+               if s[j][k][1] or s[i][j][1] or s[i][k][1]]
+    hit = linalg._first_nonzero_residual([s], [_jacobi_parts], triples, n)
+    return hit and JacobiWitness(hit[0], _dense(hit[2], n))
+
+
+def _jacobi_parts(s, i, j, k):
+    # [e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] - [e_j, [e_i, e_k]]
+    return [(1, s[j][k], s[i]), (1, s[i][j], s[k]), (-1, s[i][k], s[j])]
 
 
 @_kept

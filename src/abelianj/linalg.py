@@ -3,7 +3,7 @@
 Everything downstream computes over Q with zero tolerance.  The one scalar
 type is fractions.Fraction, always in lowest terms with a positive
 denominator, printing as "p/q".  This module is the only place that does
-arithmetic on integer numerators, chiefly in two routines:
+arithmetic on integer numerators, chiefly in three routines:
 
 * _combine, the one contraction.  A vector's split is (d, [(index,
   numerator)]): its nonzero entries as Python-int numerators over d, the
@@ -11,11 +11,11 @@ arithmetic on integer numerators, chiefly in two routines:
   over one common denominator and returns the canonical split of the sum,
   its one return form: a caller tests it for zero by its numerators and
   builds Fractions only where it hands a vector out.  Matrix products and
-  sums, matrix-vector products, linear combinations, Jacobi and axiom
-  residuals, the structure layer (the ad-twist and Nijenhuis residuals)
-  and the Hermitian layer (curvature, the Koszul solve, torsion, the
-  metric and complex flag residuals, the complex projection) run through
-  it; a dot product is one integer sum over the same splits.
+  sums, matrix-vector products, linear combinations, the witnesses of the
+  basis-triple identities, the structure layer (the ad-twist and Nijenhuis
+  residuals) and the Hermitian layer (curvature, the Koszul solve,
+  torsion, the metric and complex flag residuals, the complex projection)
+  run through it; a dot product is one integer sum over the same splits.
   _combine_nonzero is the one zero-skip: a contraction with only zero
   splits to read is not made.
   A rank-3 tensor T is evaluated on vectors only by _bilinear, one
@@ -24,6 +24,13 @@ arithmetic on integer numerators, chiefly in two routines:
   bilinear_table call it; bilinear_table computes exactly the pairs
   (i, j) its caller asks for, so an alternating table is contracted once
   per unordered pair i < j and a symmetric one once per i <= j.
+* _first_nonzero_residual, the packed zero test of a basis-triple identity
+  (Jacobi, associativity, the two compatibility identities).  Each slice
+  of the tensors is packed once into one Python int over their common
+  denominator (Kronecker substitution), at a slot width proven from the
+  input, so a residual is zero exactly when one integer sum of about one
+  big-int multiply-add per nonzero coefficient is; only the first nonzero
+  residual is contracted, by _combine, as the witness.
 * _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
   1968) on integer rows, exact divisions only.  Reduced row echelon form,
   rank, kernel, solve, inverse, det and leading principal minors all read
@@ -154,6 +161,13 @@ def _reduced(den, nz):
     return den // g, [(k, a // g) for k, a in nz]
 
 
+def _over(big, split):
+    """The numerators of a split over big, a multiple of its denominator."""
+    d, nz = split
+    f = big // d
+    return nz if f == 1 else [(k, a * f) for k, a in nz]
+
+
 def _negated(split):
     d, nz = split
     return d, [(k, -a) for k, a in nz]
@@ -270,6 +284,60 @@ def contract_splits(parts, n):
     den = lcm(*[d for _, (d, _), _ in parts])
     return _combine(den, [(s * c * (den // d), splits[q])
                           for s, (d, cs), splits in parts for q, c in cs], n)
+
+
+def _first_nonzero_residual(tables, identities, triples, n):
+    """The first basis triple at which an identity fails, as (triple, index
+    of the identity, canonical split of its residual), or None.
+
+    tables are the splits of rank-3 tensors on Q^n.  Each identity maps
+    (*tables, *triple) to the parts of its residual in contract_splits form,
+    (sign, coefficient slice, row of slices), always as many parts.  The
+    triples, a sequence, are taken in order, and at each the identities.  A
+    residual whose coefficient slices are all empty costs nothing; the
+    witness is contract_splits of the parts.
+
+    Zero test (Kronecker substitution): over D, the lcm of the slice
+    denominators, each slice is integers N_s[k] of size at most M, packed
+    once as P_s = sum_k N_s[k] 2^(W k).  D^2 times a residual has entries
+    R_k = sum of sign * C_q * N_q[k] over the parts and their coefficient
+    numerators C_q, and sum of sign * C_q * P_q = sum_k R_k 2^(W k).  As
+    |R_k| <= parts * n * M^2 < 2^(W - 1), that integer is zero exactly when
+    R is: at the lowest nonzero R_k it is 2^(W k) (R_k + 2^W m), m an
+    integer, and 0 < |R_k| < 2^W.  Packing is used only when D is about
+    the slices' own denominators, at most twice the bits of the largest;
+    on mixed denominators each residual is contracted instead.
+    """
+    dens = {d for table in tables for row in table for d, nz in row if nz}
+    if not triples or not dens:
+        return None
+    big = lcm(*dens)
+    packed = None
+    if big.bit_length() <= 2 * max(dens).bit_length():
+        nums = [[[_over(big, s) for s in row] for row in table] for table in tables]
+        top = max(abs(a) for table in nums for row in table for nz in row for _, a in nz)
+        parts = max(len(identity(*tables, *triples[0])) for identity in identities)
+        w = (parts * n * top * top).bit_length() + 1
+        packed = [[[(nz, sum(a << w * k for k, a in nz) if nz else 0) for nz in row]
+                   for row in table] for table in nums]
+    for t in triples:
+        for num, identity in enumerate(identities):
+            if packed is not None:
+                total = 0
+                for s, (cs, _), row in identity(*packed, *t):
+                    if cs:
+                        total += s * sum(c * row[q][1] for q, c in cs)
+                if not total:
+                    continue
+            parts = identity(*tables, *t)
+            if not any(cs for _, (_, cs), _ in parts):
+                continue
+            resid = contract_splits(parts, n)
+            certify("a packed residual is zero exactly when its contraction is",
+                    packed is None or resid[1])
+            if resid[1]:
+                return t, num, resid
+    return None
 
 
 def _bilinear(split, x, y, n):

@@ -17,6 +17,7 @@ Re-emitting a parsed canonical file is byte-identical.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Optional
 
 from .assoc import CommAssocAlgebra, check_axioms
@@ -61,8 +62,38 @@ def _matrix_from_json(data, n, what) -> Matrix:
     return Matrix([[parse_scalar(e) for e in row] for row in data])
 
 
+def _decimal(v):
+    """str(v) for an int v at any size: str itself below Python's limit on
+    int-to-decimal conversion, else the digits of the two halves of |v|
+    split at a power of ten.  The limit is never changed."""
+    try:
+        return str(v)
+    except ValueError:
+        k = abs(v).bit_length() * 3 // 20            # about half the digits of v
+        hi, lo = divmod(abs(v), 10 ** k)
+        return ("-" if v < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _scalar_str(x):
+    """str(x) for a Fraction or an int at any size (see _decimal)."""
+    try:
+        return str(x)
+    except ValueError:
+        x = Fraction(x)
+        return _decimal(x.numerator) + ("/" + _decimal(x.denominator) if x.denominator > 1 else "")
+
+
+def _strs(values):
+    """[str(x) for x in values], exact at any size: plain str unless a value
+    is above the limit (see _decimal)."""
+    try:
+        return list(map(str, values))
+    except ValueError:
+        return [_scalar_str(x) for x in values]
+
+
 def _matrix_to_json(m: Matrix):
-    return [[str(e) for e in row] for row in m.rows]
+    return [_strs(row) for row in m.rows]
 
 
 def _sparse_pairs(data, n, key, symmetric):
@@ -111,7 +142,7 @@ def _sparse_to_json(split, symmetric):
             if nz:
                 items.append({
                     "pair": [i, j],
-                    "value": {str(k): str(_entry(a, d)) for k, a in nz},
+                    "value": {str(k): _scalar_str(_entry(a, d)) for k, a in nz},
                 })
     return items
 
@@ -173,7 +204,7 @@ def instance_from_dict(data) -> Instance:
     if wit is not None:
         raise ValidationFailure(
             "Jacobi identity fails on basis triple %s (residual %s)"
-            % (wit.triple, [str(c) for c in wit.residual]))
+            % (wit.triple, _strs(wit.residual)))
     j = None
     if data.get("J") is not None:
         try:

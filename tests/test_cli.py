@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -187,6 +188,59 @@ def test_a_5000_digit_integer_literal_is_bad_input(tmp_path, capsys):
         assert main([command, str(path)]) == 2
         assert time.perf_counter() - start < 1
         assert "input error" in capsys.readouterr().err
+
+
+def test_check_prints_norms_above_the_int_string_limit(fixtures_dir, tmp_path, capsys):
+    """aff_c_j1 with every bracket times 10^2200: its curvature norms are
+    those of aff_c_j1, 12 and 6, times 10^8800, past Python's 4300-digit
+    limit on int-to-decimal conversion.  They print exactly, and the limit
+    is left as it was."""
+    data = json.loads(pathlib.Path(fx(fixtures_dir, "aff_c_j1.json")).read_text(encoding="utf-8"))
+    for item in data["brackets"]:
+        item["value"] = {k: v + "e2200" for k, v in item["value"].items()}
+    path = tmp_path / "e2200.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    norms = ["12" + "0" * 8800, "6" + "0" * 8800]
+    assert main(["check", str(path), "--json"]) == 0
+    conns = json.loads(capsys.readouterr().out)["connections"]
+    assert [conns[k]["curvature_norm_sq"] for k in ("levi_civita", "first_canonical")] == norms
+    assert main(["check", str(path)]) == 0
+    assert ["    curvature norm^2: " + norm for norm in norms] == [
+        line for line in capsys.readouterr().out.splitlines() if "norm^2" in line]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("dim, digits", [(24, 12), (12, 40)])
+def test_check_fails_fast_on_mixed_denominators(tmp_path, capsys, dim, digits):
+    """A non-Jacobi instance whose brackets each carry their own
+    denominator: the lcm of them all has thousands of bits, so the Jacobi
+    scan contracts triple by triple and stops at the first one, (0, 1, 2),
+    with the message of a plain Fraction residual."""
+    rng = random.Random(dim)
+    c = {}
+    for t, (i, j) in enumerate((i, j) for i in range(dim) for j in range(i + 1, dim)):
+        den = 10 ** (digits - 1) + 210 * t + 1      # prime to every numerator 1..9
+        c[i, j] = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), den) for _ in range(dim)]
+        c[j, i] = [-x for x in c[i, j]]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"dim": dim, "brackets": [
+        {"pair": [i, j], "value": {str(k): str(x) for k, x in enumerate(v)}}
+        for (i, j), v in c.items() if i < j]}), encoding="utf-8")
+
+    def bracket(a, v):      # [e_a, v]
+        return [sum((v[q] * c[a, q][k] for q in range(dim) if q != a), Fraction(0))
+                for k in range(dim)]
+
+    residual = [x + y - z for x, y, z in zip(bracket(0, c[1, 2]), bracket(2, c[0, 1]),
+                                             bracket(1, c[0, 2]))]
+    assert any(residual)
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 1
+    assert time.perf_counter() - start < 0.25
+    assert capsys.readouterr().err == (
+        "validation failed: Jacobi identity fails on basis triple (0, 1, 2) (residual %s)\n"
+        % [str(x) for x in residual])
 
 
 def test_construct_aff_round_trip(fixtures_dir, tmp_path, capsys):

@@ -23,7 +23,7 @@ from abelianj.assoc import (
 )
 from abelianj import assoc, complex_structures, hermitian, lab, lie, linalg
 from abelianj.complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
-from abelianj.constructions import standard_complex_structure
+from abelianj.constructions import double_product, standard_complex_structure
 from abelianj.hermitian import (
     Connection, HermitianTriple, InnerProduct, NotPositiveDefiniteError,
     complex_projection, curvature, curvature_norm_sq, first_canonical,
@@ -54,9 +54,10 @@ def _normalised(entries):
 
 
 def _ref_bilinear(tensor, x, y):
+    """sum_ij x_i y_j T[i][j], the terms with x_i = 0 or y_j = 0 left out."""
     n = len(tensor)
-    return tuple(sum((x[i] * y[j] * tensor[i][j][k] for i in range(n) for j in range(n)),
-                     Fraction(0)) for k in range(n))
+    pairs = [(i, j, x[i] * y[j]) for i in range(n) if x[i] for j in range(n) if y[j]]
+    return tuple(sum((c * tensor[i][j][k] for i, j, c in pairs), Fraction(0)) for k in range(n))
 
 
 def _random_operands(rng, n):
@@ -181,6 +182,116 @@ def test_axiom_and_compatibility_witnesses_match_reference():
                 assert (witness and tuple(witness)) == _ref_compatibility(dot, star)
                 witnesses += witness is not None
     assert witnesses
+
+
+# ---- the packed zero tests on inputs that pass many zero residuals ----
+
+def _table(obj):
+    """{pair: dense vector} of a LieAlgebra's brackets i < j or a
+    CommAssocAlgebra's products i <= j."""
+    tensor, lo = (obj.c, 1) if isinstance(obj, LieAlgebra) else (obj.m, 0)
+    return {(i, j): list(tensor[i][j]) for i in range(obj.dim) for j in range(i + lo, obj.dim)}
+
+
+def _perturbed(obj, pair):
+    """obj with 1/7 added to entry 0 of its bracket or product at pair."""
+    table = _table(obj)
+    table[pair][0] += Fraction(1, 7)
+    return type(obj)(obj.dim, table)
+
+
+def _direct_sum(head, tail):
+    """head (+) tail: the tail's basis vectors follow the head's, and every
+    mixed bracket or product is zero."""
+    n, dim = head.dim, head.dim + tail.dim
+    table = {pair: v + [Fraction(0)] * tail.dim for pair, v in _table(head).items()}
+    table.update({(i + n, j + n): [Fraction(0)] * n + v for (i, j), v in _table(tail).items()})
+    return type(head)(dim, table)
+
+
+def _disguised_recipe(dim):
+    """The dense input of ROADMAP item 1: a diagonal-pair double product
+    pushed forward by a random unimodular matrix; also the pair, each
+    product conjugated by one more unimodular matrix."""
+    m = dim // 2
+    rng = random.Random(m)
+    dot, star = lab.random_pair(rng, m, "diagonal-pair")
+    g = lie.pushforward(double_product(dot, star).algebra, lab.random_unimodular(rng, dim))
+    q = lab.random_unimodular(rng, m)
+    return g, lab.conjugate_product(dot, q), lab.conjugate_product(star, q)
+
+
+# not Lie: [f0, [f1, f2]] = f2; not associative: (f0 f0) f1 - f0 (f0 f1) = f1
+_NON_LIE = LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {1: 1}})
+_NON_ASSOCIATIVE = CommAssocAlgebra(2, {(0, 0): {1: 1}, (1, 1): {1: 1}})
+# each associative, the pair not compatible
+_INCOMPATIBLE = (CommAssocAlgebra(2, {(0, 0): {0: 1}, (1, 1): {1: 1}}),
+                 CommAssocAlgebra(2, {(1, 1): {0: 1}}))
+
+
+def test_packed_zero_tests_match_reference_on_disguised_inputs(monkeypatch):
+    """Valid dense inputs, then each with one late bracket or product
+    perturbed, or with a small broken factor after it: the scan passes many
+    zero residuals, packed, before its first witness.  Only the witness is
+    contracted."""
+    calls = _count_contractions(monkeypatch)
+
+    def witness_of(check, ref, *args):
+        calls.clear()
+        witness = check(*args)
+        assert (witness and tuple(witness)) == ref(*args)
+        assert calls == ([] if witness is None else ["contract_splits", "_combine"])
+        return witness
+
+    kahler = [random_kahler_instance(seed, 10).triple.algebra for seed in (0, 1)]
+    for g in [_disguised_recipe(dim)[0] for dim in (8, 12, 16)] + kahler:
+        n = g.dim
+        assert witness_of(check_jacobi, _ref_jacobi, g) is None
+        assert witness_of(check_jacobi, _ref_jacobi, _perturbed(g, (n - 2, n - 1)))
+        if n <= 12:
+            # the broken factor comes last: every triple before its own passes
+            tail = witness_of(check_jacobi, _ref_jacobi, _direct_sum(g, _NON_LIE))
+            assert tail.triple == (n, n + 1, n + 2)
+    for m in (4, 6):
+        _, dot, star = _disguised_recipe(2 * m)
+        for a in (dot, star, lab._random_block_algebra(random.Random(m), m)):
+            assert witness_of(check_axioms, _ref_associativity, a) is None
+            assert witness_of(check_axioms, _ref_associativity, _perturbed(a, (m - 1, m - 1)))
+        tail = witness_of(check_axioms, _ref_associativity, _direct_sum(dot, _NON_ASSOCIATIVE))
+        assert tail.indices == (m, m, m + 1)
+        assert witness_of(check_compatibility, _ref_compatibility, dot, star) is None
+        pair = [_direct_sum(x, y) for x, y in zip((dot, star), _INCOMPATIBLE)]
+        assert witness_of(check_compatibility, _ref_compatibility, *pair).indices[0] == m
+
+
+def test_packed_zero_test_is_exact_at_the_slot_bound():
+    """Residuals whose adjacent slots have opposite signs at the largest
+    magnitude the slot width W is proven for, |slot| <= parts * n * M^2 for
+    M the largest numerator: (2M^2, -2M^2) with parts * n = 2, and
+    (2^(W - 2), -1) with parts * n = 3 and M = 2^40, which packs to zero at
+    any slot width below W - 1; then a Jacobi residual of a 3-dim tensor
+    whose parts sum to (-4M^2, 4M^2)."""
+    one_part = lambda s, i, j, k: [(1, s[0][0], s[1])]
+    big = 10 ** 40 + 1
+    row = [(1, [(0, big), (1, -big)])] * 2
+    table = [[(1, [(0, big), (1, big)]), (1, [(0, big)])], row]
+    assert linalg._first_nonzero_residual([table], [one_part], [(0, 0, 0)], 2) == \
+        ((0, 0, 0), 0, (1, [(0, 2 * big * big), (1, -2 * big * big)]))
+    cancelling = lambda s, i, j, k: [(1, s[0][0], s[1]), (-1, s[0][0], s[1])]
+    assert linalg._first_nonzero_residual([table], [cancelling], [(0, 0, 0)], 2) is None
+    m = 2 ** 40
+    empty = (1, [])
+    table = [[(1, [(0, m), (1, m), (2, 1)]), empty, empty],
+             [(1, [(0, m)]), (1, [(0, m)]), (1, [(1, -1)])], [empty] * 3]
+    w = (3 * m * m).bit_length() + 1
+    assert 2 * m * m == 2 ** (w - 2)
+    assert linalg._first_nonzero_residual([table], [one_part], [(0, 0, 0)], 3) == \
+        ((0, 0, 0), 0, (1, [(0, 2 * m * m), (1, -1)]))
+    m = Fraction(big, 3)
+    g = LieAlgebra(3, {(0, 1): (m, m, m), (0, 2): (m, -m, m), (1, 2): (m, -m, -m)})
+    witness = check_jacobi(g)
+    assert tuple(witness) == _ref_jacobi(g)
+    assert witness.residual == (-4 * m * m, 4 * m * m, 0)
 
 
 def _ref_nilradical(a):

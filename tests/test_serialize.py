@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -203,3 +204,16 @@ def test_save_and_reload(tmp_path):
     inst = load_instance(str(path))
     assert inst.algebra == g
     assert "1/3" in path.read_text(encoding="utf-8")
+
+
+def test_scalars_past_the_int_string_limit_print_exactly():
+    """Python refuses str() of an int of more than 4300 digits by default;
+    the output boundary splits the digits instead, for every length around
+    the splits, and plain str() answers below the limit."""
+    for k in (10, 4299, 4300, 4301, 9000, 20000):
+        v = 37 * 10 ** k + 10 ** (k // 2) + 9
+        digits = "37" + "0" * (k - k // 2 - 1) + "1" + "0" * (k // 2 - 1) + "9"
+        assert serialize._decimal(v) == digits and serialize._decimal(-v) == "-" + digits
+        x = Fraction(-v, 1024)
+        assert serialize._scalar_str(x) == "-%s/1024" % digits
+        assert serialize._strs([x, Fraction(v), 3]) == ["-%s/1024" % digits, digits, "3"]
