@@ -6,6 +6,7 @@ or validation failed, 2 the input was malformed or missing a needed field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -25,42 +26,31 @@ from .lie import (
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
-_REQUIRABLE = ("solvable", "nilpotent", "2step", "unimodular",
-               "integrable", "abelian-j", "hermitian", "kahler")
+# each --require property, with the key of the check report it reads
+_REQUIRABLE = {
+    "solvable": ("series", "solvable"),
+    "nilpotent": ("series", "nilpotent"),
+    "2step": ("series", "2step"),
+    "unimodular": ("unimodular",),
+    "integrable": ("J", "integrable"),
+    "abelian-j": ("J", "abelian"),
+    "hermitian": ("metric", "hermitian"),
+    "kahler": ("metric", "kahler"),
+}
 
 
 def _fmt_vector(v, names) -> str:
+    """A vector given by its scalar strings, as a signed sum of names."""
     terms = []
     for c, name in zip(v, names):
-        if c == 0:
+        if c == "0":
             continue
-        if c == 1:
-            terms.append("+ %s" % name)
-        elif c == -1:
-            terms.append("- %s" % name)
-        else:
-            sign = "-" if c < 0 else "+"
-            terms.append("%s %s %s" % (sign, serialize._scalar_str(abs(c)), name))
+        sign, c = ("-", c[1:]) if c.startswith("-") else ("+", c)
+        terms.append("%s %s" % (sign, name) if c == "1" else "%s %s %s" % (sign, c, name))
     if not terms:
         return "0"
     head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
     return " ".join([head] + terms[1:])
-
-
-def _connection_lines(g, gamma, label):
-    lines = ["  %s:" % label]
-    shown = 0
-    for i in range(g.dim):
-        for jx in range(g.dim):
-            v = gamma[i][jx]
-            if not all(c == 0 for c in v):
-                lines.append("    nabla_%s %s = %s"
-                             % (g.basis_names[i], g.basis_names[jx],
-                                _fmt_vector(v, g.basis_names)))
-                shown += 1
-    if not shown:
-        lines.append("    zero connection")
-    return lines
 
 
 def _connection_json(gamma):
@@ -74,7 +64,54 @@ def _yesno(b) -> str:
     return "yes" if b else "no"
 
 
+def _holds(out, prop) -> bool:
+    """The --require property read off the check report; absent is false."""
+    v = out
+    for key in _REQUIRABLE[prop]:
+        v = v.get(key, {})
+    return v is True
+
+
+def _check_lines(out, require):
+    """The text rendering of the check report out, with one line per --require
+    use, a repeated name repeated."""
+    names = out["basis"]
+    lines = [
+        "dim %d, basis %s" % (out["dim"], " ".join(names)),
+        "jacobi: %s" % out["jacobi"],
+        "center: dim %d, commutator ideal: dim %d" % (out["center_dim"], out["commutator_dim"]),
+        "solvable: %s  nilpotent: %s  two-step solvable: %s  unimodular: %s"
+        % tuple(_yesno(v) for v in (*out["series"].values(), out["unimodular"])),
+    ]
+    if "J" in out:
+        lines.append("J: integrable: %s  abelian: %s"
+                     % (_yesno(out["J"]["integrable"]), _yesno(out["J"]["abelian"])))
+        if "report" in out["J"]:
+            lines.append("  structure report: " + "  ".join(
+                "%s: %s" % (k, _yesno(v)) for k, v in out["J"]["report"].items()))
+    if "metric" in out:
+        lines.append("metric: positive definite: yes")
+        if "kahler" in out["metric"]:
+            lines.append("  hermitian: %s  kahler: %s" % (_yesno(out["metric"]["hermitian"]),
+                                                         _yesno(out["metric"]["kahler"])))
+    for key, conn in out.get("connections", {}).items():
+        lines.append("  %s:" % {"levi_civita": "levi-civita",
+                                "first_canonical": "first canonical"}[key])
+        entries = ["    nabla_%s %s = %s" % (names[i], names[jx], _fmt_vector(v, names))
+                   for i, row in enumerate(conn["tensor"])
+                   for jx, v in enumerate(row) if any(c != "0" for c in v)]
+        lines.extend(entries or ["    zero connection"])
+        lines.append("    flags: metric %s, complex %s, torsion type (1,1) %s"
+                     % tuple(_yesno(f) for f in conn["flags"].values()))
+        lines.append("    curvature norm^2: %s" % conn["curvature_norm_sq"])
+    lines.extend("require %s: %s" % (p, "pass" if out["required"][p] else "FAIL")
+                 for p in require)
+    return lines
+
+
 def run_check(args) -> int:
+    """Build the check report as one dict; --json emits it, the text output
+    and --require read it."""
     inst = serialize.load_instance(args.instance)
     g = inst.algebra
     if (args.complex or "integrable" in args.require
@@ -85,90 +122,41 @@ def run_check(args) -> int:
         raise serialize.InputError("instance has no 'metric' entry")
 
     series = derived_and_central_series(g)
-    props = {
-        "solvable": series.is_solvable,
-        "nilpotent": series.is_nilpotent,
-        "2step": series.is_2step_solvable,
-        "unimodular": is_unimodular(g),
-    }
     out = {
         "dim": g.dim,
         "basis": list(g.basis_names),
         "jacobi": "ok",
         "center_dim": center(g).dim,
         "commutator_dim": commutator_ideal(g).dim,
-        "series": {k: props[k] for k in ("solvable", "nilpotent", "2step")},
-        "unimodular": props["unimodular"],
+        "series": {"solvable": series.is_solvable, "nilpotent": series.is_nilpotent,
+                   "2step": series.is_2step_solvable},
+        "unimodular": is_unimodular(g),
     }
-    lines = [
-        "dim %d, basis %s" % (g.dim, " ".join(g.basis_names)),
-        "jacobi: ok",
-        "center: dim %d, commutator ideal: dim %d"
-        % (out["center_dim"], out["commutator_dim"]),
-        "solvable: %s  nilpotent: %s  two-step solvable: %s  unimodular: %s"
-        % tuple(_yesno(props[k])
-                for k in ("solvable", "nilpotent", "2step", "unimodular")),
-    ]
-
     if inst.j is not None:
-        j = inst.j
-        props["integrable"] = is_integrable(g, j)
-        props["abelian-j"] = is_abelian_cs(g, j)
-        out["J"] = {
-            "integrable": props["integrable"],
-            "abelian": props["abelian-j"],
-        }
-        lines.append("J: integrable: %s  abelian: %s"
-                     % (_yesno(props["integrable"]), _yesno(props["abelian-j"])))
-        if props["abelian-j"]:
-            rep = abelian_cs_report(g, j)
-            out["J"]["report"] = {
-                "center_j_stable": rep.center_j_stable,
-                "ad_twist": rep.ad_twist,
-                "commutator_abelian_iff_2step": rep.commutator_abelian_iff_2step,
-                "j_commutator_abelian_subalgebra": rep.j_commutator_abelian_subalgebra,
-                "intersection_central": rep.intersection_central,
-            }
-            lines.append("  structure report: " + "  ".join(
-                "%s: %s" % (k, _yesno(v)) for k, v in out["J"]["report"].items()))
-
+        out["J"] = {"integrable": is_integrable(g, inst.j),
+                    "abelian": is_abelian_cs(g, inst.j)}
+        if out["J"]["abelian"]:
+            out["J"]["report"] = dataclasses.asdict(abelian_cs_report(g, inst.j))
     if inst.metric is not None:
+        # a metric given with J is validated Hermitian at parse time
         out["metric"] = {"hermitian": inst.j is not None}
-        lines.append("metric: positive definite: yes")
         if inst.j is not None:
-            props["hermitian"] = True    # validated at parse time
-            t = inst.triple()
-            props["kahler"] = is_kahler(t)
-            out["metric"]["kahler"] = props["kahler"]
-            lines.append("  hermitian: yes  kahler: %s" % _yesno(props["kahler"]))
+            out["metric"]["kahler"] = is_kahler(inst.triple())
             lc = levi_civita(g, inst.metric)
-            out["connections"] = {}
             # the first canonical connection is the complex projection of lc
-            for key, label, conn in (("levi_civita", "levi-civita", lc),
-                                     ("first_canonical", "first canonical",
-                                      complex_projection(inst.j, lc))):
-                flags = connection_flags(g, inst.j, inst.metric, conn)
-                norm = serialize._scalar_str(curvature_norm_sq(g, conn))
-                gamma = conn.gamma
-                out["connections"][key] = {"tensor": _connection_json(gamma),
-                                           "flags": flags._asdict(),
-                                           "curvature_norm_sq": norm}
-                lines.extend(_connection_lines(g, gamma, label))
-                lines.append("    flags: metric %s, complex %s, torsion type (1,1) %s"
-                             % tuple(_yesno(f) for f in flags))
-                lines.append("    curvature norm^2: %s" % norm)
-
-    failed = [p for p in args.require if not props.get(p, False)]
-    out["required"] = {p: p not in failed for p in args.require}
+            out["connections"] = {
+                key: {"tensor": _connection_json(conn.gamma),
+                      "flags": connection_flags(g, inst.j, inst.metric, conn)._asdict(),
+                      "curvature_norm_sq": serialize._scalar_str(curvature_norm_sq(g, conn))}
+                for key, conn in (("levi_civita", lc),
+                                  ("first_canonical", complex_projection(inst.j, lc)))}
+    out["required"] = {p: _holds(out, p) for p in args.require}
 
     if args.json:
         sys.stdout.write(serialize.emit(out))
     else:
-        for line in lines:
-            print(line)
-        for p in args.require:
-            print("require %s: %s" % (p, "pass" if p not in failed else "FAIL"))
-    return FAIL if failed else PASS
+        print("\n".join(_check_lines(out, args.require)))
+    return PASS if all(out["required"].values()) else FAIL
 
 
 def _within_max_dim(dim):
@@ -234,7 +222,7 @@ def run_decompose(args) -> int:
     for ix, f in enumerate(dec.factors):
         print("  %d: r^2 = %s, c = %s, direction = %s"
               % (ix + 1, serialize._scalar_str(f.norm_sq), serialize._scalar_str(f.curvature),
-                 _fmt_vector(f.idempotent, g.basis_names)))
+                 _fmt_vector(serialize._strs(f.idempotent), g.basis_names)))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(serialize.emit(_decomposition_dict(dec)))

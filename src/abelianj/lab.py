@@ -204,13 +204,6 @@ def random_unimodular(rng, n) -> Matrix:
     return Matrix._of_split(cols, n)
 
 
-def conjugate_product(alg: CommAssocAlgebra, q: Matrix) -> CommAssocAlgebra:
-    """Same product in the basis given by the columns of q."""
-    qs = q.inverse().split()
-    raw = bilinear_table(alg.split(), qs, qs, combinations_with_replacement(range(alg.dim), 2))
-    return CommAssocAlgebra._of_split(alg.dim, {ik: q._apply_split(w) for ik, w in raw.items()})
-
-
 def _random_block_algebra(rng, dim) -> CommAssocAlgebra:
     """Commutative associative product assembled from scaled split, complex,
     truncated polynomial and zero one-generator blocks, then hidden behind a
@@ -242,8 +235,7 @@ def _random_block_algebra(rng, dim) -> CommAssocAlgebra:
                     if a + b + 2 <= k:
                         products[(pos + a, pos + b)] = {pos + a + b + 1: rat(1)}
             pos += k
-    return conjugate_product(CommAssocAlgebra(dim, products),
-                             random_unimodular(rng, dim))
+    return pushforward(CommAssocAlgebra(dim, products), random_unimodular(rng, dim))
 
 
 def _random_diagonal(rng, dim) -> CommAssocAlgebra:

@@ -24,7 +24,7 @@ algebra, the Kahler test and cyclic identity of a Hermitian triple.
 from __future__ import annotations
 
 from functools import update_wrapper
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -263,18 +263,20 @@ def bilinear_table(tensor, a: Matrix, b: Matrix, pairs):
     return {ij: _dense(w, len(split)) for ij, w in table.items()}
 
 
-def pushforward(g, p: Matrix) -> LieAlgebra:
-    """Transport the bracket by P: new(x,y) = P [P^-1 x, P^-1 y], on the
-    pairs i < j; the new bracket is antisymmetric by construction."""
+def pushforward(g, p: Matrix) -> _PairTable:
+    """Transport the table of g (a LieAlgebra or any _PairTable) by P:
+    new(x,y) = P g(P^-1 x, P^-1 y), on the pairs i < j, or i <= j when the
+    table is symmetric; the rest is filled as the table's type fills it."""
     if not p.is_square() or p.nrows != g.dim:
         raise DimensionMismatch("pushforward needs a square matrix of size dim")
     n, gs, qs = g.dim, g.split(), p.inverse().split()
+    pairs = (combinations_with_replacement if g._symmetric else combinations)(range(n), 2)
     out = {}
-    for i, j in combinations(range(n), 2):
+    for i, j in pairs:
         w = linalg._bilinear(gs, qs[i], qs[j], n)
         if w[1]:
             out[i, j] = p._apply_split(w)
-    return LieAlgebra._of_split(n, out, g.basis_names)
+    return type(g)._of_split(n, out, g.basis_names)
 
 
 def is_homomorphism(phi: Matrix, g1, g2) -> bool:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from abelianj import lab, serialize
+from abelianj import cli, lab, serialize
 from abelianj.cli import main
 from abelianj.complex_structures import ComplexStructure, is_abelian_cs
 from abelianj.constructions import double_product, standard_complex_structure
@@ -45,6 +45,34 @@ def test_check_json_output(fixtures_dir, capsys):
     assert data["metric"]["kahler"] is False
     assert data["connections"]["first_canonical"]["curvature_norm_sq"] == "6"
     assert data["connections"]["levi_civita"]["flags"]["is_metric"] is True
+
+
+def test_check_text_output_is_pinned(fixtures_dir, capsys):
+    """The exit code and text stdout of check on every instance fixture, and
+    of one run that repeats a --require name, which prints once per use."""
+    runs = [[str(path)] for path in sorted(fixtures_dir.glob("*.json"))
+            if "products" not in json.loads(path.read_text(encoding="utf-8"))]
+    runs.append([fx(fixtures_dir, "aff_c_j1.json"), "--require", "kahler",
+                 "--require", "kahler", "--require", "solvable"])
+    h = hashlib.sha256()
+    for argv in runs:
+        code = main(["check"] + argv)
+        h.update(b"%d\n" % code + capsys.readouterr().out.encode())
+    assert len(runs) == 7
+    assert h.hexdigest()[:12] == "06178fde77e0"
+
+
+def test_check_json_renders_no_text(fixtures_dir, capsys, monkeypatch):
+    path = fx(fixtures_dir, "kahler_two_blocks.json")
+    assert main(["check", "--json", path]) == 0
+    expected = capsys.readouterr().out
+
+    def no_text(*args):
+        raise AssertionError("the text report was rendered in --json mode")
+
+    monkeypatch.setattr(cli, "_check_lines", no_text)
+    assert main(["check", "--json", path]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_check_first_canonical_matches_pairing(fixtures_dir, capsys):

@@ -218,7 +218,7 @@ def _disguised_recipe(dim):
     dot, star = lab.random_pair(rng, m, "diagonal-pair")
     g = lie.pushforward(double_product(dot, star).algebra, lab.random_unimodular(rng, dim))
     q = lab.random_unimodular(rng, m)
-    return g, lab.conjugate_product(dot, q), lab.conjugate_product(star, q)
+    return g, lie.pushforward(dot, q), lie.pushforward(star, q)
 
 
 # not Lie: [f0, [f1, f2]] = f2; not associative: (f0 f0) f1 - f0 (f0 f1) = f1
@@ -1117,7 +1117,7 @@ def test_every_exact_type_is_stored_as_its_canonical_splits():
                                       for i, j in combinations_with_replacement(range(n), 2)})
         parsed = serialize.algebra_from_dict(serialize.algebra_to_dict(a))
         for b in (dense, sparse, parsed):
-            _same_stored_form(b, lab.conjugate_product(a, Matrix.identity(n)),
+            _same_stored_form(b, lie.pushforward(a, Matrix.identity(n)),
                               [s for row in b.split() for s in row])
             assert b.m == prods and all(_normalised(v) for row in b.m for v in row)
 

@@ -15,12 +15,11 @@ from abelianj.hermitian import (
     HermitianTriple, InnerProduct, is_hermitian, is_kahler, sectional_curvature,
 )
 from abelianj.lab import (
-    THEOREM_NAMES, KahlerDecomposition, conjugate_product,
-    kahler_decompose, random_hermitian_metric, random_instance,
-    random_kahler_instance, random_pair, random_unimodular, report_to_dict,
-    theorem_suite,
+    THEOREM_NAMES, KahlerDecomposition, kahler_decompose, random_hermitian_metric,
+    random_instance, random_kahler_instance, random_pair, random_unimodular,
+    report_to_dict, theorem_suite,
 )
-from abelianj.lie import LieAlgebra, PreconditionError, check_jacobi
+from abelianj.lie import LieAlgebra, PreconditionError, check_jacobi, pushforward
 from abelianj.linalg import CertificateError, Matrix, Subspace, rat, vec
 from abelianj import hermitian, lab, lie, serialize
 
@@ -105,14 +104,17 @@ def test_random_unimodular_det():
         assert m.det() == 1
 
 
-def test_conjugate_product_round_trip():
+def test_pushforward_of_a_product_round_trip():
+    """pushforward transports a symmetric product table as well, on the
+    pairs i <= j, and returns a product algebra."""
     cx = CommAssocAlgebra(2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: -1}})
     q = Matrix([[1, 1], [0, 1]])
-    moved = conjugate_product(cx, q)
+    moved = pushforward(cx, q)
+    assert type(moved) is CommAssocAlgebra
     assert check_axioms(moved) is None
     assert moved != cx
-    assert conjugate_product(moved, q.inverse()) == cx
-    assert conjugate_product(cx, Matrix.identity(2)) == cx
+    assert pushforward(moved, q.inverse()) == cx
+    assert pushforward(cx, Matrix.identity(2)) == cx
 
 
 def test_random_pair_family_shapes():
