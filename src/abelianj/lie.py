@@ -13,9 +13,10 @@ is_homomorphism and a self-bracket table (_brackets of u with u) ask only
 for the pairs i < j of the alternating bracket.  check_jacobi is one
 linalg._first_nonzero_residual: a triple whose three brackets are zero
 costs nothing, the others are packed zero tests, and only the witness is
-contracted.  center and center_of_subalgebra
-are one centralizer kernel (_annihilator); center_of_subalgebra's one
-self-bracket table also decides its closure precondition.  One memo,
+contracted.  center and center_of_subalgebra are one centralizer kernel
+(_annihilator), by successive kernels: each bracket column cuts the kept
+solution basis by one small kernel, or is a zero test; center_of_subalgebra's
+one self-bracket table also decides its closure precondition.  One memo,
 _kept, decides each fact of an unchanging object once and keeps it there:
 g', the center and both series (from the kept g') of an algebra, the
 abelian test of each J on it, the axioms and nilradical of a product
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 from functools import update_wrapper
 from itertools import combinations, combinations_with_replacement, product
+from math import lcm
 from typing import NamedTuple, Optional
 
 from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, SingularMatrix, Subspace, _dense, _echelon, _ints, _kernel,
-    _Tensor, _negated, _nonzeros, _tensor_dense, _trace, _value_split, bilinear, vec,
+    DimensionMismatch, Matrix, SingularMatrix, Subspace, _combine, _combine_nonzero, _dense,
+    _kernel, _Tensor, _negated, _nonzeros, _tensor_dense, _trace, _value_split, bilinear, vec,
 )
 
 
@@ -162,19 +164,29 @@ def _annihilator(g, u: Subspace, table):
     of the basis vector u_a and a missing pair is a zero bracket.  u itself
     when the table is empty.
 
-    The equations of one b are the integer rows of the matrix with columns
-    table[a, b].  They are eliminated one b at a time, together with the
-    reduced rows kept so far, so at most u.dim + dim rows are ever stacked;
-    the reduced echelon form is unique, so the kernel is the same."""
+    Successive kernels: k, from the identity on u's m coordinates, holds the
+    coordinate splits of a basis of the solutions of the b read so far.  For
+    each b the images sum_a x_a table[a, b] of k are contracted; unless all
+    are zero, k becomes k times the kernel of their rows over one lcm.  No
+    kept row is eliminated again; the loop stops when k is empty."""
     if not table:
         return u
     m, n = u.dim, g.dim
-    work = []
+    k = [(1, [(a, 1)]) for a in range(m)]
     for b in sorted({b for _, b in table}):
-        block = Matrix._of_split([table.get((a, b), (1, [])) for a in range(m)], n)
-        work = [_ints(nz, m) for _, nz in _echelon(work + block._nonzero_int_rows(), m)[0]]
+        images = [_combine_nonzero(d, [(c, table.get((a, b), (1, []))) for a, c in nz], n)
+                  for d, nz in k]
+        big, rows = lcm(*[d for d, _ in images]), {}
+        for j, (d, nz) in enumerate(images):
+            for t, a in nz:
+                rows.setdefault(t, [0] * len(k))[j] = a * (big // d)
+        if rows:
+            k = [_combine(d, [(c, k[j]) for j, c in nz], m)
+                 for d, nz in _kernel(list(rows.values()), len(k))]
+            if not k:
+                break
     basis = Matrix._of_split(u.split(), n)
-    return Subspace._spanned(n, [basis._apply_split(c) for c in _kernel(work, m)])
+    return Subspace._spanned(n, [basis._apply_split(c) for c in k])
 
 
 def _brackets(g, u: Subspace, v: Subspace):

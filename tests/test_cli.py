@@ -112,6 +112,22 @@ def test_dense_disguised_check_is_pinned(tmp_path, capsys, dim, prefix):
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == prefix
 
 
+def test_check_at_the_largest_accepted_dim_is_pinned(tmp_path, capsys):
+    """check --json at dim MAX_DIM on a diagonal-pair double product with a
+    diagonal J-compatible metric (the sparse recipe of bench/workloads.py,
+    seed 7): a cheap proxy for the largest accepted instance, about 1 s."""
+    half = serialize.MAX_DIM // 2
+    rng = random.Random("check-7-%d" % half)
+    dp = double_product(*lab.random_pair(rng, half, "diagonal-pair"))
+    diag = [rng.randint(1, 4) for _ in range(half)]
+    path = tmp_path / "sparse.json"
+    serialize.save_instance(path, dp.algebra, dp.j, InnerProduct.diagonal(diag + diag))
+    assert main(["check", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["dim"] == 64
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "b32f435786cc"
+
+
 def test_check_require_pass_and_fail(fixtures_dir, capsys):
     assert main(["check", fx(fixtures_dir, "aff_c_j1.json"),
                  "--require", "solvable", "--require", "2step"]) == 0

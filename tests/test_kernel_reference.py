@@ -841,6 +841,46 @@ def test_series_and_center_edge_cases_match_reference():
     assert derived_and_central_series(LieAlgebra.abelian(0)).is_nilpotent
 
 
+def test_centralizers_by_successive_kernels_match_reference(monkeypatch):
+    # steps: the column count of each system the centralizer kernel solves
+    steps = []
+    monkeypatch.setattr(lie, "_kernel", lambda rows, ncols: steps.append(ncols)
+                        or linalg._kernel(rows, ncols))
+    most, dims = 0, []
+    for seed in range(40):
+        t = random_kahler_instance(seed, 12).triple
+        g, n = t.algebra, t.algebra.dim
+        if n < 8 or dims.count(n) == 2:
+            continue
+        dims.append(n)
+        whole = Subspace.whole(n)
+        steps.clear()
+        assert center(g).basis == _ref_center(g)
+        most = max(most, len(steps))
+        for sub in (whole, commutator_ideal(g), complex_structures.j_stable_commutator(g, t.j)):
+            assert center_of_subalgebra(g, sub).basis == _ref_center_of(g, sub.basis)
+    assert sorted(dims) == [8, 8, 10, 10, 12, 12]
+    # the disguised brackets fill every column, yet the kernel settles in
+    # a few steps and every later column is a zero test
+    assert most >= 2
+    # sl(2, Q): the kernel is empty after two of the three bracket columns
+    sl2 = LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    steps.clear()
+    assert center(sl2).is_zero() and center(sl2).basis == _ref_center(sl2)
+    assert steps == [3, 1]
+
+
+def test_center_costs_few_eliminations(monkeypatch):
+    # dim 12 with a center of dim 6: the whole space, two kernel steps and
+    # the canonical span, not one elimination per bracket column
+    g = random_kahler_instance(0, 12).triple.algebra
+    calls, eliminate = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, ncols: calls.append(ncols)
+                        or eliminate(rows, ncols))
+    assert (g.dim, center(g).dim) == (12, 6)
+    assert len(calls) <= 5
+
+
 # ---- the idempotent splitter against sympy's factorization over Q ----
 
 def _poly_mul(a, b):

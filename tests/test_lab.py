@@ -267,6 +267,24 @@ def test_theorem_suite_records_failed_certificate(monkeypatch):
         [("hermitian_connection_identities", "Levi-Civita solution is not metric")] * 3
 
 
+def test_theorem_suite_records_a_wrong_center(monkeypatch):
+    # a centralizer one vector short: the two verdicts that read a
+    # centralizer (the center's J-stability and the centralizer of g' + Jg'
+    # in the structure report, step 2 of the Kahler decomposition) record
+    # counterexamples, and no other verdict does
+    annihilator = lie._annihilator
+
+    def short(g, u, table):
+        z = annihilator(g, u, table)
+        return Subspace._spanned(z.ambient, z.split()[:-1])
+
+    monkeypatch.setattr(lie, "_annihilator", short)
+    rep = theorem_suite(20240823, 40)
+    violated = [ce["violated"] for ce in rep.counterexamples]
+    assert {name: violated.count(name) for name in set(violated)} == \
+        {"abelian_structure_report": 20, "kahler_decomposition_complete": 16}
+
+
 def test_theorem_suite_deterministic():
     a = report_to_dict(theorem_suite(11, 10))
     b = report_to_dict(theorem_suite(11, 10))
