@@ -29,8 +29,8 @@ from typing import NamedTuple, Optional
 
 from .linalg import (
     DimensionMismatch, Matrix, Subspace, ONE, ZERO, _combine, _dense, _eliminate, _entry,
-    _first_nonzero_residual, _ints, _kernel, _nonzeros, _stacked, _tensor_dense, _trace,
-    _value_split, bilinear, bilinear_table, certify, left_map, rat,
+    _first_nonzero_residual, _ints, _kernel, _negated, _nonzeros, _stacked, _tensor_dense,
+    _trace, _value_split, bilinear, bilinear_table, certify, left_map, rat,
 )
 from .lie import PreconditionError, _PairTable, _kept
 
@@ -383,8 +383,10 @@ def primitive_idempotents(a) -> IdempotentSet:
     certify("each block must have its factor's degree",
             all(len(b) == len(f) - 1 for f, b in zip(factors, blocks)))
     basis = Matrix._of_split([s for b in blocks for s in b], n)
-    certify("the blocks must span the algebra", basis.rank() == n)
-    d, coords = _nonzeros(basis.solve(u))   # B c = u, c unique as B has full rank
+    # B c = u for B of full rank: then (c, 1) spans the kernel of [B | -u]
+    ker = Matrix._of_split(basis.split() + [_negated(_nonzeros(u))], n)._kernel_splits()
+    certify("the blocks must span the algebra", len(ker) == 1 and ker[0][1][-1][0] == n)
+    *coords, (_, d) = ker[0][1]
     owner = [i for i, b in enumerate(blocks) for _ in b]
     elements = [_combine(d, [(c, basis.split()[k]) for k, c in coords if owner[k] == i], n)
                 for i in range(len(blocks))]

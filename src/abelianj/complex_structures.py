@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .linalg import DimensionMismatch, Matrix, Subspace, _combine_nonzero, rat
+from .linalg import DimensionMismatch, Matrix, Subspace, _combine_nonzero
 from .lie import (
     LieAlgebra, PreconditionError, _kept, bracket_span, center,
     center_of_subalgebra, commutator_ideal, derived_and_central_series,
@@ -29,7 +29,7 @@ class ComplexStructure:
         m = matrix if isinstance(matrix, Matrix) else Matrix(matrix)
         if not m.is_square():
             raise DimensionMismatch("J must be square")
-        if (m @ m) != Matrix.identity(m.nrows).scale(rat(-1)):
+        if (m @ m) != -Matrix.identity(m.nrows):
             raise ValueError("J^2 != -I")
         self.matrix = m
         self.dim = m.nrows
@@ -128,7 +128,7 @@ def abelian_cs_report(g, j) -> AbelianReport:
     jgp_flag = bracket_span(g, jgp, jgp).is_zero()
 
     inter = gp.intersect(jgp)
-    central = center_of_subalgebra(g, gpj)
+    central = z if gpj.dim == g.dim else center_of_subalgebra(g, gpj)
     intersection_central = central.contains(inter)
 
     return AbelianReport(center_j_stable, ad_twist, iff_holds, jgp_flag,

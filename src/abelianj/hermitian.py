@@ -44,7 +44,7 @@ class NotPositiveDefiniteError(ValueError):
 
 class InnerProduct:
     """Symmetric Gram matrix, certified positive definite by exact leading
-    principal minors."""
+    principal minors: each has the sign of a pivot of one elimination."""
     __slots__ = ("gram", "dim")
 
     def __init__(self, gram):
@@ -54,7 +54,8 @@ class InnerProduct:
             raise DimensionMismatch("Gram matrix must be square")
         if gram != gram.transpose():
             raise NotPositiveDefiniteError("Gram matrix must be symmetric")
-        for k, minor in enumerate(gram.leading_minors(), 1):
+        _, (_, _, _, leading) = gram._square_elimination("leading minors")
+        for k, minor in enumerate(leading + [0] * (gram.nrows - len(leading)), 1):
             if minor <= 0:
                 raise NotPositiveDefiniteError(
                     "leading principal minor %d is not positive" % k)

@@ -31,8 +31,8 @@ from .lie import (
     derived_and_central_series, is_unimodular, pushforward,
 )
 from .linalg import (
-    CertificateError, Matrix, Subspace, _combine, _dense, _nonzeros, basis_vec,
-    bilinear_table, certify, rat,
+    CertificateError, Matrix, SingularMatrix, Subspace, _combine, _dense, _nonzeros,
+    basis_vec, bilinear_table, certify, rat,
 )
 
 FAMILIES = ("trivial-star", "equal-products", "diagonal-pair")
@@ -91,10 +91,11 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     commutator ideal totally real; (4) the product x o y = [Jx, y] on it is
     commutative associative; (5) semisimple with self-adjoint
     multiplications; (6) split real spectrum; (7) planes span{Je, e} that
-    span g with the center: the change of basis P has full rank; (8) one
-    Gram matrix P^T G P that is r^2 on each plane and zero off it, and an
-    exact rebuild from the block model: [Je, e] = e, every other bracket of
-    the columns of P zero, and P taking the block J to J.
+    span g with the center: P^T G P is invertible, G the metric and P the
+    change of basis, which also gives P^-1; (8) one Gram matrix P^T G P
+    that is r^2 on each plane and zero off it, and an exact rebuild from the
+    block model: [Je, e] = e, every other bracket of the columns of P zero,
+    and P taking the block J to J.
     """
     g, j, metric = t.algebra, t.j, t.metric
     if g.dim == 0:
@@ -160,14 +161,19 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     # of the center's J-splitting
     halves = rs + _greedy_j_half(j, z, Subspace.zero(g.dim)).split()
     p = Matrix._of_split([s for h in halves for s in (jm._apply_split(h), h)], g.dim)
-    # p is square, as z is the complement (step 2) of g' + Jg' of dim 2n
-    # (step 3), so the planes and the center span g exactly when p has full rank
-    certify(7, p.rank() == g.dim, "planes and center do not span the algebra")
+    ptg = p.transpose() @ metric.gram
+    gm = ptg @ p
+    # p is square (z complements g' + Jg' of dim 2n: steps 2, 3), so the planes and the
+    # center span g exactly when p, or P^T G P for G positive definite, is invertible
+    try:
+        p = Matrix._of_split(p.split(), g.dim, gm.inverse() @ ptg)  # p^-1 = gm^-1 P^T G
+    except SingularMatrix:
+        p = None
+    certify(7, p is not None, "planes and center do not span the algebra")
 
     model_alg = LieAlgebra(g.dim, {(2 * i, 2 * i + 1): {2 * i + 1: rat(1)}
                                    for i in range(n)})
     model_j = ComplexStructure(_standard_block_j(g.dim // 2))
-    gm = (p.transpose() @ metric.gram) @ p
     # gm is symmetric: its columns 2i, 2i + 1 being r^2 e_2i, r^2 e_2i+1 is
     # every norm and orthogonality claim on factor i
     cols = gm.split()

@@ -483,10 +483,10 @@ class Matrix:
         self._inverse = None
 
     @classmethod
-    def _of_split(cls, split, nrows):
-        """Matrix from the canonical splits of its columns; never mutated."""
+    def _of_split(cls, split, nrows, inverse=None):
+        """Matrix from its columns' canonical splits, and inverse, if known; never mutated."""
         m = object.__new__(cls)
-        m.nrows, m.ncols, m._split, m._inverse = nrows, len(split), split, None
+        m.nrows, m.ncols, m._split, m._inverse = nrows, len(split), split, inverse
         return m
 
     @classmethod

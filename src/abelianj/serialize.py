@@ -17,14 +17,16 @@ Re-emitting a parsed canonical file is byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .assoc import CommAssocAlgebra, check_axioms
 from .complex_structures import ComplexStructure
 from .hermitian import HermitianTriple, InnerProduct, NotPositiveDefiniteError
 from .lie import LieAlgebra, PreconditionError, check_jacobi
-from .linalg import DimensionMismatch, Matrix, _entry, rat
+from .linalg import Matrix, _entry, rat
 
 
 class InputError(ValueError):
@@ -40,26 +42,52 @@ MAX_DIM = 64
 
 INSTANCE_KEYS = {"dim", "basis", "brackets", "J", "metric"}
 ALGEBRA_KEYS = {"dim", "basis", "products"}
+# a plain 'p' or 'p/q', q > 0, in ASCII digits: the scalars _scalar reads by int()
+_PLAIN = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?\Z")
 
 
-def parse_scalar(value):
+def _scalar(value):
+    """(numerator, denominator > 0) in lowest terms of a JSON scalar.  A plain
+    one is read by int(); any other, or a plain one with more digits than
+    int() reads, goes through rat, for the same value or the same error."""
+    if isinstance(value, str) and _PLAIN.match(value):
+        num, _, den = value.partition("/")
+        try:
+            p, q = int(num), int(den or 1)
+            g = gcd(p, q)
+            return p // g, q // g
+        except ValueError:      # more digits than int() reads: rat reports it
+            pass
     if isinstance(value, bool):
         raise InputError("scalar must be a rational string or integer")
     if isinstance(value, int):
-        return rat(value)
+        return value, 1
     if not isinstance(value, str):
         raise InputError("scalar must be a rational string like '2/3', got %r" % (value,))
     try:
-        return rat(value)
+        x = rat(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError("bad rational %r (%s)" % (value, exc))
+    return x.numerator, x.denominator
+
+
+def parse_scalar(value):
+    return Fraction(*_scalar(value))
+
+
+def _split(entries):
+    """The canonical split of ascending (index, (p, q)), p / q in lowest terms."""
+    nz = [(k, p, q) for k, (p, q) in entries if p]
+    d = lcm(*[q for _, _, q in nz])
+    return d, [(k, p * (d // q)) for k, p, q in nz]
 
 
 def _matrix_from_json(data, n, what) -> Matrix:
     if (not isinstance(data, list) or len(data) != n
             or any(not isinstance(row, list) or len(row) != n for row in data)):
         raise InputError("%s must be a %d x %d array" % (what, n, n))
-    return Matrix([[parse_scalar(e) for e in row] for row in data])
+    values = [[_scalar(e) for e in row] for row in data]
+    return Matrix._of_split([_split(enumerate(col)) for col in zip(*values)], n)
 
 
 def _decimal(v):
@@ -97,7 +125,7 @@ def _matrix_to_json(m: Matrix):
 
 
 def _sparse_pairs(data, n, key, symmetric):
-    """Common reader for 'brackets' (i < j) and 'products' (i <= j)."""
+    """Common reader for 'brackets' (i < j) and 'products' (i <= j), to splits."""
     items = data.get(key, [])
     if not isinstance(items, list):
         raise InputError("'%s' must be a list" % key)
@@ -126,8 +154,8 @@ def _sparse_pairs(data, n, key, symmetric):
                 raise InputError("bad component index %r" % (k,))
             if not 0 <= idx < n or idx in parsed:
                 raise InputError("bad or duplicate component index %r" % (k,))
-            parsed[idx] = parse_scalar(s)
-        out[(i, j)] = parsed
+            parsed[idx] = _scalar(s)
+        out[(i, j)] = _split(sorted(parsed.items()))
     return out
 
 
@@ -196,10 +224,7 @@ class Instance:
 def instance_from_dict(data) -> Instance:
     n, names = _read_header(data, INSTANCE_KEYS)
     brackets = _sparse_pairs(data, n, "brackets", symmetric=False)
-    try:
-        g = LieAlgebra(n, brackets, names)
-    except DimensionMismatch as exc:
-        raise InputError(str(exc))
+    g = LieAlgebra._of_split(n, brackets, names)
     wit = check_jacobi(g)
     if wit is not None:
         raise ValidationFailure(
@@ -207,11 +232,10 @@ def instance_from_dict(data) -> Instance:
             % (wit.triple, _strs(wit.residual)))
     j = None
     if data.get("J") is not None:
+        jm = _matrix_from_json(data["J"], n, "'J'")
         try:
-            j = ComplexStructure(_matrix_from_json(data["J"], n, "'J'"))
-        except (ValueError, DimensionMismatch) as exc:
-            if isinstance(exc, InputError):
-                raise
+            j = ComplexStructure(jm)
+        except ValueError as exc:
             raise ValidationFailure("'J' is not a complex structure: %s" % exc)
     metric = None
     if data.get("metric") is not None:
@@ -235,10 +259,7 @@ def instance_to_dict(g, j=None, metric=None) -> dict:
 def algebra_from_dict(data) -> CommAssocAlgebra:
     n, names = _read_header(data, ALGEBRA_KEYS)
     products = _sparse_pairs(data, n, "products", symmetric=True)
-    try:
-        a = CommAssocAlgebra(n, products, names)
-    except DimensionMismatch as exc:
-        raise InputError(str(exc))
+    a = CommAssocAlgebra._of_split(n, products, names)
     wit = check_axioms(a)
     if wit is not None:
         raise ValidationFailure(
@@ -263,7 +284,7 @@ def matrix_from_file_dict(data, what="matrix") -> Matrix:
     if (not isinstance(rows, list) or not rows
             or any(not isinstance(r, list) or len(r) != len(rows) for r in rows)):
         raise InputError("'matrix' must be a square array")
-    return Matrix([[parse_scalar(e) for e in row] for row in rows])
+    return _matrix_from_json(rows, len(rows), "'matrix'")
 
 
 def emit(data: dict) -> str:

@@ -1,7 +1,9 @@
 import cProfile
+import hashlib
 import json
 import pstats
 import random
+import sys
 
 import pytest
 
@@ -193,6 +195,57 @@ def test_kahler_decompose_refuses_scaled_idempotents(monkeypatch):
     assert caught.value.detail == "rebuilt structure differs from the input"
 
 
+def _frame_triples(fixtures_dir):
+    for seed in range(20):
+        yield random_kahler_instance(seed, 12).triple
+    for name in ("kahler_two_blocks.json", "kahler_two_blocks_scaled.json"):
+        yield load_triple(fixtures_dir, name)
+
+
+def test_kahler_decompose_hands_on_the_inverse_of_the_frame(fixtures_dir):
+    # P^-1 comes from (P^T G P)^-1 P^T G; it must be what eliminating P gives
+    for t in _frame_triples(fixtures_dir):
+        p = kahler_decompose(t).change_of_basis
+        assert p.inverse() == Matrix._of_split(p.split(), p.nrows).inverse()
+
+
+def test_kahler_decompose_refuses_a_singular_frame(monkeypatch):
+    # one idempotent twice repeats the columns Je, e of P: P and P^T G P are
+    # singular, and step 7 says the planes and the center do not span g
+    split = lab.primitive_idempotents
+
+    def repeated(alg):
+        idem = split(alg)
+        return idem._replace(idempotents=idem.idempotents[:1] + idem.idempotents[:-1])
+
+    monkeypatch.setattr(lab, "primitive_idempotents", repeated)
+    with pytest.raises(CertificateError) as caught:
+        kahler_decompose(random_kahler_instance(9, max_dim=8).triple)
+    assert caught.value.step == 7
+    assert caught.value.detail == "planes and center do not span the algebra"
+
+
+def test_kahler_decompose_eliminates_only_the_block_gram_matrix(fixtures_dir, monkeypatch):
+    # no rank is taken, and P^-1 is handed on: the one inverse computed by
+    # elimination is that of P^T G P, the model's Gram matrix
+    ranks, eliminated = [], []
+    rank, inverse = Matrix.rank, Matrix.inverse
+
+    def counted_inverse(m):
+        if m._inverse is None:      # neither computed yet nor handed on
+            eliminated.append(m)
+        return inverse(m)
+
+    triples = list(_frame_triples(fixtures_dir))
+    monkeypatch.setattr(Matrix, "rank", lambda m: ranks.append(m) or rank(m))
+    monkeypatch.setattr(Matrix, "inverse", counted_inverse)
+    for t in triples:
+        eliminated.clear()
+        dec = kahler_decompose(t)
+        assert len(eliminated) == 1 and eliminated[0] is dec.model.metric.gram
+    assert ranks == []
+
+
 def test_kahler_trial_decides_each_claim_once():
     # the profile counts the evaluations themselves, not the calls to the
     # memo (lie._kept) in front of them
@@ -227,6 +280,27 @@ def test_kahler_trial_derives_the_center_once(monkeypatch):
     # the center is the centralizer of the whole space; the other one is
     # the centralizer of g' + Jg', a proper ideal here
     assert [u for alg, u in calls if alg is g].count(Subspace.whole(g.dim)) == 1
+
+
+def test_abelian_report_reads_the_kept_center_as_the_whole_centralizer(monkeypatch):
+    # where g' + Jg' is all of g its centralizer is the center, which
+    # lie.center has kept: no centralizer of the whole algebra is derived
+    # again, and the report is the one pinned here
+    calls = []
+    annihilator = lie._annihilator
+
+    def counted(alg, u, table):
+        calls.append((sys._getframe(1).f_code.co_name, u.dim == alg.dim))
+        return annihilator(alg, u, table)
+
+    monkeypatch.setattr(lie, "_annihilator", counted)
+    rep = report_to_dict(theorem_suite(20240823, 40))
+    assert calls.count(("center_of_subalgebra", True)) == 0
+    assert calls.count(("center_of_subalgebra", False)) > 0
+    assert calls.count(("center", True)) > 0
+    text = json.dumps(rep, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == \
+        "b24aff4b9baa9a1b86a5b6efdc39e1ff955099f976743d0c55ef86494634be94"
 
 
 def test_theorem_suite_small_run():

@@ -6,7 +6,7 @@ import pytest
 from abelianj import hermitian, serialize
 from abelianj.assoc import CommAssocAlgebra
 from abelianj.lie import LieAlgebra
-from abelianj.linalg import rat, vec
+from abelianj.linalg import Matrix, rat, vec
 from abelianj.serialize import (
     InputError, ValidationFailure, algebra_from_dict, algebra_to_dict, emit,
     instance_from_dict, instance_to_dict, load_algebra, load_instance,
@@ -36,6 +36,58 @@ def test_parse_scalar_rejections():
             parse_scalar(bad)
     # decimal strings are exact rationals, not floats, so they parse
     assert parse_scalar("0.5") == rat(1, 2)
+
+
+# loaded exactly as rat reads them: plain 'p' and 'p/q' by int(), every
+# other syntax through rat itself
+ACCEPTED = [
+    ("3", Fraction(3)), ("-7/2", Fraction(-7, 2)), ("+5", Fraction(5)),
+    (" 3 ", Fraction(3)), ("4/6", Fraction(2, 3)), ("-0", Fraction(0)),
+    ("00/10", Fraction(0)), ("0.5", Fraction(1, 2)), ("1e3", Fraction(1000)),
+    ("1_000", Fraction(1000)), ("\u0663", Fraction(3)),
+]
+REJECTED = ["3 / 4", "1/-2", "1/0", "1.5/2", "abc", "", "1e4301",
+            pytest.param("7" * 5000, id="5000-digit-integer")]
+
+
+def _bracket_value(s):
+    """The scalar s loaded as the bracket [e1, e2] = s e2."""
+    g = instance_from_dict(minimal_instance(
+        brackets=[{"pair": [0, 1], "value": {"1": s}}])).algebra
+    return g.c[0][1][1]
+
+
+@pytest.mark.parametrize("text, value", ACCEPTED)
+def test_scalar_reader_loads_what_rat_reads(text, value):
+    assert rat(text) == value
+    assert parse_scalar(text) == value and type(parse_scalar(text)) is Fraction
+    assert _bracket_value(text) == value
+    # == on a Matrix compares canonical splits
+    assert matrix_from_file_dict({"matrix": [[text]]}) == Matrix([[value]])
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_scalar_reader_refuses_what_rat_refuses(text):
+    with pytest.raises((ValueError, ZeroDivisionError)) as refused:
+        rat(text)
+    message = "bad rational %r (%s)" % (text, refused.value)
+    for load in (parse_scalar, _bracket_value,
+                 lambda s: matrix_from_file_dict({"matrix": [[s]]})):
+        with pytest.raises(InputError) as caught:
+            load(text)
+        assert str(caught.value) == message
+
+
+def test_load_builds_no_fraction(fixtures_dir, monkeypatch):
+    # scalars go straight into canonical splits, and every validation at
+    # load (Jacobi, J^2 = -I, positive definite, J-compatible) reads splits
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    inst = load_instance(str(fixtures_dir / "kahler_two_blocks.json"))
+    assert inst.triple() is not None
+    assert built == []
 
 
 def test_round_trip_is_byte_identical(fixtures_dir):
