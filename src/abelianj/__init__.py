@@ -42,7 +42,7 @@ from .lie import (
     JacobiWitness, LieAlgebra, PreconditionError, SeriesReport, SubspaceRole,
     bilinear_table, bracket_span, center, center_of_subalgebra, check_jacobi,
     classify_subspace, commutator_ideal, derived_and_central_series,
-    is_homomorphism, is_isomorphism, is_unimodular, pushforward,
+    is_isomorphism, is_unimodular, pushforward,
 )
 from .linalg import (
     CertificateError, DimensionMismatch, Matrix, SingularMatrix, Subspace,

@@ -54,10 +54,7 @@ def _fmt_vector(v, names) -> str:
 
 
 def _connection_json(gamma):
-    try:
-        return [[[str(c) for c in v] for v in row] for row in gamma]
-    except ValueError:      # an entry past Python's limit on int-to-decimal digits
-        return [[serialize._strs(v) for v in row] for row in gamma]
+    return [[serialize._strs(v) for v in row] for row in gamma]
 
 
 def _yesno(b) -> str:

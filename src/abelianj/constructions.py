@@ -18,6 +18,7 @@ from .assoc import (
 )
 from .complex_structures import (
     ComplexStructure, HolomorphicPair, is_abelian_cs, is_holomorphic_iso,
+    j_stable_commutator,
 )
 from . import linalg
 from .lie import (
@@ -123,7 +124,7 @@ def equal_products_iso(a: CommAssocAlgebra) -> HolomorphicPair:
 def witness_check(g, j, u: Subspace) -> bool:
     """True iff u and Ju are abelian subalgebras with g = u (+) Ju."""
     ju = u.image(j.matrix)
-    if not u.intersect(ju).is_zero() or u.dim + ju.dim != g.dim:
+    if 2 * u.dim != g.dim or u.sum(ju).dim != g.dim:
         return False
     return all(bracket_span(g, half, half).is_zero() for half in (u, ju))
 
@@ -208,8 +209,7 @@ def recognize_aff(g, j) -> AffModel:
     if not is_abelian_cs(g, j):
         raise PreconditionError("complex structure must be abelian")
     gp = commutator_ideal(g)
-    jgp = gp.image(j.matrix)
-    if not gp.intersect(jgp).is_zero() or gp.dim + jgp.dim != g.dim:
+    if 2 * gp.dim != g.dim or j_stable_commutator(g, j).dim != g.dim:
         raise NotApplicableError(
             "algebra is not the direct sum of its commutator and the J-image")
     result = _aff_model(g, j, gp)
@@ -284,7 +284,7 @@ def aff_from_abelian_ideal(g, j, u: Subspace) -> AffModel:
     if not (role.is_ideal and role.is_abelian_subspace):
         raise PreconditionError("u must be an abelian ideal")
     gp = commutator_ideal(g)
-    if not gp.intersect(gp.image(j.matrix)).is_zero():
+    if j_stable_commutator(g, j).dim != 2 * gp.dim:
         raise PreconditionError("commutator must meet its J-image trivially")
     certify("commutator must lie inside the abelian ideal", u.contains(gp))
     z = center(g)

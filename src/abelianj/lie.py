@@ -8,19 +8,21 @@ violating triple, since several callers deliberately build non-Lie tensors.
 An algebra is its canonical bracket splits (see linalg), and c builds
 Fractions from them on each read.  The structure checks are contractions
 over those splits, none for a zero bracket.  Every bracket table is one
-linalg.bilinear_table over the pairs it needs, kept as splits:
-is_homomorphism and a self-bracket table (_brackets of u with u) ask only
-for the pairs i < j of the alternating bracket.  check_jacobi is one
-linalg._first_nonzero_residual: a triple whose three brackets are zero
-costs nothing, the others are packed zero tests, and only the witness is
-contracted.  center and center_of_subalgebra are one centralizer kernel
-(_annihilator), by successive kernels: each bracket column cuts the kept
-solution basis by one small kernel, or is a zero test; center_of_subalgebra's
-one self-bracket table also decides its closure precondition.  One memo,
-_kept, decides each fact of an unchanging object once and keeps it there:
-g', the center and both series (from the kept g') of an algebra, the
-abelian test of each J on it, the axioms and nilradical of a product
-algebra, the Kahler test and cyclic identity of a Hermitian triple.
+linalg.bilinear_table over the pairs it needs, kept as splits: a
+self-bracket table (_brackets of u with u) asks only for the pairs i < j of
+the alternating bracket.  is_isomorphism transports the source by the map
+(pushforward), so its cost follows the source's brackets, not the target's.
+check_jacobi is one linalg._first_nonzero_residual: a triple whose three
+brackets are zero costs nothing, the others are packed zero tests, and only
+the witness is contracted.  center and center_of_subalgebra are one
+centralizer kernel (_annihilator), by successive kernels: each bracket
+column cuts the kept solution basis by one small kernel, or is a zero test;
+center_of_subalgebra's one self-bracket table also decides its closure
+precondition.  One memo, _kept, decides each fact of an unchanging object
+once and keeps it there: g', the center and both series (from the kept g')
+of an algebra, the abelian test of each J on it, the axioms and nilradical
+of a product algebra, the Kahler test and cyclic identity of a Hermitian
+triple.
 """
 from __future__ import annotations
 
@@ -291,20 +293,13 @@ def pushforward(g, p: Matrix) -> _PairTable:
     return type(g)._of_split(n, out, g.basis_names)
 
 
-def is_homomorphism(phi: Matrix, g1, g2) -> bool:
-    """phi[x,y] = [phi x, phi y] on the basis pairs i < j."""
-    if phi.ncols != g1.dim or phi.nrows != g2.dim:
-        raise DimensionMismatch("map shape does not match the two algebras")
-    g1s, ps = g1.split(), phi.split()
-    table = linalg.bilinear_table(g2.split(), ps, ps, combinations(range(g1.dim), 2))
-    return all(phi._apply_split(g1s[i][j]) == w for (i, j), w in table.items())
-
-
 def is_isomorphism(phi: Matrix, g1, g2) -> bool:
+    """phi invertible and g1 transported by phi equal to g2: for invertible
+    phi this is phi[x, y] = [phi x, phi y], at the cost of g1's brackets."""
     if g1.dim != g2.dim:
         return False
     try:
         phi.inverse()
     except (SingularMatrix, DimensionMismatch):
         return False
-    return is_homomorphism(phi, g1, g2)
+    return pushforward(g1, phi) == g2

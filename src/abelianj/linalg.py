@@ -786,8 +786,10 @@ class Subspace:
                 acc.append(w)
                 current = Subspace._spanned(self.ambient, acc)
         comp = Subspace._spanned(self.ambient, added)
+        # current spans self + comp: its dimension is self.dim + comp.dim
+        # exactly when the two meet only in 0
         certify("complement does not split the bigger space",
-                comp.dim + self.dim == bigger.dim and self.intersect(comp).is_zero())
+                current.dim == comp.dim + self.dim == bigger.dim)
         return comp
 
     def orthogonal_complement(self, metric):

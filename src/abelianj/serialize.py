@@ -115,7 +115,7 @@ def _strs(values):
     """[str(x) for x in values], exact at any size: plain str unless a value
     is above the limit (see _decimal)."""
     try:
-        return list(map(str, values))
+        return [str(x) for x in values]     # on Fractions faster than map(str, ...)
     except ValueError:
         return [_scalar_str(x) for x in values]
 

@@ -180,7 +180,7 @@ def test_kahler_decompose_evaluates_each_norm_once(monkeypatch):
 
 def test_kahler_decompose_refuses_scaled_idempotents(monkeypatch):
     # doubled idempotents give [Je, e] = 2e: no certificate of step 7 reads
-    # the brackets, and the rebuild of step 8 refuses them
+    # the brackets, and the holomorphic isomorphism of step 8 refuses them
     split = lab.primitive_idempotents
 
     def doubled(alg):
@@ -191,6 +191,18 @@ def test_kahler_decompose_refuses_scaled_idempotents(monkeypatch):
     monkeypatch.setattr(lab, "primitive_idempotents", doubled)
     with pytest.raises(CertificateError) as caught:
         kahler_decompose(random_kahler_instance(9, max_dim=8).triple)
+    assert caught.value.step == 8
+    assert caught.value.detail == "rebuilt structure differs from the input"
+
+
+def test_kahler_decompose_refuses_a_model_j_off_the_input(monkeypatch):
+    # with the block J negated the model's brackets still match, but P no
+    # longer takes the model's J to the input's: step 8 refuses the map
+    t = random_kahler_instance(9, max_dim=8).triple
+    block_j = lab._standard_block_j
+    monkeypatch.setattr(lab, "_standard_block_j", lambda n: -block_j(n))
+    with pytest.raises(CertificateError) as caught:
+        kahler_decompose(t)
     assert caught.value.step == 8
     assert caught.value.detail == "rebuilt structure differs from the input"
 

@@ -15,7 +15,7 @@ from abelianj.constructions import aff_algebra, standard_complex_structure
 from abelianj.hermitian import HermitianTriple, InnerProduct, is_kahler
 from abelianj.lab import _standard_block_j, kahler_decompose
 from abelianj.lie import LieAlgebra, check_jacobi
-from abelianj.linalg import Matrix, rat
+from abelianj.linalg import Matrix, certify, rat
 from abelianj import serialize
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "abelianj", "fixtures")
@@ -29,7 +29,7 @@ def write(name, text):
 
 
 def instance(name, g, j=None, metric=None):
-    assert check_jacobi(g) is None
+    certify("fixture %s must satisfy Jacobi" % name, check_jacobi(g) is None)
     if j is not None and metric is not None:
         HermitianTriple(g, j, metric)    # validates compatibility
     write(name, serialize.emit(serialize.instance_to_dict(g, j, metric)))
@@ -65,7 +65,8 @@ def main():
     j1 = ComplexStructure(Matrix([[0, 1, 0, 0], [-1, 0, 0, 0],
                                   [0, 0, 0, -1], [0, 0, 1, 0]]))
     j2 = standard_complex_structure(2)
-    assert aff_algebra(prod_complex).algebra == aff_c
+    certify("aff_c must be the affine algebra of the complex product",
+            aff_algebra(prod_complex).algebra == aff_c)
     instance("aff_c_j1.json", aff_c, j1, InnerProduct.identity(4))
     instance("aff_c_j2.json", aff_c, j2, InnerProduct.identity(4))
 
@@ -77,11 +78,13 @@ def main():
     blocks = LieAlgebra(6, {(0, 1): {1: 1}, (2, 3): {3: 1}})
     jb = ComplexStructure(_standard_block_j(3))
     t = HermitianTriple(blocks, jb, InnerProduct.identity(6))
-    assert is_kahler(t) and kahler_decompose(t).n == 2
+    certify("two blocks must decompose into two factors",
+            is_kahler(t) and kahler_decompose(t).n == 2)
     instance("kahler_two_blocks.json", blocks, jb, InnerProduct.identity(6))
     scaled = InnerProduct.diagonal([4, 4, 1, 1, 1, 1])
     ts = HermitianTriple(blocks, jb, scaled)
-    assert [f.curvature for f in kahler_decompose(ts).factors] == [rat(1, 4), rat(1)]
+    certify("scaled blocks must have curvatures 1/4 and 1",
+            [f.curvature for f in kahler_decompose(ts).factors] == [rat(1, 4), rat(1)])
     instance("kahler_two_blocks_scaled.json", blocks, jb, scaled)
 
     # six-dimensional three-step nilpotent double product
