@@ -16,8 +16,8 @@ from .assoc import IrrationalSpectrumError
 from .complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
 from .constructions import aff_algebra, double_product, semidirect_r2_family
 from .hermitian import (
-    complex_projection, connection_flags, curvature_norm_sq, is_kahler,
-    levi_civita,
+    ConnectionFlags, _is_complex, complex_projection, connection_flags, curvature_norm_sq,
+    is_kahler, levi_civita,
 )
 from .lie import (
     PreconditionError, center, commutator_ideal, derived_and_central_series,
@@ -53,8 +53,9 @@ def _fmt_vector(v, names) -> str:
     return " ".join([head] + terms[1:])
 
 
-def _connection_json(gamma):
-    return [[serialize._strs(v) for v in row] for row in gamma]
+def _connection_json(conn):
+    """The scalar strings of every slice, read off its split."""
+    return [[serialize._split_strs(s, conn.dim) for s in row] for row in conn.split()]
 
 
 def _yesno(b) -> str:
@@ -140,13 +141,16 @@ def run_check(args) -> int:
         if inst.j is not None:
             out["metric"]["kahler"] = is_kahler(inst.triple())
             lc = levi_civita(g, inst.metric)
-            # the first canonical connection is the complex projection of lc
+            fc = complex_projection(inst.j, lc)   # the first canonical connection
+            # levi_civita has certified lc metric and torsion-free, so of type (1,1)
+            lc_flags = ConnectionFlags(True, _is_complex(lc, inst.j), True)
             out["connections"] = {
-                key: {"tensor": _connection_json(conn.gamma),
-                      "flags": connection_flags(g, inst.j, inst.metric, conn)._asdict(),
+                key: {"tensor": _connection_json(conn),
+                      "flags": flags._asdict(),
                       "curvature_norm_sq": serialize._scalar_str(curvature_norm_sq(g, conn))}
-                for key, conn in (("levi_civita", lc),
-                                  ("first_canonical", complex_projection(inst.j, lc)))}
+                for key, conn, flags in (
+                    ("levi_civita", lc, lc_flags),
+                    ("first_canonical", fc, connection_flags(g, inst.j, inst.metric, fc)))}
     out["required"] = {p: _holds(out, p) for p in args.require}
 
     if args.json:

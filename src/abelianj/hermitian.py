@@ -11,11 +11,15 @@ linalg._combine), each returning a canonical split that is tested for zero
 by its numerators.  The curvature norm and the cyclic sums are integer
 sums over one common denominator.  Alternating tensors are contracted once
 per unordered pair i < j: torsion, its (1,1) test through bilinear_table,
-the cyclic sums of is_kahler and cyclic_metric_identity, and the metric
-flag, L + L^T for L = G D_i.  A Koszul or torsion entry, a curvature pair
-whose operators and bracket are all zero, and a direction whose operator
-is zero, are skipped without a contraction; is_flat stops at the first
-nonzero curvature column.  A connection is
+and the cyclic sums of is_kahler and cyclic_metric_identity.
+
+Curvature, the metric and complex flags and the complex projection follow
+the nonzero slices, by the sparse-product rule (Gustavson 1978): each call
+indexes once the support of every operator D_i, the columns k with D_i e_k
+!= 0, and contracts a column only where a nonzero can meet a nonzero (see
+_curvature_pairs, _is_metric and _j_columns).  A Koszul or torsion entry
+whose splits are all zero is skipped without a contraction, and is_flat
+stops at the first nonzero curvature column.  A connection is
 stored as the canonical splits of its slices and nothing else (see
 linalg): Connection(gamma) converts once, levi_civita and
 complex_projection build the splits directly, and gamma builds Fractions
@@ -212,9 +216,10 @@ def twisted_cyclic_identity(t: HermitianTriple) -> bool:
     return _cyclic_sums_vanish(w, n, product(range(n), repeat=3))
 
 
-def _live(splits):
-    """Whether any of these splits has a nonzero entry."""
-    return any(nz for _, nz in splits)
+def _support(splits):
+    """The positions of the nonzero splits: for the slices of an operator
+    D_i, the columns k with D_i e_k != 0."""
+    return {k for k, (_, nz) in enumerate(splits) if nz}
 
 
 def _adjoints(g, metric):
@@ -223,7 +228,7 @@ def _adjoints(g, metric):
     gm, gs = metric.gram, g.split()
     ginv = gm.inverse()
     return [(ginv @ (Matrix._of_split(gs[j], g.dim).transpose() @ gm)).split()
-            if _live(gs[j]) else gs[j] for j in range(g.dim)]
+            if any(nz for _, nz in gs[j]) else gs[j] for j in range(g.dim)]
 
 
 def levi_civita(g, metric: InnerProduct) -> Connection:
@@ -262,46 +267,53 @@ def is_torsion_free(g, conn: Connection) -> bool:
 
 
 def _curvature_pairs(g, conn: Connection):
-    """Yield (i, j, column splits of R(e_i, e_j)) for i < j, the columns
-    lazily.
+    """Yield (i, j, (k, split of R(e_i, e_j) e_k) for the columns k that can
+    be nonzero) for i < j, the columns lazily and in ascending k.
 
     Column k is one contraction of three parts: D_j e_k through D_i, minus
     D_i e_k through D_j, minus the bracket c_ij through the vectors D_p e_k.
-    A part whose operator or coefficients are zero is dropped, and a pair
-    whose two operators and bracket are all zero is not yielded: its
-    R(e_i, e_j) is zero."""
+    It can be nonzero only for k in supp D_i, supp D_j or supp D_p for a p
+    in the support of c_ij, and only those columns are read; a part whose
+    operator or coefficients are zero is dropped, and a pair with no such
+    column is not yielded: its R(e_i, e_j) is zero."""
     n, gs, cs = g.dim, g.split(), conn.split()
-    live = [_live(row) for row in cs]
+    supp = [_support(row) for row in cs]
     along = [[row[k] for row in cs] for k in range(n)]    # D_p e_k over p
 
     def column(i, j, k):
         parts = [(s, cs[b][k], cs[a]) for s, a, b in ((1, i, j), (-1, j, i))
-                 if live[a] and cs[b][k][1]]
+                 if supp[a] and k in supp[b]]
         if gs[i][j][1]:
             parts.append((-1, gs[i][j], along[k]))
         return contract_splits(parts, n) if parts else (1, [])
 
     for i, j in combinations(range(n), 2):
-        if live[i] or live[j] or gs[i][j][1]:
-            yield i, j, (column(i, j, k) for k in range(n))
+        cols = supp[i] | supp[j]
+        if len(cols) < n:
+            cols = cols.union(*[supp[p] for p, _ in gs[i][j][1]])
+        if cols:
+            yield i, j, ((k, column(i, j, k)) for k in sorted(cols))
 
 
 def curvature(g, conn: Connection):
     """Antisymmetric grid of operators r[i][j] = [D_i, D_j] - D_{[e_i, e_j]},
-    each built from its column splits; the pairs _curvature_pairs skips
-    share one zero matrix."""
+    each built from the column splits _curvature_pairs yields, its other
+    columns zero; the pairs it skips share one zero matrix."""
     n = g.dim
     zero = Matrix.zeros(n, n)
     grid = [[zero] * n for _ in range(n)]
     for i, j, cols in _curvature_pairs(g, conn):
-        r = Matrix._of_split(list(cols), n)
+        split = [(1, [])] * n
+        for k, col in cols:
+            split[k] = col
+        r = Matrix._of_split(split, n)
         grid[i][j], grid[j][i] = r, -r
     return tuple(tuple(row) for row in grid)
 
 
 def is_flat(g, conn: Connection) -> bool:
     """Whether every R(e_i, e_j) vanishes; stops at the first nonzero column."""
-    return not any(nz for _, _, cols in _curvature_pairs(g, conn) for _, nz in cols)
+    return not any(nz for _, _, cols in _curvature_pairs(g, conn) for _, (_, nz) in cols)
 
 
 def curvature_norm_sq(g, conn: Connection):
@@ -309,7 +321,7 @@ def curvature_norm_sq(g, conn: Connection):
     integer sum of squares over the common denominator of the column
     splits of the pairs i < j, doubled, as R(e_j, e_i) = -R(e_i, e_j) and
     R(e_i, e_i) = 0."""
-    cols = [c for _, _, cs in _curvature_pairs(g, conn) for c in cs if c[1]]
+    cols = [c for _, _, cs in _curvature_pairs(g, conn) for _, c in cs if c[1]]
     big = lcm(*[d for d, _ in cols])
     return _entry(2 * sum((a * (big // d)) ** 2 for d, nz in cols for _, a in nz), big * big)
 
@@ -322,31 +334,47 @@ class ConnectionFlags(NamedTuple):
 
 def _is_metric(conn: Connection, metric: InnerProduct) -> bool:
     """Each D_i is skew for the metric: G D_i + D_i^T G = L + L^T vanishes,
-    L = G D_i as G is symmetric.  Column k of L is one contraction, kept as
-    (den, {index: numerator}) and tested against the columns before it;
-    zero operators are skipped."""
-    gs = metric.gram.split()
+    L = G D_i as G is symmetric.  L has a nonzero column only where D_i
+    does, one contraction each, kept as (den, {index: numerator}); each
+    nonzero L[a][k] is tested against L[k][a], so zero operators cost
+    nothing."""
+    n, gs = conn.dim, metric.gram.split()
     for row in conn.split():
-        if not _live(row):
-            continue
-        cols = []
+        cols = {}
         for k, (d, nz) in enumerate(row):
-            den, col = _combine_nonzero(d, [(c, gs[q]) for q, c in nz], conn.dim)
-            col = dict(col)
-            if k in col or any(col.get(a, 0) * da + ca.get(k, 0) * den
-                               for a, (da, ca) in enumerate(cols)):
-                return False
-            cols.append((den, col))
+            if nz:
+                den, col = _combine(d, [(c, gs[q]) for q, c in nz], n)
+                cols[k] = den, dict(col)
+        for k, (den, col) in cols.items():
+            for a, x in col.items():
+                da, ca = cols.get(a, (1, {}))
+                if x * da + ca.get(k, 0) * den:
+                    return False
     return True
+
+
+def _j_columns(j: ComplexStructure, conn: Connection):
+    """Yield (slice splits of D_i, columns) for each direction i: the k,
+    ascending, at which D_i J - J D_i and J D_i J can be nonzero, where
+    D_i e_k != 0 or J e_k meets supp D_i.  They are read off the row
+    supports of J, indexed once; a zero operator has none."""
+    n, js = conn.dim, j.matrix.split()
+    jrows = [set() for _ in range(n)]     # jrows[q]: the k with J[q][k] != 0
+    for k, (_, nz) in enumerate(js):
+        for q, _ in nz:
+            jrows[q].add(k)
+    for row in conn.split():
+        supp = _support(row)
+        yield row, (sorted(supp.union(*[jrows[q] for q in supp])) if len(supp) < n
+                    else range(n))
 
 
 def _is_complex(conn: Connection, j: ComplexStructure) -> bool:
     """Each D_i commutes with J: the residual D_i J - J D_i vanishes, one
-    contraction per column; zero operators are skipped."""
-    n = conn.dim
-    js = j.matrix.split()
+    contraction per column that can be nonzero (_j_columns)."""
+    n, js = conn.dim, j.matrix.split()
     return not any(contract_splits([(1, js[k], row), (-1, row[k], js)], n)[1]
-                   for row in conn.split() if _live(row) for k in range(n))
+                   for row, cols in _j_columns(j, conn) for k in cols)
 
 
 def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
@@ -372,21 +400,24 @@ def complex_projection(j: ComplexStructure, conn: Connection) -> Connection:
     """Average a connection with its J-conjugate along each direction:
     D_i -> (D_i - J D_i J) / 2.
 
-    Column k of the average is one contraction of D_i e_k and the columns
-    of J D_i weighted by J e_k; zero operators are skipped.  The output
-    commutes with J; when the input is torsion-free and J is integrable its
-    torsion is of type (1,1).
+    Column k of the average is one contraction of D_i e_k and the nonzero
+    columns of J D_i weighted by J e_k, made only where it can be nonzero
+    (_j_columns); the other columns, and zero operators, are kept as zero.
+    The output commutes with J; when the input is torsion-free and J is
+    integrable its torsion is of type (1,1).
     """
-    n = conn.dim
-    js = j.matrix.split()
+    n, js = conn.dim, j.matrix.split()
     out = []
-    for row in conn.split():
-        if not _live(row):
+    for row, cols in _j_columns(j, conn):
+        if not cols:
             out.append(row)
             continue
-        jd = [_combine(d, [(c, js[q]) for q, c in nz], n) for d, nz in row]
-        out.append([_combine(2 * d, [(d, row[k])] + [(-c, jd[q]) for q, c in nz], n)
-                    for k, (d, nz) in enumerate(js)])
+        jd = [_combine(d, [(c, js[p]) for p, c in nz], n) if nz else (1, []) for d, nz in row]
+        avg = [(1, [])] * n
+        for k in cols:
+            d, nz = js[k]
+            avg[k] = _combine(2 * d, [(d, row[k])] + [(-c, jd[q]) for q, c in nz], n)
+        out.append(avg)
     return Connection._of_split(out)
 
 

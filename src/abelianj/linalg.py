@@ -196,7 +196,10 @@ def _combine(den, terms, n):
 
     The one contraction kernel: every term is put over den * big, big the
     lcm of the terms' denominators, summed over Python ints and reduced.
+    With no terms it is the empty split, at once.
     """
+    if not terms:
+        return 1, []
     big = lcm(*[d for _, (d, _) in terms])
     out = [0] * n
     for c, (d, nz) in terms:

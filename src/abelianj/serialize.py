@@ -120,6 +120,16 @@ def _strs(values):
         return [_scalar_str(x) for x in values]
 
 
+def _split_strs(split, n):
+    """_strs of the vector of Q^n with this canonical split: "0" for each
+    zero entry, a Fraction built only for the nonzero ones."""
+    d, nz = split
+    out = ["0"] * n
+    for k, a in nz:
+        out[k] = _scalar_str(Fraction(a, d))
+    return out
+
+
 def _matrix_to_json(m: Matrix):
     return [_strs(row) for row in m.rows]
 

@@ -2,13 +2,14 @@
 references: bilinear products, the structure layer (bracket spans, center,
 centers of subalgebras, series, Jacobi, unimodularity, the ad-twist and
 Nijenhuis tensor), the Hermitian layer (curvature, Koszul, torsion, flag
-residuals, complex projection) and the nilradical against dense Fraction
-formulas; the tensors contracted once per unordered pair
+residuals, complex projection, also on operators with one or two nonzero
+columns) and the nilradical against dense Fraction formulas; the tensors contracted once per unordered pair
 (pushforward, the cyclic sums of is_kahler and cyclic_metric_identity)
 against every ordered pair; the minimal polynomial against one solve per
 degree; elimination results and the idempotent splitter's factors over Q
 against sympy; matrices, connections and algebras stored as canonical
 splits against their twins built from Fractions."""
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -21,7 +22,8 @@ from abelianj.assoc import (
     CommAssocAlgebra, IrrationalSpectrumError, check_axioms, check_compatibility,
     nilradical, primitive_idempotents,
 )
-from abelianj import assoc, complex_structures, hermitian, lab, lie, linalg
+from abelianj import assoc, complex_structures, hermitian, lab, lie, linalg, serialize
+from abelianj.cli import main
 from abelianj.complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
 from abelianj.constructions import double_product, standard_complex_structure
 from abelianj.hermitian import (
@@ -580,6 +582,26 @@ def _hermitian_cases():
     return triples
 
 
+def _matches_reference(g, j, metric, conn):
+    """Assert curvature, is_flat, the curvature norm, torsion and
+    complex_projection of conn equal their references, and the metric and
+    complex flags too; return the two flags."""
+    grid = curvature(g, conn)
+    ref = _ref_curvature(g, conn)
+    assert [[cell.rows for cell in row] for row in grid] == [list(row) for row in ref]
+    assert is_flat(g, conn) == all(not any(map(any, cell)) for row in ref for cell in row)
+    assert curvature_norm_sq(g, conn) == sum(
+        (x * x for row in grid for cell in row for r in cell.rows for x in r), Fraction(0))
+    assert torsion(g, conn) == _ref_torsion(g, conn)
+    flags = (hermitian._is_metric(conn, metric), hermitian._is_complex(conn, j))
+    assert flags == (_ref_is_metric(conn, metric), _ref_is_complex(conn, j.matrix))
+    assert complex_projection(j, conn).gamma == _ref_projection(conn, j.matrix)
+    for block in (cell for row in grid for cell in row):
+        for r in block.rows:
+            assert _normalised(r)
+    return flags
+
+
 def test_hermitian_layer_matches_fraction_reference():
     rng = random.Random(8)
     flags_seen = set()
@@ -598,25 +620,67 @@ def test_hermitian_layer_matches_fraction_reference():
         conns.append(Connection([[(Fraction(0),) * n] * n if i < 2 else some.gamma[i]
                                  for i in range(n)]))
         for conn in conns:
-            grid = curvature(g, conn)
-            ref = _ref_curvature(g, conn)
-            assert [[cell.rows for cell in row] for row in grid] == \
-                [list(row) for row in ref]
-            assert is_flat(g, conn) == all(not any(map(any, cell)) for row in ref
-                                           for cell in row)
-            assert curvature_norm_sq(g, conn) == sum(
-                (x * x for row in grid for cell in row for r in cell.rows for x in r),
-                Fraction(0))
-            assert torsion(g, conn) == _ref_torsion(g, conn)
-            flags = (hermitian._is_metric(conn, metric), hermitian._is_complex(conn, t.j))
-            assert flags == (_ref_is_metric(conn, metric), _ref_is_complex(conn, jm))
-            flags_seen.add(flags)
-            assert complex_projection(t.j, conn).gamma == _ref_projection(conn, jm)
-            for block in (cell for row in grid for cell in row):
-                for r in block.rows:
-                    assert _normalised(r)
+            flags_seen.add(_matches_reference(g, t.j, metric, conn))
     # both outcomes of both flags occur
     assert {f[0] for f in flags_seen} == {f[1] for f in flags_seen} == {True, False}
+
+
+def _sparse_recipe(half, seed=7):
+    """The sparse check input of bench/workloads.py: a diagonal-pair double
+    product, its J and a diagonal J-compatible metric."""
+    rng = random.Random("check-%d-%d" % (seed, half))
+    dp = double_product(*lab.random_pair(rng, half, "diagonal-pair"))
+    diag = [rng.randint(1, 4) for _ in range(half)]
+    return dp.algebra, dp.j, InnerProduct.diagonal(diag + diag)
+
+
+def _sparse_connection(rng, n):
+    """Operators with one or two nonzero columns; about a third of the
+    directions are zero."""
+    gamma = [[(Fraction(0),) * n] * n for _ in range(n)]
+    for row in gamma:
+        if rng.random() < 0.65:
+            for k in rng.sample(range(n), rng.choice((1, 2))):
+                while not any(row[k]):
+                    row[k] = _vector(rng, n)
+    return Connection(gamma)
+
+
+def _bumped(conn, bumps):
+    """conn with x added to entry a of D_i e_k for each (i, k, a, x)."""
+    gamma = [[list(v) for v in row] for row in conn.gamma]
+    for i, k, a, x in bumps:
+        gamma[i][k][a] += x
+    return Connection(gamma)
+
+
+def test_hermitian_layer_on_sparse_operators_matches_reference():
+    """Operators with one or two nonzero columns.  On the sparse recipe,
+    whose J permutes the basis up to sign and whose metric is diagonal: the
+    first canonical connection (metric and complex), one-entry bumps of it
+    (neither), their J-averages (complex only) and a skew two-entry bump
+    (metric only).  There and on the Hermitian cases, whose J and metric
+    are dense when disguised: random sparse connections."""
+    rng = random.Random(26)
+    flags_seen = set()
+    for half in (2, 3, 4):
+        g, j, metric = _sparse_recipe(half)
+        n, gram = g.dim, metric.gram.rows
+        fc = complex_projection(j, levi_civita(g, metric))
+        assert all(len(hermitian._support(row)) in (0, 2) for row in fc.split())
+        conns = [fc]
+        for _ in range(2):
+            i, k, a = (rng.randrange(n) for _ in range(3))
+            bump = _bumped(fc, [(i, k, a, Fraction(rng.randint(1, 9), rng.randint(1, 9)))])
+            conns += [bump, complex_projection(j, bump)]
+        # x (e_a e_k^T / g_aa - e_k e_a^T / g_kk) is skew for a diagonal G
+        i, (k, a) = rng.randrange(n), rng.sample(range(n), 2)
+        conns.append(_bumped(fc, [(i, k, a, 1 / gram[a][a]), (i, a, k, -1 / gram[k][k])]))
+        for conn in conns + [_sparse_connection(rng, n) for _ in range(2)]:
+            flags_seen.add(_matches_reference(g, j, metric, conn))
+    assert flags_seen == {(True, True), (True, False), (False, True), (False, False)}
+    for t in _hermitian_cases():
+        _matches_reference(t.algebra, t.j, t.metric, _sparse_connection(rng, t.algebra.dim))
 
 
 def test_heisenberg_pair_with_zero_operators_is_curved():
@@ -663,6 +727,33 @@ def test_zero_operators_cost_no_contraction(monkeypatch):
     aff = LieAlgebra(2, {(0, 1): {1: 1}})
     assert not is_flat(aff, levi_civita(aff, InnerProduct.identity(2)))
     assert "contract_splits" in calls
+
+
+def test_sparse_check_contracts_only_nonzero_slices(monkeypatch, tmp_path, capsys):
+    """On the sparse recipe at dim 24, where 38 of the 576 slices of each
+    connection are nonzero, the projection and the metric and complex flags
+    make at most two contractions per nonzero slice; one _combine call ends
+    every contraction.  Its check --json output is pinned."""
+    g, j, metric = _sparse_recipe(12)
+    lc = levi_civita(g, metric)
+    calls = _count_contractions(monkeypatch)
+    fc = complex_projection(j, lc)
+    assert calls.count("_combine") <= 2 * sum(len(hermitian._support(r)) for r in lc.split())
+    calls.clear()
+    assert hermitian.connection_flags(g, j, metric, fc) == (True, True, True)
+    # the torsion test makes one contraction per pair i < j it reads a
+    # nonzero slice or bracket for
+    cs, gs = fc.split(), g.split()
+    pairs = sum(1 for i, k in combinations(range(g.dim), 2)
+                if cs[i][k][1] or cs[k][i][1] or gs[i][k][1])
+    assert calls.count("_combine") <= \
+        2 * sum(len(hermitian._support(r)) for r in cs) + pairs
+    monkeypatch.undo()
+    path = tmp_path / "sparse.json"
+    serialize.save_instance(path, g, j, metric)
+    assert main(["check", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "98c5884accc0"
 
 
 def test_zero_brackets_cost_no_contraction(monkeypatch):
