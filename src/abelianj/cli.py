@@ -242,6 +242,8 @@ def _print_trial_report(data):
 def run_fuzz(args) -> int:
     if args.trials < 1:
         raise serialize.InputError("--trials must be positive")
+    if args.max_dim < 2:
+        raise serialize.InputError("--max-dim must be at least 2")
     rep = lab.theorem_suite(args.seed, args.trials, max_dim=args.max_dim)
     data = lab.report_to_dict(rep)
     _print_trial_report(data)
@@ -316,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run the randomized structure-theorem suite")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--max-dim", type=int, default=12)
+    p.add_argument("--max-dim", type=int, default=12,
+                   help="largest trial dim, at least 2; trials never exceed dim 12")
     p.add_argument("--report", help="write the trial report as JSON")
     p.set_defaults(func=run_fuzz)
 

@@ -17,9 +17,12 @@ Curvature, the metric and complex flags and the complex projection follow
 the nonzero slices, by the sparse-product rule (Gustavson 1978): each call
 indexes once the support of every operator D_i, the columns k with D_i e_k
 != 0, and contracts a column only where a nonzero can meet a nonzero (see
-_curvature_pairs, _is_metric and _j_columns).  A Koszul or torsion entry
-whose splits are all zero is skipped without a contraction, and is_flat
-stops at the first nonzero curvature column.  A connection is
+_curvature_pairs, _is_metric and _j_columns).  Levi-Civita lowers the
+Koszul formula by the metric into one integer table, filled from G c_ab on
+the nonzero brackets a < b only (_lowered_koszul), and solves by G^-1 only
+the (i, j) at which it is nonzero; it makes no matrix product.  A torsion
+entry whose splits are all zero is skipped without a contraction, and
+is_flat stops at the first nonzero curvature column.  A connection is
 stored as the canonical splits of its slices and nothing else (see
 linalg): Connection(gamma) converts once, levi_civita and
 complex_projection build the splits directly, and gamma builds Fractions
@@ -222,24 +225,47 @@ def _support(splits):
     return {k for k, (_, nz) in enumerate(splits) if nz}
 
 
-def _adjoints(g, metric):
-    """Column splits of each metric adjoint ad_j* = G^-1 ad_j^T G (ad_j^T has
-    the brackets [e_j, e_q] as rows); a zero ad_j keeps its empty splits."""
+def _lowered_koszul(g, metric):
+    """(big, low): the Koszul right-hand sides lowered by the metric, as
+    integers over big, keyed by the pairs (i, j) they can be nonzero at,
+
+        low[i, j][k] / big = w_ij[k] - w_jk[i] + w_ki[j],  w_ab = G c_ab.
+
+    w_ab is one contraction per nonzero bracket a < b, put over the lcm big
+    of them all; w_ba = -w_ab, so each of its entries makes six signed
+    updates of the table."""
     gm, gs = metric.gram, g.split()
-    ginv = gm.inverse()
-    return [(ginv @ (Matrix._of_split(gs[j], g.dim).transpose() @ gm)).split()
-            if any(nz for _, nz in gs[j]) else gs[j] for j in range(g.dim)]
+    w = {(a, b): gm._apply_split(gs[a][b])
+         for a, b in combinations(range(g.dim), 2) if gs[a][b][1]}
+    big = lcm(*[d for d, _ in w.values()])
+    low = {}
+    for (a, b), (d, nz) in w.items():
+        f = big // d
+        for m, x in nz:
+            x *= f
+            for i, j, k, s in ((a, b, m, x), (b, a, m, -x), (m, a, b, -x),
+                               (m, b, a, x), (b, m, a, x), (a, m, b, -x)):
+                row = low.setdefault((i, j), {})
+                row[k] = row.get(k, 0) + s
+    return big, low
 
 
 def levi_civita(g, metric: InnerProduct) -> Connection:
     """Unique torsion-free metric connection.  The Koszul pairing
     2 g(D_x y, z) = g([x,y],z) - g([y,z],x) + g([z,x],y) solves to
-    D_{e_i} e_j = (c_ij - ad_j* e_i - ad_i* e_j) / 2, one contraction per
-    (i, j), none when all three are zero."""
-    n, gs, adj = g.dim, g.split(), _adjoints(g, metric)
-    conn = Connection._of_split([[_combine_nonzero(2, ((1, gs[i][j]), (-1, adj[j][i]),
-                                                       (-1, adj[i][j])), n)
-                                  for j in range(n)] for i in range(n)])
+    D_{e_i} e_j = G^-1 low[i, j] / (2 big) on the table of _lowered_koszul:
+    one contraction per (i, j) with a nonzero entry, none elsewhere, and
+    no G^-1 for a bracket-free algebra."""
+    n = g.dim
+    big, low = _lowered_koszul(g, metric)
+    split = [[(1, [])] * n for _ in range(n)]
+    if low:
+        ginv = metric.gram.inverse().split()
+        for (i, j), row in low.items():
+            terms = [(x, ginv[k]) for k, x in row.items() if x]
+            if terms:
+                split[i][j] = _combine(2 * big, terms, n)
+    conn = Connection._of_split(split)
     certify("Levi-Civita solution has torsion", is_torsion_free(g, conn))
     certify("Levi-Civita solution is not metric", _is_metric(conn, metric))
     return conn
@@ -426,6 +452,15 @@ def first_canonical(t: HermitianTriple) -> Connection:
     with torsion of type (1,1) when J is integrable.  For abelian J it equals
     first_canonical_pairing(t)."""
     return complex_projection(t.j, levi_civita(t.algebra, t.metric))
+
+
+def _adjoints(g, metric):
+    """Column splits of each metric adjoint ad_j* = G^-1 ad_j^T G (ad_j^T has
+    the brackets [e_j, e_q] as rows); a zero ad_j keeps its empty splits."""
+    gm, gs = metric.gram, g.split()
+    ginv = gm.inverse()
+    return [(ginv @ (Matrix._of_split(gs[j], g.dim).transpose() @ gm)).split()
+            if any(nz for _, nz in gs[j]) else gs[j] for j in range(g.dim)]
 
 
 def first_canonical_pairing(t: HermitianTriple) -> Connection:

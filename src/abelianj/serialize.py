@@ -12,7 +12,12 @@ otherwise exhaust memory and time instead of failing.
 
 Emission is canonical: fixed key order, brackets sorted by index pair,
 sparse values in ascending index order, two-space indent, trailing newline.
-Re-emitting a parsed canonical file is byte-identical.
+Re-emitting a parsed canonical file is byte-identical.  emit writes the
+text of json.dumps(data, indent=2) directly, as json's indented encoder runs
+in pure Python: one recursive writer appends to a list, strings go through
+json's C ASCII escaper, a list of strings (a row of scalars) is one join,
+and the indent of each depth is built once.  It writes str keys only, and
+refuses floats.
 """
 from __future__ import annotations
 
@@ -297,8 +302,70 @@ def matrix_from_file_dict(data, what="matrix") -> Matrix:
     return _matrix_from_json(rows, len(rows), "'matrix'")
 
 
+_quote = json.encoder.encode_basestring_ascii
+_newlines = ["\n"]      # _newlines[k]: a newline and the indent of depth k
+
+
+def _newline(depth):
+    while len(_newlines) <= depth:
+        _newlines.append(_newlines[-1] + "  ")
+    return _newlines[depth]
+
+
+def _write(x, out, depth):
+    """Append the JSON text of x at this depth to out, as json.dumps with
+    indent=2 writes it."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = _newline(depth + 1)
+        try:        # a list of strings, as of a connection slice: one join
+            out.append("[" + inner + ("," + inner).join(map(_quote, x))
+                       + _newline(depth) + "]")
+            return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, out, depth + 1)
+            sep = "," + inner
+        out.append(_newline(depth) + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = _newline(depth + 1)
+        sep = "{" + inner
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError("keys must be str, not %s" % type(k).__name__)
+            out.append(sep + _quote(k) + ": ")
+            _write(v, out, depth + 1)
+            sep = "," + inner
+        out.append(_newline(depth) + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
+
+
 def emit(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """The canonical text of data: json.dumps(data, indent=2) and a newline,
+    for str keys and str, int, bool, None, list, tuple and dict values."""
+    out = []
+    _write(data, out, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def _load_json(path):

@@ -432,6 +432,17 @@ def test_fuzz_and_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fuzz_refuses_max_dim_below_two(capsys):
+    """A bound below the smallest trial dim is an input error, as is a
+    trial count below 1; it is not clamped to dim 2."""
+    for bound in ("1", "0", "-5"):
+        assert main(["fuzz", "--seed", "1", "--trials", "1", "--max-dim", bound]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--max-dim" in err
+    assert main(["fuzz", "--seed", "1", "--trials", "1", "--max-dim", "2"]) == 0
+    assert "seed 1, 1 trials" in capsys.readouterr().out
+
+
 def test_argparse_contract():
     with pytest.raises(SystemExit) as exc:
         main(["fuzz"])

@@ -756,6 +756,45 @@ def test_sparse_check_contracts_only_nonzero_slices(monkeypatch, tmp_path, capsy
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == "98c5884accc0"
 
 
+def test_levi_civita_contracts_once_per_bracket_and_slice(monkeypatch):
+    """On the sparse recipe at dim 24, the Levi-Civita construction makes one
+    _combine call per nonzero bracket pair (w_ab = G c_ab) and one per
+    nonzero slice (the G^-1 solve), and no Matrix product; the calls of its
+    torsion-free and metric certificates are counted apart."""
+    g, j, metric = _sparse_recipe(12)
+    calls = _count_contractions(monkeypatch)
+    matmuls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda a, b: matmuls.append(1) or matmul(a, b))
+    certificates = []
+
+    def counted_apart(fn):
+        def wrapper(*args):
+            before = len(calls)
+            ok = fn(*args)
+            certificates.append((fn.__name__, calls[before:]))
+            del calls[before:]
+            return ok
+        return wrapper
+
+    for name in ("is_torsion_free", "_is_metric"):
+        monkeypatch.setattr(hermitian, name, counted_apart(getattr(hermitian, name)))
+    lc = levi_civita(g, metric)
+    gs, cs = g.split(), lc.split()
+    brackets = sum(1 for a, b in combinations(range(g.dim), 2) if gs[a][b][1])
+    slices = sum(len(hermitian._support(row)) for row in cs)
+    assert [name for name, _ in certificates] == ["is_torsion_free", "_is_metric"]
+    assert all(c == "_combine" for _, cc in certificates for c in cc)
+    assert set(calls) == {"_combine"}
+    assert len(calls) <= brackets + slices
+    assert matmuls == []
+    monkeypatch.undo()
+    for half in (2, 3, 4):
+        g, _, metric = _sparse_recipe(half)
+        assert levi_civita(g, metric).gamma == _ref_levi_civita(g, metric)
+
+
 def test_zero_brackets_cost_no_contraction(monkeypatch):
     calls = _count_contractions(monkeypatch)
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from abelianj import hermitian, serialize
+from abelianj import hermitian, lab, serialize
+from abelianj.cli import main
 from abelianj.assoc import CommAssocAlgebra
 from abelianj.lie import LieAlgebra
 from abelianj.linalg import Matrix, rat, vec
@@ -269,3 +270,51 @@ def test_scalars_past_the_int_string_limit_print_exactly():
         x = Fraction(-v, 1024)
         assert serialize._scalar_str(x) == "-%s/1024" % digits
         assert serialize._strs([x, Fraction(v), 3]) == ["-%s/1024" % digits, digits, "3"]
+
+
+def _json_reference(data):
+    return json.dumps(data, indent=2) + "\n"
+
+
+def test_emit_writes_what_json_dumps_writes(fixtures_dir, tmp_path, monkeypatch, capsys):
+    """emit is byte-identical to json.dumps(indent=2) plus a newline on every
+    bundled fixture, the dicts check --json and decompose-kahler emit, a
+    fuzz report and a synthetic dict of every value kind it writes."""
+    emitted = []
+    real_emit = serialize.emit
+
+    def recording(data):
+        emitted.append(data)
+        return real_emit(data)
+
+    monkeypatch.setattr(serialize, "emit", recording)
+    for path in sorted(fixtures_dir.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert real_emit(data) == _json_reference(data), path.name
+        if "products" not in data:
+            assert main(["check", "--json", str(path)]) == 0
+    for name in ("kahler_two_blocks.json", "kahler_two_blocks_scaled.json"):
+        assert main(["decompose-kahler", "--instance", str(fixtures_dir / name),
+                     "--report", str(tmp_path / "dec.json")]) == 0
+    capsys.readouterr()
+    assert len(emitted) == 8
+    emitted.append(lab.report_to_dict(lab.theorem_suite(20240823, 10)))
+    emitted.append({
+        "text": "caf\u00e9 \u2603 \U0001f600 \x00\x1f\x7f \"quoted\" back\\slash\n\t",
+        "\u00e9\n\"": ["", "\\", "\u2028"],
+        "empty": [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+        "tuple": (1, ("x", None), ()),
+        "flags": [True, False, None, 0, -1],
+        "big": -10 ** 30 - 7,
+        "mixed": ["a", 1, "b", [2, "c"], {"d": "e"}],
+        "strings": ["1/2", "0", "-3"],
+    })
+    for data in emitted:
+        assert real_emit(data) == _json_reference(data)
+
+
+def test_emit_refuses_floats_and_non_str_keys():
+    for bad in ({"x": 0.5}, {"x": ["a", 1.0]}, {1: "a"}, {"x": {None: 1}},
+                {"x": [{2.5: "a"}]}, {"x": Fraction(1, 2)}):
+        with pytest.raises(TypeError):
+            emit(bad)
