@@ -40,7 +40,7 @@ from .lab import (
 )
 from .lie import (
     JacobiWitness, LieAlgebra, PreconditionError, SeriesReport, SubspaceRole,
-    bilinear_table, bracket_span, center, center_of_subalgebra, check_jacobi,
+    bracket_span, center, center_of_subalgebra, check_jacobi,
     classify_subspace, commutator_ideal, derived_and_central_series,
     is_isomorphism, is_unimodular, pushforward,
 )

@@ -16,7 +16,7 @@ from .assoc import IrrationalSpectrumError
 from .complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
 from .constructions import aff_algebra, double_product, semidirect_r2_family
 from .hermitian import (
-    ConnectionFlags, _is_complex, complex_projection, connection_flags, curvature_norm_sq,
+    ConnectionFlags, complex_projection, connection_flags, curvature_norm_sq,
     is_kahler, levi_civita,
 )
 from .lie import (
@@ -142,8 +142,9 @@ def run_check(args) -> int:
             out["metric"]["kahler"] = is_kahler(inst.triple())
             lc = levi_civita(g, inst.metric)
             fc = complex_projection(inst.j, lc)   # the first canonical connection
-            # levi_civita has certified lc metric and torsion-free, so of type (1,1)
-            lc_flags = ConnectionFlags(True, _is_complex(lc, inst.j), True)
+            # levi_civita has certified lc metric and torsion-free, so of type (1,1);
+            # (D - JDJ) / 2 = D exactly when D commutes with J, so lc is complex iff fc == lc
+            lc_flags = ConnectionFlags(True, fc == lc, True)
             out["connections"] = {
                 key: {"tensor": _connection_json(conn),
                       "flags": flags._asdict(),
@@ -232,7 +233,7 @@ def run_decompose(args) -> int:
 
 def _print_trial_report(data):
     print("seed %s, %s trials" % (data["seed"], data["trials"]))
-    width = max(len(k) for k in data["theorems"])
+    width = max(map(len, data["theorems"]), default=0)
     for name in sorted(data["theorems"]):
         c = data["theorems"][name]
         print("  %-*s  %5d pass  %5d fail" % (width, name, c["pass"], c["fail"]))
@@ -264,6 +265,13 @@ def run_report(args) -> int:
     if not isinstance(data, dict) or not {"seed", "trials", "theorems",
                                           "counterexamples"} <= set(data):
         raise serialize.InputError("not a trial report file")
+    theorems = data["theorems"]
+    if not (isinstance(theorems, dict) and all(
+            isinstance(c, dict) and all(type(c.get(k)) is int for k in ("pass", "fail"))
+            for c in theorems.values())):
+        raise serialize.InputError("each theorem needs integer 'pass' and 'fail' counts")
+    if not isinstance(data["counterexamples"], list):
+        raise serialize.InputError("'counterexamples' must be a list")
     _print_trial_report(data)
     return PASS
 

@@ -92,14 +92,14 @@ class AbelianReport:
     """The five structural consequences of an abelian complex structure."""
     center_j_stable: bool
     ad_twist: bool                      # ad_{Jx} = -ad_x J for basis x
-    commutator_abelian_iff_2step: bool
+    commutator_abelian: bool            # [g', g'] = 0 (Petravchuk)
     j_commutator_abelian_subalgebra: bool
     intersection_central: bool          # g' ∩ Jg' central in g' + Jg'
 
     @property
     def all_hold(self):
         return (self.center_j_stable and self.ad_twist
-                and self.commutator_abelian_iff_2step
+                and self.commutator_abelian
                 and self.j_commutator_abelian_subalgebra
                 and self.intersection_central)
 
@@ -120,9 +120,8 @@ def abelian_cs_report(g, j) -> AbelianReport:
     gs, js = g.split(), j.matrix.split()
     ad_twist = not any(_twist(gs, js, i, k)[1] for i, k in combinations(range(g.dim), 2))
 
-    # [g', g'] is the derived series' third term, or its last when it stops sooner
-    series = derived_and_central_series(g)
-    iff_holds = series.derived[:3][-1].is_zero() == series.is_2step_solvable
+    # g' is abelian exactly when the derived series reaches zero by [g', g']
+    commutator_abelian = derived_and_central_series(g).is_2step_solvable
 
     # an abelian subspace is a subalgebra: its bracket span is zero
     jgp_flag = bracket_span(g, jgp, jgp).is_zero()
@@ -131,7 +130,7 @@ def abelian_cs_report(g, j) -> AbelianReport:
     central = z if gpj.dim == g.dim else center_of_subalgebra(g, gpj)
     intersection_central = central.contains(inter)
 
-    return AbelianReport(center_j_stable, ad_twist, iff_holds, jgp_flag,
+    return AbelianReport(center_j_stable, ad_twist, commutator_abelian, jgp_flag,
                          intersection_central)
 
 

@@ -26,8 +26,7 @@ from .lie import (
     classify_subspace, commutator_ideal, derived_and_central_series,
 )
 from .linalg import (
-    Matrix, SingularMatrix, Subspace, _dense, _negated, _reduced, certify, is_zero_vec, rat,
-    vec_scale,
+    Matrix, SingularMatrix, Subspace, _dense, _negated, _reduced, certify, rat, vec_scale,
 )
 
 
@@ -129,16 +128,14 @@ def witness_check(g, j, u: Subspace) -> bool:
     return all(bracket_span(g, half, half).is_zero() for half in (u, ju))
 
 
-def _half_coordinates(g, j, v: Subspace):
-    """(P, {(i, k): coordinates of [J v_i, v_k] in the columns of P}) for
-    i <= k, P the basis [v | Jv] of g."""
+def _half_products(g, j, v: Subspace):
+    """{(i, k): split of the coordinates in v of [J v_i, v_k], or None where
+    that bracket leaves v} for i <= k: the product x o y = [Jx, y] on v, from
+    one bilinear_table."""
     vs = v.split()
-    jvs = [j.matrix._apply_split(s) for s in vs]
-    p = Matrix._of_split(vs + jvs, g.dim)
-    pinv = p.inverse()
-    table = linalg.bilinear_table(g.split(), jvs, vs,
+    table = linalg.bilinear_table(g.split(), [j.matrix._apply_split(s) for s in vs], vs,
                                   combinations_with_replacement(range(v.dim), 2))
-    return p, {ik: _dense(pinv._apply_split(w), g.dim) for ik, w in table.items()}
+    return {ik: v._coords(w) for ik, w in table.items()}
 
 
 class ExtractedProducts(NamedTuple):
@@ -159,8 +156,12 @@ def extract_products(g, j, u: Subspace) -> ExtractedProducts:
         raise PreconditionError("complex structure must be abelian")
     if not witness_check(g, j, u):
         raise PreconditionError("need g = u (+) Ju with both halves abelian subalgebras")
-    m = u.dim
-    p, coords = _half_coordinates(g, j, u)
+    m, us = u.dim, u.split()
+    jus = [j.matrix._apply_split(s) for s in us]
+    p = Matrix._of_split(us + jus, g.dim)
+    pinv = p.inverse()
+    table = linalg.bilinear_table(g.split(), jus, us, combinations_with_replacement(range(m), 2))
+    coords = {ik: _dense(pinv._apply_split(w), g.dim) for ik, w in table.items()}
     dot = CommAssocAlgebra(m, {ik: vec_scale(rat(-1), w[m:]) for ik, w in coords.items()})
     star = CommAssocAlgebra(m, {ik: w[:m] for ik, w in coords.items()})
     certify("extracted products must satisfy the axioms",
@@ -182,12 +183,11 @@ class AffModel(NamedTuple):
 
 def _aff_model(g, j, v: Subspace) -> AffModel:
     """Build the affine model over the half v; requires [Jv, v] inside v."""
-    m = v.dim
-    coords = _half_coordinates(g, j, v)[1]
-    for (i, k), w in coords.items():
-        certify("product leaves the abelian half", is_zero_vec(w[m:]),
+    products = _half_products(g, j, v)
+    for (i, k), w in products.items():
+        certify("product leaves the abelian half", w is not None,
                 "bracket [J v_%d, v_%d] has a J-half component" % (i + 1, k + 1))
-    alg = CommAssocAlgebra(m, {ik: w[:m] for ik, w in coords.items()})
+    alg = CommAssocAlgebra._of_split(v.dim, products)
     wit = check_axioms(alg)
     certify("recovered product fails the axioms", wit is None, wit and wit.kind)
     model = aff_algebra(alg)

@@ -17,7 +17,7 @@ Curvature, the metric and complex flags and the complex projection follow
 the nonzero slices, by the sparse-product rule (Gustavson 1978): each call
 indexes once the support of every operator D_i, the columns k with D_i e_k
 != 0, and contracts a column only where a nonzero can meet a nonzero (see
-_curvature_pairs, _is_metric and _j_columns).  Levi-Civita lowers the
+_curvature_pairs, _is_adjoint and _j_columns).  Levi-Civita lowers the
 Koszul formula by the metric into one integer table, filled from G c_ab on
 the nonzero brackets a < b only (_lowered_koszul), and solves by G^-1 only
 the (i, j) at which it is nonzero; it makes no matrix product.  A torsion
@@ -122,18 +122,40 @@ class Connection(_Tensor):
         return _tensor_dense(self._split)
 
     def apply(self, x, y):
+        if len(x) != self.dim or len(y) != self.dim:
+            raise DimensionMismatch("connection arguments must have dimension %d" % self.dim)
         return bilinear(self._split, x, y)
 
     def is_zero(self):
         return not any(nz for row in self._split for _, nz in row)
 
 
+def _is_adjoint(gram: Matrix, cols, sign) -> bool:
+    """Whether A* = sign A for the symmetric Gram matrix G, A given by its
+    column splits: L = G A must satisfy L^T = sign L, skew for sign -1 and
+    symmetric for sign 1.  L has a nonzero column only where A does, one
+    contraction each, kept as (den, {index: numerator}); each nonzero
+    L[a][k] is tested against L[k][a], so a zero A costs nothing."""
+    n, gs = gram.nrows, gram.split()
+    lcols = {}
+    for k, (d, nz) in enumerate(cols):
+        if nz:
+            den, col = _combine(d, [(c, gs[q]) for q, c in nz], n)
+            lcols[k] = den, dict(col)
+    for k, (den, col) in lcols.items():
+        for a, x in col.items():
+            da, ca = lcols.get(a, (1, {}))
+            if x * da != sign * ca.get(k, 0) * den:
+                return False
+    return True
+
+
 def is_hermitian(g, j: ComplexStructure, metric: InnerProduct) -> bool:
-    """Exact matrix identity: J-transport preserves the Gram matrix."""
+    """J-transport preserves the Gram matrix: J^T G J = G, which is G J
+    skew, as J^-1 = -J and G = G^T hold by construction."""
     if not (g.dim == j.dim == metric.dim):
         raise DimensionMismatch("algebra, J and metric dimensions differ")
-    jm = j.matrix
-    return (jm.transpose() @ metric.gram) @ jm == metric.gram
+    return _is_adjoint(metric.gram, j.matrix.split(), -1)
 
 
 @dataclass(frozen=True)
@@ -359,24 +381,8 @@ class ConnectionFlags(NamedTuple):
 
 
 def _is_metric(conn: Connection, metric: InnerProduct) -> bool:
-    """Each D_i is skew for the metric: G D_i + D_i^T G = L + L^T vanishes,
-    L = G D_i as G is symmetric.  L has a nonzero column only where D_i
-    does, one contraction each, kept as (den, {index: numerator}); each
-    nonzero L[a][k] is tested against L[k][a], so zero operators cost
-    nothing."""
-    n, gs = conn.dim, metric.gram.split()
-    for row in conn.split():
-        cols = {}
-        for k, (d, nz) in enumerate(row):
-            if nz:
-                den, col = _combine(d, [(c, gs[q]) for q, c in nz], n)
-                cols[k] = den, dict(col)
-        for k, (den, col) in cols.items():
-            for a, x in col.items():
-                da, ca = cols.get(a, (1, {}))
-                if x * da + ca.get(k, 0) * den:
-                    return False
-    return True
+    """Each D_i is skew for the metric (_is_adjoint)."""
+    return all(_is_adjoint(metric.gram, row, -1) for row in conn.split())
 
 
 def _j_columns(j: ComplexStructure, conn: Connection):
@@ -454,15 +460,6 @@ def first_canonical(t: HermitianTriple) -> Connection:
     return complex_projection(t.j, levi_civita(t.algebra, t.metric))
 
 
-def _adjoints(g, metric):
-    """Column splits of each metric adjoint ad_j* = G^-1 ad_j^T G (ad_j^T has
-    the brackets [e_j, e_q] as rows); a zero ad_j keeps its empty splits."""
-    gm, gs = metric.gram, g.split()
-    ginv = gm.inverse()
-    return [(ginv @ (Matrix._of_split(gs[j], g.dim).transpose() @ gm)).split()
-            if any(nz for _, nz in gs[j]) else gs[j] for j in range(g.dim)]
-
-
 def first_canonical_pairing(t: HermitianTriple) -> Connection:
     """The canonical complex metric connection for abelian J, from the
     expanded pairing
@@ -475,7 +472,12 @@ def first_canonical_pairing(t: HermitianTriple) -> Connection:
     g, j = t.algebra, t.j
     if not is_abelian_cs(g, j):
         raise PreconditionError("pairing formula requires an abelian complex structure")
-    n, gs, adj = g.dim, g.split(), _adjoints(g, t.metric)
+    n, gs, gm = g.dim, g.split(), t.metric.gram
+    ginv = gm.inverse()
+    # column splits of each metric adjoint ad_q* = G^-1 ad_q^T G (ad_q^T has
+    # the brackets [e_q, e_p] as rows); a zero ad_q keeps its empty splits
+    adj = [(ginv @ (Matrix._of_split(gs[q], n).transpose() @ gm)).split()
+           if any(nz for _, nz in gs[q]) else gs[q] for q in range(n)]
     k = Connection._of_split([[_combine(1, ((1, gs[i][q]), (-1, adj[i][q])), n)
                                for q in range(n)] for i in range(n)])
     p = complex_projection(j, k).split()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
 
 from . import serialize
@@ -21,9 +20,9 @@ from .complex_structures import (
     ComplexStructure, HolomorphicPair, abelian_cs_report, is_abelian_cs,
     is_holomorphic_iso, j_stable_commutator,
 )
-from .constructions import _greedy_j_half, double_product
+from .constructions import _greedy_j_half, _half_products, double_product
 from .hermitian import (  # curvature: bench/test_bench.py reads lab.curvature
-    HermitianTriple, InnerProduct, connection_flags, curvature,
+    HermitianTriple, InnerProduct, _is_adjoint, connection_flags, curvature,
     cyclic_metric_identity, first_canonical, is_flat, is_kahler,
     twisted_cyclic_identity,
 )
@@ -32,8 +31,8 @@ from .lie import (
     derived_and_central_series, is_unimodular, pushforward,
 )
 from .linalg import (
-    CertificateError, Matrix, SingularMatrix, Subspace, _combine, _dense, _nonzeros,
-    basis_vec, bilinear_table, certify, rat,
+    CertificateError, Matrix, SingularMatrix, Subspace, _combine, _dense, _nonzeros, certify,
+    rat,
 )
 
 FAMILIES = ("trivial-star", "equal-products", "diagonal-pair")
@@ -118,24 +117,20 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     n = gp.dim
 
     factors, rs = [], []
-    gs, jm = g.split(), j.matrix
+    jm = j.matrix
     if n:
-        bs = gp.split()
-        bm = Matrix._of_split(bs, g.dim)
-        products = {}
-        for ik, w in bilinear_table(gs, (jm @ bm).split(), bs,
-                                    combinations_with_replacement(range(n), 2)).items():
-            products[ik] = gp._coords(w)
-            certify(4, products[ik] is not None, "[Jx, y] left the commutator ideal")
+        products = _half_products(g, j, gp)
+        certify(4, None not in products.values(), "[Jx, y] left the commutator ideal")
         alg = CommAssocAlgebra._of_split(n, products)
         wit = check_axioms(alg)
         certify(4, wit is None,
                 wit and "induced product fails %s at %s" % (wit.kind, (wit.indices,)))
 
+        bm = Matrix._of_split(gp.split(), g.dim)
         ghat = (bm.transpose() @ metric.gram) @ bm
-        for a in range(n):
-            la = alg.left_mult(basis_vec(n, a))
-            certify(5, ghat @ la == la.transpose() @ ghat,
+        # the columns of L_a are the products e_a o e_k
+        for a, la in enumerate(alg.split()):
+            certify(5, _is_adjoint(ghat, la, 1),
                     "left multiplication %d is not self-adjoint" % a)
         certify(5, nilradical(alg).is_semisimple, "induced product has a nonzero nilradical")
 

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .linalg import (
     DimensionMismatch, Matrix, SingularMatrix, Subspace, _combine, _combine_nonzero, _dense,
-    _kernel, _Tensor, _negated, _nonzeros, _tensor_dense, _trace, _value_split, bilinear, vec,
+    _kernel, _Tensor, _negated, _tensor_dense, _trace, _value_split, bilinear, bilinear_table,
 )
 
 
@@ -197,9 +197,9 @@ def _brackets(g, u: Subspace, v: Subspace):
     table is alternating and only the pairs a < b are asked for."""
     us = u.split()
     if v is u:
-        return linalg.bilinear_table(g.split(), us, us, combinations(range(len(us)), 2))
+        return bilinear_table(g.split(), us, us, combinations(range(len(us)), 2))
     vs = v.split()
-    return linalg.bilinear_table(g.split(), us, vs, product(range(len(us)), range(len(vs))))
+    return bilinear_table(g.split(), us, vs, product(range(len(us)), range(len(vs))))
 
 
 def bracket_span(g, u: Subspace, v: Subspace) -> Subspace:
@@ -262,19 +262,6 @@ def classify_subspace(g, u: Subspace) -> SubspaceRole:
         is_ideal=u.contains(full_brackets),
         is_abelian_subspace=self_brackets.is_zero(),
     )
-
-
-def bilinear_table(tensor, a: Matrix, b: Matrix, pairs):
-    """{(i, j): tensor(A e_i, B e_j)} for exactly the index pairs asked for
-    (linalg.bilinear_table), as Fractions.
-
-    tensor is a LieAlgebra, whose bracket splits are used, or any rank-3
-    tensor t with t[p][q] the vector value on (e_p, e_q).
-    """
-    split = (tensor.split() if isinstance(tensor, LieAlgebra)
-             else [[_nonzeros(vec(v)) for v in row] for row in tensor])
-    table = linalg.bilinear_table(split, a.split(), b.split(), pairs)
-    return {ij: _dense(w, len(split)) for ij, w in table.items()}
 
 
 def pushforward(g, p: Matrix) -> _PairTable:

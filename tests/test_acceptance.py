@@ -69,7 +69,7 @@ def test_criterion_1_fixture_structure(fixtures_dir):
             rep = abelian_cs_report(g, j)
             assert rep.center_j_stable
             assert rep.ad_twist
-            assert rep.commutator_abelian_iff_2step
+            assert rep.commutator_abelian
             assert rep.j_commutator_abelian_subalgebra
             assert rep.intersection_central
             assert not is_unimodular(g)

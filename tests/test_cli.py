@@ -59,7 +59,7 @@ def test_check_text_output_is_pinned(fixtures_dir, capsys):
         code = main(["check"] + argv)
         h.update(b"%d\n" % code + capsys.readouterr().out.encode())
     assert len(runs) == 7
-    assert h.hexdigest()[:12] == "06178fde77e0"
+    assert h.hexdigest()[:12] == "eef81e3684dc"
 
 
 def test_check_json_renders_no_text(fixtures_dir, capsys, monkeypatch):
@@ -94,7 +94,7 @@ def test_check_first_canonical_matches_pairing(fixtures_dir, capsys):
     assert checked == 6
 
 
-@pytest.mark.parametrize("dim, prefix", [(8, "e221e14126d5"), (12, "0e0bc80857d3")])
+@pytest.mark.parametrize("dim, prefix", [(8, "3eb8c93b8ee2"), (12, "fb9f357f81af")])
 def test_dense_disguised_check_is_pinned(tmp_path, capsys, dim, prefix):
     """check --json on a diagonal-pair double product pushed forward by a
     random unimodular matrix, with a random Hermitian metric: every tensor
@@ -125,7 +125,7 @@ def test_check_at_the_largest_accepted_dim_is_pinned(tmp_path, capsys):
     assert main(["check", str(path), "--json"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["dim"] == 64
-    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "b32f435786cc"
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "7f15d1229ed8"
 
 
 def test_check_require_pass_and_fail(fixtures_dir, capsys):
@@ -430,6 +430,23 @@ def test_fuzz_and_report(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing.json")]) == 2
     assert main(["fuzz", "--seed", "1", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+def test_report_refuses_malformed_counts(tmp_path, capsys):
+    """A theorem entry that is not {"pass": int, "fail": int}, or
+    counterexamples that are not a list, is an input error (exit 2), not a
+    traceback; an empty theorem table prints no rows."""
+    base = {"seed": 1, "trials": 0, "theorems": {}, "counterexamples": []}
+    path = tmp_path / "report.json"
+    for bad in ({"theorems": {"a": 5}}, {"theorems": {"a": {"pass": 1}}},
+                {"counterexamples": 5}):
+        path.write_text(json.dumps(dict(base, **bad)), encoding="utf-8")
+        assert main(["report", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ")
+    path.write_text(json.dumps(base), encoding="utf-8")
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr().out == "seed 1, 0 trials\ncounterexamples: 0\n"
 
 
 def test_fuzz_refuses_max_dim_below_two(capsys):

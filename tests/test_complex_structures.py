@@ -8,6 +8,7 @@ from abelianj.complex_structures import (
 )
 from abelianj.constructions import standard_complex_structure
 from abelianj.lab import FAMILIES, random_instance
+from abelianj import lie
 from abelianj.lie import LieAlgebra, PreconditionError
 from abelianj.linalg import DimensionMismatch, Matrix, _dense, is_zero_vec, vec
 
@@ -80,10 +81,21 @@ def test_report_five_flags_hold():
         rep = abelian_cs_report(g, j)
         assert rep.center_j_stable
         assert rep.ad_twist
-        assert rep.commutator_abelian_iff_2step
+        assert rep.commutator_abelian
         assert rep.j_commutator_abelian_subalgebra
         assert rep.intersection_central
         assert rep.all_hold
+
+
+def test_report_flags_a_nonabelian_commutator(monkeypatch):
+    """The commutator flag reads the derived series: with [g', g'] forced
+    nonzero on a fresh algebra, it and all_hold are false."""
+    g = aff_complex()
+    real = lie.bracket_span
+    monkeypatch.setattr(lie, "bracket_span", lambda h, u, v: u if (
+        u is v and u == lie.commutator_ideal(h)) else real(h, u, v))
+    rep = abelian_cs_report(g, standard_complex_structure(2))
+    assert not rep.commutator_abelian and not rep.all_hold
 
 
 def test_report_requires_abelian_structure():

@@ -7,11 +7,11 @@ import pathlib
 
 PARTS = {
     "fuzz": "d0ea025a310d453a7ad2b4128b9e3dc808093125f983cee31f89341e824ae925",
-    "check": "73c5dd7b941b26aec27b3182a058905c3635074d70b6a2e6dcf6c577363ce64f",
+    "check": "47ecffe395e12fb76af9919d236c482e8a447b4b5aa536de1f4ae30bd385d5d7",
     "kahler": "2cb8bac074a3e3aa1aa3925fe0217dbefe40345798a37870d092131ce924715c",
     "round trip": "469e0a7fec5da492b34f4e25593ac2e67548939d94c67684df4fbf02b84f91a9",
 }
-TOTAL = "f4f9d4b7b0c92a2b87dcae3dc228ddf4d4ef2c135477cf1c7858c261bd4cabcb"
+TOTAL = "718b3efea6d9feb8b38c05b9731480f38863056a0823bcb9121ea097b6f3e854"
 
 
 def test_digest_is_pinned():

@@ -61,6 +61,10 @@ def test_levi_civita_on_affine_line():
     assert conn.apply(vec((1, 0)), vec((0, 1))) == vec((0, 0))
     assert conn.apply(vec((0, 1)), vec((1, 0))) == vec((0, -1))
     assert conn.apply(vec((0, 1)), vec((0, 1))) == vec((1, 0))
+    # a short argument is not padded with zeros, a long one is not cut
+    for x, y in (((0,), (0, 1)), ((0, 1), (0, 1, 0))):
+        with pytest.raises(DimensionMismatch):
+            conn.apply(vec(x), vec(y))
     assert is_torsion_free(g, conn)
     # scaling the metric leaves the Levi-Civita coefficients unchanged
     assert levi_civita(g, InnerProduct.diagonal([4, 4])) == conn

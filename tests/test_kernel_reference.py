@@ -104,15 +104,14 @@ def test_bilinear_products_match_fraction_reference():
         outputs.extend(op.rows)
         expected = tuple(tuple(_ref_bilinear(g.c, mat_a.column(i), mat_b.column(j))
                                for j in range(n)) for i in range(n))
-        # exactly the pairs asked for; the algebra's kept split and a raw
-        # tensor give the same table
+        # exactly the pairs asked for
         for pairs in (list(combinations(range(n), 2)),
                       list(combinations_with_replacement(range(n), 2)),
                       [(i, j) for i in range(n) for j in range(n)]):
-            table = bilinear_table(g, mat_a, mat_b, pairs)
+            table = {ij: linalg._dense(w, n) for ij, w in bilinear_table(
+                g.split(), mat_a.split(), mat_b.split(), pairs).items()}
             assert list(table) == pairs
             assert all(table[i, j] == expected[i][j] for i, j in pairs)
-            assert bilinear_table(g.c, mat_a, mat_b, pairs) == table
             outputs.extend(table.values())
         # random tensors mostly fail Jacobi: the first witness and its residual
         witness = check_jacobi(g)
@@ -595,6 +594,8 @@ def _matches_reference(g, j, metric, conn):
     assert torsion(g, conn) == _ref_torsion(g, conn)
     flags = (hermitian._is_metric(conn, metric), hermitian._is_complex(conn, j))
     assert flags == (_ref_is_metric(conn, metric), _ref_is_complex(conn, j.matrix))
+    # check reads Levi-Civita's complex flag as "the projection fixes it"
+    assert (complex_projection(j, conn) == conn) == flags[1]
     assert complex_projection(j, conn).gamma == _ref_projection(conn, j.matrix)
     for block in (cell for row in grid for cell in row):
         for r in block.rows:
@@ -652,6 +653,31 @@ def _bumped(conn, bumps):
     for i, k, a, x in bumps:
         gamma[i][k][a] += x
     return Connection(gamma)
+
+
+def test_metric_adjoint_test_matches_the_dense_identity():
+    """_is_adjoint(G, A, sign) is (G A)^T == sign G A for a symmetric G, on
+    A = G^-1 S with S skew or symmetric, on that A with one entry moved,
+    and on random and zero A."""
+    rng = random.Random(28)
+    for n in (1, 2, 3, 5):
+        for _ in range(10):
+            b = Matrix([_vector(rng, n) for _ in range(n)])
+            gram = b + b.transpose()
+            try:
+                ginv = gram.inverse()
+            except SingularMatrix:
+                continue
+            for sign in (1, -1):
+                s = b + b.transpose().scale(sign)
+                good = ginv @ s
+                moved = good + Matrix([[int(r == c == n - 1) for c in range(n)]
+                                       for r in range(n)])
+                for a in (good, moved, Matrix([_vector(rng, n) for _ in range(n)]),
+                          Matrix.zeros(n, n)):
+                    ga = gram @ a
+                    assert hermitian._is_adjoint(gram, a.split(), sign) == \
+                        (ga.transpose() == ga.scale(sign))
 
 
 def test_hermitian_layer_on_sparse_operators_matches_reference():
@@ -753,7 +779,7 @@ def test_sparse_check_contracts_only_nonzero_slices(monkeypatch, tmp_path, capsy
     serialize.save_instance(path, g, j, metric)
     assert main(["check", str(path), "--json"]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "98c5884accc0"
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "ea2e1d800059"
 
 
 def test_levi_civita_contracts_once_per_bracket_and_slice(monkeypatch):

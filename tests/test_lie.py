@@ -11,7 +11,7 @@ from abelianj.lie import (
 )
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import Connection, torsion
-from abelianj.linalg import DimensionMismatch, Matrix, Subspace, rat, vec
+from abelianj.linalg import DimensionMismatch, Matrix, Subspace, _dense, _nonzeros, rat, vec
 
 
 def vec_sub(u, v):
@@ -102,12 +102,18 @@ def test_center_of_subalgebra():
     assert center_of_subalgebra(g, gp) == gp
 
 
+def _table(split, a, b, pairs):
+    """bilinear_table over the columns of a and b, as Fractions."""
+    return {ij: _dense(w, len(split))
+            for ij, w in bilinear_table(split, a.split(), b.split(), pairs).items()}
+
+
 def test_bracket_span_and_bilinear_table():
     g = aff_complex()
     whole = Subspace.whole(4)
     assert bracket_span(g, whole, whole) == commutator_ideal(g)
     pairs = list(product(range(4), repeat=2))
-    tab = bilinear_table(g.c, Matrix.identity(4), Matrix.identity(4), pairs)
+    tab = _table(g.split(), Matrix.identity(4), Matrix.identity(4), pairs)
     assert all(vec(tab[i, j]) == g.c[i][j] for i in range(4) for j in range(4))
 
     # general A, B that commute neither with each other nor with J
@@ -115,7 +121,7 @@ def test_bracket_span_and_bilinear_table():
     b = Matrix([[0, 1, 0, 0], [rat(1, 2), 0, -2, 1], [1, 1, 1, 0], [0, 3, 0, -1]])
     jm = standard_complex_structure(2).matrix
     assert a @ b != b @ a and a @ jm != jm @ a and b @ jm != jm @ b
-    tab = bilinear_table(g.c, a, b, pairs)
+    tab = _table(g.split(), a, b, pairs)
     for i in range(4):
         for j in range(4):
             assert tab[i, j] == g.bracket(a.column(i), b.column(j))
@@ -125,7 +131,7 @@ def test_bracket_span_and_bilinear_table():
                         for j in range(4)] for i in range(4)])
     tor = torsion(g, conn)
     assert tor != g.c
-    tab = bilinear_table(tor, a, b, pairs)
+    tab = _table([[_nonzeros(v) for v in row] for row in tor], a, b, pairs)
     for i in range(4):
         for j in range(4):
             x, y = a.column(i), b.column(j)
