@@ -10,8 +10,8 @@ canonical connections, curvature, the Kähler splitting) on top.
 from .assoc import (
     AxiomWitness, CommAssocAlgebra, CompatibilityWitness, GenericityError,
     IdempotentSet, IrrationalSpectrumError, NilradicalReport, NotSemisimpleError,
-    check_axioms, check_compatibility, is_nilpotent_algebra,
-    minimal_polynomial, nilradical, primitive_idempotents, square_span, unit,
+    check_axioms, check_compatibility, minimal_polynomial, nilradical,
+    primitive_idempotents, square_span, unit,
 )
 from .complex_structures import (
     AbelianReport, ComplexStructure, HolomorphicPair, abelian_cs_report,

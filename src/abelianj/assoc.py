@@ -177,10 +177,6 @@ def nilradical(a) -> NilradicalReport:
     return NilradicalReport(rad, rad.is_zero())
 
 
-def is_nilpotent_algebra(a) -> bool:
-    return nilradical(a).nilradical == Subspace.whole(a.dim)
-
-
 def unit(a):
     """The multiplicative unit as a vector, or None: the solution x of
     sum_j x_j e_j e_i = e_i for every i, column j stacking the products

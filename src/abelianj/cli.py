@@ -185,12 +185,10 @@ def run_construct(args) -> int:
             raise serialize.InputError("--n must be a positive integer")
         _within_max_dim(2 * args.n + 2)
         g, j = semidirect_r2_family(args.n, serialize.load_matrix(args.t))
-    text = serialize.emit(serialize.instance_to_dict(g, j))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        serialize.save_instance(args.out, g, j)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize.emit(serialize.instance_to_dict(g, j)))
     return PASS
 
 

@@ -219,20 +219,22 @@ def recognize_aff(g, j) -> AffModel:
 
 
 def _greedy_j_half(j, ambient_space: Subspace, seed: Subspace) -> Subspace:
-    """Extend seed by echelon vectors of a J-stable space until the space is
-    (seed + added) (+) J(seed + added); returns only the added part."""
-    running = seed.sum(seed.image(j.matrix))
-    certify("seed half meets its J-image", running.dim == 2 * seed.dim)
-    added = []
-    for w in ambient_space.split():
-        if running._coords(w) is None:
-            added.append(w)
-            nxt = Subspace._spanned(running.ambient,
-                                    running.split() + [w, j.matrix._apply_split(w)])
-            certify("J-split extension step failed", nxt.dim == running.dim + 2)
-            running = nxt
-    certify("space to split is not J-stable", running == ambient_space)
-    return Subspace._spanned(ambient_space.ambient, added)
+    """Extend seed by echelon vectors w of a J-stable space until the space is
+    (seed + added) (+) J(seed + added); returns only the added part.  In one
+    elimination over s, Js for s in seed and then w, Jw, the columns before
+    w span a J-stable space, which meets span{w, Jw} only in 0 if it misses
+    w: so w is added exactly when it is a pivot, and then so is Jw."""
+    jm, ws = j.matrix, ambient_space.split()
+    pivots = linalg._pivot_columns(
+        [c for s in seed.split() + ws for c in (s, jm._apply_split(s))], ambient_space.ambient)
+    m = 2 * seed.dim
+    certify("seed half meets its J-image", pivots[:m] == list(range(m)))
+    added = [p for p in pivots[m:] if p % 2 == 0]
+    certify("J-split extension step failed",
+            pivots[m:] == [p + t for p in added for t in (0, 1)])
+    # the columns span seed + Jseed + the space + its J-image
+    certify("space to split is not J-stable", len(pivots) == ambient_space.dim)
+    return Subspace._spanned(ambient_space.ambient, [ws[(p - m) // 2] for p in added])
 
 
 class RefinedWitness(NamedTuple):
@@ -275,8 +277,7 @@ def aff_from_abelian_ideal(g, j, u: Subspace) -> AffModel:
     """From an abelian ideal u with g = u + Ju (and commutator meeting its
     J-image trivially), build a half v and exhibit g as an affine algebra.
 
-    v is assembled from: a complement of commutator + central part inside u,
-    a complement of the central part of the commutator inside the
+    v is spanned by a complement of commutator + central part inside u, the
     commutator, and one sheet of a J-splitting of the center seeded by the
     central part of the commutator.
     """
@@ -289,10 +290,9 @@ def aff_from_abelian_ideal(g, j, u: Subspace) -> AffModel:
     certify("commutator must lie inside the abelian ideal", u.contains(gp))
     z = center(g)
     gp_central = gp.intersect(z)
-    h = gp_central.complement_in(gp)
     k = gp.sum(z.intersect(u)).complement_in(u)
     ell = _greedy_j_half(j, z, gp_central)
-    v = Subspace._spanned(g.dim, k.split() + h.split() + gp_central.split() + ell.split())
+    v = Subspace._spanned(g.dim, k.split() + gp.split() + ell.split())
     certify("assembled half has wrong dimension", 2 * v.dim == g.dim)
     certify("assembled half is not an abelian splitting", witness_check(g, j, v))
     return _aff_model(g, j, v)

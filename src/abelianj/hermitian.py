@@ -39,9 +39,8 @@ from .complex_structures import ComplexStructure, is_abelian_cs
 from .lie import LieAlgebra, PreconditionError, _kept, commutator_ideal, derived_and_central_series
 from . import linalg
 from .linalg import (
-    DimensionMismatch, Matrix, _Tensor, _bilinear, _combine, _combine_nonzero, _entry,
-    _ints, _negated, _nonzeros, _tensor_dense, bilinear, certify, contract_splits, lin_comb,
-    vec, vec_dot,
+    DimensionMismatch, Matrix, _Tensor, _combine, _combine_nonzero, _entry, _ints, _negated,
+    _nonzeros, _tensor_dense, bilinear, certify, contract_splits, left_map, lin_comb, vec, vec_dot,
 )
 
 
@@ -506,9 +505,7 @@ def flat_metric_report(g, metric: InnerProduct, conn: Connection) -> FlatMetricR
         raise PreconditionError("connection must be flat")
     # over the zero bracket, R(e_i, e_j) is the commutator of D_i and D_j
     commuting = is_flat(LieAlgebra.abelian(g.dim), conn)
-    n, cs = g.dim, conn.split()
-    vanishes = not any(_bilinear(cs, v, (1, [(k, 1)]), n)[1]
-                       for v in commutator_ideal(g).split() for k in range(n))
+    vanishes = all(left_map(conn.split(), v).is_zero() for v in commutator_ideal(g).split())
     return FlatMetricReport(commuting, vanishes)
 
 

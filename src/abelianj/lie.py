@@ -7,7 +7,8 @@ violating triple, since several callers deliberately build non-Lie tensors.
 
 An algebra is its canonical bracket splits (see linalg), and c builds
 Fractions from them on each read.  The structure checks are contractions
-over those splits, none for a zero bracket.  Every bracket table is one
+over those splits, none for a zero bracket.  Every bracket table, and the
+table of g(P^-1 e_i, P^-1 e_j) that pushforward transports, is one
 linalg.bilinear_table over the pairs it needs, kept as splits: a
 self-bracket table (_brackets of u with u) asks only for the pairs i < j of
 the alternating bracket.  is_isomorphism transports the source by the map
@@ -272,11 +273,7 @@ def pushforward(g, p: Matrix) -> _PairTable:
         raise DimensionMismatch("pushforward needs a square matrix of size dim")
     n, gs, qs = g.dim, g.split(), p.inverse().split()
     pairs = (combinations_with_replacement if g._symmetric else combinations)(range(n), 2)
-    out = {}
-    for i, j in pairs:
-        w = linalg._bilinear(gs, qs[i], qs[j], n)
-        if w[1]:
-            out[i, j] = p._apply_split(w)
+    out = {ij: p._apply_split(w) for ij, w in bilinear_table(gs, qs, qs, pairs).items() if w[1]}
     return type(g)._of_split(n, out, g.basis_names)
 
 

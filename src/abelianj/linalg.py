@@ -2,8 +2,8 @@
 
 Everything downstream computes over Q with zero tolerance.  The one scalar
 type is fractions.Fraction, always in lowest terms with a positive
-denominator, printing as "p/q".  This module is the only place that does
-arithmetic on integer numerators, chiefly in three routines:
+denominator, printing as "p/q".  Most arithmetic on integer numerators
+runs through three routines here:
 
 * _combine, the one contraction.  A vector's split is (d, [(index,
   numerator)]): its nonzero entries as Python-int numerators over d, the
@@ -19,9 +19,9 @@ arithmetic on integer numerators, chiefly in three routines:
   _combine_nonzero is the one zero-skip: a contraction with only zero
   splits to read is not made.
   A rank-3 tensor T is evaluated on vectors only by _bilinear, one
-  contraction of T(x, y) over the nonzero slices it reads.  bilinear (the
-  bracket, the commutative product, a connection), left_map and
-  bilinear_table call it; bilinear_table computes exactly the pairs
+  contraction of T(x, y) over the nonzero slices it reads, which only
+  bilinear (the bracket, the commutative product, a connection), left_map
+  and bilinear_table call; bilinear_table computes exactly the pairs
   (i, j) its caller asks for, so an alternating table is contracted once
   per unordered pair i < j and a symmetric one once per i <= j.
 * _first_nonzero_residual, the packed zero test of a basis-triple identity
@@ -34,7 +34,8 @@ arithmetic on integer numerators, chiefly in three routines:
 * _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
   1968) on integer rows, exact divisions only.  Reduced row echelon form,
   rank, kernel, solve, inverse, det and leading principal minors all read
-  its result from integer rows read off splits, with no Fraction built.
+  its result from integer rows read off splits, with no Fraction built; so
+  does a basis extension, its greedy choice the pivots (_pivot_columns).
 
 One storage rule: every exact object is its canonical splits.  A vector's
 canonical split, (d > 0, [(index, numerator)]) with ascending indices and
@@ -437,6 +438,18 @@ def _echelon(rows, ncols):
              for row in rows[:len(pivots)]], pivots)
 
 
+def _pivot_columns(splits, n):
+    """The positions of the vectors, given by their splits in Q^n and taken
+    in order, that lie outside the span of the vectors before them: the
+    pivot columns of one elimination of the matrix with these columns, each
+    scaled by its denominator (reduced row echelon form chooses greedily)."""
+    rows = [[0] * len(splits) for _ in range(n)]
+    for q, (_, nz) in enumerate(splits):
+        for k, a in nz:
+            rows[k][q] = a
+    return _eliminate([row for row in rows if any(row)], len(splits))[0]
+
+
 def _kernel(rows, ncols):
     """Canonical splits of the null-space basis of these integer rows, the
     free variables set to 1 in order; the rows are eliminated in place."""
@@ -773,27 +786,20 @@ class Subspace:
                                      for d, nz in rows if nz[0][0] >= n])
 
     def complement_in(self, bigger):
-        """C with bigger = self (+) C, chosen deterministically: greedily
-        extend by the echelon basis vectors of `bigger` not already in the
-        running span.
+        """C with bigger = self (+) C, chosen deterministically: the echelon
+        basis vectors of `bigger` outside the span of self and of the ones
+        before them, the pivots past self's in one elimination over self's
+        basis and then bigger's (_pivot_columns).
         """
         self._check(bigger)
-        if not bigger.contains(self):
+        pivots = _pivot_columns(self._split + bigger._split, self.ambient)
+        if len(pivots) != bigger.dim:       # the rank of self + bigger
             raise DimensionMismatch("complement: first subspace not inside second")
-        acc = list(self._split)
-        added = []
-        current = self
-        for w in bigger._split:
-            if current._coords(w) is None:
-                added.append(w)
-                acc.append(w)
-                current = Subspace._spanned(self.ambient, acc)
-        comp = Subspace._spanned(self.ambient, added)
-        # current spans self + comp: its dimension is self.dim + comp.dim
-        # exactly when the two meet only in 0
+        # with its basis the first pivots, self meets C only in 0 and they span bigger
         certify("complement does not split the bigger space",
-                current.dim == comp.dim + self.dim == bigger.dim)
-        return comp
+                pivots[:self.dim] == list(range(self.dim)))
+        return Subspace._spanned(self.ambient, [bigger._split[p - self.dim]
+                                                for p in pivots[self.dim:]])
 
     def orthogonal_complement(self, metric):
         """Orthogonal complement with respect to an InnerProduct: the kernel

@@ -5,7 +5,7 @@ import pytest
 from abelianj import assoc
 from abelianj.assoc import (
     CommAssocAlgebra, GenericityError, IrrationalSpectrumError,
-    NotSemisimpleError, check_axioms, check_compatibility, is_nilpotent_algebra,
+    NotSemisimpleError, check_axioms, check_compatibility,
     minimal_polynomial, nilradical, primitive_idempotents, square_span, unit,
 )
 from abelianj.lie import PreconditionError
@@ -104,9 +104,10 @@ def test_nilradical_and_semisimplicity():
     rep = nilradical(dual_numbers())
     assert not rep.is_semisimple
     assert rep.nilradical.dim == 1 and rep.nilradical.contains_vector(vec((0, 1)))
-    assert is_nilpotent_algebra(truncated_cubic())
-    assert not is_nilpotent_algebra(dual_numbers())
-    assert is_nilpotent_algebra(CommAssocAlgebra.zero(1))
+    # an algebra is nilpotent exactly when it is its own nilradical
+    for a, nilpotent in ((truncated_cubic(), True), (dual_numbers(), False),
+                         (CommAssocAlgebra.zero(1), True)):
+        assert (nilradical(a).nilradical == Subspace.whole(a.dim)) == nilpotent
 
 
 def test_unit_vectors():

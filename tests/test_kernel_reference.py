@@ -8,12 +8,15 @@ columns) and the nilradical against dense Fraction formulas; the tensors contrac
 against every ordered pair; the minimal polynomial against one solve per
 degree; elimination results and the idempotent splitter's factors over Q
 against sympy; matrices, connections and algebras stored as canonical
-splits against their twins built from Fractions."""
+splits against their twins built from Fractions; the bases extended by one
+elimination (complement_in, the J-split of a J-stable space) against the
+greedy loops that eliminate once per added vector."""
 import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -25,7 +28,7 @@ from abelianj.assoc import (
 from abelianj import assoc, complex_structures, hermitian, lab, lie, linalg, serialize
 from abelianj.cli import main
 from abelianj.complex_structures import abelian_cs_report, is_abelian_cs, is_integrable
-from abelianj.constructions import double_product, standard_complex_structure
+from abelianj.constructions import _greedy_j_half, double_product, standard_complex_structure
 from abelianj.hermitian import (
     Connection, HermitianTriple, InnerProduct, NotPositiveDefiniteError,
     complex_projection, curvature, curvature_norm_sq, first_canonical,
@@ -36,7 +39,9 @@ from abelianj.lie import (
     LieAlgebra, bilinear_table, bracket_span, center, center_of_subalgebra,
     check_jacobi, commutator_ideal, derived_and_central_series, is_unimodular,
 )
-from abelianj.linalg import Matrix, SingularMatrix, Subspace, basis_vec
+from abelianj.linalg import (
+    CertificateError, DimensionMismatch, Matrix, SingularMatrix, Subspace, basis_vec,
+)
 
 
 def _scalar(rng):
@@ -1429,3 +1434,94 @@ def test_split_born_connections_compare_by_their_splits():
         assert (lc == Connection.zero(g.dim)) == lc.is_zero()
     curved = levi_civita(LieAlgebra(2, {(0, 1): {1: 1}}), InnerProduct.identity(2))
     assert not curved.is_zero() and curved != Connection.zero(2)
+
+
+def _ref_complement_in(sub, bigger):
+    """The greedy loop: the echelon vectors of bigger outside the running
+    span, which is eliminated again after each one added."""
+    if not bigger.contains(sub):
+        raise DimensionMismatch("complement: first subspace not inside second")
+    added, current = [], sub
+    for w in bigger.split():
+        if current._coords(w) is None:
+            added.append(w)
+            current = Subspace._spanned(sub.ambient, sub.split() + added)
+    assert current == bigger
+    return added
+
+
+def _ref_greedy_j_half(j, space, seed):
+    """The greedy loop: the echelon vectors w of space outside the running
+    span, which grows by w and Jw and is eliminated again after each one added."""
+    running = seed.sum(seed.image(j.matrix))
+    assert running.dim == 2 * seed.dim
+    added = []
+    for w in space.split():
+        if running._coords(w) is None:
+            added.append(w)
+            running = Subspace._spanned(space.ambient,
+                                        running.split() + [w, j.matrix._apply_split(w)])
+    assert running == space
+    return added
+
+
+def _chosen(space, part):
+    """The echelon vectors of space that lie in part: for a part spanned by
+    some of them, exactly those, as the echelon basis is independent."""
+    return [w for w in space.split() if part._coords(w) is not None]
+
+
+def test_complement_in_picks_the_greedy_vectors():
+    rng = random.Random(2917)
+    for trial in range(120):
+        n = 2 + trial % 7
+        bigger = Subspace(n, [_vector(rng, n) for _ in range(rng.randrange(n + 1))])
+        combos = [_vector(rng, bigger.dim) for _ in range(rng.randrange(n + 1))]
+        sub = Subspace(n, [linalg.lin_comb(c, bigger.basis, n) for c in combos])
+        comp = sub.complement_in(bigger)
+        assert _chosen(bigger, comp) == _ref_complement_in(sub, bigger)
+        assert comp.dim + sub.dim == bigger.dim and sub.sum(comp) == bigger
+        outside = Subspace(n, [_vector(rng, n)])
+        if not bigger.contains(outside):
+            with pytest.raises(DimensionMismatch, match="first subspace not inside second"):
+                outside.complement_in(bigger)
+            with pytest.raises(DimensionMismatch):
+                _ref_complement_in(outside, bigger)
+
+
+def test_j_split_picks_the_greedy_vectors():
+    """J-stable spans of x, Jx over random x, for the standard J and the
+    disguised J of random_instance, with and without a seed half."""
+    rng = random.Random(4153)
+    for trial in range(60):
+        m = 1 + trial % 4
+        if trial % 2:
+            _, j = random_instance(rng.randrange(2 ** 32), m, FAMILIES[trial % 3],
+                                   disguise=True)
+        else:
+            j = standard_complex_structure(m)
+        n, jm = 2 * m, j.matrix
+        xs = [_vector(rng, n) for _ in range(1 + rng.randrange(m))]
+        space = Subspace(n, xs + [jm.apply(x) for x in xs])
+        seed = Subspace(n, xs[:rng.randrange(len(xs) + 1)])
+        if seed.sum(seed.image(jm)).dim != 2 * seed.dim:
+            seed = Subspace.zero(n)
+        half = _greedy_j_half(j, space, seed)
+        assert _chosen(space, half) == _ref_greedy_j_half(j, space, seed)
+        full = half.sum(seed)
+        assert full.sum(full.image(jm)) == space and 2 * full.dim == space.dim
+
+
+def test_basis_extension_refusals():
+    e = [basis_vec(2, i) for i in range(2)]
+    with pytest.raises(DimensionMismatch, match="first subspace not inside second"):
+        Subspace(2, [e[0]]).complement_in(Subspace(2, [e[1]]))
+    j, whole = standard_complex_structure(1), Subspace.whole(2)
+    with pytest.raises(CertificateError, match="seed half meets its J-image"):
+        _greedy_j_half(j, whole, whole)
+    with pytest.raises(CertificateError, match="space to split is not J-stable"):
+        _greedy_j_half(j, Subspace(2, [e[0]]), Subspace.zero(2))
+    with pytest.raises(CertificateError, match="space to split is not J-stable"):
+        _greedy_j_half(j, Subspace.zero(2), Subspace(2, [e[0]]))     # seed outside
+    with pytest.raises(CertificateError, match="J-split extension step failed"):
+        _greedy_j_half(SimpleNamespace(matrix=Matrix.zeros(2, 2)), whole, Subspace.zero(2))

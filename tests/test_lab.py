@@ -14,7 +14,7 @@ from abelianj.assoc import (
 from abelianj.complex_structures import is_abelian_cs
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import (
-    HermitianTriple, InnerProduct, is_hermitian, is_kahler, sectional_curvature,
+    Connection, HermitianTriple, InnerProduct, is_hermitian, is_kahler, sectional_curvature,
 )
 from abelianj.lab import (
     THEOREM_NAMES, KahlerDecomposition, kahler_decompose, random_hermitian_metric,
@@ -369,6 +369,36 @@ def test_theorem_suite_records_a_wrong_center(monkeypatch):
     violated = [ce["violated"] for ce in rep.counterexamples]
     assert {name: violated.count(name) for name in set(violated)} == \
         {"abelian_structure_report": 20, "kahler_decomposition_complete": 16}
+
+
+_CYCLIC = lab.cyclic_metric_identity      # read before any test patches it
+
+
+@pytest.mark.parametrize("owner, name, broken, seed, trials, violated", [
+    (lab, "twisted_cyclic_identity", lambda t: False, 20240823, 40,
+     {"twisted_cyclic_under_zero_first_connection": 14}),
+    (lab, "is_unimodular", lambda g: True, 20240823, 40,
+     {"kahler_unimodular_forces_abelian": 14}),
+    (lab, "is_flat", lambda g, conn: True, 20240823, 40,
+     {"flat_first_connection_forces_abelian": 26}),
+    # seed 21 draws two nilpotent non-abelian trials in its first ten
+    (lab, "is_flat", lambda g, conn: True, 21, 10,
+     {"flat_first_connection_forces_abelian": 9,
+      "nilpotent_nonabelian_first_connection_curved": 2}),
+    (Connection, "is_zero", lambda conn: True, 20240823, 40,
+     {"zero_first_connection_forces_abelian": 26,
+      "twisted_cyclic_under_zero_first_connection": 26}),
+    (lab, "cyclic_metric_identity", lambda t: not _CYCLIC(t), 20240823, 40,
+     {"closed_form_matches_cyclic_identity": 40, "kahler_decomposition_complete": 28}),
+])
+def test_theorem_suite_records_a_broken_computation(monkeypatch, owner, name, broken, seed,
+                                                   trials, violated):
+    # one computation broken: the verdicts that read it record a
+    # counterexample on each trial where it decides them, no other verdict does
+    monkeypatch.setattr(owner, name, broken)
+    rep = theorem_suite(seed, trials)
+    names = [ce["violated"] for ce in rep.counterexamples]
+    assert {n: names.count(n) for n in set(names)} == violated
 
 
 def test_theorem_suite_deterministic():

@@ -123,10 +123,11 @@ def test_every_exported_function_is_reached_or_documented():
 
 def test_a_homonym_does_not_keep_an_export_alive():
     """An exported Fraction lie.bilinear_table that nothing calls is caught,
-    though calls to linalg.bilinear_table, its homonym, remain."""
+    though calls to linalg.bilinear_table, its homonym, remain: every bare
+    call in lie is sent to linalg's."""
     sources = _package_sources()
-    sources["lie"] = sources["lie"].replace(
-        "return bilinear_table(", "return linalg.bilinear_table(") + (
+    sources["lie"] = re.sub(r"(?<![\w.])bilinear_table\(", "linalg.bilinear_table(",
+                            sources["lie"]) + (
         "\n\ndef bilinear_table(tensor, a, b, pairs):\n"
         "    table = linalg.bilinear_table(tensor.split(), a.split(), b.split(), pairs)\n"
         "    return {ij: _dense(w, tensor.dim) for ij, w in table.items()}\n")
@@ -163,3 +164,17 @@ def test_every_private_helper_is_referenced():
                 private.append((path.name, fn.name))
                 own[fn.name] += _references(fn)[fn.name]
     assert [(f, n) for f, n in private if refs[n] <= own[n]] == []
+
+
+def test_only_linalg_references_the_bilinear_kernel():
+    """A tensor meets a vector outside linalg only through bilinear,
+    left_map and bilinear_table, never through linalg._bilinear itself,
+    read, called or imported."""
+    users = []
+    for module, src in sorted(_package_sources().items()):
+        tree = ast.parse(src)
+        imported = Counter(a.name for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom) for a in node.names)
+        if module != "linalg" and (_references(tree) + imported)["_bilinear"]:
+            users.append(module)
+    assert users == []
