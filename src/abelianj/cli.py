@@ -23,6 +23,7 @@ from .lie import (
     PreconditionError, center, commutator_ideal, derived_and_central_series,
     is_unimodular,
 )
+from .linalg import _scalar_str, _split_strs
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -55,7 +56,7 @@ def _fmt_vector(v, names) -> str:
 
 def _connection_json(conn):
     """The scalar strings of every slice, read off its split."""
-    return [[serialize._split_strs(s, conn.dim) for s in row] for row in conn.split()]
+    return [[_split_strs(s, conn.dim) for s in row] for row in conn.split()]
 
 
 def _yesno(b) -> str:
@@ -148,7 +149,8 @@ def run_check(args) -> int:
             out["connections"] = {
                 key: {"tensor": _connection_json(conn),
                       "flags": flags._asdict(),
-                      "curvature_norm_sq": serialize._scalar_str(curvature_norm_sq(g, conn))}
+                      "curvature_norm_sq":
+                          _scalar_str(*curvature_norm_sq(g, conn).as_integer_ratio())}
                 for key, conn, flags in (
                     ("levi_civita", lc, lc_flags),
                     ("first_canonical", fc, connection_flags(g, inst.j, inst.metric, fc)))}
@@ -197,18 +199,20 @@ def _decomposition_dict(dec) -> dict:
         "n": dec.n,
         "s": dec.s,
         "factors": [{
-            "idempotent": serialize._strs(f.idempotent),
-            "norm_sq": serialize._scalar_str(f.norm_sq),
-            "curvature": serialize._scalar_str(f.curvature),
+            "idempotent": [_scalar_str(*x.as_integer_ratio()) for x in f.idempotent],
+            "norm_sq": _scalar_str(*f.norm_sq.as_integer_ratio()),
+            "curvature": _scalar_str(*f.curvature.as_integer_ratio()),
         } for f in dec.factors],
-        "center_basis": [serialize._strs(b) for b in dec.center.basis],
-        "change_of_basis": [serialize._strs(row) for row in dec.change_of_basis.rows],
+        "center_basis": [_split_strs(s, dec.center.ambient) for s in dec.center.split()],
+        "change_of_basis": dec.change_of_basis._row_strs(),
         "model": serialize.instance_to_dict(
             dec.model.algebra, dec.model.j, dec.model.metric),
     }
 
 
 def run_decompose(args) -> int:
+    """Build the decomposition report as one dict; --report emits it, and
+    the text output reads it."""
     inst = serialize.load_instance(args.instance)
     t = inst.triple()
     try:
@@ -216,16 +220,16 @@ def run_decompose(args) -> int:
     except IrrationalSpectrumError as exc:
         print("decomposition failed: %s" % exc, file=sys.stderr)
         return FAIL
-    g = t.algebra
+    data = _decomposition_dict(dec)
     print("factors: n = %d, center: dim %d (s = %d)"
           % (dec.n, dec.center.dim, dec.s))
-    for ix, f in enumerate(dec.factors):
+    for ix, f in enumerate(data["factors"]):
         print("  %d: r^2 = %s, c = %s, direction = %s"
-              % (ix + 1, serialize._scalar_str(f.norm_sq), serialize._scalar_str(f.curvature),
-                 _fmt_vector(serialize._strs(f.idempotent), g.basis_names)))
+              % (ix + 1, f["norm_sq"], f["curvature"],
+                 _fmt_vector(f["idempotent"], t.algebra.basis_names)))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(serialize.emit(_decomposition_dict(dec)))
+            fh.write(serialize.emit(data))
     return PASS
 
 

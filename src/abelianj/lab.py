@@ -14,13 +14,13 @@ from typing import NamedTuple, Optional
 from . import serialize
 from .assoc import (
     CommAssocAlgebra, GenericityError, IrrationalSpectrumError, check_axioms,
-    check_compatibility, nilradical, primitive_idempotents,
+    nilradical, primitive_idempotents,
 )
 from .complex_structures import (
     ComplexStructure, HolomorphicPair, abelian_cs_report, is_abelian_cs,
     is_holomorphic_iso, j_stable_commutator,
 )
-from .constructions import _greedy_j_half, _half_products, double_product
+from .constructions import _greedy_j_half, _half_products, _shifted, double_product
 from .hermitian import (  # curvature: bench/test_bench.py reads lab.curvature
     HermitianTriple, InnerProduct, _is_adjoint, connection_flags, curvature,
     cyclic_metric_identity, first_canonical, is_flat, is_kahler,
@@ -245,7 +245,8 @@ def _random_diagonal(rng, dim) -> CommAssocAlgebra:
 
 
 def random_pair(rng, dim_a, family):
-    """A compatible product pair from one of the three named families."""
+    """A compatible product pair from one of the three named families;
+    double_product decides the compatibility of the pair it is given."""
     if family == "trivial-star":
         pair = _random_block_algebra(rng, dim_a), CommAssocAlgebra(dim_a)
     elif family == "equal-products":
@@ -255,7 +256,6 @@ def random_pair(rng, dim_a, family):
         pair = _random_diagonal(rng, dim_a), _random_diagonal(rng, dim_a)
     else:
         raise PreconditionError("unknown family %r" % (family,))
-    certify("random pair must be compatible", check_compatibility(*pair) is None)
     return pair
 
 
@@ -323,16 +323,13 @@ def random_kahler_instance(seed, max_dim=12) -> KahlerSample:
 
     g = LieAlgebra(dim, {(2 * i, 2 * i + 1): {2 * i + 1: rat(1)} for i in range(n)})
     j = ComplexStructure(_standard_block_j(n + s))
-    rows = [[rat(0)] * dim for _ in range(dim)]
-    for i, r2 in enumerate(norms):
-        rows[2 * i][2 * i] = r2
-        rows[2 * i + 1][2 * i + 1] = r2
+    # the block metric's columns: r^2 on each curved plane, then the center's
+    cols = [(r2.denominator, [(k, r2.numerator)])
+            for i, r2 in enumerate(norms) for k in (2 * i, 2 * i + 1)]
     if s:
-        h = random_hermitian_metric(rng, ComplexStructure(_standard_block_j(s))).gram.rows
-        for r in range(2 * s):
-            for c in range(2 * s):
-                rows[2 * n + r][2 * n + c] = h[r][c]
-    t = HermitianTriple(g, j, InnerProduct(Matrix(rows)))
+        h = random_hermitian_metric(rng, ComplexStructure(_standard_block_j(s))).gram
+        cols += [_shifted(c, 2 * n) for c in h.split()]
+    t = HermitianTriple(g, j, InnerProduct(Matrix._of_split(cols, dim)))
     certify("block model must be Kähler with abelian J", is_abelian_cs(g, j) and is_kahler(t))
 
     p = _random_cayley_isometry(rng, t)

@@ -47,7 +47,9 @@ splits directly, and splits are shared and never mutated.  Fractions exist
 only at the edges: the views (rows, columns, c, m, gamma, basis), built on
 each read and never stored, the vector-valued public calls (apply,
 bracket, multiply, lin_comb, coordinates, torsion) and the residuals of
-the witnesses.
+the witnesses.  A rational has one reader, rat, and one writer, _scalar_str:
+it writes (numerator, denominator) as str(Fraction) does, also past Python's
+limit on the digits of an int, so a write off a split builds no Fraction.
 """
 from __future__ import annotations
 
@@ -108,6 +110,36 @@ def rat(value=0, den=None):
         raise TypeError("refusing inexact float %r; give an int, a 'p/q' string "
                         "or a Fraction" % value)
     return Fraction(value)
+
+
+def _decimal(v):
+    """str(v) for an int v at any size: str itself below Python's limit on
+    int-to-decimal conversion, else the digits of the two halves of |v|
+    split at a power of ten.  The limit is never changed."""
+    try:
+        return str(v)
+    except ValueError:
+        k = abs(v).bit_length() * 3 // 20            # about half the digits of v
+        hi, lo = divmod(abs(v), 10 ** k)
+        return ("-" if v < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
+
+
+def _scalar_str(num, den):
+    """str(Fraction(num, den)) for ints num and den > 0, at any size, with no
+    Fraction built: the one writer of a rational.  A Fraction or an int x is
+    written as _scalar_str(*x.as_integer_ratio())."""
+    g = gcd(num, den)
+    return _decimal(num // g) + ("/" + _decimal(den // g) if den != g else "")
+
+
+def _split_strs(split, n):
+    """The scalar strings of the vector of Q^n with this canonical split:
+    "0" for each zero entry, _scalar_str for the others."""
+    d, nz = split
+    out = ["0"] * n
+    for k, a in nz:
+        out[k] = _scalar_str(a, d)
+    return out
 
 
 def vec(entries):
@@ -596,22 +628,19 @@ class Matrix:
     def trace(self):
         return _entry(*_trace(self._split))
 
-    def rref(self):
-        rows, pivots = _echelon(self._nonzero_int_rows(), self.ncols)
-        return Matrix._of_split(_transposed(rows, self.ncols), len(rows)), tuple(pivots)
-
     def _scaled_rows(self):
         """(d, nums) for every row: its integer numerators over d, the lcm of
-        its denominators, read off the column splits."""
+        its denominators, read off the column splits.  rref, rank and kernel
+        eliminate the nonzero rows: scaling a row changes no reduced echelon
+        form, and a zero row adds nothing to it."""
         return [(d, _ints(nz, self.ncols)) for d, nz in _transposed(self._split, self.nrows)]
 
-    def _nonzero_int_rows(self):
-        """The nonzero rows as integer numerators: scaling a row changes no
-        reduced echelon form, and a zero row adds nothing to it."""
-        return [_ints(nz, self.ncols) for _, nz in _transposed(self._split, self.nrows) if nz]
+    def rref(self):
+        rows, pivots = _echelon([r for _, r in self._scaled_rows() if any(r)], self.ncols)
+        return Matrix._of_split(_transposed(rows, self.ncols), len(rows)), tuple(pivots)
 
     def rank(self):
-        return len(_eliminate(self._nonzero_int_rows(), self.ncols)[0])
+        return len(_eliminate([r for _, r in self._scaled_rows() if any(r)], self.ncols)[0])
 
     def _square_elimination(self, what):
         """(row lcms, result of _eliminate) for a square matrix."""
@@ -657,7 +686,7 @@ class Matrix:
         return self._inverse
 
     def _kernel_splits(self):
-        return _kernel(self._nonzero_int_rows(), self.ncols)
+        return _kernel([r for _, r in self._scaled_rows() if any(r)], self.ncols)
 
     def kernel(self):
         """Canonical null-space basis (free variables set to 1, in order)."""
@@ -683,8 +712,12 @@ class Matrix:
             x[p] = _entry(work[r][n], den)
         return tuple(x)
 
+    def _row_strs(self):
+        """The scalar strings of every row, written off the row splits."""
+        return [_split_strs(s, self.ncols) for s in _transposed(self._split, self.nrows)]
+
     def __repr__(self):
-        return "Matrix(%s)" % [[str(e) for e in row] for row in self.rows]
+        return "Matrix(%s)" % self._row_strs()
 
 
 class Subspace:

@@ -12,12 +12,15 @@ otherwise exhaust memory and time instead of failing.
 
 Emission is canonical: fixed key order, brackets sorted by index pair,
 sparse values in ascending index order, two-space indent, trailing newline.
-Re-emitting a parsed canonical file is byte-identical.  emit writes the
-text of json.dumps(data, indent=2) directly, as json's indented encoder runs
-in pure Python: one recursive writer appends to a list, strings go through
-json's C ASCII escaper, a list of strings (a row of scalars) is one join,
-and the indent of each depth is built once.  It writes str keys only, and
-refuses floats.
+Re-emitting a parsed canonical file is byte-identical.  A plain 'p/q'
+scalar is read by int(), any other by linalg's reader rat; every scalar is
+written from its numerator and denominator by linalg's one writer
+_scalar_str, so neither a load of plain scalars nor a write builds a
+Fraction.  emit writes the text of json.dumps(data, indent=2) directly,
+as json's indented encoder runs in pure Python: one recursive writer
+appends to a list, strings go through json's C ASCII escaper, a list of
+strings (a row of scalars) is one join, and the indent of each depth is
+built once.  It writes str keys only, and refuses floats.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .assoc import CommAssocAlgebra, check_axioms
 from .complex_structures import ComplexStructure
 from .hermitian import HermitianTriple, InnerProduct, NotPositiveDefiniteError
 from .lie import LieAlgebra, PreconditionError, check_jacobi
-from .linalg import Matrix, _entry, rat
+from .linalg import Matrix, _scalar_str, rat
 
 
 class InputError(ValueError):
@@ -95,50 +98,6 @@ def _matrix_from_json(data, n, what) -> Matrix:
     return Matrix._of_split([_split(enumerate(col)) for col in zip(*values)], n)
 
 
-def _decimal(v):
-    """str(v) for an int v at any size: str itself below Python's limit on
-    int-to-decimal conversion, else the digits of the two halves of |v|
-    split at a power of ten.  The limit is never changed."""
-    try:
-        return str(v)
-    except ValueError:
-        k = abs(v).bit_length() * 3 // 20            # about half the digits of v
-        hi, lo = divmod(abs(v), 10 ** k)
-        return ("-" if v < 0 else "") + _decimal(hi) + _decimal(lo).zfill(k)
-
-
-def _scalar_str(x):
-    """str(x) for a Fraction or an int at any size (see _decimal)."""
-    try:
-        return str(x)
-    except ValueError:
-        x = Fraction(x)
-        return _decimal(x.numerator) + ("/" + _decimal(x.denominator) if x.denominator > 1 else "")
-
-
-def _strs(values):
-    """[str(x) for x in values], exact at any size: plain str unless a value
-    is above the limit (see _decimal)."""
-    try:
-        return [str(x) for x in values]     # on Fractions faster than map(str, ...)
-    except ValueError:
-        return [_scalar_str(x) for x in values]
-
-
-def _split_strs(split, n):
-    """_strs of the vector of Q^n with this canonical split: "0" for each
-    zero entry, a Fraction built only for the nonzero ones."""
-    d, nz = split
-    out = ["0"] * n
-    for k, a in nz:
-        out[k] = _scalar_str(Fraction(a, d))
-    return out
-
-
-def _matrix_to_json(m: Matrix):
-    return [_strs(row) for row in m.rows]
-
-
 def _sparse_pairs(data, n, key, symmetric):
     """Common reader for 'brackets' (i < j) and 'products' (i <= j), to splits."""
     items = data.get(key, [])
@@ -185,7 +144,7 @@ def _sparse_to_json(split, symmetric):
             if nz:
                 items.append({
                     "pair": [i, j],
-                    "value": {str(k): _scalar_str(_entry(a, d)) for k, a in nz},
+                    "value": {str(k): _scalar_str(a, d) for k, a in nz},
                 })
     return items
 
@@ -244,7 +203,7 @@ def instance_from_dict(data) -> Instance:
     if wit is not None:
         raise ValidationFailure(
             "Jacobi identity fails on basis triple %s (residual %s)"
-            % (wit.triple, _strs(wit.residual)))
+            % (wit.triple, [_scalar_str(*x.as_integer_ratio()) for x in wit.residual]))
     j = None
     if data.get("J") is not None:
         jm = _matrix_from_json(data["J"], n, "'J'")
@@ -265,9 +224,9 @@ def instance_to_dict(g, j=None, metric=None) -> dict:
     out = {"dim": g.dim, "basis": list(g.basis_names)}
     out["brackets"] = _sparse_to_json(g.split(), symmetric=False)
     if j is not None:
-        out["J"] = _matrix_to_json(j.matrix)
+        out["J"] = j.matrix._row_strs()
     if metric is not None:
-        out["metric"] = _matrix_to_json(metric.gram)
+        out["metric"] = metric.gram._row_strs()
     return out
 
 

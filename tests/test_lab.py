@@ -120,13 +120,15 @@ def test_pushforward_of_a_product_round_trip():
 
 
 def test_random_pair_family_shapes():
+    # random_pair draws compatible pairs, which double_product decides
     rng = random.Random(99)
     dot, star = random_pair(rng, 3, "trivial-star")
     assert star == CommAssocAlgebra.zero(3)
     dot2, star2 = random_pair(rng, 3, "equal-products")
     assert dot2 == star2
     d1, d2 = random_pair(rng, 4, "diagonal-pair")
-    assert check_compatibility(d1, d2) is None
+    for pair in ((dot, star), (dot2, star2), (d1, d2)):
+        assert check_compatibility(*pair) is None
     with pytest.raises(PreconditionError):
         random_pair(rng, 2, "no-such-family")
 

@@ -178,3 +178,14 @@ def test_only_linalg_references_the_bilinear_kernel():
         if module != "linalg" and (_references(tree) + imported)["_bilinear"]:
             users.append(module)
     assert users == []
+
+
+def test_only_linalg_reads_the_fraction_views():
+    """Outside linalg, a matrix's entries and a subspace's basis are read off
+    their splits, never off the Fraction views Matrix.rows and
+    Subspace.basis, which are rebuilt on each read."""
+    readers = sorted(
+        (module, node.lineno) for module, src in _package_sources().items() if module != "linalg"
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Attribute) and node.attr in ("rows", "basis"))
+    assert readers == []

@@ -1,9 +1,11 @@
 import json
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from abelianj import hermitian, lab, serialize
+from abelianj import cli, hermitian, lab, linalg, serialize
 from abelianj.cli import main
 from abelianj.assoc import CommAssocAlgebra
 from abelianj.lie import LieAlgebra
@@ -89,6 +91,28 @@ def test_load_builds_no_fraction(fixtures_dir, monkeypatch):
     inst = load_instance(str(fixtures_dir / "kahler_two_blocks.json"))
     assert inst.triple() is not None
     assert built == []
+
+
+def test_write_builds_no_fraction(fixtures_dir, monkeypatch):
+    # every scalar string is written straight off a split's numerators and
+    # denominator, or off the ratio of a Fraction the API already holds
+    inst = load_instance(str(fixtures_dir / "kahler_two_blocks_scaled.json"))
+    t = inst.triple()
+    lc = hermitian.levi_civita(t.algebra, t.metric)
+    dec = lab.kahler_decompose(t)
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    text = emit(instance_to_dict(inst.algebra, inst.j, inst.metric))
+    tensor = cli._connection_json(lc)
+    report = emit(cli._decomposition_dict(dec))
+    assert built == []
+    monkeypatch.undo()
+    assert text == (fixtures_dir / "kahler_two_blocks_scaled.json").read_text(encoding="utf-8")
+    assert tensor == [[[str(x) for x in v] for v in row] for row in lc.gamma]
+    assert json.loads(report)["change_of_basis"] == [
+        [str(x) for x in row] for row in dec.change_of_basis.rows]
 
 
 def test_round_trip_is_byte_identical(fixtures_dir):
@@ -261,15 +285,38 @@ def test_save_and_reload(tmp_path):
 
 def test_scalars_past_the_int_string_limit_print_exactly():
     """Python refuses str() of an int of more than 4300 digits by default;
-    the output boundary splits the digits instead, for every length around
-    the splits, and plain str() answers below the limit."""
+    the one writer splits the digits instead, for every length around the
+    splits, and plain str() answers below the limit.  A Matrix repr and a
+    written instance go through it."""
     for k in (10, 4299, 4300, 4301, 9000, 20000):
         v = 37 * 10 ** k + 10 ** (k // 2) + 9
         digits = "37" + "0" * (k - k // 2 - 1) + "1" + "0" * (k // 2 - 1) + "9"
-        assert serialize._decimal(v) == digits and serialize._decimal(-v) == "-" + digits
-        x = Fraction(-v, 1024)
-        assert serialize._scalar_str(x) == "-%s/1024" % digits
-        assert serialize._strs([x, Fraction(v), 3]) == ["-%s/1024" % digits, digits, "3"]
+        assert linalg._decimal(v) == digits and linalg._decimal(-v) == "-" + digits
+        assert linalg._scalar_str(-v, 1024) == "-%s/1024" % digits
+        assert linalg._scalar_str(-v * 1024, 1024 * 1024) == "-%s/1024" % digits
+        assert linalg._scalar_str(v, 1) == digits
+        assert linalg._split_strs((1024, [(0, -v), (2, 3 * 1024)]), 4) == [
+            "-%s/1024" % digits, "0", "3", "0"]
+    big = 10 ** 5000 + 1
+    m = Matrix._of_split([(1, [(0, big)]), (3, [(1, -1)])], 2)
+    assert repr(m) == "Matrix([['1%s1', '0'], ['0', '-1/3']])" % ("0" * 4999)
+    g = LieAlgebra._of_split(2, {(0, 1): (7, [(1, big)])}, None)
+    assert instance_to_dict(g)["brackets"][0]["value"] == {"1": "1%s1/7" % ("0" * 4999)}
+
+
+def test_scalar_str_writes_what_str_of_a_fraction_writes():
+    """Over signed numerators, zero, and denominators sharing factors with
+    the numerator, the writer agrees with str(Fraction(a, d))."""
+    rng = random.Random(20240823)
+    seen = set()
+    for _ in range(2000):
+        d = rng.randint(1, 10 ** 6) * rng.choice((1, 6, 1024, 3 ** 40))
+        a = rng.randint(-10 ** 40, 10 ** 40) * rng.choice((0, 1, d, rng.randint(1, d)))
+        seen |= {"zero" if a == 0 else "negative" if a < 0 else "positive",
+                 "shared" if gcd(a, d) > 1 else "coprime"}
+        assert linalg._scalar_str(a, d) == str(Fraction(a, d))
+        assert linalg._scalar_str(*Fraction(a, d).as_integer_ratio()) == str(Fraction(a, d))
+    assert seen == {"zero", "negative", "positive", "shared", "coprime"}
 
 
 def _json_reference(data):
