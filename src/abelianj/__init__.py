@@ -19,17 +19,15 @@ from .complex_structures import (
 )
 from .constructions import (
     AffModel, DoubleProduct, ExtractedProducts, IncompatiblePairError,
-    NotApplicableError, RefinedWitness,
-    aff_algebra, aff_from_abelian_ideal, double_product, equal_products_iso,
-    extract_products, recognize_aff, refine_to_witness, semidirect_r2_family,
+    NotApplicableError, aff_algebra, double_product, equal_products_iso,
+    extract_products, recognize_aff, semidirect_r2_family,
     standard_complex_structure, witness_check,
 )
 from .hermitian import (
-    Connection, ConnectionFlags, FlatMetricReport, HermitianTriple,
-    InnerProduct, NotPositiveDefiniteError, complex_projection,
-    connection_flags, curvature, curvature_norm_sq,
-    cyclic_metric_identity, d_omega, first_canonical, first_canonical_pairing,
-    flat_metric_report, is_flat, is_hermitian, is_kahler, is_torsion_free,
+    Connection, ConnectionFlags, HermitianTriple, InnerProduct,
+    NotPositiveDefiniteError, complex_projection, connection_flags, curvature,
+    curvature_norm_sq, cyclic_metric_identity, d_omega, first_canonical,
+    first_canonical_pairing, is_flat, is_hermitian, is_kahler, is_torsion_free,
     kahler_form, kahler_form_matrix, levi_civita, sectional_curvature,
     torsion, twisted_cyclic_identity,
 )
@@ -39,9 +37,9 @@ from .lab import (
     report_to_dict, theorem_suite,
 )
 from .lie import (
-    JacobiWitness, LieAlgebra, PreconditionError, SeriesReport, SubspaceRole,
-    bracket_span, center, center_of_subalgebra, check_jacobi,
-    classify_subspace, commutator_ideal, derived_and_central_series,
+    JacobiWitness, LieAlgebra, PreconditionError, SeriesReport, bracket_span,
+    center, center_of_subalgebra, check_jacobi, commutator_ideal,
+    derived_and_central_series,
     is_isomorphism, is_unimodular, pushforward,
 )
 from .linalg import (

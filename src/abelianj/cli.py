@@ -173,9 +173,12 @@ def _within_max_dim(dim):
 
 def run_construct(args) -> int:
     if args.what == "double-product":
-        dot = serialize.load_algebra(args.dot)
+        dot, star = serialize.load_algebra(args.dot), serialize.load_algebra(args.star)
+        if dot.dim != star.dim:
+            raise serialize.InputError("--dot has dim %d but --star has dim %d"
+                                       % (dot.dim, star.dim))
         _within_max_dim(2 * dot.dim)
-        dp = double_product(dot, serialize.load_algebra(args.star))
+        dp = double_product(dot, star)
         g, j = dp.algebra, dp.j
     elif args.what == "aff":
         a = serialize.load_algebra(args.algebra)
@@ -186,7 +189,12 @@ def run_construct(args) -> int:
         if args.n < 1:
             raise serialize.InputError("--n must be a positive integer")
         _within_max_dim(2 * args.n + 2)
-        g, j = semidirect_r2_family(args.n, serialize.load_matrix(args.t))
+        t_map = serialize.load_matrix(args.t)
+        if (t_map.nrows, t_map.ncols) != (2 * args.n, 2 * args.n):
+            raise serialize.InputError("--t must be %d x %d for --n %d, not %d x %d"
+                                       % (2 * args.n, 2 * args.n, args.n,
+                                          t_map.nrows, t_map.ncols))
+        g, j = semidirect_r2_family(args.n, t_map)
     if args.out:
         serialize.save_instance(args.out, g, j)
     else:

@@ -1,6 +1,6 @@
 """Double products of compatible commutative associative algebra pairs,
-affine Lie algebras, and the structure algorithms that recover or refine an
-abelian splitting g = u (+) Ju.
+affine Lie algebras, and the structure algorithms that recover an abelian
+splitting g = u (+) Ju.
 
 Every algorithm here returns verified artifacts: isomorphisms are checked by
 is_holomorphic_iso before being handed back, and intermediate claims of the
@@ -22,8 +22,7 @@ from .complex_structures import (
 )
 from . import linalg
 from .lie import (
-    LieAlgebra, PreconditionError, bracket_span, center, check_jacobi,
-    classify_subspace, commutator_ideal, derived_and_central_series,
+    LieAlgebra, PreconditionError, bracket_span, check_jacobi, commutator_ideal,
 )
 from .linalg import (
     Matrix, SingularMatrix, Subspace, _dense, _negated, _reduced, certify, rat, vec_scale,
@@ -218,84 +217,19 @@ def recognize_aff(g, j) -> AffModel:
     return result
 
 
-def _greedy_j_half(j, ambient_space: Subspace, seed: Subspace) -> Subspace:
-    """Extend seed by echelon vectors w of a J-stable space until the space is
-    (seed + added) (+) J(seed + added); returns only the added part.  In one
-    elimination over s, Js for s in seed and then w, Jw, the columns before
-    w span a J-stable space, which meets span{w, Jw} only in 0 if it misses
-    w: so w is added exactly when it is a pivot, and then so is Jw."""
+def _greedy_j_half(j, ambient_space: Subspace) -> Subspace:
+    """A half h of a J-stable space, the space = h (+) Jh, spanned by its
+    echelon vectors w in order.  In one elimination over w, Jw, the columns
+    before w span a J-stable space, which meets span{w, Jw} only in 0 if it
+    misses w: so w is added exactly when it is a pivot, and then so is Jw."""
     jm, ws = j.matrix, ambient_space.split()
-    pivots = linalg._pivot_columns(
-        [c for s in seed.split() + ws for c in (s, jm._apply_split(s))], ambient_space.ambient)
-    m = 2 * seed.dim
-    certify("seed half meets its J-image", pivots[:m] == list(range(m)))
-    added = [p for p in pivots[m:] if p % 2 == 0]
-    certify("J-split extension step failed",
-            pivots[m:] == [p + t for p in added for t in (0, 1)])
-    # the columns span seed + Jseed + the space + its J-image
+    pivots = linalg._pivot_columns([c for w in ws for c in (w, jm._apply_split(w))],
+                                   ambient_space.ambient)
+    added = [p for p in pivots if p % 2 == 0]
+    certify("J-split extension step failed", pivots == [p + t for p in added for t in (0, 1)])
+    # the columns span the space + its J-image
     certify("space to split is not J-stable", len(pivots) == ambient_space.dim)
-    return Subspace._spanned(ambient_space.ambient, [ws[(p - m) // 2] for p in added])
-
-
-class RefinedWitness(NamedTuple):
-    witness: Subspace           # abelian half a with g = a (+) Ja
-    noncentral_part: Subspace   # complement of the center inside u + center
-    central_part: Subspace      # l with center = l (+) Jl
-
-
-def _generating_half_role(g, j, u: Subspace):
-    """The role of u in g after the preconditions that refine_to_witness and
-    aff_from_abelian_ideal share: g solvable, J abelian, u + Ju = g."""
-    if not derived_and_central_series(g).is_solvable:
-        raise PreconditionError("algebra must be solvable")
-    if not is_abelian_cs(g, j):
-        raise PreconditionError("complex structure must be abelian")
-    if u.sum(u.image(j.matrix)) != Subspace.whole(g.dim):
-        raise PreconditionError("u + Ju must be the whole algebra")
-    return classify_subspace(g, u)
-
-
-def refine_to_witness(g, j, u: Subspace) -> RefinedWitness:
-    """Shrink a (possibly non-direct) abelian generating half u to a direct
-    one: enlarge by the center, split the center against J, and keep one
-    sheet.  The result always passes witness_check."""
-    role = _generating_half_role(g, j, u)
-    if not (role.is_subalgebra and role.is_abelian_subspace):
-        raise PreconditionError("u must be an abelian subalgebra")
-    z = center(g)
-    u1 = u.sum(z)
-    certify("enlarged half must meet its J-image exactly in the center",
-            u1.intersect(u1.image(j.matrix)) == z)
-    h = z.complement_in(u1)
-    ell = _greedy_j_half(j, z, Subspace.zero(g.dim))
-    witness = Subspace._spanned(g.dim, h.split() + ell.split())
-    certify("refined half is not an abelian splitting", witness_check(g, j, witness))
-    return RefinedWitness(witness, h, ell)
-
-
-def aff_from_abelian_ideal(g, j, u: Subspace) -> AffModel:
-    """From an abelian ideal u with g = u + Ju (and commutator meeting its
-    J-image trivially), build a half v and exhibit g as an affine algebra.
-
-    v is spanned by a complement of commutator + central part inside u, the
-    commutator, and one sheet of a J-splitting of the center seeded by the
-    central part of the commutator.
-    """
-    role = _generating_half_role(g, j, u)
-    if not (role.is_ideal and role.is_abelian_subspace):
-        raise PreconditionError("u must be an abelian ideal")
-    gp = commutator_ideal(g)
-    if j_stable_commutator(g, j).dim != 2 * gp.dim:
-        raise PreconditionError("commutator must meet its J-image trivially")
-    certify("commutator must lie inside the abelian ideal", u.contains(gp))
-    z = center(g)
-    gp_central = gp.intersect(z)
-    k = gp.sum(z.intersect(u)).complement_in(u)
-    ell = _greedy_j_half(j, z, gp_central)
-    v = Subspace._spanned(g.dim, k.split() + gp.split() + ell.split())
-    certify("assembled half has wrong dimension", 2 * v.dim == g.dim)
-    certify("assembled half is not an abelian splitting", witness_check(g, j, v))
-    return _aff_model(g, j, v)
+    return Subspace._spanned(ambient_space.ambient, [ws[p // 2] for p in added])
 
 
 def semidirect_r2_family(n, t_map: Matrix):

@@ -36,11 +36,11 @@ from math import lcm
 from typing import NamedTuple
 
 from .complex_structures import ComplexStructure, is_abelian_cs
-from .lie import LieAlgebra, PreconditionError, _kept, commutator_ideal, derived_and_central_series
+from .lie import LieAlgebra, PreconditionError, _kept
 from . import linalg
 from .linalg import (
     DimensionMismatch, Matrix, _Tensor, _combine, _combine_nonzero, _entry, _ints, _negated,
-    _nonzeros, _tensor_dense, bilinear, certify, contract_splits, left_map, lin_comb, vec, vec_dot,
+    _nonzeros, _tensor_dense, bilinear, certify, contract_splits, lin_comb, vec, vec_dot,
 )
 
 
@@ -482,31 +482,6 @@ def first_canonical_pairing(t: HermitianTriple) -> Connection:
     p = complex_projection(j, k).split()
     return Connection._of_split([[_combine(2, ((1, p[i][q]), (-1, adj[q][i])), n)
                                   for q in range(n)] for i in range(n)])
-
-
-@dataclass(frozen=True)
-class FlatMetricReport:
-    commuting_family: bool
-    vanishes_on_commutator: bool
-
-    @property
-    def all_hold(self):
-        return self.commuting_family and self.vanishes_on_commutator
-
-
-def flat_metric_report(g, metric: InnerProduct, conn: Connection) -> FlatMetricReport:
-    """For a flat metric connection on a solvable algebra: the directional
-    derivative operators commute and kill the commutator ideal."""
-    if not derived_and_central_series(g).is_solvable:
-        raise PreconditionError("algebra must be solvable")
-    if not _is_metric(conn, metric):
-        raise PreconditionError("connection must be metric")
-    if not is_flat(g, conn):
-        raise PreconditionError("connection must be flat")
-    # over the zero bracket, R(e_i, e_j) is the commutator of D_i and D_j
-    commuting = is_flat(LieAlgebra.abelian(g.dim), conn)
-    vanishes = all(left_map(conn.split(), v).is_zero() for v in commutator_ideal(g).split())
-    return FlatMetricReport(commuting, vanishes)
 
 
 def sectional_curvature(g, metric: InnerProduct, x, y):

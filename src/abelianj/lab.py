@@ -156,7 +156,7 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
 
     # columns Je, e for each idempotent e, then for each vector of one sheet
     # of the center's J-splitting
-    halves = rs + _greedy_j_half(j, z, Subspace.zero(g.dim)).split()
+    halves = rs + _greedy_j_half(j, z).split()
     p = Matrix._of_split([s for h in halves for s in (jm._apply_split(h), h)], g.dim)
     ptg = p.transpose() @ metric.gram
     gm = ptg @ p

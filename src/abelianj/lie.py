@@ -249,22 +249,6 @@ def is_unimodular(g) -> bool:
     return all(_trace(row)[0] == 0 for row in g.split())
 
 
-class SubspaceRole(NamedTuple):
-    is_subalgebra: bool
-    is_ideal: bool
-    is_abelian_subspace: bool
-
-
-def classify_subspace(g, u: Subspace) -> SubspaceRole:
-    self_brackets = bracket_span(g, u, u)
-    full_brackets = bracket_span(g, Subspace.whole(g.dim), u)
-    return SubspaceRole(
-        is_subalgebra=u.contains(self_brackets),
-        is_ideal=u.contains(full_brackets),
-        is_abelian_subspace=self_brackets.is_zero(),
-    )
-
-
 def pushforward(g, p: Matrix) -> _PairTable:
     """Transport the table of g (a LieAlgebra or any _PairTable) by P:
     new(x,y) = P g(P^-1 x, P^-1 y), on the pairs i < j, or i <= j when the

@@ -257,10 +257,6 @@ def vec_dot(u, v):
     return _entry(sum(a * nv.get(t, 0) for t, a in nu), du * dv)
 
 
-def is_zero_vec(v):
-    return not any(a is not ZERO and a for a in v)
-
-
 def lin_comb(coeffs, vectors, n):
     """sum_q coeffs[q] * vectors[q] in Q^n; only the vectors with a nonzero
     coefficient are split."""
@@ -655,19 +651,6 @@ class Matrix:
             return ZERO
         return Fraction(sign * den, prod(scales))
 
-    def leading_minors(self):
-        """Leading principal minors of orders 1, 2, ..., exact, from one
-        elimination; the list stops after the first minor that is zero."""
-        scales, (_, _, _, leading) = self._square_elimination("leading minors")
-        out = []
-        scale = 1
-        for k, minor in enumerate(leading):
-            scale *= scales[k]
-            out.append(Fraction(minor, scale))
-        if len(out) < self.nrows:
-            out.append(ZERO)
-        return out
-
     def inverse(self):
         """The inverse, computed on first use and kept: the right half of the
         eliminated [A | I] is den * A^-1, read as canonical column splits."""
@@ -817,22 +800,6 @@ class Subspace:
         rows, _ = _echelon(block, 2 * n)
         return Subspace._spanned(n, [(d, [(k - n, a) for k, a in nz])
                                      for d, nz in rows if nz[0][0] >= n])
-
-    def complement_in(self, bigger):
-        """C with bigger = self (+) C, chosen deterministically: the echelon
-        basis vectors of `bigger` outside the span of self and of the ones
-        before them, the pivots past self's in one elimination over self's
-        basis and then bigger's (_pivot_columns).
-        """
-        self._check(bigger)
-        pivots = _pivot_columns(self._split + bigger._split, self.ambient)
-        if len(pivots) != bigger.dim:       # the rank of self + bigger
-            raise DimensionMismatch("complement: first subspace not inside second")
-        # with its basis the first pivots, self meets C only in 0 and they span bigger
-        certify("complement does not split the bigger space",
-                pivots[:self.dim] == list(range(self.dim)))
-        return Subspace._spanned(self.ambient, [bigger._split[p - self.dim]
-                                                for p in pivots[self.dim:]])
 
     def orthogonal_complement(self, metric):
         """Orthogonal complement with respect to an InnerProduct: the kernel

@@ -338,6 +338,17 @@ def test_construct_refuses_results_load_would_refuse(tmp_path, capsys):
     assert "above the limit of %d" % serialize.MAX_DIM in capsys.readouterr().err
 
 
+def test_construct_products_of_different_dims_are_an_input_error(fixtures_dir, tmp_path,
+                                                                   capsys):
+    # malformed input: exit 2 before anything is built
+    out_path = tmp_path / "out.json"
+    assert main(["construct", "double-product",
+                 "--dot", fx(fixtures_dir, "prod_real.json"),
+                 "--star", fx(fixtures_dir, "prod_zero2.json"), "-o", str(out_path)]) == 2
+    assert capsys.readouterr().err == "input error: --dot has dim 1 but --star has dim 2\n"
+    assert not out_path.exists()
+
+
 def test_construct_incompatible_pair(fixtures_dir, capsys):
     code = main(["construct", "double-product",
                  "--dot", fx(fixtures_dir, "prod_dual_numbers.json"),
@@ -365,6 +376,12 @@ def test_construct_semidirect(tmp_path, capsys):
     assert main(["construct", "semidirect", "--n", "1", "--t", str(shape)]) == 2
     assert main(["construct", "semidirect", "--n", "0", "--t", str(t_path)]) == 2
     capsys.readouterr()
+    # a map of the wrong size is malformed input: exit 2 before anything is built
+    out_path = tmp_path / "out.json"
+    assert main(["construct", "semidirect", "--n", "2", "--t", str(t_path),
+                 "-o", str(out_path)]) == 2
+    assert capsys.readouterr().err == "input error: --t must be 4 x 4 for --n 2, not 2 x 2\n"
+    assert not out_path.exists()
 
 
 def test_decompose_kahler_success(fixtures_dir, tmp_path, capsys):

@@ -8,11 +8,10 @@ from abelianj.complex_structures import (
 )
 from abelianj.constructions import (
     AffModel, IncompatiblePairError, _aff_model, NotApplicableError, aff_algebra,
-    aff_from_abelian_ideal, double_product, equal_products_iso,
-    extract_products, recognize_aff, refine_to_witness, semidirect_r2_family,
-    standard_complex_structure, witness_check,
+    double_product, equal_products_iso, extract_products, recognize_aff,
+    semidirect_r2_family, standard_complex_structure, witness_check,
 )
-from abelianj.lab import _standard_block_j, random_pair
+from abelianj.lab import random_pair
 from abelianj.lie import (
     LieAlgebra, PreconditionError, check_jacobi, commutator_ideal,
     derived_and_central_series,
@@ -133,73 +132,6 @@ def test_recognize_aff_not_applicable():
     heis = LieAlgebra(4, {(0, 1): {2: 1}})
     with pytest.raises(PreconditionError):
         recognize_aff(heis, standard_complex_structure(2))
-
-
-def test_refine_to_witness_fixed_points():
-    g = aff_complex()
-    j = standard_complex_structure(2)
-    u = Subspace(4, [vec((1, 0, 0, 0)), vec((0, 1, 0, 0))])
-    out = refine_to_witness(g, j, u)
-    assert out.witness == u
-    assert out.noncentral_part == u
-    assert out.central_part.is_zero()
-    assert witness_check(g, j, out.witness)
-
-
-def test_refine_to_witness_abelian_plane():
-    g = LieAlgebra.abelian(2)
-    j = ComplexStructure(Matrix([[0, -1], [1, 0]]))
-    u = Subspace(2, [vec((1, 0))])
-    out = refine_to_witness(g, j, u)
-    assert out.witness.dim == 1
-    assert out.noncentral_part.is_zero()
-    assert witness_check(g, j, out.witness)
-
-
-def test_refine_to_witness_preconditions():
-    g = aff_complex()
-    j = standard_complex_structure(2)
-    # non-abelian subalgebra
-    with pytest.raises(PreconditionError):
-        refine_to_witness(g, j, Subspace(4, [vec((1, 0, 0, 0)), vec((0, 0, 1, 0))]))
-    # too small to generate
-    with pytest.raises(PreconditionError):
-        refine_to_witness(g, j, Subspace(4, [vec((0, 0, 1, 0))]))
-    # non-solvable ambient algebra
-    sl2_line = LieAlgebra(4, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
-    assert not derived_and_central_series(sl2_line).is_solvable
-    with pytest.raises(PreconditionError):
-        refine_to_witness(sl2_line, standard_complex_structure(2),
-                          Subspace(4, [vec((0, 0, 0, 1))]))
-
-
-def test_aff_from_abelian_ideal_two_blocks():
-    g = LieAlgebra(6, {(0, 1): {1: 1}, (2, 3): {3: 1}})
-    j = ComplexStructure(_standard_block_j(3))
-    u = Subspace(6, [vec((0, 1, 0, 0, 0, 0)), vec((0, 0, 0, 1, 0, 0)),
-                     vec((0, 0, 0, 0, 0, 1))])
-    out = aff_from_abelian_ideal(g, j, u)
-    assert out.algebra == CommAssocAlgebra(3, {(0, 0): {0: 1}, (1, 1): {1: 1}})
-    assert out.half.basis == (vec((0, 1, 0, 0, 0, 0)), vec((0, 0, 0, 1, 0, 0)),
-                              vec((0, 0, 0, 0, 1, 0)))
-    assert is_holomorphic_iso(out.iso)
-
-
-def test_aff_from_abelian_ideal_commutator_half():
-    g = aff_complex()
-    j = standard_complex_structure(2)
-    u = Subspace(4, [vec((0, 0, 1, 0)), vec((0, 0, 0, 1))])
-    out = aff_from_abelian_ideal(g, j, u)
-    assert out.algebra == recognize_aff(g, j).algebra
-
-
-def test_aff_from_abelian_ideal_preconditions():
-    g = LieAlgebra(6, {(0, 1): {1: 1}, (2, 3): {3: 1}})
-    j = ComplexStructure(_standard_block_j(3))
-    not_ideal = Subspace(6, [vec((1, 0, 0, 0, 0, 0)), vec((0, 0, 1, 0, 0, 0)),
-                             vec((0, 0, 0, 0, 1, 0))])
-    with pytest.raises(PreconditionError):
-        aff_from_abelian_ideal(g, j, not_ideal)
 
 
 def test_semidirect_family_identity_action():

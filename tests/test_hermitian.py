@@ -5,10 +5,10 @@ import pytest
 from abelianj.complex_structures import ComplexStructure, is_abelian_cs, is_integrable
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import (
-    Connection, FlatMetricReport, HermitianTriple, InnerProduct,
+    Connection, HermitianTriple, InnerProduct,
     NotPositiveDefiniteError, complex_projection,
     connection_flags, curvature, curvature_norm_sq, cyclic_metric_identity,
-    d_omega, first_canonical, first_canonical_pairing, flat_metric_report,
+    d_omega, first_canonical, first_canonical_pairing,
     is_flat, is_hermitian, is_kahler, is_torsion_free, kahler_form,
     kahler_form_matrix, levi_civita, sectional_curvature, torsion,
     twisted_cyclic_identity,
@@ -181,22 +181,6 @@ def test_zero_connection_torsion_and_type(fixtures_dir):
     flags_c = connection_flags(g, jc, t.metric, zero)
     assert flags_c.is_metric and flags_c.is_complex
     assert not flags_c.torsion_type_11
-
-
-def test_flat_metric_report_paths():
-    g = LieAlgebra.abelian(2)
-    metric = InnerProduct.identity(2)
-    rot = Connection([[vec((0, 1)), vec((-1, 0))],
-                      [vec((0, 0)), vec((0, 0))]])
-    rep = flat_metric_report(g, metric, rot)
-    assert isinstance(rep, FlatMetricReport)
-    assert rep.commuting_family and rep.vanishes_on_commutator and rep.all_hold
-    aff = aff_line()
-    with pytest.raises(PreconditionError):
-        flat_metric_report(aff, metric, levi_civita(aff, metric))  # not flat
-    with pytest.raises(PreconditionError):
-        flat_metric_report(g, metric, Connection([[vec((1, 0)), vec((0, 0))],
-                                                  [vec((0, 0)), vec((0, 0))]]))
 
 
 def test_levi_civita_randomized_uniqueness():

@@ -5,7 +5,7 @@ import pytest
 
 from abelianj.lie import (
     LieAlgebra, bilinear_table, bracket_span, center, center_of_subalgebra,
-    check_jacobi, classify_subspace, commutator_ideal,
+    check_jacobi, commutator_ideal,
     derived_and_central_series, is_isomorphism,
     is_unimodular, pushforward,
 )
@@ -82,16 +82,6 @@ def test_unimodular():
     assert not is_unimodular(aff_complex())
     assert is_unimodular(heisenberg())
     assert is_unimodular(LieAlgebra.abelian(4))
-
-
-def test_classify_subspace():
-    g = aff_complex()
-    gp = commutator_ideal(g)
-    role = classify_subspace(g, gp)
-    assert role.is_subalgebra and role.is_ideal and role.is_abelian_subspace
-    span_u = Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    role = classify_subspace(g, span_u)
-    assert role.is_subalgebra and not role.is_ideal
 
 
 def test_center_of_subalgebra():

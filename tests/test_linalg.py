@@ -260,16 +260,6 @@ def test_subspace_lattice_dimension_formula():
         assert a.contains(meet) and b.contains(meet)
 
 
-def test_complement_in_is_direct():
-    rng = random.Random(3)
-    for _ in range(25):
-        n = rng.randint(2, 6)
-        inner = Subspace(n, [tuple(rat(rng.randint(-2, 2)) for _ in range(n))])
-        comp = inner.complement_in(Subspace.whole(n))
-        assert inner.sum(comp) == Subspace.whole(n)
-        assert inner.intersect(comp).is_zero()
-
-
 def test_whole_is_the_identity_echelon_form():
     for n in range(7):
         whole = Subspace.whole(n)
