@@ -9,7 +9,7 @@ canonical connections, curvature, the Kähler splitting) on top.
 """
 from .assoc import (
     AxiomWitness, CommAssocAlgebra, CompatibilityWitness, GenericityError,
-    IdempotentSet, IrrationalSpectrumError, NilradicalReport, NotSemisimpleError,
+    IrrationalSpectrumError, NilradicalReport, NotSemisimpleError,
     check_axioms, check_compatibility, minimal_polynomial, nilradical,
     primitive_idempotents, square_span, unit,
 )

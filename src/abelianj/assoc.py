@@ -8,22 +8,20 @@ first nonzero residual contracted as the witness.
 Idempotents come from one generic element x of a semisimple A: the first
 draw whose multiplication operator L_x has a minimal polynomial m of degree
 dim A.  Then A = Q[x] = Q[T]/(m) is the product of the fields Q[T]/(f) over
-the factors f of m.  The block of f is the kernel of f(L_x), and its
-idempotent is the unit's component in it, read off the unit's coordinates
-in the stacked block bases; so the idempotents sum to the unit.  A rational
-primitive decomposition exists exactly when every factor is linear or an
-imaginary quadratic; any other factor is reported as an irrational spectrum
-instead of being approximated.  The splitting needs only the standard
-library.  The roots are found modulo a small prime q at which they are
-simple and lifted p-adically by Newton's method, in Z_q and in its
-unramified quadratic extension.  One root in Z_q gives a candidate linear
-factor; two roots in Z_q, or a conjugate pair, give a candidate quadratic
-factor; each candidate is tested by exact division.
+the factors f of m.  A splits as Q x ... x Q exactly when every factor is
+linear; any factor with no rational root is reported as an irrational
+spectrum instead of being approximated.  The block of a linear factor
+T - r is the kernel of L_x - r, and its idempotent is the unit's component
+in it, read off the unit's coordinates in the stacked block bases; so the
+idempotents sum to the unit.  The splitting needs only the standard
+library: the roots of m in F_q, for a small prime q at which they are
+simple, are lifted q-adically by Newton's method, and each lifted root
+gives a candidate linear factor, tested by exact division.
 """
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations_with_replacement, count
+from itertools import combinations_with_replacement, count
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
@@ -52,8 +50,9 @@ class NotSemisimpleError(ValueError):
 
 
 class IrrationalSpectrumError(ValueError):
-    """The minimal polynomial has an irreducible factor that is not linear or
-    an imaginary quadratic; the idempotents have irrational coordinates."""
+    """A minimal polynomial has a factor with no rational root: some
+    multiplication operator has an eigenvalue outside Q, so the algebra is
+    not a product of copies of Q."""
 
 
 class GenericityError(ValueError):
@@ -186,11 +185,6 @@ def unit(a):
         tuple(ONE if k == i else ZERO for i in range(n) for k in range(n)))
 
 
-class IdempotentSet(NamedTuple):
-    idempotents: tuple          # ambient coordinate vectors
-    factor_types: tuple         # "R" | "C" per idempotent
-
-
 # ---- polynomials over Q (ascending coefficients) ----
 
 def _poly_eval_matrix(p, mat):
@@ -235,37 +229,23 @@ def _divmod(a, b):
     return q, r
 
 
-# Elements a + b*w of Z/mod[w], w^2 = n, as pairs (a, b).
-
-def _mul(x, y, n, mod):
-    return ((x[0] * y[0] + n * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod)
-
-
-def _eval(f, x, n, mod):
-    a = b = 0
+def _horner(f, x, mod):
+    """f(x) mod mod for the integer polynomial f."""
+    acc = 0
     for c in reversed(f):
-        a, b = (a * x[0] + n * b * x[1] + c) % mod, (a * x[1] + b * x[0]) % mod
-    return a, b
-
-
-def _newton(f, df, x, n, mod):
-    """x - f(x) / f'(x) in Z/mod[w]."""
-    d = _eval(df, x, n, mod)
-    inv = pow((d[0] * d[0] - n * d[1] * d[1]) % mod, -1, mod)
-    step = _mul(_eval(f, x, n, mod), (d[0] * inv, -d[1] * inv), n, mod)
-    return ((x[0] - step[0]) % mod, (x[1] - step[1]) % mod)
+        acc = (acc * x + c) % mod
+    return acc
 
 
 def _padic_roots(p):
-    """(lc, n, mod, roots): the roots, modulo mod = q^(2^k), of the squarefree
-    p scaled to an integer polynomial f with leading coefficient lc, in the
-    unramified quadratic extension Z_q[w], w^2 = n, of Z_q.  q is the first
-    odd prime not dividing lc at which every root of f in F_q[w] is simple,
-    so each lifts uniquely by Newton's method (Loos, SIAM J. Comput. 1983).
-    A rational root r, or a monic quadratic factor t^2 - s t + m, makes
-    lc * r, or lc * s and lc * m, integers of size at most bound^2 < mod / 2.
-    Rejected primes divide lc * Res(f, f'); once their product passes the
-    Hadamard bound of that product, the resultant is 0: a repeated root."""
+    """(lc, mod, roots): the roots in Z_q, modulo mod = q^(2^k), of the
+    squarefree p scaled to an integer polynomial f with leading coefficient
+    lc.  q is the first odd prime not dividing lc at which every root of f in
+    F_q is simple, so each lifts uniquely by Newton's method (Loos, SIAM J.
+    Comput. 1983).  A rational root r makes lc * r an integer of size at most
+    bound < mod / 2 (Cauchy's bound).  Rejected primes divide
+    lc * Res(f, f'); once their product passes the Hadamard bound of that
+    product, the resultant is 0: a repeated root."""
     den = lcm(*(c.denominator for c in p))
     f = [c.numerator * (den // c.denominator) for c in p]
     df = [i * c for i, c in enumerate(f)][1:]
@@ -273,21 +253,18 @@ def _padic_roots(p):
     bound = abs(lc) + max(map(abs, f[:-1]))
     rejected, limit = 1, abs(lc) * d ** d * sum(c * c for c in f) ** d
     for q in (k for k in count(3, 2) if all(k % j for j in range(3, isqrt(k) + 1, 2))):
-        n = next(k for k in range(2, q) if pow(k, (q - 1) // 2, q) == q - 1)
-        roots = [(a, 0) for a in range(q) if _eval(f, (a, 0), n, q) == (0, 0)]
-        if len(roots) < d:      # else no root is left for F_q[w] outside F_q
-            roots += [(a, b) for b in range(1, q) for a in range(q)
-                      if _eval(f, (a, b), n, q) == (0, 0)]
-        if lc % q and all(_eval(df, x, n, q) != (0, 0) for x in roots):
+        roots = [a for a in range(q) if not _horner(f, a, q)]
+        if lc % q and all(_horner(df, a, q) for a in roots):
             break
         rejected *= q
         certify("a minimal polynomial of a semisimple element is squarefree",
                 rejected <= limit)
     mod = q
-    while mod <= 2 * bound * bound:
+    while mod <= 2 * bound:
         mod *= mod
-        roots = [_newton(f, df, x, n, mod) for x in roots]
-    return lc, n, mod, roots
+        roots = [(x - _horner(f, x, mod) * pow(_horner(df, x, mod), -1, mod)) % mod
+                 for x in roots]
+    return lc, mod, roots
 
 
 def _rational(lc, a, mod):
@@ -297,24 +274,13 @@ def _rational(lc, a, mod):
 
 
 def _split_over_q(p):
-    """(factors, rest) for the squarefree monic p: its monic linear and
-    quadratic factors over Q, and their cofactor.  Each p-adic root in Z_q
-    gives a linear candidate.  The two roots of a quadratic factor are both
-    in Z_q or conjugate in Z_q[w], so each such pair gives a quadratic
-    candidate.  Candidates are tested by division, linear ones first, so a
-    product of two linear factors is no longer a divisor when its turn comes."""
-    lc, n, mod, lifted = _padic_roots(p)
-    in_zq = [x for x in lifted if not x[1]]
-    pairs = [(x, (x[0], mod - x[1])) for x in lifted if 0 < 2 * x[1] < mod]
-    pairs += [(x, y) for i, x in enumerate(in_zq) for y in in_zq[i + 1:]]
-    candidates = chain(
-        ([-_rational(lc, a, mod), ONE] for a, _ in in_zq),
-        ([_rational(lc, _mul(x, y, n, mod)[0], mod), -_rational(lc, x[0] + y[0], mod), ONE]
-         for x, y in pairs))
+    """(factors, rest) for the squarefree monic p: its monic linear factors
+    over Q, and their cofactor.  Each root in Z_q gives a candidate t - r,
+    tested by exact division."""
+    lc, mod, roots = _padic_roots(p)
     factors, rest = [], p
-    for g in candidates:
-        if len(g) > len(rest):
-            break
+    for x in roots:
+        g = [-_rational(lc, x, mod), ONE]
         quo, rem = _divmod(rest, g)
         if not rem:
             factors.append(g)
@@ -344,33 +310,27 @@ def _generic_elements(dim):
             yield tuple(rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
 
 
-def primitive_idempotents(a) -> IdempotentSet:
+def primitive_idempotents(a) -> tuple:
     """Complete primitive orthogonal idempotents of a semisimple algebra, in
-    one pass over one generic element, as the module docstring describes.
-
-    Factor types: "R" for a 1-dim block, "C" for a 2-dim block on which the
-    minimal polynomial factor is an imaginary quadratic.  Raises
-    IrrationalSpectrumError when any factor is neither.
+    one pass over one generic element, as the module docstring describes,
+    sorted by their coordinates.  Raises IrrationalSpectrumError when a
+    factor of the minimal polynomial has no rational root.
     """
     if not nilradical(a).is_semisimple:
         raise NotSemisimpleError("algebra has a nonzero nilradical")
     n = a.dim
     if n == 0:
-        return IdempotentSet((), ())
+        return ()
     u = unit(a)
     certify("a semisimple algebra must be unital", u is not None)
     for x in _generic_elements(n):
         lx = a.left_mult(x)
         m = minimal_polynomial(lx)
         factors, rest = _split_over_q(m)
-        if any(len(f) == 3 and f[1] * f[1] - 4 * f[0] > 0 for f in factors):
-            raise IrrationalSpectrumError(
-                "irrational spectrum: irreducible factor of degree 2 is not "
-                "linear or an imaginary quadratic")
         if len(rest) > 1:
             raise IrrationalSpectrumError(
-                "irrational spectrum: a factor of degree %d has no linear or "
-                "quadratic factor over Q" % (len(rest) - 1))
+                "irrational spectrum: a factor of degree %d has no rational root"
+                % (len(rest) - 1))
         if len(m) - 1 == n:
             break
     else:
@@ -388,8 +348,4 @@ def primitive_idempotents(a) -> IdempotentSet:
                 for i in range(len(blocks))]
     certify("idempotents must be nonzero, idempotent and orthogonal",
             _certify_idempotents(a, elements))
-    types = ["R" if len(f) == 2 else "C" for f in factors]
-    elements = [_dense(e, n) for e in elements]
-    order = sorted(range(len(elements)), key=lambda i: (types[i], elements[i]))
-    return IdempotentSet(tuple(elements[i] for i in order),
-                         tuple(types[i] for i in order))
+    return tuple(sorted(_dense(e, n) for e in elements))

@@ -90,9 +90,11 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     of the J-closed commutator, hence a J-stable complement of it; (3)
     commutator ideal totally real; (4) the product x o y = [Jx, y] on it is
     commutative associative; (5) semisimple with self-adjoint
-    multiplications; (6) split real spectrum; (7) planes span{Je, e} that
-    span g with the center: P^T G P is invertible, G the metric and P the
-    change of basis, which also gives P^-1; (8) one Gram matrix P^T G P
+    multiplications, so the spectrum is real; (6) one primitive idempotent
+    per dimension, which a rational spectrum gives (an irrational one raises
+    IrrationalSpectrumError); (7) planes span{Je, e} that span g with the
+    center: P^T G P is invertible, G the metric and P the change of basis,
+    which also gives P^-1; (8) one Gram matrix P^T G P
     that is r^2 on each plane and zero off it, and P a holomorphic
     isomorphism from the block model onto (g, J) (is_holomorphic_iso):
     [Je, e] = e, every other bracket of the columns of P zero, and P taking
@@ -135,13 +137,10 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
         certify(5, nilradical(alg).is_semisimple, "induced product has a nonzero nilradical")
 
         idem = primitive_idempotents(alg)
-        certify(6, all(kind == "R" for kind in idem.factor_types),
-                "a two-dimensional complex factor appeared; only split real factors can occur")
-        certify(6, len(idem.idempotents) == n,
-                "idempotent count differs from the commutator dimension")
+        certify(6, len(idem) == n, "idempotent count differs from the commutator dimension")
 
         curved = []     # (r^2 = g(e, e), e, split of e) for each idempotent e
-        for e in idem.idempotents:
+        for e in idem:
             s = bm._apply_split(_nonzeros(e))
             v = _dense(s, g.dim)
             curved.append((metric.eval(v, v), v, s))
@@ -270,11 +269,10 @@ def random_hermitian_metric(rng, j: ComplexStructure) -> InnerProduct:
     return InnerProduct(sym)
 
 
-def random_instance(seed, dim_a, family, disguise=False, metric=False):
+def random_instance(seed, dim_a, family, disguise=False) -> HermitianTriple:
     """A valid abelian-J instance from a compatible pair, optionally hidden
-    behind a random unimodular pushforward and equipped with a compatible
-    metric.  Returns a HermitianTriple when metric is requested, else the
-    (algebra, complex structure) pair."""
+    behind a random unimodular pushforward, with a compatible metric drawn
+    after the algebra and J."""
     if not 1 <= dim_a <= 8:
         raise PreconditionError("half-dimension must be between 1 and 8")
     rng = random.Random(seed)
@@ -284,8 +282,6 @@ def random_instance(seed, dim_a, family, disguise=False, metric=False):
         p = random_unimodular(rng, g.dim)
         g = pushforward(g, p)
         j = ComplexStructure((p @ j.matrix) @ p.inverse())
-    if not metric:
-        return g, j
     return HermitianTriple(g, j, random_hermitian_metric(rng, j))
 
 
@@ -454,6 +450,6 @@ def theorem_suite(seed, trials, max_dim=12) -> TrialReport:
         else:
             triple = random_instance(
                 rng.randrange(2 ** 32), cap,
-                FAMILIES[ix % 3], disguise=bool(ix % 2), metric=True)
+                FAMILIES[ix % 3], disguise=bool(ix % 2))
             _run_trial(triple, None, counts, ces)
     return TrialReport(seed, trials, counts, ces)

@@ -541,10 +541,6 @@ class Matrix:
     def zeros(cls, m, n):
         return cls._of_split([(1, [])] * n, m)
 
-    @classmethod
-    def from_columns(cls, cols):
-        return cls(list(zip(*cols))) if cols else cls([])
-
     @property
     def rows(self):
         """The rows as tuples of Fractions, built from the splits on each read."""
@@ -621,19 +617,12 @@ class Matrix:
     def is_square(self):
         return self.nrows == self.ncols
 
-    def trace(self):
-        return _entry(*_trace(self._split))
-
     def _scaled_rows(self):
         """(d, nums) for every row: its integer numerators over d, the lcm of
-        its denominators, read off the column splits.  rref, rank and kernel
+        its denominators, read off the column splits.  rank and kernel
         eliminate the nonzero rows: scaling a row changes no reduced echelon
         form, and a zero row adds nothing to it."""
         return [(d, _ints(nz, self.ncols)) for d, nz in _transposed(self._split, self.nrows)]
-
-    def rref(self):
-        rows, pivots = _echelon([r for _, r in self._scaled_rows() if any(r)], self.ncols)
-        return Matrix._of_split(_transposed(rows, self.ncols), len(rows)), tuple(pivots)
 
     def rank(self):
         return len(_eliminate([r for _, r in self._scaled_rows() if any(r)], self.ncols)[0])
@@ -780,9 +769,6 @@ class Subspace:
             raise DimensionMismatch("ambient mismatch")
         cs = self._coords(_nonzeros(vec(v)))
         return None if cs is None else _dense(cs, self.dim)
-
-    def contains_vector(self, v):
-        return self.coordinates(v) is not None
 
     def contains(self, other):
         return all(self._coords(s) is not None for s in other._split)

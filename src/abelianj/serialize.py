@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
@@ -77,10 +76,6 @@ def _scalar(value):
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError("bad rational %r (%s)" % (value, exc))
     return x.numerator, x.denominator
-
-
-def parse_scalar(value):
-    return Fraction(*_scalar(value))
 
 
 def _split(entries):

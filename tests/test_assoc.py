@@ -8,7 +8,7 @@ from abelianj.assoc import (
     NotSemisimpleError, check_axioms, check_compatibility,
     minimal_polynomial, nilradical, primitive_idempotents, square_span, unit,
 )
-from abelianj.lie import PreconditionError
+from abelianj.lie import PreconditionError, pushforward
 from abelianj.linalg import CertificateError, DimensionMismatch, Matrix, Subspace, rat, vec
 
 
@@ -94,7 +94,7 @@ def test_square_span():
     assert square_span(CommAssocAlgebra.zero(2)).is_zero()
     span = square_span(truncated_cubic())
     assert span.dim == 2
-    assert span.contains_vector(vec((0, 1, 0))) and span.contains_vector(vec((0, 0, 1)))
+    assert span == Subspace(3, [vec((0, 1, 0)), vec((0, 0, 1))])
 
 
 def test_nilradical_and_semisimplicity():
@@ -103,7 +103,7 @@ def test_nilradical_and_semisimplicity():
         assert rep.is_semisimple and rep.nilradical.is_zero()
     rep = nilradical(dual_numbers())
     assert not rep.is_semisimple
-    assert rep.nilradical.dim == 1 and rep.nilradical.contains_vector(vec((0, 1)))
+    assert rep.nilradical == Subspace(2, [vec((0, 1))])
     # an algebra is nilpotent exactly when it is its own nilradical
     for a, nilpotent in ((truncated_cubic(), True), (dual_numbers(), False),
                          (CommAssocAlgebra.zero(1), True)):
@@ -128,17 +128,12 @@ def test_minimal_polynomial():
 
 
 def test_primitive_idempotents_exact():
-    one = primitive_idempotents(real_line())
-    assert one.idempotents == (vec((1,)),)
-    assert one.factor_types == ("R",)
-
-    cx = primitive_idempotents(complex_plane())
-    assert cx.idempotents == (vec((1, 0)),)
-    assert cx.factor_types == ("C",)
-
-    sp = primitive_idempotents(split_pair())
-    assert set(sp.idempotents) == {vec((1, 0)), vec((0, 1))}
-    assert sp.factor_types == ("R", "R")
+    assert primitive_idempotents(real_line()) == (vec((1,)),)
+    assert primitive_idempotents(split_pair()) == (vec((0, 1)), vec((1, 0)))
+    assert primitive_idempotents(CommAssocAlgebra.zero(0)) == ()
+    # Q(i): t^2 + 1 has no rational root, so C is not split over Q
+    with pytest.raises(IrrationalSpectrumError, match="a factor of degree 2 has no rational root"):
+        primitive_idempotents(complex_plane())
 
 
 def test_primitive_idempotents_reject_nilradical():
@@ -157,18 +152,22 @@ def test_primitive_idempotents_irrational():
 
 
 def test_primitive_idempotents_three_blocks():
-    # R x R x C built directly as a product table
-    a = CommAssocAlgebra(4, {(0, 0): {0: 1}, (1, 1): {1: 1},
-                             (2, 2): {2: 1}, (2, 3): {3: 1}, (3, 3): {2: -1}})
+    # R x R x R pushed forward by P: its idempotents are the columns of P
+    p = Matrix([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+    a = pushforward(CommAssocAlgebra(3, {(i, i): {i: 1} for i in range(3)}), p)
     out = primitive_idempotents(a)
-    assert out.factor_types == ("C", "R", "R")
-    assert set(out.idempotents) == {vec((0, 0, 1, 0)), vec((1, 0, 0, 0)),
-                                    vec((0, 1, 0, 0))}
+    assert out == (vec((1, 0, 0)), vec((1, 1, 0)), vec((1, 1, 1)))
     # idempotents are pairwise orthogonal and sum to the unit
-    total = vec((0, 0, 0, 0))
-    for e in out.idempotents:
+    total = vec((0, 0, 0))
+    for e in out:
         total = tuple(x + y for x, y in zip(total, e))
     assert total == unit(a)
+    # R x R x C built directly as a product table: the complex block's
+    # factor t^2 + 1 is left over
+    b = CommAssocAlgebra(4, {(0, 0): {0: 1}, (1, 1): {1: 1},
+                             (2, 2): {2: 1}, (2, 3): {3: 1}, (3, 3): {2: -1}})
+    with pytest.raises(IrrationalSpectrumError, match="a factor of degree 2 has no rational root"):
+        primitive_idempotents(b)
 
 
 def _quadratic_field(offset, d):
@@ -185,27 +184,39 @@ def _cubic_field(offset, k):
 
 
 def test_primitive_idempotents_two_complex_blocks():
-    # Q(i) x Q(sqrt -2) x Q: two imaginary quadratic factors and a linear one
+    # Q(i) x Q(sqrt -2) x Q: the linear factor splits off, and the two
+    # imaginary quadratic factors are left over as one quartic
     a = CommAssocAlgebra(5, {**_quadratic_field(0, -1), **_quadratic_field(2, -2),
                              (4, 4): {4: 1}})
-    out = primitive_idempotents(a)
-    assert out.factor_types == ("C", "C", "R")
-    assert out.idempotents == (vec((0, 0, 1, 0, 0)), vec((1, 0, 0, 0, 0)),
-                               vec((0, 0, 0, 0, 1)))
+    with pytest.raises(IrrationalSpectrumError, match="a factor of degree 4 has no rational root"):
+        primitive_idempotents(a)
 
 
 def test_irrational_spectrum_messages():
-    # Q(i) x Q(sqrt 2): the real quadratic factor is named by its degree
+    # Q(i) x Q(sqrt 2): both quadratic factors are left over
     a = CommAssocAlgebra(4, {**_quadratic_field(0, -1), **_quadratic_field(2, 2)})
     with pytest.raises(IrrationalSpectrumError,
-                       match="irreducible factor of degree 2 is not linear or an imaginary quadratic"):
+                       match="irrational spectrum: a factor of degree 4 has no rational root"):
         primitive_idempotents(a)
     # Q(cbrt 2) x Q(cbrt 3): the left-over sextic is reducible, so the
     # message names only what is certain about it
     b = CommAssocAlgebra(6, {**_cubic_field(0, 2), **_cubic_field(3, 3)})
     with pytest.raises(IrrationalSpectrumError,
-                       match="a factor of degree 6 has no linear or quadratic factor over Q"):
+                       match="a factor of degree 6 has no rational root"):
         primitive_idempotents(b)
+
+
+def test_splitter_skips_primes_with_a_double_root():
+    # t (t - 3) (t^2 + 1): t^2 (t^2 + 1) mod 3 has the double root 0, and
+    # t (t - 3) (t - 2) (t - 3) mod 5 the double root 3; mod 7 the roots 0
+    # and 3 are simple and t^2 + 1 has none
+    p = [rat(0), rat(-3), rat(1), rat(-3), rat(1)]
+    lc, mod, roots = assoc._padic_roots(p)
+    assert lc == 1 and mod % 7 == 0 and mod > 2 * 4
+    assert sorted(r % 7 for r in roots) == [0, 3]
+    factors, rest = assoc._split_over_q(p)
+    assert sorted(factors) == [[rat(-3), rat(1)], [rat(0), rat(1)]]
+    assert rest == [rat(1), rat(0), rat(1)]
 
 
 def test_splitter_rejects_a_repeated_root():
@@ -228,8 +239,7 @@ def test_unit_draw_is_redrawn_by_degree(monkeypatch):
     monkeypatch.setattr(assoc, "minimal_polynomial", lambda m: calls.append(m) or real(m))
     monkeypatch.setattr(assoc, "_generic_elements",
                         lambda dim: iter([vec((1, 1)), vec((1, 2)), vec((3, 5))]))
-    out = primitive_idempotents(split_pair())
-    assert out.idempotents == (vec((0, 1)), vec((1, 0))) and out.factor_types == ("R", "R")
+    assert primitive_idempotents(split_pair()) == (vec((0, 1)), vec((1, 0)))
     assert len(calls) == 2
 
 
@@ -254,7 +264,6 @@ def test_seeded_idempotent_round_trip():
         entries = [rat(rng.choice((1, 1, 2, 3, -1))) for _ in range(n)]
         a = CommAssocAlgebra(n, {(i, i): {i: entries[i]} for i in range(n)})
         out = primitive_idempotents(a)
-        assert len(out.idempotents) == n
-        assert out.factor_types == ("R",) * n
-        for e in out.idempotents:
+        assert len(out) == n
+        for e in out:
             assert a.multiply(e, e) == e

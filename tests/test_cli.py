@@ -414,7 +414,7 @@ def test_decompose_kahler_failures(fixtures_dir, tmp_path, capsys):
                             InnerProduct.diagonal([1, 2, 1, 2]))
     assert main(["decompose-kahler", "--instance", str(sqrt2)]) == 1
     err = capsys.readouterr().err
-    assert "irrational spectrum" in err
+    assert "irrational spectrum: a factor of degree 2 has no rational root" in err
     assert "--float-fallback" not in err
     with pytest.raises(SystemExit) as exc:
         main(["decompose-kahler", "--instance", str(sqrt2), "--float-fallback"])

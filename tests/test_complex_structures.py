@@ -135,7 +135,8 @@ def test_abelian_implies_integrable_randomized():
     rng = random.Random(20240817)
     for trial in range(24):
         dim_a = 1 + rng.randrange(3)
-        g, j = random_instance(rng.randrange(2 ** 32), dim_a,
-                               FAMILIES[trial % 3], disguise=bool(trial % 2))
+        t = random_instance(rng.randrange(2 ** 32), dim_a,
+                            FAMILIES[trial % 3], disguise=bool(trial % 2))
+        g, j = t.algebra, t.j
         assert is_abelian_cs(g, j)
         assert is_integrable(g, j)

@@ -143,8 +143,7 @@ def test_semidirect_family_identity_action():
     target = aff_complex()
     tj = ComplexStructure(Matrix([[0, 1, 0, 0], [-1, 0, 0, 0],
                                   [0, 0, 0, -1], [0, 0, 1, 0]]))
-    phi = Matrix.from_columns([vec((0, 1, 0, 0)), vec((1, 0, 0, 0)),
-                               vec((0, 0, 1, 0)), vec((0, 0, 0, 1))])
+    phi = Matrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert is_holomorphic_iso(HolomorphicPair(g, j, target, tj, phi))
 
 

@@ -186,7 +186,7 @@ def test_zero_connection_torsion_and_type(fixtures_dir):
 def test_levi_civita_randomized_uniqueness():
     rng = random.Random(440)
     triples = [random_instance(rng.randrange(2 ** 32), 1 + rng.randrange(3),
-                               family, disguise=disguise, metric=True)
+                               family, disguise=disguise)
                for family in FAMILIES for disguise in (False, True)
                for _ in range(2)]
     triples += [random_kahler_instance(rng.randrange(2 ** 32), 8).triple
