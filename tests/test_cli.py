@@ -405,7 +405,7 @@ def test_decompose_kahler_success(fixtures_dir, tmp_path, capsys):
 def test_decompose_kahler_failures(fixtures_dir, tmp_path, capsys):
     assert main(["decompose-kahler",
                  "--instance", fx(fixtures_dir, "aff_c_j1.json")]) == 1
-    capsys.readouterr()
+    assert "check failed: fundamental form must be closed" in capsys.readouterr().err
 
     sqrt2 = tmp_path / "sqrt2.json"
     g = LieAlgebra(4, {(0, 2): {2: 1}, (0, 3): {3: 1},

@@ -11,7 +11,7 @@ from abelianj.assoc import (
     CommAssocAlgebra, IrrationalSpectrumError,
     check_axioms, check_compatibility,
 )
-from abelianj.complex_structures import is_abelian_cs
+from abelianj.complex_structures import is_abelian_cs, j_stable_commutator
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import (
     Connection, HermitianTriple, InnerProduct, is_hermitian, is_kahler, sectional_curvature,
@@ -72,12 +72,64 @@ def test_decompose_abelian_edge(fixtures_dir):
 
 
 def test_decompose_preconditions(fixtures_dir):
-    with pytest.raises(PreconditionError):
+    # aff(C) with J1: abelian J, but the fundamental form is not closed
+    with pytest.raises(PreconditionError, match="^fundamental form must be closed$"):
         kahler_decompose(load_triple(fixtures_dir, "aff_c_j1.json"))
+    # Heisenberg x R: [Je_0, Je_1] = [e_2, e_3] = 0, while [e_0, e_1] = e_2
     heis = LieAlgebra(4, {(0, 1): {2: 1}})
     t = HermitianTriple(heis, standard_complex_structure(2), InnerProduct.identity(4))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^complex structure is not abelian$"):
         kahler_decompose(t)
+
+
+def _decompose_with_z(monkeypatch, t, z):
+    """The CertificateError of kahler_decompose(t) with the orthogonal
+    complement of g' + Jg' it takes as its center replaced by z."""
+    monkeypatch.setattr(Subspace, "orthogonal_complement", lambda u, metric: z)
+    with pytest.raises(CertificateError) as exc:
+        kahler_decompose(t)
+    return exc.value
+
+
+def test_decompose_certifies_a_wrong_center(monkeypatch, fixtures_dir):
+    # g' + Jg' = span{e_0, ..., e_3} and the center is span{e_4, e_5};
+    # span{e_0 + e_4, J(e_0 + e_4)} is a J-stable complement of g' + Jg' that
+    # is not central: a certificate fails, it never comes back as the center
+    t = load_triple(fixtures_dir, "kahler_two_blocks_scaled.json")
+    v = vec((1, 0, 0, 0, 1, 0))
+    wrong = Subspace(6, [v, t.j.apply(v)])
+    assert wrong.image(t.j.matrix) == wrong
+    assert wrong.sum(j_stable_commutator(t.algebra, t.j)) == Subspace.whole(6)
+    assert wrong != lie.center(t.algebra)
+    assert _decompose_with_z(monkeypatch, t, wrong).step == 8
+
+
+def test_decompose_certifies_a_center_one_pair_short(monkeypatch, fixtures_dir):
+    # the center span{e_4, e_5} less its one J-pair: the planes alone do not span g
+    t = load_triple(fixtures_dir, "kahler_two_blocks_scaled.json")
+    assert _decompose_with_z(monkeypatch, t, Subspace(6, [])).step == 7
+
+
+def test_decompose_reads_no_centralizer_and_one_cyclic_sum(monkeypatch):
+    # z is the orthogonal complement, and the cyclic identity is not
+    # evaluated: the only cyclic sum is is_kahler's
+    t = random_kahler_instance(9, max_dim=8).triple
+    calls = {"_annihilator": 0, "_form_cyclic_sums_vanish": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(lie, "_annihilator")
+    counted(hermitian, "_form_cyclic_sums_vanish")
+    dec = kahler_decompose(t)
+    assert calls == {"_annihilator": 0, "_form_cyclic_sums_vanish": 1}
+    alg, jm, gram = dec.rebuild()
+    assert alg == t.algebra and jm == t.j.matrix and gram == t.metric.gram
 
 
 def test_decompose_irrational_spectrum():
@@ -353,10 +405,11 @@ def test_theorem_suite_records_failed_certificate(monkeypatch):
 
 
 def test_theorem_suite_records_a_wrong_center(monkeypatch):
-    # a centralizer one vector short: the two verdicts that read a
+    # a centralizer one vector short: the one verdict that reads a
     # centralizer (the center's J-stability and the centralizer of g' + Jg'
-    # in the structure report, step 2 of the Kahler decomposition) record
-    # counterexamples, and no other verdict does
+    # in the structure report) records counterexamples, and no other verdict
+    # does: the Kahler decomposition takes its center as an orthogonal
+    # complement
     annihilator = lie._annihilator
 
     def short(g, u, table):
@@ -367,7 +420,7 @@ def test_theorem_suite_records_a_wrong_center(monkeypatch):
     rep = theorem_suite(20240823, 40)
     violated = [ce["violated"] for ce in rep.counterexamples]
     assert {name: violated.count(name) for name in set(violated)} == \
-        {"abelian_structure_report": 20, "kahler_decomposition_complete": 16}
+        {"abelian_structure_report": 20}
 
 
 _CYCLIC = lab.cyclic_metric_identity      # read before any test patches it
@@ -387,8 +440,9 @@ _CYCLIC = lab.cyclic_metric_identity      # read before any test patches it
     (Connection, "is_zero", lambda conn: True, 20240823, 40,
      {"zero_first_connection_forces_abelian": 26,
       "twisted_cyclic_under_zero_first_connection": 26}),
+    # the decomposition does not evaluate the cyclic identity
     (lab, "cyclic_metric_identity", lambda t: not _CYCLIC(t), 20240823, 40,
-     {"closed_form_matches_cyclic_identity": 40, "kahler_decomposition_complete": 28}),
+     {"closed_form_matches_cyclic_identity": 40}),
 ])
 def test_theorem_suite_records_a_broken_computation(monkeypatch, owner, name, broken, seed,
                                                    trials, violated):
