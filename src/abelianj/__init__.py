@@ -11,7 +11,7 @@ from .assoc import (
     AxiomWitness, CommAssocAlgebra, CompatibilityWitness, GenericityError,
     IrrationalSpectrumError, NilradicalReport, NotSemisimpleError,
     check_axioms, check_compatibility, minimal_polynomial, nilradical,
-    primitive_idempotents, square_span, unit,
+    primitive_idempotents, square_span,
 )
 from .complex_structures import (
     AbelianReport, ComplexStructure, HolomorphicPair, abelian_cs_report,

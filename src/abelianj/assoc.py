@@ -7,16 +7,14 @@ first nonzero residual contracted as the witness.
 
 Idempotents come from one generic element x of a semisimple A: the first
 draw whose multiplication operator L_x has a minimal polynomial m of degree
-dim A.  Then A = Q[x] = Q[T]/(m) is the product of the fields Q[T]/(f) over
-the factors f of m.  A splits as Q x ... x Q exactly when every factor is
-linear; any factor with no rational root is reported as an irrational
-spectrum instead of being approximated.  The block of a linear factor
-T - r is the kernel of L_x - r, and its idempotent is the unit's component
-in it, read off the unit's coordinates in the stacked block bases; so the
-idempotents sum to the unit.  The splitting needs only the standard
-library: the roots of m in F_q, for a small prime q at which they are
-simple, are lifted q-adically by Newton's method, and each lifted root
-gives a candidate linear factor, tested by exact division.
+dim A.  A splits as Q x ... x Q exactly when every root of m is rational;
+a root outside Q is reported as an irrational spectrum instead of being
+approximated.  Then each eigenline ker(L_x - r) is a one-dimensional ideal
+spanned by some b with b b = lambda b, lambda != 0, and its idempotent is
+b / lambda.  The roots need only the standard library: the roots of m in
+F_q, for a small prime q at which they are simple, are lifted q-adically
+by Newton's method, and each lifted root gives a candidate v / lc, kept
+when the integer f(v / lc) lc^d is zero.
 """
 from __future__ import annotations
 
@@ -26,9 +24,9 @@ from math import isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    DimensionMismatch, Matrix, Subspace, ONE, ZERO, _combine, _dense, _eliminate, _entry,
-    _first_nonzero_residual, _ints, _kernel, _negated, _nonzeros, _stacked, _tensor_dense,
-    _trace, _value_split, bilinear, bilinear_table, certify, left_map, rat,
+    DimensionMismatch, Matrix, Subspace, ONE, _combine, _dense, _eliminate, _entry,
+    _first_nonzero_residual, _ints, _kernel, _nonzeros, _stacked, _tensor_dense, _trace,
+    _value_split, bilinear, bilinear_table, certify, left_map, rat,
 )
 from .lie import PreconditionError, _PairTable, _kept
 
@@ -176,26 +174,7 @@ def nilradical(a) -> NilradicalReport:
     return NilradicalReport(rad, rad.is_zero())
 
 
-def unit(a):
-    """The multiplicative unit as a vector, or None: the solution x of
-    sum_j x_j e_j e_i = e_i for every i, column j stacking the products
-    e_j e_i over i."""
-    n = a.dim
-    return Matrix._of_split([_stacked(row, n) for row in a.split()], n * n).solve(
-        tuple(ONE if k == i else ZERO for i in range(n) for k in range(n)))
-
-
 # ---- polynomials over Q (ascending coefficients) ----
-
-def _poly_eval_matrix(p, mat):
-    n = mat.nrows
-    if not p:
-        return Matrix.zeros(n, n)
-    acc = Matrix.identity(n).scale(p[-1])
-    for c in reversed(p[:-1]):
-        acc = (acc @ mat) + Matrix.identity(n).scale(c)
-    return acc
-
 
 def minimal_polynomial(mat: Matrix):
     """Monic minimal polynomial, ascending coefficients, from one elimination
@@ -215,20 +194,6 @@ def minimal_polynomial(mat: Matrix):
     return [_entry(-rows[k][d] * cols[k][0], den * cols[d][0]) for k in range(d)] + [ONE]
 
 
-def _divmod(a, b):
-    """Quotient and remainder of a by b over Q."""
-    r = list(a)
-    q = [ZERO] * max(len(a) - len(b) + 1, 0)
-    for i in reversed(range(len(q))):
-        c = q[i] = r[i + len(b) - 1] / b[-1]
-        for k, bk in enumerate(b):
-            r[i + k] -= c * bk
-    del r[len(b) - 1:]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
 def _horner(f, x, mod):
     """f(x) mod mod for the integer polynomial f."""
     acc = 0
@@ -238,7 +203,7 @@ def _horner(f, x, mod):
 
 
 def _padic_roots(p):
-    """(lc, mod, roots): the roots in Z_q, modulo mod = q^(2^k), of the
+    """(f, mod, roots): the roots in Z_q, modulo mod = q^(2^k), of the
     squarefree p scaled to an integer polynomial f with leading coefficient
     lc.  q is the first odd prime not dividing lc at which every root of f in
     F_q is simple, so each lifts uniquely by Newton's method (Loos, SIAM J.
@@ -264,28 +229,21 @@ def _padic_roots(p):
         mod *= mod
         roots = [(x - _horner(f, x, mod) * pow(_horner(df, x, mod), -1, mod)) % mod
                  for x in roots]
-    return lc, mod, roots
+    return f, mod, roots
 
 
-def _rational(lc, a, mod):
-    """v / lc for the integer v = lc * a (mod mod) of least absolute value."""
-    v = lc * a % mod
-    return rat(v - mod if 2 * v > mod else v, lc)
-
-
-def _split_over_q(p):
-    """(factors, rest) for the squarefree monic p: its monic linear factors
-    over Q, and their cofactor.  Each root in Z_q gives a candidate t - r,
-    tested by exact division."""
-    lc, mod, roots = _padic_roots(p)
-    factors, rest = [], p
+def _rational_roots(p):
+    """The rational roots of the squarefree monic p: each root in Z_q gives
+    a candidate v / lc, kept when the integer f(v / lc) lc^d is zero."""
+    f, mod, roots = _padic_roots(p)
+    lc, d = f[-1], len(f) - 1
+    out = []
     for x in roots:
-        g = [-_rational(lc, x, mod), ONE]
-        quo, rem = _divmod(rest, g)
-        if not rem:
-            factors.append(g)
-            rest = quo
-    return factors, rest
+        v = lc * x % mod
+        v = v - mod if 2 * v > mod else v      # least absolute value
+        if not sum(c * v ** i * lc ** (d - i) for i, c in enumerate(f)):
+            out.append(rat(v, lc))
+    return out
 
 
 def _certify_idempotents(a, es):
@@ -321,31 +279,26 @@ def primitive_idempotents(a) -> tuple:
     n = a.dim
     if n == 0:
         return ()
-    u = unit(a)
-    certify("a semisimple algebra must be unital", u is not None)
     for x in _generic_elements(n):
         lx = a.left_mult(x)
         m = minimal_polynomial(lx)
-        factors, rest = _split_over_q(m)
-        if len(rest) > 1:
+        roots = _rational_roots(m)
+        if len(roots) < len(m) - 1:
             raise IrrationalSpectrumError(
                 "irrational spectrum: a factor of degree %d has no rational root"
-                % (len(rest) - 1))
+                % (len(m) - 1 - len(roots)))
         if len(m) - 1 == n:
             break
     else:
         raise GenericityError("no generic element generates the algebra")
-    blocks = [_poly_eval_matrix(f, lx)._kernel_splits() for f in factors]
-    certify("each block must have its factor's degree",
-            all(len(b) == len(f) - 1 for f, b in zip(factors, blocks)))
-    basis = Matrix._of_split([s for b in blocks for s in b], n)
-    # B c = u for B of full rank: then (c, 1) spans the kernel of [B | -u]
-    ker = Matrix._of_split(basis.split() + [_negated(_nonzeros(u))], n)._kernel_splits()
-    certify("the blocks must span the algebra", len(ker) == 1 and ker[0][1][-1][0] == n)
-    *coords, (_, d) = ker[0][1]
-    owner = [i for i, b in enumerate(blocks) for _ in b]
-    elements = [_combine(d, [(c, basis.split()[k]) for k, c in coords if owner[k] == i], n)
-                for i in range(len(blocks))]
+    lines = [(lx - Matrix.identity(n).scale(r))._kernel_splits() for r in roots]
+    certify("each eigenline is one-dimensional", all(len(b) == 1 for b in lines))
+    bs = [b for (b,) in lines]
+    squares = bilinear_table(a.split(), bs, bs, [(i, i) for i in range(n)]).values()
+    certify("no eigenline squares to zero", all(w[1] for w in squares))
+    # w = b b = lambda b, lambda = w_k / b_k at the first entry of each split
+    elements = [_combine(nw[0][1] * db, [(dw * nb[0][1], (db, nb))], n)
+                for (db, nb), (dw, nw) in zip(bs, squares)]
     certify("idempotents must be nonzero, idempotent and orthogonal",
             _certify_idempotents(a, elements))
     return tuple(sorted(_dense(e, n) for e in elements))

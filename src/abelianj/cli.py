@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 from . import lab, serialize
@@ -236,8 +235,7 @@ def run_decompose(args) -> int:
               % (ix + 1, f["norm_sq"], f["curvature"],
                  _fmt_vector(f["idempotent"], t.algebra.basis_names)))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(serialize.emit(data))
+        serialize._write_json(args.report, data)
     return PASS
 
 
@@ -259,19 +257,12 @@ def run_fuzz(args) -> int:
     data = lab.report_to_dict(rep)
     _print_trial_report(data)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(serialize.emit(data))
+        serialize._write_json(args.report, data)
     return FAIL if rep.counterexamples else PASS
 
 
 def run_report(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise serialize.InputError("cannot read %s: %s" % (args.file, exc))
-    except ValueError as exc:   # JSONDecodeError, or an int literal too long to convert
-        raise serialize.InputError("malformed JSON in %s: %s" % (args.file, exc))
+    data = serialize._load_json(args.file)
     if not isinstance(data, dict) or not {"seed", "trials", "theorems",
                                           "counterexamples"} <= set(data):
         raise serialize.InputError("not a trial report file")

@@ -91,12 +91,14 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
     Certified: (3) commutator ideal totally real; (4) the product x o y =
     [Jx, y] on it is commutative associative; (5) semisimple with
     self-adjoint multiplications, so the spectrum is real; (6) one primitive
-    idempotent per dimension, which a rational spectrum gives (an irrational
-    one raises IrrationalSpectrumError); (7) planes span{Je, e} that span g
-    with z: P square and P^T G P invertible, G the metric and P the change
-    of basis, which also gives P^-1; (8) one Gram matrix P^T G P that is r^2
-    on each plane and zero off it, and P a holomorphic isomorphism from the
-    block model onto (g, J): [Je, e] = e, every other bracket of the columns
+    idempotent per dimension, read off the eigenlines of a rational spectrum
+    and certified by primitive_idempotents (an irrational one raises
+    IrrationalSpectrumError); (7) planes span{Je, e} that span g with z: P
+    square and P^T G P invertible, G the metric and P the change of basis,
+    which also gives P^-1; each plane has dim 2, as J^2 = -I has no
+    rational eigenvector; (8) one Gram matrix P^T G P that is r^2 on each
+    plane and zero off it, and P a holomorphic isomorphism from the block
+    model onto (g, J): [Je, e] = e, every other bracket of the columns
     of P zero, P taking the block J to J.  P^-1 = (P^T G P)^-1 P^T G makes
     P^-T (P^T G P) P^-1 = G an identity.  Step 8 proves z central: P maps
     the model's center onto span{h, Jh}, h the halves of z, which
@@ -137,11 +139,8 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
                     "left multiplication %d is not self-adjoint" % a)
         certify(5, nilradical(alg).is_semisimple, "induced product has a nonzero nilradical")
 
-        idem = primitive_idempotents(alg)
-        certify(6, len(idem) == n, "idempotent count differs from the commutator dimension")
-
         curved = []     # (r^2 = g(e, e), e, split of e) for each idempotent e
-        for e in idem:
+        for e in primitive_idempotents(alg):
             s = bm._apply_split(_nonzeros(e))
             v = _dense(s, g.dim)
             curved.append((metric.eval(v, v), v, s))
@@ -151,7 +150,6 @@ def kahler_decompose(t: HermitianTriple) -> KahlerDecomposition:
         rs = [s for _, _, s in curved]
         for r2, v, s in curved:
             plane = Subspace._spanned(g.dim, [s, jm._apply_split(s)])
-            certify(7, plane.dim == 2, "factor plane is degenerate")
             factors.append(KahlerFactor(v, r2, 1 / r2, plane))
 
     # columns Je, e for each idempotent e, then for each vector of one sheet

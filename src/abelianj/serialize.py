@@ -346,6 +346,15 @@ def load_matrix(path) -> Matrix:
     return matrix_from_file_dict(_load_json(path))
 
 
+def _write_json(path, data):
+    """Write emit(data) to path; a path that cannot be written is an input
+    error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(emit(data))
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc))
+
+
 def save_instance(path, g, j=None, metric=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit(instance_to_dict(g, j, metric)))
+    _write_json(path, instance_to_dict(g, j, metric))

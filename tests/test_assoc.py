@@ -4,9 +4,9 @@ import pytest
 
 from abelianj import assoc
 from abelianj.assoc import (
-    CommAssocAlgebra, GenericityError, IrrationalSpectrumError,
+    CommAssocAlgebra, GenericityError, IrrationalSpectrumError, NilradicalReport,
     NotSemisimpleError, check_axioms, check_compatibility,
-    minimal_polynomial, nilradical, primitive_idempotents, square_span, unit,
+    minimal_polynomial, nilradical, primitive_idempotents, square_span,
 )
 from abelianj.lie import PreconditionError, pushforward
 from abelianj.linalg import CertificateError, DimensionMismatch, Matrix, Subspace, rat, vec
@@ -110,15 +110,6 @@ def test_nilradical_and_semisimplicity():
         assert (nilradical(a).nilradical == Subspace.whole(a.dim)) == nilpotent
 
 
-def test_unit_vectors():
-    assert unit(real_line()) == vec((1,))
-    assert unit(complex_plane()) == vec((1, 0))
-    assert unit(split_pair()) == vec((1, 1))
-    assert unit(dual_numbers()) == vec((1, 0))
-    assert unit(truncated_cubic()) is None
-    assert unit(CommAssocAlgebra.zero(2)) is None
-
-
 def test_minimal_polynomial():
     # rotation by 90 degrees: t^2 + 1
     assert minimal_polynomial(Matrix([[0, -1], [1, 0]])) == [rat(1), rat(0), rat(1)]
@@ -157,11 +148,12 @@ def test_primitive_idempotents_three_blocks():
     a = pushforward(CommAssocAlgebra(3, {(i, i): {i: 1} for i in range(3)}), p)
     out = primitive_idempotents(a)
     assert out == (vec((1, 0, 0)), vec((1, 1, 0)), vec((1, 1, 1)))
-    # idempotents are pairwise orthogonal and sum to the unit
+    # idempotents are pairwise orthogonal and sum to the unit: the sum
+    # acts as the identity on each of them, and they span A
     total = vec((0, 0, 0))
     for e in out:
         total = tuple(x + y for x, y in zip(total, e))
-    assert total == unit(a)
+    assert all(a.multiply(total, e) == e for e in out)
     # R x R x C built directly as a product table: the complex block's
     # factor t^2 + 1 is left over
     b = CommAssocAlgebra(4, {(0, 0): {0: 1}, (1, 1): {1: 1},
@@ -211,19 +203,17 @@ def test_splitter_skips_primes_with_a_double_root():
     # t (t - 3) (t - 2) (t - 3) mod 5 the double root 3; mod 7 the roots 0
     # and 3 are simple and t^2 + 1 has none
     p = [rat(0), rat(-3), rat(1), rat(-3), rat(1)]
-    lc, mod, roots = assoc._padic_roots(p)
-    assert lc == 1 and mod % 7 == 0 and mod > 2 * 4
+    f, mod, roots = assoc._padic_roots(p)
+    assert f == [0, -3, 1, -3, 1] and mod % 7 == 0 and mod > 2 * 4
     assert sorted(r % 7 for r in roots) == [0, 3]
-    factors, rest = assoc._split_over_q(p)
-    assert sorted(factors) == [[rat(-3), rat(1)], [rat(0), rat(1)]]
-    assert rest == [rat(1), rat(0), rat(1)]
+    assert sorted(assoc._rational_roots(p)) == [0, 3]
 
 
 def test_splitter_rejects_a_repeated_root():
     # (t - 1)^2: every prime sees the double root, and the rejected primes
     # soon outgrow the resultant bound that a squarefree input would obey
     with pytest.raises(CertificateError):
-        assoc._split_over_q([rat(1), rat(-2), rat(1)])
+        assoc._rational_roots([rat(1), rat(-2), rat(1)])
 
 
 def test_generic_element_retry_is_bounded(monkeypatch):
@@ -250,11 +240,26 @@ def test_only_non_generic_draws_raise_genericity_error(monkeypatch):
 
 
 def test_a_wrong_block_fails_its_certificate(monkeypatch):
-    # the kernel of a zero matrix is all of A, not a block of its factor's
-    # degree: a certificate names it before u is solved for in the stacked basis
-    monkeypatch.setattr(assoc, "_poly_eval_matrix", lambda f, m: Matrix.zeros(m.nrows, m.nrows))
-    with pytest.raises(CertificateError, match="factor's degree"):
+    # 1/7 is no eigenvalue of L_x: its eigenline is 0, not one-dimensional
+    real = assoc._rational_roots
+    monkeypatch.setattr(assoc, "_rational_roots", lambda p: real(p)[:-1] + [rat(1, 7)])
+    with pytest.raises(CertificateError, match="each eigenline is one-dimensional"):
         primitive_idempotents(split_pair())
+
+
+def test_an_eigenline_squaring_to_zero_fails_its_certificate(monkeypatch):
+    # the zero algebra Q e, claimed semisimple: L_x = 0 has the eigenline
+    # Q e, but e e = 0 has no idempotent multiple
+    monkeypatch.setattr(assoc, "nilradical",
+                        lambda a: NilradicalReport(Subspace.zero(a.dim), True))
+    with pytest.raises(CertificateError, match="no eigenline squares to zero"):
+        primitive_idempotents(CommAssocAlgebra.zero(1))
+
+
+def test_idempotents_are_eigenlines_over_their_squares():
+    # e0 e0 = -2 e0 and e1 e1 = (1/3) e1: the idempotents are e0 / -2 and 3 e1
+    a = CommAssocAlgebra(2, {(0, 0): {0: -2}, (1, 1): {1: rat(1, 3)}})
+    assert primitive_idempotents(a) == (vec((rat(-1, 2), 0)), vec((0, 3)))
 
 
 def test_seeded_idempotent_round_trip():

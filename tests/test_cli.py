@@ -190,7 +190,10 @@ def test_check_bad_files(tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"dim": 2, "brackets": [], "basis": ["\xe9", "f"]}')
     assert main(["check", str(not_utf8)]) == 2
+    capsys.readouterr()
+    # a report is read by the same reader as an instance
     assert main(["report", str(not_utf8)]) == 2
+    assert capsys.readouterr().err.startswith("input error: cannot read %s: " % not_utf8)
     jacobi = tmp_path / "jacobi.json"
     jacobi.write_text(json.dumps({
         "dim": 3, "basis": ["e1", "e2", "e3"],
@@ -447,6 +450,19 @@ def test_fuzz_and_report(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing.json")]) == 2
     assert main(["fuzz", "--seed", "1", "--trials", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "aff", "--algebra", "prod_complex.json", "-o"],
+    ["decompose-kahler", "--instance", "kahler_two_blocks_scaled.json", "--report"],
+    ["fuzz", "--seed", "1", "--trials", "1", "--report"],
+], ids=["construct", "decompose-kahler", "fuzz"])
+def test_an_unwritable_output_path_is_bad_input(argv, fixtures_dir, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    argv = [fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv] + [str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: cannot write %s: " % path)
+    assert not path.parent.exists()
 
 
 def test_report_refuses_malformed_counts(tmp_path, capsys):
