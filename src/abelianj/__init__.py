@@ -8,10 +8,9 @@ structures they carry, and the Hermitian geometry (Levi-Civita and first
 canonical connections, curvature, the Kähler splitting) on top.
 """
 from .assoc import (
-    AxiomWitness, CommAssocAlgebra, CompatibilityWitness, GenericityError,
-    IrrationalSpectrumError, NilradicalReport, NotSemisimpleError,
-    check_axioms, check_compatibility, minimal_polynomial, nilradical,
-    primitive_idempotents, square_span,
+    AxiomWitness, CommAssocAlgebra, CompatibilityWitness, IrrationalSpectrumError,
+    NilradicalReport, check_axioms, check_compatibility, minimal_polynomial,
+    nilradical, primitive_idempotents, square_span,
 )
 from .complex_structures import (
     AbelianReport, ComplexStructure, HolomorphicPair, abelian_cs_report,
@@ -19,9 +18,9 @@ from .complex_structures import (
 )
 from .constructions import (
     AffModel, DoubleProduct, ExtractedProducts, IncompatiblePairError,
-    NotApplicableError, aff_algebra, double_product, equal_products_iso,
-    extract_products, recognize_aff, semidirect_r2_family,
-    standard_complex_structure, witness_check,
+    aff_algebra, double_product, equal_products_iso, extract_products,
+    recognize_aff, semidirect_r2_family, standard_complex_structure,
+    witness_check,
 )
 from .hermitian import (
     Connection, ConnectionFlags, HermitianTriple, InnerProduct,

@@ -5,20 +5,22 @@ The associativity and compatibility identities are decided on basis
 triples by linalg._first_nonzero_residual, packed zero tests with only the
 first nonzero residual contracted as the witness.
 
-Idempotents come from one generic element x of a semisimple A: the first
-draw whose multiplication operator L_x has a minimal polynomial m of degree
-dim A.  A splits as Q x ... x Q exactly when every root of m is rational;
-a root outside Q is reported as an irrational spectrum instead of being
-approximated.  Then each eigenline ker(L_x - r) is a one-dimensional ideal
-spanned by some b with b b = lambda b, lambda != 0, and its idempotent is
-b / lambda.  The roots need only the standard library: the roots of m in
-F_q, for a small prime q at which they are simple, are lifted q-adically
-by Newton's method, and each lifted root gives a candidate v / lc, kept
-when the integer f(v / lc) lc^d is zero.
+Idempotents come from the first x_t = (1, t, t^2, ...), t = 1, 2, ..., in
+a semisimple A of dim n whose L_x has a minimal polynomial m of degree n,
+so x generates A.  Some t <= B(n) = n(n-1)^2/2 + 1 does: x_t generates A
+when the n distinct characters of A over C differ at it, and each
+difference phi(x_t) - psi(x_t) is a nonzero polynomial of degree < n in t,
+zero at n - 1 values of t at most.  A splits as Q x ... x Q exactly when
+every root of m is rational; a root outside Q is reported as an irrational
+spectrum instead of being approximated.  Then each eigenline ker(L_x - r)
+is a one-dimensional ideal spanned by some b with b b = lambda b,
+lambda != 0, and its idempotent is b / lambda.  The roots need only the
+standard library: the roots of m in F_q, for a small prime q at which they
+are simple, are lifted q-adically by Newton's method, and each lifted root
+gives a candidate v / lc, kept when the integer f(v / lc) lc^d is zero.
 """
 from __future__ import annotations
 
-import random
 from itertools import combinations_with_replacement, count
 from math import isqrt, lcm
 from typing import NamedTuple, Optional
@@ -43,18 +45,10 @@ class CompatibilityWitness(NamedTuple):
     residual: tuple
 
 
-class NotSemisimpleError(ValueError):
-    pass
-
-
 class IrrationalSpectrumError(ValueError):
     """A minimal polynomial has a factor with no rational root: some
     multiplication operator has an eigenvalue outside Q, so the algebra is
     not a product of copies of Q."""
-
-
-class GenericityError(ValueError):
-    pass
 
 
 class CommAssocAlgebra(_PairTable):
@@ -252,22 +246,6 @@ def _certify_idempotents(a, es):
     return all(bool(w[1]) and w == es[i] if i == k else not w[1] for (i, k), w in table.items())
 
 
-# candidate generic elements per primitive_idempotents call, and the seed of
-# the random ones after the six Vandermonde candidates
-_GENERIC_DRAWS = 32
-_GENERIC_SEED = 0
-
-
-def _generic_elements(dim):
-    """Vandermonde-style candidates (1, t, t^2, ...) first, then random."""
-    rng = random.Random(_GENERIC_SEED)
-    for t in range(1, _GENERIC_DRAWS + 1):
-        if t <= 6:
-            yield tuple(rat(t) ** i for i in range(dim))
-        else:
-            yield tuple(rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
-
-
 def primitive_idempotents(a) -> tuple:
     """Complete primitive orthogonal idempotents of a semisimple algebra, in
     one pass over one generic element, as the module docstring describes,
@@ -275,12 +253,12 @@ def primitive_idempotents(a) -> tuple:
     factor of the minimal polynomial has no rational root.
     """
     if not nilradical(a).is_semisimple:
-        raise NotSemisimpleError("algebra has a nonzero nilradical")
+        raise PreconditionError("algebra has a nonzero nilradical")
     n = a.dim
     if n == 0:
         return ()
-    for x in _generic_elements(n):
-        lx = a.left_mult(x)
+    for t in range(1, n * (n - 1) ** 2 // 2 + 2):
+        lx = a.left_mult([t ** i for i in range(n)])
         m = minimal_polynomial(lx)
         roots = _rational_roots(m)
         if len(roots) < len(m) - 1:
@@ -289,8 +267,7 @@ def primitive_idempotents(a) -> tuple:
                 % (len(m) - 1 - len(roots)))
         if len(m) - 1 == n:
             break
-    else:
-        raise GenericityError("no generic element generates the algebra")
+    certify("some x_t with t <= B(n) generates the algebra", len(m) - 1 == n)
     lines = [(lx - Matrix.identity(n).scale(r))._kernel_splits() for r in roots]
     certify("each eigenline is one-dimensional", all(len(b) == 1 for b in lines))
     bs = [b for (b,) in lines]

@@ -18,10 +18,7 @@ from .hermitian import (
     ConnectionFlags, complex_projection, connection_flags, curvature_norm_sq,
     is_kahler, levi_civita,
 )
-from .lie import (
-    PreconditionError, center, commutator_ideal, derived_and_central_series,
-    is_unimodular,
-)
+from .lie import center, commutator_ideal, derived_and_central_series, is_unimodular
 from .linalg import _scalar_str, _split_strs
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
@@ -220,6 +217,8 @@ def _decomposition_dict(dec) -> dict:
 def run_decompose(args) -> int:
     """Build the decomposition report as one dict; --report emits it, and
     the text output reads it."""
+    if args.report:
+        serialize._check_writable(args.report)
     inst = serialize.load_instance(args.instance)
     t = inst.triple()
     try:
@@ -253,6 +252,8 @@ def run_fuzz(args) -> int:
         raise serialize.InputError("--trials must be positive")
     if args.max_dim < 2:
         raise serialize.InputError("--max-dim must be at least 2")
+    if args.report:
+        serialize._check_writable(args.report)
     rep = lab.theorem_suite(args.seed, args.trials, max_dim=args.max_dim)
     data = lab.report_to_dict(rep)
     _print_trial_report(data)
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
     except serialize.ValidationFailure as exc:
         print("validation failed: %s" % exc, file=sys.stderr)
         return FAIL
-    except (PreconditionError, ValueError) as exc:
+    except ValueError as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return FAIL
 

@@ -37,10 +37,6 @@ class IncompatiblePairError(ValueError):
         self.witness = witness
 
 
-class NotApplicableError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class DoubleProduct:
     """Lie algebra on two copies of a vector space, built from a compatible
@@ -127,14 +123,15 @@ def witness_check(g, j, u: Subspace) -> bool:
     return all(bracket_span(g, half, half).is_zero() for half in (u, ju))
 
 
-def _half_products(g, j, v: Subspace):
-    """{(i, k): split of the coordinates in v of [J v_i, v_k], or None where
-    that bracket leaves v} for i <= k: the product x o y = [Jx, y] on v, from
-    one bilinear_table."""
-    vs = v.split()
+def _half_products(g, j):
+    """{(i, k): split of the coordinates in g' of [J v_i, v_k]} for i <= k,
+    v the echelon basis of g': the product x o y = [Jx, y] on g', from one
+    bilinear_table.  A bracket lies in g', so every coordinate exists."""
+    gp = commutator_ideal(g)
+    vs = gp.split()
     table = linalg.bilinear_table(g.split(), [j.matrix._apply_split(s) for s in vs], vs,
-                                  combinations_with_replacement(range(v.dim), 2))
-    return {ik: v._coords(w) for ik, w in table.items()}
+                                  combinations_with_replacement(range(gp.dim), 2))
+    return {ik: gp._coords(w) for ik, w in table.items()}
 
 
 class ExtractedProducts(NamedTuple):
@@ -180,41 +177,29 @@ class AffModel(NamedTuple):
     iso: HolomorphicPair        # model.algebra -> g, (x, y) |-> Jx - y
 
 
-def _aff_model(g, j, v: Subspace) -> AffModel:
-    """Build the affine model over the half v; requires [Jv, v] inside v."""
-    products = _half_products(g, j, v)
-    for (i, k), w in products.items():
-        certify("product leaves the abelian half", w is not None,
-                "bracket [J v_%d, v_%d] has a J-half component" % (i + 1, k + 1))
-    alg = CommAssocAlgebra._of_split(v.dim, products)
-    wit = check_axioms(alg)
-    certify("recovered product fails the axioms", wit is None, wit and wit.kind)
-    model = aff_algebra(alg)
-    vs = v.split()
-    phi = Matrix._of_split([j.matrix._apply_split(s) for s in vs] + [_negated(s) for s in vs],
-                           g.dim)
-    pair = HolomorphicPair(model.algebra, model.j, g, j, phi)
-    certify("affine model map failed verification", is_holomorphic_iso(pair))
-    return AffModel(alg, v, model, pair)
-
-
 def recognize_aff(g, j) -> AffModel:
-    """When g splits as commutator (+) J commutator, exhibit it as the
-    affine algebra of (commutator, x*y = [Jx, y]).
-
-    Raises NotApplicableError when the splitting fails (e.g. any abelian g
-    of positive dimension).
-    """
+    """When g = g' (+) Jg', exhibit g as the affine algebra of (g', x*y =
+    [Jx, y]) by the certified holomorphic iso (x, y) |-> Jx - y.  Raises
+    PreconditionError when J is not abelian or g does not split so (e.g.
+    for any abelian g of positive dimension)."""
     if not is_abelian_cs(g, j):
         raise PreconditionError("complex structure must be abelian")
     gp = commutator_ideal(g)
     if 2 * gp.dim != g.dim or j_stable_commutator(g, j).dim != g.dim:
-        raise NotApplicableError(
+        raise PreconditionError(
             "algebra is not the direct sum of its commutator and the J-image")
-    result = _aff_model(g, j, gp)
+    alg = CommAssocAlgebra._of_split(gp.dim, _half_products(g, j))
+    wit = check_axioms(alg)
+    certify("recovered product fails the axioms", wit is None, wit and wit.kind)
+    model = aff_algebra(alg)
+    vs = gp.split()
+    phi = Matrix._of_split([j.matrix._apply_split(s) for s in vs] + [_negated(s) for s in vs],
+                           g.dim)
+    pair = HolomorphicPair(model.algebra, model.j, g, j, phi)
+    certify("affine model map failed verification", is_holomorphic_iso(pair))
     certify("recovered product must have full square span",
-            square_span(result.algebra) == Subspace.whole(result.algebra.dim))
-    return result
+            square_span(alg) == Subspace.whole(gp.dim))
+    return AffModel(alg, gp, model, pair)
 
 
 def _greedy_j_half(j, ambient_space: Subspace) -> Subspace:

@@ -33,9 +33,9 @@ runs through three routines here:
   residual is contracted, by _combine, as the witness.
 * _eliminate, the one elimination: fraction-free Gauss-Jordan (Bareiss
   1968) on integer rows, exact divisions only.  Reduced row echelon form,
-  rank, kernel, solve, inverse, det and leading principal minors all read
-  its result from integer rows read off splits, with no Fraction built; so
-  does a basis extension, its greedy choice the pivots (_pivot_columns).
+  kernel, solve, inverse and det all read its result from integer rows
+  read off splits, with no Fraction built; so does a basis extension, its
+  greedy choice the pivots (_pivot_columns).
 
 One storage rule: every exact object is its canonical splits.  A vector's
 canonical split, (d > 0, [(index, numerator)]) with ascending indices and
@@ -619,13 +619,10 @@ class Matrix:
 
     def _scaled_rows(self):
         """(d, nums) for every row: its integer numerators over d, the lcm of
-        its denominators, read off the column splits.  rank and kernel
-        eliminate the nonzero rows: scaling a row changes no reduced echelon
-        form, and a zero row adds nothing to it."""
+        its denominators, read off the column splits.  kernel eliminates the
+        nonzero rows: scaling a row changes no reduced echelon form, and a
+        zero row adds nothing to it."""
         return [(d, _ints(nz, self.ncols)) for d, nz in _transposed(self._split, self.nrows)]
-
-    def rank(self):
-        return len(_eliminate([r for _, r in self._scaled_rows() if any(r)], self.ncols)[0])
 
     def _square_elimination(self, what):
         """(row lcms, result of _eliminate) for a square matrix."""

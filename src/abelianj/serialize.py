@@ -25,6 +25,7 @@ built once.  It writes str keys only, and refuses floats.
 from __future__ import annotations
 
 import json
+import os
 import re
 from math import gcd, lcm
 from typing import Optional
@@ -344,6 +345,17 @@ def load_algebra(path) -> CommAssocAlgebra:
 
 def load_matrix(path) -> Matrix:
     return matrix_from_file_dict(_load_json(path))
+
+
+def _check_writable(path):
+    """Raise, before any work and creating no file, the InputError that
+    _write_json would for a path in a missing directory, or one that is not
+    a writable file or a new name in a writable directory."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise InputError("cannot write %s: no directory %s" % (path, folder))
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise InputError("cannot write %s: not a writable file" % path)
 
 
 def _write_json(path, data):

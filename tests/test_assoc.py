@@ -4,9 +4,9 @@ import pytest
 
 from abelianj import assoc
 from abelianj.assoc import (
-    CommAssocAlgebra, GenericityError, IrrationalSpectrumError, NilradicalReport,
-    NotSemisimpleError, check_axioms, check_compatibility,
-    minimal_polynomial, nilradical, primitive_idempotents, square_span,
+    CommAssocAlgebra, IrrationalSpectrumError, NilradicalReport, check_axioms,
+    check_compatibility, minimal_polynomial, nilradical, primitive_idempotents,
+    square_span,
 )
 from abelianj.lie import PreconditionError, pushforward
 from abelianj.linalg import CertificateError, DimensionMismatch, Matrix, Subspace, rat, vec
@@ -128,10 +128,9 @@ def test_primitive_idempotents_exact():
 
 
 def test_primitive_idempotents_reject_nilradical():
-    with pytest.raises(NotSemisimpleError):
-        primitive_idempotents(dual_numbers())
-    with pytest.raises(NotSemisimpleError):
-        primitive_idempotents(truncated_cubic())
+    for a in (dual_numbers(), truncated_cubic()):
+        with pytest.raises(PreconditionError, match="^algebra has a nonzero nilradical$"):
+            primitive_idempotents(a)
 
 
 def test_primitive_idempotents_irrational():
@@ -216,27 +215,26 @@ def test_splitter_rejects_a_repeated_root():
         assoc._rational_roots([rat(1), rat(-2), rat(1)])
 
 
-def test_generic_element_retry_is_bounded(monkeypatch):
-    monkeypatch.setattr(assoc, "_GENERIC_DRAWS", 0)
-    with pytest.raises(GenericityError):
-        primitive_idempotents(split_pair())
-
-
 def test_unit_draw_is_redrawn_by_degree(monkeypatch):
-    # L_u = I has minimal polynomial t - 1 of degree 1 < 2, so the unit
-    # generates only Q and the next draw is taken
+    # x_1 = (1, 1) is the unit of Q x Q: L_x = I has minimal polynomial
+    # t - 1 of degree 1 < 2, so x_1 generates only Q and x_2 = (1, 2) is drawn
     calls, real = [], assoc.minimal_polynomial
     monkeypatch.setattr(assoc, "minimal_polynomial", lambda m: calls.append(m) or real(m))
-    monkeypatch.setattr(assoc, "_generic_elements",
-                        lambda dim: iter([vec((1, 1)), vec((1, 2)), vec((3, 5))]))
     assert primitive_idempotents(split_pair()) == (vec((0, 1)), vec((1, 0)))
-    assert len(calls) == 2
+    assert calls == [Matrix.identity(2), Matrix([[1, 0], [0, 2]])]
 
 
-def test_only_non_generic_draws_raise_genericity_error(monkeypatch):
-    monkeypatch.setattr(assoc, "_generic_elements", lambda dim: iter([vec((2, 2))] * 5))
-    with pytest.raises(GenericityError):
-        primitive_idempotents(split_pair())
+@pytest.mark.parametrize("n, bound", [(2, 2), (3, 7)])
+def test_draws_stop_at_the_proven_bound(monkeypatch, n, bound):
+    # some x_t, t <= B(n) = n (n - 1)^2 / 2 + 1, generates a semisimple
+    # algebra; a minimal polynomial kept below degree n exhausts them all
+    a = CommAssocAlgebra(n, {(i, i): {i: 1} for i in range(n)})
+    calls = []
+    monkeypatch.setattr(assoc, "minimal_polynomial",
+                        lambda m: calls.append(m) or [rat(-1), rat(1)])
+    with pytest.raises(CertificateError, match="some x_t with t <= B\\(n\\) generates"):
+        primitive_idempotents(a)
+    assert len(calls) == bound
 
 
 def test_a_wrong_block_fails_its_certificate(monkeypatch):

@@ -465,6 +465,24 @@ def test_an_unwritable_output_path_is_bad_input(argv, fixtures_dir, tmp_path, ca
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["decompose-kahler", "--instance", "kahler_two_blocks_scaled.json", "--report"],
+     "kahler_decompose"),
+    (["fuzz", "--seed", "1", "--trials", "500", "--report"], "theorem_suite"),
+], ids=["decompose-kahler", "fuzz"])
+def test_an_unwritable_report_is_refused_before_any_work(argv, work, fixtures_dir, tmp_path,
+                                                         capsys, monkeypatch):
+    """A report path in a missing directory, or one that is a directory, is
+    refused before the command's work starts: nothing on stdout, no file."""
+    monkeypatch.setattr(lab, work, lambda *a, **k: pytest.fail("%s ran" % work))
+    argv = [fx(fixtures_dir, a) if a.endswith(".json") else a for a in argv]
+    for path in (tmp_path / "missing" / "out.json", tmp_path):
+        assert main(argv + [str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: cannot write %s: " % path)
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_report_refuses_malformed_counts(tmp_path, capsys):
     """A theorem entry that is not {"pass": int, "fail": int}, or
     counterexamples that are not a list, is an input error (exit 2), not a

@@ -7,16 +7,16 @@ from abelianj.complex_structures import (
     ComplexStructure, HolomorphicPair, is_abelian_cs, is_holomorphic_iso,
 )
 from abelianj.constructions import (
-    AffModel, IncompatiblePairError, _aff_model, NotApplicableError, aff_algebra,
-    double_product, equal_products_iso, extract_products, recognize_aff,
-    semidirect_r2_family, standard_complex_structure, witness_check,
+    AffModel, IncompatiblePairError, aff_algebra, double_product, equal_products_iso,
+    extract_products, recognize_aff, semidirect_r2_family, standard_complex_structure,
+    witness_check,
 )
 from abelianj.lab import random_pair
 from abelianj.lie import (
     LieAlgebra, PreconditionError, check_jacobi, commutator_ideal,
     derived_and_central_series,
 )
-from abelianj.linalg import CertificateError, Matrix, Subspace, vec
+from abelianj.linalg import Matrix, Subspace, vec
 
 
 def complex_plane():
@@ -117,20 +117,12 @@ def test_recognize_aff_on_affine_complex():
             assert lhs == rhs
 
 
-def test_aff_model_rejects_product_leaving_the_half():
-    # on double_product(C, C) the bracket [J u_1, u_1] has second-half
-    # component -(u_1 . u_1) = -u_1, so the first pair in (i, k) order fails
-    dp = double_product(complex_plane(), complex_plane())
-    with pytest.raises(CertificateError, match="product leaves the abelian half") as exc:
-        _aff_model(dp.algebra, dp.j, dp.u)
-    assert "[J v_1, v_1]" in str(exc.value)
-
-
 def test_recognize_aff_not_applicable():
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(PreconditionError, match="^algebra is not the direct sum of its "
+                                                "commutator and the J-image$"):
         recognize_aff(LieAlgebra.abelian(4), standard_complex_structure(2))
     heis = LieAlgebra(4, {(0, 1): {2: 1}})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^complex structure must be abelian$"):
         recognize_aff(heis, standard_complex_structure(2))
 
 
