@@ -140,7 +140,8 @@ def run_check(args) -> int:
             lc = levi_civita(g, inst.metric)
             fc = complex_projection(inst.j, lc)   # the first canonical connection
             # levi_civita has certified lc metric and torsion-free, so of type (1,1);
-            # (D - JDJ) / 2 = D exactly when D commutes with J, so lc is complex iff fc == lc
+            # (D - JDJ) / 2 = D exactly when D commutes with J, so lc is complex iff
+            # fc == lc; fc is metric and complex by proof (connection_flags)
             lc_flags = ConnectionFlags(True, fc == lc, True)
             out["connections"] = {
                 key: {"tensor": _connection_json(conn),
@@ -149,7 +150,7 @@ def run_check(args) -> int:
                           _scalar_str(*curvature_norm_sq(g, conn).as_integer_ratio())}
                 for key, conn, flags in (
                     ("levi_civita", lc, lc_flags),
-                    ("first_canonical", fc, connection_flags(g, inst.j, inst.metric, fc)))}
+                    ("first_canonical", fc, connection_flags(inst.triple(), fc)))}
     out["required"] = {p: _holds(out, p) for p in args.require}
 
     if args.json:

@@ -5,28 +5,30 @@ complex connections, and torsion/curvature flags.
 Every flatness, compatibility, and type check here is an exact zero test on
 rational tensors; there are no tolerances anywhere.
 
-Curvature, the Koszul solve, torsion, the flag residuals and the complex
-projection are contractions over kept splits (linalg.contract_splits and
-linalg._combine), each returning a canonical split that is tested for zero
-by its numerators.  The curvature norm and the cyclic sums are integer
-sums over one common denominator.  Alternating tensors are contracted once
-per unordered pair i < j: torsion, its (1,1) test through bilinear_table,
-and the cyclic sums of is_kahler and cyclic_metric_identity.
+Curvature, the Koszul solve, torsion, the metric certificate and the
+complex projection are contractions over kept splits
+(linalg.contract_splits and linalg._combine), each returning a canonical
+split that is tested for zero by its numerators.  The curvature norm and
+the cyclic sums are integer sums over one common denominator.  Alternating
+tensors are contracted once per unordered pair i < j: torsion, its (1,1)
+test through bilinear_table, and the cyclic sums of is_kahler and
+cyclic_metric_identity.  The first canonical connection is metric and
+complex by proof (connection_flags); only its torsion type is tested.
 
-Curvature, the metric and complex flags and the complex projection follow
-the nonzero slices, by the sparse-product rule (Gustavson 1978): each call
-indexes once the support of every operator D_i, the columns k with D_i e_k
-!= 0, and contracts a column only where a nonzero can meet a nonzero (see
-_curvature_pairs, _is_adjoint and _j_columns).  Levi-Civita lowers the
-Koszul formula by the metric into one integer table, filled from G c_ab on
-the nonzero brackets a < b only (_lowered_koszul), and solves by G^-1 only
-the (i, j) at which it is nonzero; it makes no matrix product.  A torsion
-entry whose splits are all zero is skipped without a contraction, and
-is_flat stops at the first nonzero curvature column.  A connection is
-stored as the canonical splits of its slices and nothing else (see
-linalg): Connection(gamma) converts once, levi_civita and
-complex_projection build the splits directly, and gamma builds Fractions
-from them on each read.
+Curvature, Levi-Civita's metric certificate and the complex projection
+follow the nonzero slices, by the sparse-product rule (Gustavson 1978):
+each call indexes once the support of every operator D_i, the columns k
+with D_i e_k != 0, and contracts a column only where a nonzero can meet a
+nonzero (see _curvature_pairs, _is_adjoint and complex_projection).
+Levi-Civita lowers the Koszul formula by the metric into one integer
+table, filled from G c_ab on the nonzero brackets a < b only
+(_lowered_koszul), and solves by G^-1 only the (i, j) at which it is
+nonzero; it makes no matrix product.  A torsion entry whose splits are all
+zero is skipped without a contraction, and is_flat stops at the first
+nonzero curvature column.  A connection is stored as the canonical splits
+of its slices and nothing else (see linalg): Connection(gamma) converts
+once, levi_civita and complex_projection build the splits directly, and
+gamma builds Fractions from them on each read.
 """
 from __future__ import annotations
 
@@ -380,32 +382,9 @@ class ConnectionFlags(NamedTuple):
 
 
 def _is_metric(conn: Connection, metric: InnerProduct) -> bool:
-    """Each D_i is skew for the metric (_is_adjoint)."""
+    """Each D_i is skew for the metric (_is_adjoint): Levi-Civita's metric
+    certificate."""
     return all(_is_adjoint(metric.gram, row, -1) for row in conn.split())
-
-
-def _j_columns(j: ComplexStructure, conn: Connection):
-    """Yield (slice splits of D_i, columns) for each direction i: the k,
-    ascending, at which D_i J - J D_i and J D_i J can be nonzero, where
-    D_i e_k != 0 or J e_k meets supp D_i.  They are read off the row
-    supports of J, indexed once; a zero operator has none."""
-    n, js = conn.dim, j.matrix.split()
-    jrows = [set() for _ in range(n)]     # jrows[q]: the k with J[q][k] != 0
-    for k, (_, nz) in enumerate(js):
-        for q, _ in nz:
-            jrows[q].add(k)
-    for row in conn.split():
-        supp = _support(row)
-        yield row, (sorted(supp.union(*[jrows[q] for q in supp])) if len(supp) < n
-                    else range(n))
-
-
-def _is_complex(conn: Connection, j: ComplexStructure) -> bool:
-    """Each D_i commutes with J: the residual D_i J - J D_i vanishes, one
-    contraction per column that can be nonzero (_j_columns)."""
-    n, js = conn.dim, j.matrix.split()
-    return not any(contract_splits([(1, js[k], row), (-1, row[k], js)], n)[1]
-                   for row, cols in _j_columns(j, conn) for k in cols)
 
 
 def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
@@ -419,12 +398,14 @@ def _torsion_type_11(g, j: ComplexStructure, conn: Connection) -> bool:
     return all(w == t[a][b] for (a, b), w in tjj.items())
 
 
-def connection_flags(g, j, metric, conn) -> ConnectionFlags:
-    return ConnectionFlags(
-        is_metric=_is_metric(conn, metric),
-        is_complex=_is_complex(conn, j),
-        torsion_type_11=_torsion_type_11(g, j, conn),
-    )
+def connection_flags(t: HermitianTriple, nabla1: Connection) -> ConnectionFlags:
+    """Flags of nabla1 = (D - JDJ) / 2, the first canonical connection of t,
+    D its Levi-Civita connection.  nabla1 is metric and complex by proof: D
+    is metric (levi_civita certifies it) and J is orthogonal with J^2 = -I
+    (HermitianTriple), so J* = -J, (JDJ)* = (-J)(-D)(-J) = -JDJ and
+    J(D - JDJ) = JD + DJ = (D - JDJ)J.  Only the (1,1) type of its torsion
+    depends on J being integrable, and only that flag is computed."""
+    return ConnectionFlags(True, True, _torsion_type_11(t.algebra, t.j, nabla1))
 
 
 def complex_projection(j: ComplexStructure, conn: Connection) -> Connection:
@@ -432,17 +413,24 @@ def complex_projection(j: ComplexStructure, conn: Connection) -> Connection:
     D_i -> (D_i - J D_i J) / 2.
 
     Column k of the average is one contraction of D_i e_k and the nonzero
-    columns of J D_i weighted by J e_k, made only where it can be nonzero
-    (_j_columns); the other columns, and zero operators, are kept as zero.
-    The output commutes with J; when the input is torsion-free and J is
-    integrable its torsion is of type (1,1).
+    columns of J D_i weighted by J e_k, made only where it can be nonzero:
+    where D_i e_k != 0 or J e_k meets supp D_i, read off the row supports of
+    J, indexed once.  The other columns, and zero operators, are kept as
+    zero.  The output commutes with J; when the input is torsion-free and J
+    is integrable its torsion is of type (1,1).
     """
     n, js = conn.dim, j.matrix.split()
+    jrows = [set() for _ in range(n)]     # jrows[q]: the k with J[q][k] != 0
+    for k, (_, nz) in enumerate(js):
+        for q, _ in nz:
+            jrows[q].add(k)
     out = []
-    for row, cols in _j_columns(j, conn):
-        if not cols:
+    for row in conn.split():
+        supp = _support(row)
+        if not supp:
             out.append(row)
             continue
+        cols = sorted(supp.union(*[jrows[q] for q in supp])) if len(supp) < n else range(n)
         jd = [_combine(d, [(c, js[p]) for p, c in nz], n) if nz else (1, []) for d, nz in row]
         avg = [(1, [])] * n
         for k in cols:

@@ -384,14 +384,12 @@ def _run_trial(triple, expected: Optional[KahlerSample], counts, ces):
 
 def _verdicts(triple, expected: Optional[KahlerSample]):
     """Yield (theorem, holds) for one instance, in THEOREM_NAMES order."""
-    g, j, metric = triple.algebra, triple.j, triple.metric
+    g = triple.algebra
 
-    yield "abelian_structure_report", abelian_cs_report(g, j).all_hold
+    yield "abelian_structure_report", abelian_cs_report(g, triple.j).all_hold
 
     nabla1 = first_canonical(triple)
-    flags = connection_flags(g, j, metric, nabla1)
-    yield ("hermitian_connection_identities",
-           flags.is_metric and flags.is_complex and flags.torsion_type_11)
+    yield "hermitian_connection_identities", all(connection_flags(triple, nabla1))
 
     kahler = is_kahler(triple)
     yield "closed_form_matches_cyclic_identity", kahler == cyclic_metric_identity(triple)

@@ -14,7 +14,7 @@ runs through three routines here:
   sums, matrix-vector products, linear combinations, the witnesses of the
   basis-triple identities, the structure layer (the ad-twist and Nijenhuis
   residuals) and the Hermitian layer (curvature, the Koszul solve,
-  torsion, the metric and complex flag residuals, the complex projection)
+  torsion, Levi-Civita's metric certificate, the complex projection)
   run through it; a dot product is one integer sum over the same splits.
   _combine_nonzero is the one zero-skip: a contraction with only zero
   splits to read is not made.

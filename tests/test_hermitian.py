@@ -6,7 +6,7 @@ from abelianj.complex_structures import ComplexStructure, is_abelian_cs, is_inte
 from abelianj.constructions import standard_complex_structure
 from abelianj.hermitian import (
     Connection, HermitianTriple, InnerProduct,
-    NotPositiveDefiniteError, complex_projection,
+    NotPositiveDefiniteError, _is_metric, _torsion_type_11, complex_projection,
     connection_flags, curvature, curvature_norm_sq, cyclic_metric_identity,
     d_omega, first_canonical, first_canonical_pairing,
     is_flat, is_hermitian, is_kahler, is_torsion_free, kahler_form,
@@ -126,8 +126,8 @@ def test_first_canonical_flags_and_agreement(fixtures_dir):
                  "nilpotent_step3.json"):
         t = load_triple(fixtures_dir, name)
         conn = first_canonical(t)
-        flags = connection_flags(t.algebra, t.j, t.metric, conn)
-        assert flags.is_metric and flags.is_complex and flags.torsion_type_11
+        assert connection_flags(t, conn) == (True, True, True)
+        assert _is_metric(conn, t.metric)
         assert conn == first_canonical_pairing(t)
         # the complex projection of Levi-Civita is the same connection
         lc = levi_civita(t.algebra, t.metric)
@@ -146,10 +146,9 @@ def test_first_canonical_pairing_needs_abelian():
 def test_levi_civita_flags_on_non_kahler(fixtures_dir):
     t = load_triple(fixtures_dir, "aff_c_j1.json")
     lc = levi_civita(t.algebra, t.metric)
-    flags = connection_flags(t.algebra, t.j, t.metric, lc)
-    assert flags.is_metric
-    assert not flags.is_complex
-    assert flags.torsion_type_11     # zero torsion is vacuously type (1,1)
+    assert _is_metric(lc, t.metric)
+    assert complex_projection(t.j, lc) != lc     # not complex
+    assert _torsion_type_11(t.algebra, t.j, lc)  # zero torsion is vacuously type (1,1)
 
 
 def test_curvature_norms(fixtures_dir):
@@ -170,17 +169,17 @@ def test_zero_connection_torsion_and_type(fixtures_dir):
         for j in range(4):
             assert tt[i][j] == tuple(-c for c in g.c[i][j])
     assert is_flat(g, zero)
-    flags = connection_flags(g, t.j, t.metric, zero)
-    assert flags.is_metric and flags.is_complex and flags.torsion_type_11
+    assert _is_metric(zero, t.metric)
+    assert complex_projection(t.j, zero) == zero
+    assert _torsion_type_11(g, t.j, zero)
     # multiplication by i on the complexified affine line: integrable but
     # not abelian, and the same zero connection loses the (1,1) property
     jc = ComplexStructure(Matrix([[0, -1, 0, 0], [1, 0, 0, 0],
                                   [0, 0, 0, -1], [0, 0, 1, 0]]))
     assert is_integrable(g, jc)
     assert not is_abelian_cs(g, jc)
-    flags_c = connection_flags(g, jc, t.metric, zero)
-    assert flags_c.is_metric and flags_c.is_complex
-    assert not flags_c.torsion_type_11
+    assert complex_projection(jc, zero) == zero
+    assert not _torsion_type_11(g, jc, zero)
 
 
 def test_levi_civita_randomized_uniqueness():
@@ -194,10 +193,11 @@ def test_levi_civita_randomized_uniqueness():
     for t in triples:
         lc = levi_civita(t.algebra, t.metric)
         assert is_torsion_free(t.algebra, lc)
-        flags = connection_flags(t.algebra, t.j, t.metric, lc)
-        assert flags.is_metric
+        assert _is_metric(lc, t.metric)
         fc = first_canonical(t)
-        fflags = connection_flags(t.algebra, t.j, t.metric, fc)
-        assert fflags.is_metric and fflags.is_complex and fflags.torsion_type_11
+        # the flags connection_flags takes as proved hold when tested
+        assert _is_metric(fc, t.metric) and complex_projection(t.j, fc) == fc
+        assert _torsion_type_11(t.algebra, t.j, fc)
+        assert connection_flags(t, fc) == (True, True, True)
         # the projection route and the pairing formula give one connection
         assert fc == first_canonical_pairing(t)

@@ -555,6 +555,16 @@ def _ref_is_complex(conn, jm):
     return all(_mm(_op(conn, i), jr) == _mm(jr, _op(conn, i)) for i in range(conn.dim))
 
 
+def _ref_torsion_type_11(g, jm, conn):
+    """T(J e_a, J e_b) == T(e_a, e_b) for every a, b, expanding J e_a over
+    the basis in the dense torsion."""
+    n, t, jr = g.dim, _ref_torsion(g, conn), _rows(jm)
+    return all(tuple(sum((jr[p][a] * jr[q][b] * t[p][q][k]
+                          for p in range(n) for q in range(n)), Fraction(0))
+                     for k in range(n)) == t[a][b]
+               for a in range(n) for b in range(n))
+
+
 def _ref_projection(conn, jm):
     """Column k of (D_i - J D_i J) / 2."""
     jr = _rows(jm)
@@ -595,8 +605,9 @@ def _hermitian_cases():
 
 def _matches_reference(g, j, metric, conn):
     """Assert curvature, is_flat, the curvature norm, torsion and
-    complex_projection of conn equal their references, and the metric and
-    complex flags too; return the two flags."""
+    complex_projection of conn equal their references, and so do the metric
+    test and the complex test, which check reads as "the projection fixes
+    conn"; return the two flags."""
     grid = curvature(g, conn)
     ref = _ref_curvature(g, conn)
     assert [[cell.rows for cell in row] for row in grid] == [list(row) for row in ref]
@@ -604,10 +615,8 @@ def _matches_reference(g, j, metric, conn):
     assert curvature_norm_sq(g, conn) == sum(
         (x * x for row in grid for cell in row for r in cell.rows for x in r), Fraction(0))
     assert torsion(g, conn) == _ref_torsion(g, conn)
-    flags = (hermitian._is_metric(conn, metric), hermitian._is_complex(conn, j))
+    flags = (hermitian._is_metric(conn, metric), complex_projection(j, conn) == conn)
     assert flags == (_ref_is_metric(conn, metric), _ref_is_complex(conn, j.matrix))
-    # check reads Levi-Civita's complex flag as "the projection fixes it"
-    assert (complex_projection(j, conn) == conn) == flags[1]
     assert complex_projection(j, conn).gamma == _ref_projection(conn, j.matrix)
     for block in (cell for row in grid for cell in row):
         for r in block.rows:
@@ -617,7 +626,7 @@ def _matches_reference(g, j, metric, conn):
 
 def test_hermitian_layer_matches_fraction_reference():
     rng = random.Random(8)
-    flags_seen = set()
+    flags_seen, types_seen = set(), set()
     for t in _hermitian_cases():
         g, jm, metric = t.algebra, t.j.matrix, t.metric
         n = g.dim
@@ -625,6 +634,13 @@ def test_hermitian_layer_matches_fraction_reference():
         assert lc.gamma == _ref_levi_civita(g, metric)
         fc = first_canonical(t)
         assert fc.gamma == _ref_projection(lc, jm)
+        # connection_flags takes the metric and complex flags of the first
+        # canonical connection as proved; the dense references agree, and
+        # its one computed flag is the dense torsion-type test
+        assert _ref_is_metric(fc, metric) and _ref_is_complex(fc, jm)
+        flags = hermitian.connection_flags(t, fc)
+        assert flags == (True, True, _ref_torsion_type_11(g, jm, fc))
+        types_seen.add(flags.torsion_type_11)
         if hermitian.is_abelian_cs(g, t.j):
             assert first_canonical_pairing(t).gamma == _ref_pairing(g, jm, metric)
         conns = [lc, fc, _random_connection(rng, n), Connection.zero(n)]
@@ -634,8 +650,9 @@ def test_hermitian_layer_matches_fraction_reference():
                                  for i in range(n)]))
         for conn in conns:
             flags_seen.add(_matches_reference(g, t.j, metric, conn))
-    # both outcomes of both flags occur
+    # both outcomes of both flags occur, and of the torsion type
     assert {f[0] for f in flags_seen} == {f[1] for f in flags_seen} == {True, False}
+    assert types_seen == {True, False}
 
 
 def _sparse_recipe(half, seed=7):
@@ -769,23 +786,25 @@ def test_zero_operators_cost_no_contraction(monkeypatch):
 
 def test_sparse_check_contracts_only_nonzero_slices(monkeypatch, tmp_path, capsys):
     """On the sparse recipe at dim 24, where 38 of the 576 slices of each
-    connection are nonzero, the projection and the metric and complex flags
-    make at most two contractions per nonzero slice; one _combine call ends
+    connection are nonzero, the projection makes at most two contractions
+    per nonzero slice, and the flags of the first canonical connection
+    only those of its torsion test, none per slice; one _combine call ends
     every contraction.  Its check --json output is pinned."""
     g, j, metric = _sparse_recipe(12)
+    t = HermitianTriple(g, j, metric)
     lc = levi_civita(g, metric)
     calls = _count_contractions(monkeypatch)
     fc = complex_projection(j, lc)
     assert calls.count("_combine") <= 2 * sum(len(hermitian._support(r)) for r in lc.split())
     calls.clear()
-    assert hermitian.connection_flags(g, j, metric, fc) == (True, True, True)
+    assert hermitian.connection_flags(t, fc) == (True, True, True)
     # the torsion test makes one contraction per pair i < j it reads a
     # nonzero slice or bracket for
     cs, gs = fc.split(), g.split()
     pairs = sum(1 for i, k in combinations(range(g.dim), 2)
                 if cs[i][k][1] or cs[k][i][1] or gs[i][k][1])
-    assert calls.count("_combine") <= \
-        2 * sum(len(hermitian._support(r)) for r in cs) + pairs
+    assert "contract_splits" not in calls
+    assert calls.count("_combine") <= pairs
     monkeypatch.undo()
     path = tmp_path / "sparse.json"
     serialize.save_instance(path, g, j, metric)

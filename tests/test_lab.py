@@ -4,6 +4,7 @@ import json
 import pstats
 import random
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,7 +13,7 @@ from abelianj.assoc import (
     check_axioms, check_compatibility,
 )
 from abelianj.complex_structures import is_abelian_cs, j_stable_commutator
-from abelianj.constructions import standard_complex_structure
+from abelianj.constructions import semidirect_r2_family, standard_complex_structure
 from abelianj.hermitian import (
     Connection, HermitianTriple, InnerProduct, is_hermitian, is_kahler, sectional_curvature,
 )
@@ -21,7 +22,9 @@ from abelianj.lab import (
     random_instance, random_kahler_instance, random_pair, random_unimodular,
     report_to_dict, theorem_suite,
 )
-from abelianj.lie import LieAlgebra, PreconditionError, check_jacobi, pushforward
+from abelianj.lie import (
+    LieAlgebra, PreconditionError, check_jacobi, is_unimodular, pushforward,
+)
 from abelianj.linalg import CertificateError, Matrix, Subspace, rat, vec
 from abelianj import hermitian, lab, lie, serialize
 
@@ -379,14 +382,28 @@ def test_theorem_suite_small_run():
 
 
 def test_theorem_suite_records_failing_first_connection(monkeypatch):
-    # with the projection skipped, the first canonical connection is
-    # Levi-Civita, which is not complex unless the metric is Kahler: the
-    # flag check must report it as a counterexample, not abort the suite
-    monkeypatch.setattr(hermitian, "complex_projection", lambda j, conn: conn)
+    # a torsion-type test that always fails: every trial records the
+    # first canonical verdict as a counterexample, and the suite runs on to
+    # the later theorems instead of aborting
+    monkeypatch.setattr(hermitian, "_torsion_type_11", lambda g, j, conn: False)
     rep = theorem_suite(20240823, 10, max_dim=8)
-    assert rep.theorems["hermitian_connection_identities"]["fail"] >= 1
-    assert any(ce["violated"] == "hermitian_connection_identities"
-               for ce in rep.counterexamples)
+    assert rep.theorems["hermitian_connection_identities"] == {"pass": 0, "fail": 10}
+    assert [ce["violated"] for ce in rep.counterexamples] == \
+        ["hermitian_connection_identities"] * 10
+    assert all(sum(rep.theorems[name].values()) == 10 for name in THEOREM_NAMES)
+
+
+def test_first_connection_flags_certify_metric_once_per_levi_civita(monkeypatch):
+    # the first canonical connection is metric by proof: the one metric
+    # test of a trial is levi_civita's certificate
+    calls = []
+    for name in ("levi_civita", "_is_metric"):
+        fn = getattr(hermitian, name)
+        monkeypatch.setattr(hermitian, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    rep = theorem_suite(20240823, 10)
+    assert rep.counterexamples == []
+    assert calls == ["levi_civita", "_is_metric"] * 10
 
 
 def test_theorem_suite_records_failed_certificate(monkeypatch):
@@ -450,6 +467,44 @@ def test_theorem_suite_records_a_broken_computation(monkeypatch, owner, name, br
     rep = theorem_suite(seed, trials)
     names = [ce["violated"] for ce in rep.counterexamples]
     assert {n: names.count(n) for n in set(names)} == violated
+
+
+# (a, b) of T = a I + b J0 on one complex coordinate; only the block pair
+# (1, 2), (-1, -2) has sum a = sum b = 0
+_SEMIDIRECT_BLOCKS = ((1, 0), (2, 0), (0, 1), (0, -2), (1, 1), (2, -1), (-1, 3), (1, 2),
+                      (-1, -2))
+
+
+def _semidirect_action(blocks):
+    """T on R^{2n} acting on coordinate c as a + bi: T e_c = a e_c + b e_{n+c}
+    and T e_{n+c} = a e_{n+c} - b e_c, so T commutes with J0."""
+    n = len(blocks)
+    t = [[0] * (2 * n) for _ in range(2 * n)]
+    for c, (a, b) in enumerate(blocks):
+        t[c][c] = t[n + c][n + c] = a
+        t[n + c][c], t[c][n + c] = b, -b
+    return Matrix(t)
+
+
+def test_semidirect_family_sweep_reaches_every_verdict():
+    # semidirect_r2_family over n = 1, 2 with each block from the fixed
+    # list (n = 2 takes each unordered pair once): two compatible metrics
+    # per instance, every verdict recorded and none violated
+    rng = random.Random(2011)
+    counts = {name: {"pass": 0, "fail": 0} for name in THEOREM_NAMES}
+    ces, unimodular = [], 0
+    instances = [(b,) for b in _SEMIDIRECT_BLOCKS]
+    instances += list(combinations_with_replacement(_SEMIDIRECT_BLOCKS, 2))
+    for blocks in instances:
+        g, j = semidirect_r2_family(len(blocks), _semidirect_action(blocks))
+        unimodular += is_unimodular(g)
+        for _ in range(2):
+            lab._run_trial(HermitianTriple(g, j, random_hermitian_metric(rng, j)),
+                           None, counts, ces)
+    assert len(instances) == 54
+    assert unimodular == 1
+    assert ces == []
+    assert counts == {name: {"pass": 108, "fail": 0} for name in THEOREM_NAMES}
 
 
 def test_theorem_suite_deterministic():

@@ -3,9 +3,10 @@ function calls it, an acceptance criterion calls it, or README's "Library
 entry points" section names it with the paper statement it checks.  A call
 counts for the function its module's imports resolve it to, so a homonym in
 another module keeps nothing alive.  Every private function or method is
-referenced somewhere in the package outside its own body, and README's
-library tour runs."""
+referenced somewhere in the package outside its own body, README's
+library tour runs, and every name the benchmark's tracer wraps exists."""
 import ast
+import importlib
 import pathlib
 import re
 from collections import Counter
@@ -189,3 +190,33 @@ def test_only_linalg_reads_the_fraction_views():
         for node in ast.walk(ast.parse(src))
         if isinstance(node, ast.Attribute) and node.attr in ("rows", "basis"))
     assert readers == []
+
+
+def _module_constant(path, name):
+    """The literal value bound to name at the top level of the file at path,
+    read without importing it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_every_traced_layer_name_resolves():
+    """The benchmark's tracer wraps each name of bench/tracing.py's LAYERS
+    by getattr on its module ("Class.method" through the class __dict__,
+    with its _DUNDER aliases), with no fallback: a deleted or renamed name
+    would make a traced run raise."""
+    tracing = ROOT / "bench" / "tracing.py"
+    layers, dunder = _module_constant(tracing, "LAYERS"), _module_constant(tracing, "_DUNDER")
+    missing = []
+    for layer, names in layers.items():
+        mod = importlib.import_module("abelianj." + layer)
+        for name in names:
+            owner, attr = mod, name
+            if "." in name:
+                cls, meth = name.split(".")
+                owner, attr = vars(mod).get(cls), dunder.get(meth, meth)
+            if owner is None or not callable(vars(owner).get(attr)):
+                missing.append("%s.%s" % (layer, name))
+    assert missing == []
