@@ -37,8 +37,7 @@ from .lab import (
 )
 from .lie import (
     JacobiWitness, LieAlgebra, PreconditionError, SeriesReport, bracket_span,
-    center, center_of_subalgebra, check_jacobi, commutator_ideal,
-    derived_and_central_series,
+    center, check_jacobi, commutator_ideal, derived_and_central_series,
     is_isomorphism, is_unimodular, pushforward,
 )
 from .linalg import (

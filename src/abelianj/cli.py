@@ -55,6 +55,12 @@ def _connection_json(conn):
     return [[_split_strs(s, conn.dim) for s in row] for row in conn.split()]
 
 
+def _connection_entry(g, conn, flags):
+    """One connection's strings, flags and curvature norm in the check report."""
+    return {"tensor": _connection_json(conn), "flags": flags._asdict(),
+            "curvature_norm_sq": _scalar_str(*curvature_norm_sq(g, conn).as_integer_ratio())}
+
+
 def _yesno(b) -> str:
     return "yes" if b else "no"
 
@@ -141,16 +147,13 @@ def run_check(args) -> int:
             fc = complex_projection(inst.j, lc)   # the first canonical connection
             # levi_civita has certified lc metric and torsion-free, so of type (1,1);
             # (D - JDJ) / 2 = D exactly when D commutes with J, so lc is complex iff
-            # fc == lc; fc is metric and complex by proof (connection_flags)
-            lc_flags = ConnectionFlags(True, fc == lc, True)
-            out["connections"] = {
-                key: {"tensor": _connection_json(conn),
-                      "flags": flags._asdict(),
-                      "curvature_norm_sq":
-                          _scalar_str(*curvature_norm_sq(g, conn).as_integer_ratio())}
-                for key, conn, flags in (
-                    ("levi_civita", lc, lc_flags),
-                    ("first_canonical", fc, connection_flags(inst.triple(), fc)))}
+            # fc == lc, and then fc's entry is lc's; fc is metric and complex by
+            # proof (connection_flags)
+            parallel = fc == lc
+            lc_entry = _connection_entry(g, lc, ConnectionFlags(True, parallel, True))
+            fc_entry = lc_entry if parallel else _connection_entry(
+                g, fc, connection_flags(inst.triple(), fc))
+            out["connections"] = {"levi_civita": lc_entry, "first_canonical": fc_entry}
     out["required"] = {p: _holds(out, p) for p in args.require}
 
     if args.json:

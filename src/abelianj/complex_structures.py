@@ -4,7 +4,9 @@ holomorphic isomorphisms, and the five-way structural report for abelian J.
 The Nijenhuis table, the abelian test and the report's ad-twist
 [Je_i, e_k] + [e_i, Je_k] are contractions over the kept splits of the
 brackets and of J (linalg._combine), once per pair i < k and over nonzero
-bracket slices only; a pair whose brackets are all zero costs none.
+bracket slices only; a pair whose brackets are all zero costs none.  The
+report decides "Jg' abelian" and "g' ∩ Jg' central in g' + Jg'" as the zero
+tests of two bracket tables (lie._brackets), with no centralizer kernel.
 """
 from __future__ import annotations
 
@@ -14,9 +16,8 @@ from itertools import combinations
 from . import linalg
 from .linalg import DimensionMismatch, Matrix, Subspace, _combine_nonzero
 from .lie import (
-    LieAlgebra, PreconditionError, _kept, bracket_span, center,
-    center_of_subalgebra, commutator_ideal, derived_and_central_series,
-    is_isomorphism,
+    LieAlgebra, PreconditionError, _brackets, _kept, center, commutator_ideal,
+    derived_and_central_series, is_isomorphism,
 )
 
 
@@ -104,13 +105,21 @@ class AbelianReport:
                 and self.intersection_central)
 
 
+def _brackets_vanish(g, u: Subspace, v: Subspace) -> bool:
+    """[u, v] = 0: the zero test of one bracket table (lie._brackets)."""
+    return not any(nz for _, nz in _brackets(g, u, v).values())
+
+
 def abelian_cs_report(g, j) -> AbelianReport:
+    """The five consequences for an abelian J.  The two subspace claims are
+    zero tests of bracket tables (_brackets_vanish), by definition: Jg' is
+    an abelian subalgebra exactly when [Jg', Jg'] = 0, and g' ∩ Jg', which
+    lies in g' + Jg', is central there exactly when [g' ∩ Jg', g' + Jg'] = 0."""
     if not is_abelian_cs(g, j):
         raise PreconditionError("complex structure is not abelian")
     z = center(g)
     gp = commutator_ideal(g)
     jgp = gp.image(j.matrix)
-    gpj = gp.sum(jgp)
 
     # the whole algebra is J-stable with no image to compute
     center_j_stable = z.dim == g.dim or z.image(j.matrix) == z
@@ -123,12 +132,8 @@ def abelian_cs_report(g, j) -> AbelianReport:
     # g' is abelian exactly when the derived series reaches zero by [g', g']
     commutator_abelian = derived_and_central_series(g).is_2step_solvable
 
-    # an abelian subspace is a subalgebra: its bracket span is zero
-    jgp_flag = bracket_span(g, jgp, jgp).is_zero()
-
-    inter = gp.intersect(jgp)
-    central = z if gpj.dim == g.dim else center_of_subalgebra(g, gpj)
-    intersection_central = central.contains(inter)
+    jgp_flag = _brackets_vanish(g, jgp, jgp)
+    intersection_central = _brackets_vanish(g, gp.intersect(jgp), gp.sum(jgp))
 
     return AbelianReport(center_j_stable, ad_twist, commutator_abelian, jgp_flag,
                          intersection_central)

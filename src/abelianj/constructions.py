@@ -17,12 +17,12 @@ from .assoc import (
     CommAssocAlgebra, check_axioms, check_compatibility, square_span,
 )
 from .complex_structures import (
-    ComplexStructure, HolomorphicPair, is_abelian_cs, is_holomorphic_iso,
-    j_stable_commutator,
+    ComplexStructure, HolomorphicPair, _brackets_vanish, is_abelian_cs,
+    is_holomorphic_iso, j_stable_commutator,
 )
 from . import linalg
 from .lie import (
-    LieAlgebra, PreconditionError, bracket_span, check_jacobi, commutator_ideal,
+    LieAlgebra, PreconditionError, check_jacobi, commutator_ideal,
 )
 from .linalg import (
     Matrix, SingularMatrix, Subspace, _dense, _negated, _reduced, certify, rat, vec_scale,
@@ -120,7 +120,7 @@ def witness_check(g, j, u: Subspace) -> bool:
     ju = u.image(j.matrix)
     if 2 * u.dim != g.dim or u.sum(ju).dim != g.dim:
         return False
-    return all(bracket_span(g, half, half).is_zero() for half in (u, ju))
+    return all(_brackets_vanish(g, half, half) for half in (u, ju))
 
 
 def _half_products(g, j):

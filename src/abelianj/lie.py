@@ -15,15 +15,13 @@ the alternating bracket.  is_isomorphism transports the source by the map
 (pushforward), so its cost follows the source's brackets, not the target's.
 check_jacobi is one linalg._first_nonzero_residual: a triple whose three
 brackets are zero costs nothing, the others are packed zero tests, and only
-the witness is contracted.  center and center_of_subalgebra are one
-centralizer kernel (_annihilator), by successive kernels: each bracket
-column cuts the kept solution basis by one small kernel, or is a zero test;
-center_of_subalgebra's one self-bracket table also decides its closure
-precondition.  One memo, _kept, decides each fact of an unchanging object
-once and keeps it there: g', the center and both series (from the kept g')
-of an algebra, the abelian test of each J on it, the axioms and nilradical
-of a product algebra, the Kahler test and cyclic identity of a Hermitian
-triple.
+the witness is contracted.  The center is one centralizer kernel
+(_annihilator), by successive kernels: each bracket column cuts the kept
+solution basis by one small kernel, or is a zero test.  One memo, _kept,
+decides each fact of an unchanging object once and keeps it there: g', the
+center and both series (from the kept g') of an algebra, the abelian test
+of each J on it, the axioms and nilradical of a product algebra, the Kahler
+test and cyclic identity of a Hermitian triple.
 """
 from __future__ import annotations
 
@@ -145,37 +143,25 @@ def commutator_ideal(g) -> Subspace:
 def center(g) -> Subspace:
     """{x : [x, e_j] = 0 for all j}, computed once and kept on the algebra."""
     s = g.split()
-    return _annihilator(g, Subspace.whole(g.dim),
-                        {(i, j): s[i][j] for i in range(g.dim) for j in range(g.dim)
-                         if s[i][j][1]})
+    return _annihilator(g, {(i, j): s[i][j] for i in range(g.dim) for j in range(g.dim)
+                            if s[i][j][1]})
 
 
-def center_of_subalgebra(g, u: Subspace) -> Subspace:
-    """The centralizer of u in u, from one self-bracket table: its pairs
-    a < b decide the closure precondition, and with [u_b, u_a] = -[u_a, u_b]
-    added it is the annihilator's table."""
-    table = {ab: w for ab, w in _brackets(g, u, u).items() if w[1]}
-    if not all(u._coords(w) is not None for w in table.values()):
-        raise PreconditionError("subspace is not closed under the bracket")
-    table.update([((b, a), _negated(w)) for (a, b), w in table.items()])
-    return _annihilator(g, u, table)
-
-
-def _annihilator(g, u: Subspace, table):
-    """The one centralizer kernel: {sum_a x_a u_a : sum_a x_a table[a, b] = 0
+def _annihilator(g, table):
+    """The one centralizer kernel, the center's: {x : sum_a x_a table[a, b] = 0
     for every b}, where table maps (a, b) to the split of a nonzero bracket
-    of the basis vector u_a and a missing pair is a zero bracket.  u itself
-    when the table is empty.
+    [e_a, e_b] and a missing pair is a zero bracket.  The whole space when
+    the table is empty.
 
-    Successive kernels: k, from the identity on u's m coordinates, holds the
-    coordinate splits of a basis of the solutions of the b read so far.  For
-    each b the images sum_a x_a table[a, b] of k are contracted; unless all
-    are zero, k becomes k times the kernel of their rows over one lcm.  No
-    kept row is eliminated again; the loop stops when k is empty."""
+    Successive kernels: k, from the identity on the n coordinates, holds the
+    splits of a basis of the solutions of the b read so far.  For each b the
+    images sum_a x_a table[a, b] of k are contracted; unless all are zero, k
+    becomes k times the kernel of their rows over one lcm.  No kept row is
+    eliminated again; the loop stops when k is empty."""
+    n = g.dim
     if not table:
-        return u
-    m, n = u.dim, g.dim
-    k = [(1, [(a, 1)]) for a in range(m)]
+        return Subspace.whole(n)
+    k = [(1, [(a, 1)]) for a in range(n)]
     for b in sorted({b for _, b in table}):
         images = [_combine_nonzero(d, [(c, table.get((a, b), (1, []))) for a, c in nz], n)
                   for d, nz in k]
@@ -184,12 +170,11 @@ def _annihilator(g, u: Subspace, table):
             for t, a in nz:
                 rows.setdefault(t, [0] * len(k))[j] = a * (big // d)
         if rows:
-            k = [_combine(d, [(c, k[j]) for j, c in nz], m)
+            k = [_combine(d, [(c, k[j]) for j, c in nz], n)
                  for d, nz in _kernel(list(rows.values()), len(k))]
             if not k:
                 break
-    basis = Matrix._of_split(u.split(), n)
-    return Subspace._spanned(n, [basis._apply_split(c) for c in k])
+    return Subspace._spanned(n, k)
 
 
 def _brackets(g, u: Subspace, v: Subspace):

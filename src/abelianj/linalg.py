@@ -722,7 +722,11 @@ class Subspace:
 
     @classmethod
     def whole(cls, ambient):
-        return cls._spanned(ambient, [(1, [(i, 1)]) for i in range(ambient)])
+        """Q^ambient as its own reduced echelon form, with no elimination."""
+        s = object.__new__(cls)
+        s.ambient, s.pivots = ambient, tuple(range(ambient))
+        s._split = [(1, [(i, 1)]) for i in range(ambient)]
+        return s
 
     @property
     def basis(self):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from abelianj import complex_structures
 from abelianj.complex_structures import (
     ComplexStructure, HolomorphicPair, _nijenhuis_table, abelian_cs_report,
     is_abelian_cs, is_holomorphic_iso, is_integrable, j_stable_commutator,
@@ -10,7 +11,7 @@ from abelianj.constructions import standard_complex_structure
 from abelianj.lab import FAMILIES, random_instance
 from abelianj import lie
 from abelianj.lie import LieAlgebra, PreconditionError
-from abelianj.linalg import DimensionMismatch, Matrix, _dense, vec
+from abelianj.linalg import DimensionMismatch, Matrix, Subspace, _dense, basis_vec, vec
 
 
 def aff_complex():
@@ -96,6 +97,41 @@ def test_report_flags_a_nonabelian_commutator(monkeypatch):
         u is v and u == lie.commutator_ideal(h)) else real(h, u, v))
     rep = abelian_cs_report(g, standard_complex_structure(2))
     assert not rep.commutator_abelian and not rep.all_hold
+
+
+def test_bracket_zero_test_fails_on_a_nonzero_bracket():
+    # [e1, e2] = e3 on the Heisenberg algebra; e3 is central
+    heis = LieAlgebra(3, {(0, 1): {2: 1}})
+    e1, e2, e3 = (Subspace(3, [basis_vec(3, i)]) for i in range(3))
+    assert not complex_structures._brackets_vanish(heis, e1, e2)
+    assert not complex_structures._brackets_vanish(heis, e1.sum(e2), e1.sum(e2))
+    assert complex_structures._brackets_vanish(heis, e1, e1)
+    assert complex_structures._brackets_vanish(heis, e3, Subspace.whole(3))
+
+
+def test_report_subspace_flags_read_their_bracket_tables(monkeypatch):
+    """The report asks for the table of Jg' with itself, then for that of
+    g' ∩ Jg' with g' + Jg'; one nonzero entry put in either table makes its
+    own flag false and leaves the other true."""
+    g, j = aff_complex(), rotated_j()
+    for flipped in (0, 1):
+        asked = []
+
+        def patched(h, u, v):
+            table = dict(lie._brackets(h, u, v))
+            if len(asked) == flipped:
+                table[0, 0] = (1, [(0, 1)])
+            asked.append((u, v))
+            return table
+
+        monkeypatch.setattr(complex_structures, "_brackets", patched)
+        rep = abelian_cs_report(g, j)
+        gp = lie.commutator_ideal(g)
+        jgp = gp.image(j.matrix)
+        assert asked == [(jgp, jgp), (gp.intersect(jgp), gp.sum(jgp))]
+        assert (rep.j_commutator_abelian_subalgebra, rep.intersection_central) == \
+            ((False, True), (True, False))[flipped]
+        assert not rep.all_hold
 
 
 def test_report_requires_abelian_structure():

@@ -79,6 +79,8 @@ def test_witness_check_cases():
     # J-stable plane meets its own image
     assert not witness_check(g, j, Subspace(4, [vec((1, 0, 0, 0)), vec((0, 0, 1, 0))]))
     assert not witness_check(g, j, Subspace(4, [vec((1, 0, 0, 0))]))
+    # complementary to its image, but [e2, e3] = e4 is not zero
+    assert not witness_check(g, j, Subspace(4, [vec((0, 1, 0, 0)), vec((0, 0, 1, 0))]))
 
 
 def test_extract_products_round_trip():

@@ -1,9 +1,10 @@
 """The contraction kernel and the fraction-free elimination against plain
 references: bilinear products, the structure layer (bracket spans, center,
-centers of subalgebras, series, Jacobi, unimodularity, the ad-twist and
-Nijenhuis tensor), the Hermitian layer (curvature, Koszul, torsion, flag
-residuals, complex projection, also on operators with one or two nonzero
-columns) and the nilradical against dense Fraction formulas; the tensors contracted once per unordered pair
+the abelian report's subspace flags against centralizers, series, Jacobi,
+unimodularity, the ad-twist and Nijenhuis tensor), the Hermitian layer
+(curvature, Koszul, torsion, flag residuals, complex projection, also on
+operators with one or two nonzero columns) and the nilradical against dense
+Fraction formulas; the tensors contracted once per unordered pair
 (pushforward, the cyclic sums of is_kahler and cyclic_metric_identity)
 against every ordered pair; the minimal polynomial against one solve per
 degree; elimination results and the idempotent splitter's factors over Q
@@ -12,6 +13,7 @@ splits against their twins built from Fractions; the J-split of a J-stable
 space, read off one elimination, against the greedy loop that eliminates
 once per added vector."""
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -36,8 +38,8 @@ from abelianj.hermitian import (
 )
 from abelianj.lab import FAMILIES, random_instance, random_kahler_instance
 from abelianj.lie import (
-    LieAlgebra, bilinear_table, bracket_span, center, center_of_subalgebra,
-    check_jacobi, commutator_ideal, derived_and_central_series, is_unimodular,
+    LieAlgebra, bilinear_table, bracket_span, center, check_jacobi,
+    commutator_ideal, derived_and_central_series, is_unimodular,
 )
 from abelianj.linalg import (
     CertificateError, Matrix, SingularMatrix, Subspace, basis_vec,
@@ -813,6 +815,29 @@ def test_sparse_check_contracts_only_nonzero_slices(monkeypatch, tmp_path, capsy
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == "ea2e1d800059"
 
 
+def test_check_makes_one_curvature_pass_per_distinct_connection(monkeypatch, fixtures_dir,
+                                                               tmp_path, capsys):
+    """Where J is parallel the first canonical connection is Levi-Civita's
+    and check --json reports it from the same entry: one curvature pass on
+    a Kahler fixture and on the sparse recipe at dim 8, two on aff_c_j1,
+    where the two connections differ."""
+    passes = []
+    pairs = hermitian._curvature_pairs
+    monkeypatch.setattr(hermitian, "_curvature_pairs",
+                        lambda g, conn: passes.append(conn) or pairs(g, conn))
+    sparse = tmp_path / "sparse-8.json"
+    serialize.save_instance(sparse, *_sparse_recipe(4))
+    for path, count in ((fixtures_dir / "kahler_two_blocks.json", 1), (sparse, 1),
+                        (fixtures_dir / "aff_c_j1.json", 2)):
+        passes.clear()
+        assert main(["check", str(path), "--json"]) == 0
+        conns = json.loads(capsys.readouterr().out)["connections"]
+        assert len(passes) == count
+        assert (conns["first_canonical"] == conns["levi_civita"]) is (count == 1)
+        assert conns["first_canonical"]["flags"] == dict.fromkeys(
+            ("is_metric", "is_complex", "torsion_type_11"), True)
+
+
 def test_levi_civita_contracts_once_per_bracket_and_slice(monkeypatch):
     """On the sparse recipe at dim 24, the Levi-Civita construction makes one
     _combine call per nonzero bracket pair (w_ab = G c_ab) and one per
@@ -956,6 +981,19 @@ def _ref_nijenhuis(g, jm, i, k):
     return tuple(a - b[0] - d for a, b, d in zip(_ref_bilinear(c, ji, jk), jt, c[i][k]))
 
 
+def _assert_subspace_flags_match_reference(g, j, report):
+    """The report's two bracket-table flags read as containments in sympy's
+    centralizers: Jg' is abelian when it is its own center, and g' ∩ Jg' is
+    central in g' + Jg' when it lies in the center of g' + Jg'."""
+    def within(u, v):
+        return Subspace(g.dim, _ref_center_of(g, v.basis)).contains(u)
+
+    gp = commutator_ideal(g)
+    jgp = gp.image(j.matrix)
+    assert report.j_commutator_abelian_subalgebra == within(jgp, jgp)
+    assert report.intersection_central == within(gp.intersect(jgp), gp.sum(jgp))
+
+
 def test_structure_layer_matches_fraction_reference():
     cases = [(t.algebra, t.j) for t in _hermitian_cases()]
     # not Jacobi: the triples before (1, 2, 3) are zero or read zero brackets
@@ -978,8 +1016,6 @@ def test_structure_layer_matches_fraction_reference():
         assert bracket_span(g, gp, gp).basis == _ref_bracket_span(g, gp.basis, gp.basis)
         assert bracket_span(g, whole, gp).basis == _ref_bracket_span(g, whole.basis, gp.basis)
         assert center(g).basis == _ref_center(g)
-        for sub in (whole, gp, complex_structures.j_stable_commutator(g, j)):
-            assert center_of_subalgebra(g, sub).basis == _ref_center_of(g, sub.basis)
         unimodular.add(is_unimodular(g))
         assert is_unimodular(g) == _ref_unimodular(g)
         series = derived_and_central_series(g)
@@ -1005,7 +1041,9 @@ def test_structure_layer_matches_fraction_reference():
         assert all(_normalised(v) for v in table.values())
         assert is_integrable(g, j) == all(not any(v) for v in table.values())
         if is_abelian_cs(g, j):
-            assert abelian_cs_report(g, j).ad_twist == _ref_ad_twist(g, jm) is True
+            report = abelian_cs_report(g, j)
+            assert report.ad_twist == _ref_ad_twist(g, jm) is True
+            _assert_subspace_flags_match_reference(g, j, report)
     # zero and nonzero twists, unimodular and not unimodular algebras all occur
     assert twists == {True, False}
     assert unimodular == {True, False}
@@ -1040,12 +1078,10 @@ def test_centralizers_by_successive_kernels_match_reference(monkeypatch):
         if n < 8 or dims.count(n) == 2:
             continue
         dims.append(n)
-        whole = Subspace.whole(n)
         steps.clear()
         assert center(g).basis == _ref_center(g)
         most = max(most, len(steps))
-        for sub in (whole, commutator_ideal(g), complex_structures.j_stable_commutator(g, t.j)):
-            assert center_of_subalgebra(g, sub).basis == _ref_center_of(g, sub.basis)
+        _assert_subspace_flags_match_reference(g, t.j, abelian_cs_report(g, t.j))
     assert sorted(dims) == [8, 8, 10, 10, 12, 12]
     # the disguised brackets fill every column, yet the kernel settles in
     # a few steps and every later column is a zero test
@@ -1213,15 +1249,6 @@ def test_cyclic_sums_match_all_ordered_slices():
         twisted.add(holds)
     assert seen == {True, False}
     assert twisted == {True, False}
-
-
-def test_center_of_subalgebra_refuses_an_unclosed_subspace():
-    # [e1, e2] = e3: span{e1, e2} is not closed, span{e1, e3} is
-    heis = LieAlgebra(3, {(0, 1): {2: 1}})
-    with pytest.raises(lie.PreconditionError):
-        center_of_subalgebra(heis, Subspace(3, [basis_vec(3, 0), basis_vec(3, 1)]))
-    closed = Subspace(3, [basis_vec(3, 0), basis_vec(3, 2)])
-    assert center_of_subalgebra(heis, closed) == closed
 
 
 def _ref_minimal_polynomial(mat):

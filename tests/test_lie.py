@@ -4,8 +4,7 @@ from itertools import product
 import pytest
 
 from abelianj.lie import (
-    LieAlgebra, bilinear_table, bracket_span, center, center_of_subalgebra,
-    check_jacobi, commutator_ideal,
+    LieAlgebra, bilinear_table, bracket_span, center, check_jacobi, commutator_ideal,
     derived_and_central_series, is_isomorphism,
     is_unimodular, pushforward,
 )
@@ -82,14 +81,6 @@ def test_unimodular():
     assert not is_unimodular(aff_complex())
     assert is_unimodular(heisenberg())
     assert is_unimodular(LieAlgebra.abelian(4))
-
-
-def test_center_of_subalgebra():
-    g = aff_complex()
-    whole = Subspace.whole(4)
-    assert center_of_subalgebra(g, whole) == center(g)
-    gp = commutator_ideal(g)
-    assert center_of_subalgebra(g, gp) == gp
 
 
 def _table(split, a, b, pairs):

@@ -258,11 +258,15 @@ def test_subspace_lattice_dimension_formula():
         assert a.contains(meet) and b.contains(meet)
 
 
-def test_whole_is_the_identity_echelon_form():
-    for n in range(7):
+def test_whole_is_the_identity_echelon_form(monkeypatch):
+    from abelianj import linalg
+    refs = [Subspace._spanned(n, Matrix.identity(n).split()) for n in range(13)]
+    # whole is built as its own echelon form, with no elimination
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, ncols: pytest.fail("eliminated"))
+    for n, ref in enumerate(refs):
         whole = Subspace.whole(n)
-        ref = Subspace(n, Matrix.identity(n).rows)
         assert whole == ref and whole.pivots == ref.pivots == tuple(range(n))
+        assert hash(whole) == hash(ref)
     assert Subspace.whole(0).is_zero()
 
 
