@@ -23,7 +23,8 @@ from .linalg import _scalar_str, _split_strs
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
-# each --require property, with the key of the check report it reads
+# each --require property, with the key of the check report it reads; a key
+# under "J" or "metric" needs that part of the instance
 _REQUIRABLE = {
     "solvable": ("series", "solvable"),
     "nilpotent": ("series", "nilpotent"),
@@ -115,12 +116,9 @@ def run_check(args) -> int:
     and --require read it."""
     inst = serialize.load_instance(args.instance)
     g = inst.algebra
-    if (args.complex or "integrable" in args.require
-            or "abelian-j" in args.require) and inst.j is None:
-        raise serialize.InputError("instance has no 'J' entry")
-    if (args.metric or "hermitian" in args.require
-            or "kahler" in args.require) and inst.metric is None:
-        raise serialize.InputError("instance has no 'metric' entry")
+    for part, value in (("J", inst.j), ("metric", inst.metric)):
+        if value is None and any(_REQUIRABLE[p][0] == part for p in args.require):
+            raise serialize.InputError("instance has no %r entry" % part)
 
     series = derived_and_central_series(g)
     out = {
@@ -294,10 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate an instance and report its structure")
     p.add_argument("instance")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--complex", action="store_true",
-                   help="fail with an input error when J is missing")
-    p.add_argument("--metric", action="store_true",
-                   help="fail with an input error when the metric is missing")
     p.add_argument("--require", action="append", default=[],
                    choices=_REQUIRABLE, metavar="PROP",
                    help="exit 1 unless the property holds (%s)" % ", ".join(_REQUIRABLE))

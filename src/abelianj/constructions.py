@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import NamedTuple
 
 from .assoc import (
@@ -25,7 +24,7 @@ from .lie import (
     LieAlgebra, PreconditionError, check_jacobi, commutator_ideal,
 )
 from .linalg import (
-    Matrix, SingularMatrix, Subspace, _dense, _negated, _reduced, certify, rat, vec_scale,
+    Matrix, SingularMatrix, Subspace, _combine, _dense, _negated, certify, rat, vec_scale,
 )
 
 
@@ -83,11 +82,9 @@ def double_product(dot: CommAssocAlgebra, star: CommAssocAlgebra) -> DoubleProdu
     for i in range(m):
         for k in range(m):
             # [e_i, e_{m+k}] = (-(e_i * e_k), e_i . e_k), one split over both halves
-            (ds, ns), (dd, nd) = star.split()[i][k], dot.split()[i][k]
-            if ns or nd:
-                big = lcm(ds, dd)
-                brackets[i, m + k] = _reduced(big, [(t, -a * (big // ds)) for t, a in ns]
-                                              + [(m + t, a * (big // dd)) for t, a in nd])
+            sk, dk = star.split()[i][k], dot.split()[i][k]
+            if sk[1] or dk[1]:
+                brackets[i, m + k] = _combine(1, ((-1, sk), (1, _shifted(dk, m))), n)
     g = LieAlgebra._of_split(n, brackets)
     j = standard_complex_structure(m)
     certify("compatible pair must satisfy Jacobi", check_jacobi(g) is None)
@@ -123,15 +120,15 @@ def witness_check(g, j, u: Subspace) -> bool:
     return all(_brackets_vanish(g, half, half) for half in (u, ju))
 
 
-def _half_products(g, j):
-    """{(i, k): split of the coordinates in g' of [J v_i, v_k]} for i <= k,
-    v the echelon basis of g': the product x o y = [Jx, y] on g', from one
+def _half_products(g, j) -> CommAssocAlgebra:
+    """The product x o y = [Jx, y] on g': e_i o e_k, i <= k, is the split of the
+    coordinates in g' of [J v_i, v_k], v the echelon basis of g', from one
     bilinear_table.  A bracket lies in g', so every coordinate exists."""
     gp = commutator_ideal(g)
     vs = gp.split()
     table = linalg.bilinear_table(g.split(), [j.matrix._apply_split(s) for s in vs], vs,
                                   combinations_with_replacement(range(gp.dim), 2))
-    return {ik: gp._coords(w) for ik, w in table.items()}
+    return CommAssocAlgebra._of_split(gp.dim, {ik: gp._coords(w) for ik, w in table.items()})
 
 
 class ExtractedProducts(NamedTuple):
@@ -188,7 +185,7 @@ def recognize_aff(g, j) -> AffModel:
     if 2 * gp.dim != g.dim or j_stable_commutator(g, j).dim != g.dim:
         raise PreconditionError(
             "algebra is not the direct sum of its commutator and the J-image")
-    alg = CommAssocAlgebra._of_split(gp.dim, _half_products(g, j))
+    alg = _half_products(g, j)
     wit = check_axioms(alg)
     certify("recovered product fails the axioms", wit is None, wit and wit.kind)
     model = aff_algebra(alg)

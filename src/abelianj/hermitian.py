@@ -216,7 +216,6 @@ def is_kahler(t: HermitianTriple) -> bool:
     return _form_cyclic_sums_vanish(kahler_form_matrix(t).transpose(), t.algebra)
 
 
-@_kept
 def cyclic_metric_identity(t: HermitianTriple) -> bool:
     """Vanishing of the cyclic sum g([x,y],z) + g([y,z],x) + g([z,x],y).
 

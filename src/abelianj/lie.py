@@ -21,7 +21,7 @@ solution basis by one small kernel, or is a zero test.  One memo, _kept,
 decides each fact of an unchanging object once and keeps it there: g', the
 center and both series (from the kept g') of an algebra, the abelian test
 of each J on it, the axioms and nilradical of a product algebra, the Kahler
-test and cyclic identity of a Hermitian triple.
+test of a Hermitian triple.
 """
 from __future__ import annotations
 

@@ -175,9 +175,25 @@ def test_check_missing_parts(tmp_path, capsys):
     bare = tmp_path / "bare.json"
     serialize.save_instance(str(bare), LieAlgebra(2, {(0, 1): {1: 1}}))
     assert main(["check", str(bare)]) == 0
-    assert main(["check", str(bare), "--complex"]) == 2
-    assert main(["check", str(bare), "--metric"]) == 2
-    assert main(["check", str(bare), "--require", "abelian-j"]) == 2
+    # a property needs the part of the instance it is keyed under in _REQUIRABLE
+    refused = {p for p in cli._REQUIRABLE if main(["check", str(bare), "--require", p]) == 2}
+    assert refused == {p for p, key in cli._REQUIRABLE.items() if key[0] in ("J", "metric")}
+    assert refused == {"integrable", "abelian-j", "hermitian", "kahler"}
+    capsys.readouterr()
+    # J is asked for before the metric
+    assert main(["check", str(bare), "--require", "kahler", "--require", "abelian-j"]) == 2
+    assert capsys.readouterr().err == "input error: instance has no 'J' entry\n"
+    no_metric = tmp_path / "no_metric.json"
+    serialize.save_instance(str(no_metric), LieAlgebra(2), standard_complex_structure(1))
+    assert main(["check", str(no_metric), "--require", "abelian-j"]) == 0
+    capsys.readouterr()
+    assert main(["check", str(no_metric), "--require", "kahler"]) == 2
+    assert capsys.readouterr().err == "input error: instance has no 'metric' entry\n"
+    # the flags that asked for a part without a property are gone
+    for flag in ("--complex", "--metric"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(bare), flag])
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -403,6 +419,21 @@ def test_decompose_kahler_success(fixtures_dir, tmp_path, capsys):
     # the embedded model is itself a loadable instance
     model = serialize.instance_from_dict(data["model"])
     assert model.algebra.dim == 6
+
+
+def test_decompose_kahler_dim_zero(tmp_path, capsys):
+    # check reports the empty instance Kähler with abelian J, and it splits
+    # into no planes and a zero center
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"dim": 0, "J": [], "metric": []}', encoding="utf-8")
+    assert main(["check", str(empty), "--require", "kahler", "--require", "abelian-j"]) == 0
+    capsys.readouterr()
+    rep_path = tmp_path / "dec.json"
+    assert main(["decompose-kahler", "--instance", str(empty), "--report", str(rep_path)]) == 0
+    assert capsys.readouterr().out == "factors: n = 0, center: dim 0 (s = 0)\n"
+    data = json.loads(rep_path.read_text(encoding="utf-8"))
+    assert (data["n"], data["s"], data["factors"], data["center_basis"]) == (0, 0, [], [])
+    assert serialize.instance_from_dict(data["model"]).algebra.dim == 0
 
 
 def test_decompose_kahler_failures(fixtures_dir, tmp_path, capsys):

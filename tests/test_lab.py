@@ -4,7 +4,7 @@ import json
 import pstats
 import random
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -13,9 +13,10 @@ from abelianj.assoc import (
     check_axioms, check_compatibility,
 )
 from abelianj.complex_structures import is_abelian_cs, j_stable_commutator
-from abelianj.constructions import semidirect_r2_family, standard_complex_structure
+from abelianj.constructions import aff_algebra, semidirect_r2_family, standard_complex_structure
 from abelianj.hermitian import (
-    Connection, HermitianTriple, InnerProduct, is_hermitian, is_kahler, sectional_curvature,
+    Connection, HermitianTriple, InnerProduct, first_canonical, is_hermitian, is_kahler,
+    sectional_curvature,
 )
 from abelianj.lab import (
     THEOREM_NAMES, KahlerDecomposition, kahler_decompose, random_hermitian_metric,
@@ -23,7 +24,8 @@ from abelianj.lab import (
     report_to_dict, theorem_suite,
 )
 from abelianj.lie import (
-    LieAlgebra, PreconditionError, check_jacobi, is_unimodular, pushforward,
+    LieAlgebra, PreconditionError, check_jacobi, commutator_ideal, derived_and_central_series,
+    is_unimodular, pushforward,
 )
 from abelianj.linalg import CertificateError, Matrix, Subspace, rat, vec
 from abelianj import hermitian, lab, lie, serialize
@@ -52,6 +54,14 @@ def test_decompose_scaled_two_blocks(fixtures_dir):
     assert alg == t.algebra
     assert jm == t.j.matrix
     assert gram == t.metric.gram
+
+
+def test_decompose_dim_zero():
+    t = serialize.instance_from_dict({"dim": 0, "J": [], "metric": []}).triple()
+    dec = kahler_decompose(t)
+    assert (dec.n, dec.s, dec.factors, dec.center.dim) == (0, 0, (), 0)
+    assert dec.model.algebra.dim == 0
+    assert dec.rebuild() == (t.algebra, t.j.matrix, t.metric.gram)
 
 
 def test_decompose_model_block_structure(fixtures_dir):
@@ -326,6 +336,40 @@ def test_kahler_trial_decides_each_claim_once():
     assert evaluations == dict.fromkeys(kept, 1)
 
 
+_CONCLUSIONS = ("twisted_cyclic_identity", "kahler_decompose", "is_unimodular")
+
+
+def test_trial_computes_no_conclusion_whose_hypothesis_fails(fixtures_dir, monkeypatch):
+    # aff_c_j1 has a nonzero first canonical connection and is not Kähler:
+    # an AssertionError, which _run_trial does not record, ends the test if
+    # a conclusion of a false hypothesis is computed
+    t = load_triple(fixtures_dir, "aff_c_j1.json")
+    assert not first_canonical(t).is_zero() and not is_kahler(t)
+
+    def refuse(*args):
+        raise AssertionError("a conclusion of a false hypothesis ran")
+
+    for name in _CONCLUSIONS:
+        monkeypatch.setattr(lab, name, refuse)
+    counts = {name: {"pass": 0, "fail": 0} for name in THEOREM_NAMES}
+    lab._run_trial(t, None, counts, [])
+    assert all(c == {"pass": 1, "fail": 0} for c in counts.values())
+
+
+def test_trial_computes_each_conclusion_whose_hypotheses_hold(fixtures_dir, monkeypatch):
+    # abelian_r4: zero first canonical connection and Kähler, so each
+    # conclusion is computed, once
+    calls = []
+    for name in _CONCLUSIONS:
+        fn = getattr(lab, name)
+        monkeypatch.setattr(lab, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    counts = {name: {"pass": 0, "fail": 0} for name in THEOREM_NAMES}
+    lab._run_trial(load_triple(fixtures_dir, "abelian_r4.json"), None, counts, [])
+    assert all(c == {"pass": 1, "fail": 0} for c in counts.values())
+    assert sorted(calls) == sorted(_CONCLUSIONS)
+
+
 def test_kahler_trial_derives_the_center_once(monkeypatch):
     sample = random_kahler_instance(9, max_dim=8)
     g = sample.triple.algebra
@@ -520,6 +564,69 @@ def test_semidirect_family_sweep_at_n_3():
     assert unimodular == 3
     assert ces == []
     assert counts == {name: {"pass": 330, "fail": 0} for name in THEOREM_NAMES}
+
+
+def _standard_monomial_sets(max_dim):
+    """For d = 1 .. max_dim, the monomials outside each monomial ideal I with
+    dim m/I = d, up to permuting the variables: the down-closed sets of d + 1
+    exponent vectors, each in its least form over the orders of the variables.
+    A set grows by one monomial whose divisors by each variable it holds, in
+    the variables it uses or one new one."""
+    level, out = {((),)}, []
+    for _ in range(max_dim):
+        grown = set()
+        for s in level:
+            pad = {e + (0,) for e in s}
+            r = len(s[0]) + 1
+            for e in pad:
+                for i in range(r):
+                    c = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    if c in pad or any(c[k] and c[:k] + (c[k] - 1,) + c[k + 1:] not in pad
+                                       for k in range(r)):
+                        continue
+                    used = r if c[-1] else r - 1    # the variables the grown set uses
+                    new = [m[:used] for m in pad | {c}]
+                    grown.add(min(tuple(sorted(tuple(m[q] for q in perm) for m in new))
+                                  for perm in permutations(range(used))))
+        level = grown
+        out.append(sorted(level))
+    return out
+
+
+def _monomial_algebra(monomials):
+    """m/I on the monomials outside I but 1: a product is the product
+    monomial when it lies outside I, else zero.  Nilpotent."""
+    basis = [m for m in monomials if any(m)]
+    index = {m: i for i, m in enumerate(basis)}
+    products = {}
+    for i, j in combinations_with_replacement(range(len(basis)), 2):
+        k = index.get(tuple(a + b for a, b in zip(basis[i], basis[j])))
+        if k is not None:
+            products[i, j] = {k: 1}
+    return CommAssocAlgebra(len(basis), products)
+
+
+def test_monomial_sweep():
+    # the affine algebra of each nilpotent m/I, I a monomial ideal, of dim
+    # 1 .. 6 up to permuting the variables, two compatible metrics each
+    levels = _standard_monomial_sets(6)
+    assert [len(level) for level in levels] == [1, 2, 4, 7, 14, 28]
+    rng = random.Random(2011)
+    counts = {name: {"pass": 0, "fail": 0} for name in THEOREM_NAMES}
+    ces, curved_hypothesis = [], 0
+    for level in levels:
+        for monomials in level:
+            dp = aff_algebra(_monomial_algebra(monomials))
+            # all but the six with every product zero are nilpotent and non-abelian
+            curved_hypothesis += (derived_and_central_series(dp.algebra).is_nilpotent
+                                  and not commutator_ideal(dp.algebra).is_zero())
+            for _ in range(2):
+                lab._run_trial(HermitianTriple(dp.algebra, dp.j,
+                                               random_hermitian_metric(rng, dp.j)),
+                               None, counts, ces)
+    assert curved_hypothesis == 50
+    assert ces == []
+    assert counts == {name: {"pass": 112, "fail": 0} for name in THEOREM_NAMES}
 
 
 def test_theorem_suite_deterministic():
